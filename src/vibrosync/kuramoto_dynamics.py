@@ -11,7 +11,7 @@ import numpy as np
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, build_incidence, check_invariance,
                          select_spanning_tree, Edge)
-from .linalg import StepTooCoarse
+from .linalg import SinusoidSum, StepTooCoarse, _linear_flow
 
 steps_per_period = 40
 default_oversampling = 50
@@ -371,19 +371,11 @@ def schedule_slot_matrices(inc: IncidenceSet,
     return out
 
 
-def cluster_vibration_matrix(terms) -> Optional[callable]:
-    """Callable P(t) summing sinusoidal slot terms; None when empty."""
+def cluster_vibration_matrix(terms) -> Optional[SinusoidSum]:
+    """P(t) summing sinusoidal slot terms; None when empty."""
     if not terms:
         return None
-    amps = np.array([a for a, _, _, _ in terms])
-    freqs = np.array([f for _, f, _, _ in terms])
-    phases = np.array([p for _, _, p, _ in terms])
-    mats = np.array([m for _, _, _, m in terms])
-
-    def p(t: float) -> np.ndarray:
-        return np.einsum("e,eij->ij", amps * np.sin(freqs * t + phases), mats)
-
-    return p
+    return SinusoidSum(*zip(*terms))
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +413,12 @@ def perturbation_bounds(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
             t_max = 20.0 * 2.0 * np.pi / min(freqs)
             dt = 2.0 * np.pi / max(freqs) / default_oversampling
             d = terms[k][0][3].shape[0]
-            phi = np.eye(d)
             sup_fwd, sup_inv = 1.0, 1.0
             steps = int(np.ceil(t_max / dt))
-            h = t_max / steps
-            t = 0.0
-            for _ in range(steps):
-                k1 = p(t) @ phi
-                k2 = p(t + 0.5 * h) @ (phi + 0.5 * h * k1)
-                k3 = p(t + 0.5 * h) @ (phi + 0.5 * h * k2)
-                k4 = p(t + h) @ (phi + h * k3)
-                phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-                s = np.linalg.svd(phi, compute_uv=False)
-                sup_fwd = max(sup_fwd, float(s[0]))
-                sup_inv = max(sup_inv, float(1.0 / s[-1]))
+            for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):
+                s = np.linalg.svd(phis, compute_uv=False)
+                sup_fwd = max(sup_fwd, float(s[:, 0].max()))
+                sup_inv = max(sup_inv, float((1.0 / s[:, -1]).max()))
             growth[k] = sup_fwd
             shrink[k] = sup_inv
     cond = np.outer(shrink, growth) * envelope_safety

@@ -24,13 +24,13 @@ from .kuramoto_dynamics import (Classification, KuramotoNetwork,
                                 perturbation_bounds,
                                 sample_perturbed_trajectories,
                                 schedule_slot_matrices, _default_incidence)
-from .linalg import NotHurwitz, conjugated_average, is_hurwitz, is_m_matrix, robustness
+from .linalg import (NotHurwitz, conjugated_average, default_oversampling, is_hurwitz,
+                     is_m_matrix, robustness)
 
 default_sweep_epsilons = (0.1, 0.01, 0.001)
 sweep_samples = 3
 sweep_horizon = 60.0
 sweep_slack = 0.1
-averaging_oversampling = 48
 
 
 def averaged_jacobians(j_blocks: Sequence[np.ndarray],
@@ -54,7 +54,7 @@ def averaged_jacobians(j_blocks: Sequence[np.ndarray],
         out.append(conjugated_average(
             blk, p,
             base_period=2.0 * math.pi / min(freqs),
-            dt=2.0 * math.pi / max(freqs) / averaging_oversampling,
+            dt=2.0 * math.pi / max(freqs) / default_oversampling,
         ))
     return tuple(out)
 

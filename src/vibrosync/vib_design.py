@@ -20,14 +20,13 @@ from .graph_core import (CycleDetected, Edge, GraphError, IncidenceSet,
                          SignedGraph, permutation_to_qlt)
 from .kuramoto_dynamics import (KuramotoNetwork, VibrationEntry,
                                 VibrationSchedule, edge_influence, linearize)
-from .linalg import conjugated_average
+from .linalg import SinusoidSum, conjugated_average, default_oversampling
 
 pattern_tolerance = 1e-12
 relative_residual_tolerance = 1e-2
 residual_floor = 0.01
 combo_residual_tolerance = 1e-10
 feasibility_tolerance = 1e-12
-verification_oversampling = 48
 
 
 class NotRealizable(ValueError):
@@ -152,22 +151,17 @@ class LinearDesign:
     verified: bool
     infeasible_slots: Tuple[Tuple[int, int, float], ...] = field(default_factory=tuple)
 
-    def vibration_matrix(self):
+    def vibration_matrix(self) -> Optional[SinusoidSum]:
         """Callable t -> additive matrix of all designed sinusoids."""
         if not self.slots:
             return None
-        rows = np.array([s.row for s in self.slots])
-        cols = np.array([s.col for s in self.slots])
-        amps = np.array([s.amplitude for s in self.slots])
-        freqs = np.array([s.frequency for s in self.slots])
         n = self.a.shape[0]
-
-        def p(t: float) -> np.ndarray:
-            out = np.zeros((n, n))
-            np.add.at(out, (rows, cols), amps * np.sin(freqs * t))
-            return out
-
-        return p
+        mats = np.zeros((len(self.slots), n, n))
+        for e, s in enumerate(self.slots):
+            mats[e, s.row, s.col] = 1.0
+        return SinusoidSum([s.amplitude for s in self.slots],
+                           [s.frequency for s in self.slots],
+                           np.zeros(len(self.slots)), mats)
 
 
 def _slot_dc_coefficient(u_sym: list, p: int, q: int) -> float:
@@ -268,7 +262,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
         averaged = conjugated_average(
             a, p_func,
             base_period=2.0 * math.pi / min(freqs),
-            dt=2.0 * math.pi / max(freqs) / verification_oversampling,
+            dt=2.0 * math.pi / max(freqs) / default_oversampling,
         )
     else:
         averaged = a.copy()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import vibrosync as vs
-from vibrosync.linalg import HorizonTooShort, NotHurwitz, StepTooCoarse
+from vibrosync import kuramoto_dynamics, linalg
+from vibrosync.linalg import HorizonTooShort, NotHurwitz, SinusoidSum, StepTooCoarse
 
 
 def test_is_hurwitz():
@@ -84,7 +85,7 @@ def test_conjugated_average_no_vibration_returns_input():
     j = np.array([[-1.0, 2.0], [0.5, -3.0]])
     out = vs.conjugated_average(j, None)
     assert out == pytest.approx(j)
-    out is not j
+    assert out is not j
 
 
 def test_conjugated_average_matches_exact_shift():
@@ -112,3 +113,171 @@ def test_conjugated_average_horizon_guard():
     with pytest.raises(HorizonTooShort):
         vs.conjugated_average(a, p, T=0.718 * 2 * math.pi,
                               base_period=2 * math.pi, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: vs.conjugated_average(np.eye(2), p, T=float("nan"), dt=0.01),
+    lambda p: vs.conjugated_average(np.eye(2), p, base_period=float("inf"), dt=0.01),
+    lambda p: vs.state_transition(p, 0.0, float("inf"), dt=0.01),
+    lambda p: vs.state_transition(p, float("nan"), 1.0, dt=0.01),
+], ids=["average-T", "average-base_period", "transition-t1", "transition-t0"])
+def test_nonfinite_span_is_rejected(call):
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        call(lambda t: np.array([[0.0, 0.0], [math.sin(t), 0.0]]))
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("dt", {"dt": float("nan")}),
+    ("dt", {"dt": float("inf"), "min_period": 1.0}),
+    ("min_period", {"min_period": float("nan")}),
+    ("min_period", {"dt": 0.01, "min_period": -1.0}),
+])
+def test_bad_step_is_rejected(name, kwargs):
+    def p(t):
+        return np.array([[0.0, 0.0], [math.sin(t), 0.0]])
+
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        vs.conjugated_average(np.eye(2), p, T=10.0, **kwargs)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        vs.state_transition(p, 0.0, 1.0, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# parity of the chunked linear-flow engine with the per-step RK4 loop it
+# replaced (kept verbatim below as the reference)
+
+
+def reference_state_transition(p, t0, t1, dt):
+    n = np.asarray(p(t0)).shape[0]
+    phi = np.eye(n)
+    steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = p(t) @ phi
+        k2 = p(t + 0.5 * h) @ (phi + 0.5 * h * k1)
+        k3 = p(t + 0.5 * h) @ (phi + 0.5 * h * k2)
+        k4 = p(t + h) @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return phi
+
+
+def reference_conjugated_average(j, p, T, dt):
+    n = j.shape[0]
+    psi = np.eye(n)
+    steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    h = T / steps
+
+    def average_until(total_steps, psi0, t_start, acc_psi, acc_m, done):
+        psi_c = psi0
+        t = t_start
+        for _ in range(total_steps - done):
+            k1 = p(t) @ psi_c
+            k2 = p(t + 0.5 * h) @ (psi_c + 0.5 * h * k1)
+            k3 = p(t + 0.5 * h) @ (psi_c + 0.5 * h * k2)
+            k4 = p(t + h) @ (psi_c + h * k3)
+            psi_next = psi_c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            m_c = np.linalg.solve(psi_c, j @ psi_c)
+            m_n = np.linalg.solve(psi_next, j @ psi_next)
+            acc_psi += 0.5 * h * (psi_c + psi_next)
+            acc_m += 0.5 * h * (m_c + m_n)
+            psi_c = psi_next
+            t += h
+        return psi_c, t, acc_psi, acc_m
+
+    acc_psi = np.zeros((n, n))
+    acc_m = np.zeros((n, n))
+    psi, t, acc_psi, acc_m = average_until(steps, psi, 0.0, acc_psi, acc_m, 0)
+    psi, t, acc_psi, acc_m = average_until(2 * steps, psi, t, acc_psi, acc_m, steps)
+    mean_psi = acc_psi / (2 * T)
+    mean_m = acc_m / (2 * T)
+    return mean_psi @ mean_m @ np.linalg.inv(mean_psi)
+
+
+def reference_growth(p, d, t_max, dt):
+    phi = np.eye(d)
+    sup_fwd, sup_inv = 1.0, 1.0
+    steps = int(np.ceil(t_max / dt))
+    h = t_max / steps
+    t = 0.0
+    for _ in range(steps):
+        k1 = p(t) @ phi
+        k2 = p(t + 0.5 * h) @ (phi + 0.5 * h * k1)
+        k3 = p(t + 0.5 * h) @ (phi + 0.5 * h * k2)
+        k4 = p(t + h) @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        s = np.linalg.svd(phi, compute_uv=False)
+        sup_fwd = max(sup_fwd, float(s[0]))
+        sup_inv = max(sup_inv, float(1.0 / s[-1]))
+    return sup_fwd, sup_inv
+
+
+def assert_rel_close(actual, expected, rel=1e-10):
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def three_slot_vibration():
+    mats = np.zeros((3, 3, 3))
+    mats[0, 1, 0] = mats[1, 2, 1] = mats[2, 2, 0] = 1.0
+    return SinusoidSum([1.3, 0.9, 0.4], [1.0, math.sqrt(2.0), math.sqrt(3.0)],
+                       [0.0, 0.3, -1.1], mats)
+
+
+def test_sinusoid_sum_broadcasts_exactly():
+    p = three_slot_vibration()
+    ts = np.linspace(-40.0, 2500.0, 1001)
+    stack = p(ts)
+    assert stack.shape == (1001, 3, 3)
+    for i, t in enumerate(ts):
+        assert np.array_equal(stack[i], p(t))
+        assert np.array_equal(stack[i], p(float(t)))
+        direct = sum(a * math.sin(f * t + ph) * m
+                     for a, f, ph, m in zip(p.amps, p.freqs, p.phases, p.mats))
+        assert np.abs(stack[i] - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("tabulated", [True, False], ids=["broadcast", "pointwise"])
+def test_conjugated_average_matches_per_step_loop(tabulated):
+    a = np.array([[-1.0, 1.0, 0.5], [-1.0, -1.0, 0.8], [0.3, -0.6, -2.0]])
+    vib = three_slot_vibration()
+    p = vib if tabulated else (lambda t: vib(t))
+    T = 10 * 2 * math.pi
+    steps = 3 * linalg._chunk_steps + 37  # several chunks, the last one partial
+    dt = T / steps
+    assert max(1, int(np.ceil(T / dt - 1e-12))) == steps
+    got = vs.conjugated_average(a, p, T=T, dt=dt, rel_tol=1.0)
+    assert_rel_close(got, reference_conjugated_average(a, p, T, dt))
+
+
+def test_state_transition_matches_per_step_loop():
+    u, beta = 0.8, 2.0
+
+    def p(t):
+        return np.array([[0.0, 0.0], [u * math.sin(beta * t), 0.0]])
+
+    period = 2 * math.pi / beta
+    dt = period / 2000
+    assert_rel_close(vs.state_transition(p, 0.7, 4.0, dt=dt, min_period=period),
+                     reference_state_transition(p, 0.7, 4.0, dt))
+    vib = three_slot_vibration()
+    assert_rel_close(vs.state_transition(vib, 0.7, 9.0, dt=0.01, min_period=2.0),
+                     reference_state_transition(vib, 0.7, 9.0, 0.01))
+
+
+def test_perturbation_bounds_growth_matches_per_step_loop(flip_kn, flip_inc, flip_design):
+    schedule = flip_design.schedule
+    growth, shrink = np.ones(flip_inc.partition.r), np.ones(flip_inc.partition.r)
+    for k, terms in enumerate(vs.schedule_slot_matrices(flip_inc, schedule)):
+        if not terms:
+            continue
+        freqs = [f for _, f, _, _ in terms]
+        growth[k], shrink[k] = reference_growth(
+            vs.cluster_vibration_matrix(terms), terms[0][3].shape[0],
+            20.0 * 2.0 * np.pi / min(freqs),
+            2.0 * np.pi / max(freqs) / kuramoto_dynamics.default_oversampling)
+    assert growth.max() > 1.0
+    expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
+                * vs.perturbation_bounds(flip_kn, flip_inc))
+    assert_rel_close(vs.perturbation_bounds(flip_kn, flip_inc, schedule), expected)
