@@ -4,9 +4,10 @@ Scenarios are JSON documents; unknown fields are rejected so typos fail
 loudly.  All outputs are written atomically (temp file + rename) and are
 byte-identical across reruns with the same inputs.
 
-Exit codes: 0 success, 2 scenario/validation problem, 3 design not
-realizable (including a cyclic change pattern), 4 a verification or
-reproduction check failed (artifacts are still written).
+Exit codes: 0 success, 2 scenario/validation problem (including non-finite
+numbers and a non-positive epsilon), 3 design not realizable (including a
+cyclic change pattern), 4 a verification or reproduction check failed
+(artifacts are still written).
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          GraphError, IncidenceSet, build_incidence,
                          check_invariance, select_spanning_tree)
 from .kuramoto_dynamics import (KuramotoNetwork, Trajectory, VibrationEntry,
-                                VibrationSchedule, classify_partial_stability,
-                                perturbed_initial_states,
-                                sample_perturbed_trajectories, simulate,
-                                sync_error)
+                                VibrationSchedule, perturbed_initial_states,
+                                simulate, sync_error)
 from .linalg import robustness
 from .stability_cert import StabilityReport, certify
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
@@ -49,6 +48,16 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
     missing = required - set(obj)
     if missing:
         raise ScenarioError(f"missing field(s) {sorted(missing)} in {where}")
+
+
+def _require_finite(values: Sequence[float], where: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioError(f"{where} must be finite")
+
+
+def _require_epsilon(value: float, where: str) -> None:
+    if not 0 < value < math.inf:
+        raise ScenarioError(f"{where} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,8 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(f"malformed network data: {exc}") from exc
     if len(omega) != n:
         raise ScenarioError(f"omega has {len(omega)} entries for {n} nodes")
+    _require_finite([w for _, _, w in edges], "edge weights")
+    _require_finite(omega, "omega")
 
     schedule = data.get("schedule")
     if schedule is not None:
@@ -163,6 +174,7 @@ def parse_scenario(data: dict) -> Scenario:
         theta0 = tuple(float(x) for x in theta0)
         if len(theta0) != n:
             raise ScenarioError("theta0 length does not match the node count")
+        _require_finite(theta0, "theta0")
     perturb_clusters = sim.get("perturb_clusters")
     if perturb_clusters is not None:
         perturb_clusters = tuple(int(k) for k in perturb_clusters)
@@ -174,7 +186,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(references, dict):
         raise ScenarioError("references must be an object")
 
-    return Scenario(
+    scenario = Scenario(
         name=str(data["name"]),
         n=n, edges=edges, clusters=clusters, omega=omega,
         schedule=schedule, modifications=modifications,
@@ -188,6 +200,16 @@ def parse_scenario(data: dict) -> Scenario:
         sync_tolerance=float(tolerances.get("sync", 0.01)),
         references=references,
     )
+    _require_finite([scenario.perturbation, scenario.t_end, scenario.sync_tolerance],
+                    "simulation settings")
+    if scenario.t_end < 0 or not (scenario.dt is None or 0 < scenario.dt < math.inf):
+        raise ScenarioError("simulation t_end must be nonnegative and dt positive and finite")
+    _require_epsilon(scenario.epsilon, "simulation epsilon")
+    try:
+        scenario.vibration_schedule()
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed schedule: {exc}") from exc
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +231,11 @@ def trajectory_csv(traj: Trajectory, partition: ClusterPartition) -> Tuple[str, 
     """Full trajectory CSV (wrapped phases + error) and the error-only CSV."""
     n = traj.theta.shape[1]
     err = sync_error(traj.theta, partition)
-    wrapped = traj.wrapped_theta()
+    rows = np.column_stack([traj.times, traj.wrapped_theta(), err]).tolist()
+    row_fmt = ",".join(["%.10g"] * (n + 2))
     header = "t," + ",".join(f"theta_{i + 1}" for i in range(n)) + ",err"
-    lines = [header]
-    err_lines = ["t,err"]
-    for row in range(len(traj.times)):
-        t = traj.times[row]
-        fields = [f"{t:.10g}"] + [f"{v:.10g}" for v in wrapped[row]] + [f"{err[row]:.10g}"]
-        lines.append(",".join(fields))
-        err_lines.append(f"{t:.10g},{err[row]:.10g}")
+    lines = [header] + [row_fmt % tuple(r) for r in rows]
+    err_lines = ["t,err"] + ["%.10g,%.10g" % (r[0], r[-1]) for r in rows]
     return "\n".join(lines) + "\n", "\n".join(err_lines) + "\n"
 
 
@@ -275,9 +293,10 @@ def _certificate_dict(design: ClusterDesign) -> dict:
 # commands
 
 
-def cmd_analyze(scenario: Scenario, out: Path, tree_strategy: str,
-                filename: str = "report.json") -> int:
-    kn = scenario.kuramoto()
+def _analysis(scenario: Scenario, kn: KuramotoNetwork, tree_strategy: str,
+              inc: Optional[IncidenceSet] = None) -> Tuple[dict, Optional[StabilityReport]]:
+    """The analysis report and, when the cluster states are invariant, the
+    certificate behind it; ``inc`` is built from ``tree_strategy`` if not given."""
     inv = check_invariance(kn.net, kn.partition, kn.omega)
     report: dict = {
         "scenario": scenario.name,
@@ -288,22 +307,28 @@ def cmd_analyze(scenario: Scenario, out: Path, tree_strategy: str,
             "violations": [list(v) for v in inv.violations],
         },
     }
-    if inv.ok:
+    if not inv.ok:
+        return report, None
+    if inc is None:
         inc = scenario.incidence(kn, tree_strategy)
-        schedule = scenario.vibration_schedule()
-        cert = certify(kn, inc, schedule, empirical=False)
-        report.update({
-            "tree_edges": [list(e) for e in inc.tree_edges],
-            "j_blocks": [b.tolist() for b in cert.j_blocks],
-            "averaged_blocks": [b.tolist() for b in cert.averaged_blocks],
-            "r_values": list(cert.r_values),
-            "gamma_bar": cert.gamma_bar.tolist(),
-            "s_matrix": None if cert.s_matrix is None else cert.s_matrix.tolist(),
-            "certified": cert.certified,
-            "label": cert.label,
-        })
-    dump_json(out / filename, report)
-    print(f"wrote {out / filename}")
+    cert = certify(kn, inc, scenario.vibration_schedule(), empirical=False)
+    report.update({
+        "tree_edges": [list(e) for e in inc.tree_edges],
+        "j_blocks": [b.tolist() for b in cert.j_blocks],
+        "averaged_blocks": [b.tolist() for b in cert.averaged_blocks],
+        "r_values": list(cert.r_values),
+        "gamma_bar": cert.gamma_bar.tolist(),
+        "s_matrix": None if cert.s_matrix is None else cert.s_matrix.tolist(),
+        "certified": cert.certified,
+        "label": cert.label,
+    })
+    return report, cert
+
+
+def cmd_analyze(scenario: Scenario, out: Path, tree_strategy: str) -> int:
+    report, _ = _analysis(scenario, scenario.kuramoto(), tree_strategy)
+    dump_json(out / "report.json", report)
+    print(f"wrote {out / 'report.json'}")
     return 0
 
 
@@ -326,7 +351,7 @@ def cmd_design(scenario: Scenario, out: Path, tree_strategy: str,
     return 0
 
 
-def _initial_state(scenario: Scenario, kn: KuramotoNetwork, inc: IncidenceSet,
+def _initial_state(scenario: Scenario, inc: IncidenceSet,
                    seed: Optional[int]) -> np.ndarray:
     if scenario.theta0 is not None:
         return np.array(scenario.theta0, dtype=float)
@@ -352,7 +377,7 @@ def cmd_simulate(scenario: Scenario, out: Path, tree_strategy: str,
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn, tree_strategy)
     schedule = None if uncontrolled else _scenario_schedule(scenario, kn, inc, epsilon)
-    theta0 = _initial_state(scenario, kn, inc, seed)
+    theta0 = _initial_state(scenario, inc, seed)
     traj = simulate(kn, schedule, theta0, scenario.t_end, dt=scenario.dt, inc=inc)
     csv, err_csv = trajectory_csv(traj, kn.partition)
     atomic_write_text(out / "trajectory.csv", csv)
@@ -399,19 +424,19 @@ def cmd_reproduce(out: Path, scenario_name: str = "cluster_flip",
     rows: List[SummaryRow] = []
 
     # --- analysis -----------------------------------------------------
-    cmd_analyze(scenario, out, tree_strategy, filename="analysis.json")
-    from .kuramoto_dynamics import linearize
-
-    lin = linearize(kn, inc)
-    r1 = robustness(lin.J_blocks[0]).value
-    r2 = robustness(lin.J_blocks[1]).value
+    analysis, cert = _analysis(scenario, kn, tree_strategy, inc)
+    dump_json(out / "analysis.json", analysis)
+    print(f"wrote {out / 'analysis.json'}")
+    if cert is None:
+        raise ScenarioError("cluster-synchronized states are not invariant for this scenario")
+    r1, r2 = cert.r_values[:2]
 
     def close(value: float, key: str, tol_key: str) -> bool:
         return abs(value - float(ref[key])) <= float(ref[tol_key])
 
     for blk, key in ((0, "j_cluster1"), (1, "j_cluster2")):
         expected = np.array(ref[key])
-        ok = bool(np.abs(lin.J_blocks[blk] - expected).max() <= 1e-9)
+        ok = bool(np.abs(cert.j_blocks[blk] - expected).max() <= 1e-9)
         rows.append(SummaryRow(f"jacobian_cluster{blk + 1}",
                                "matrix", "matrix (exact)", ok))
     rows.append(SummaryRow("robustness_cluster1", f"{r1:.5f}",
@@ -423,9 +448,10 @@ def cmd_reproduce(out: Path, scenario_name: str = "cluster_flip",
 
     # --- design ---------------------------------------------------------
     design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
+    certificate = _certificate_dict(design)
     dump_json(out / "schedule.json", _schedule_dict(design))
-    dump_json(out / "certificate.json", _certificate_dict(design))
-    r1_shift = robustness(design.targets[0]).value
+    dump_json(out / "certificate.json", certificate)
+    r1_shift = certificate["target_robustness"][0]
     rows.append(SummaryRow(
         "robustness_cluster1_shifted", f"{r1_shift:.5f}",
         f"{ref['robust_cluster1_shifted']} +/- {ref['robust_cluster1_shifted_tol']}",
@@ -448,7 +474,7 @@ def cmd_reproduce(out: Path, scenario_name: str = "cluster_flip",
         abs(ratio - float(ref["frequency_ratio"])) <= float(ref["frequency_ratio_tol"])))
 
     # --- the documented perturbation run --------------------------------
-    theta0 = _initial_state(scenario, kn, inc, seed)
+    theta0 = _initial_state(scenario, inc, seed)
     controlled = simulate(kn, design.schedule, theta0, scenario.t_end, inc=inc)
     uncontrolled = simulate(kn, None, theta0, scenario.t_end, inc=inc)
     for name, traj in (("controlled", controlled), ("uncontrolled", uncontrolled)):
@@ -541,6 +567,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "epsilon", None) is not None:
+            _require_epsilon(args.epsilon, "--epsilon")
         if args.command == "analyze":
             return cmd_analyze(load_scenario(args.scenario), args.out, args.tree)
         if args.command == "design":

@@ -14,14 +14,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 weight_tolerance = 1e-12
 identity_tolerance = 1e-9
-pinv_cutoff = 1e-12
 
 Edge = Tuple[int, int]
 
@@ -75,8 +75,9 @@ class DirectedNetwork:
         if list(self.edges) != sorted(self.edges):
             raise GraphError("edges must be sorted by (source, target)")
         for e in self.edges:
-            if self.weights.get(e, 0.0) <= weight_tolerance:
-                raise GraphError(f"edge {e} must have positive weight")
+            w = self.weights.get(e, 0.0)
+            if not (math.isfinite(w) and w > weight_tolerance):
+                raise GraphError(f"edge {e} must have a finite positive weight")
 
     @staticmethod
     def from_edges(n: int, weighted_edges: Iterable[Tuple[int, int, float]]) -> "DirectedNetwork":
@@ -95,6 +96,8 @@ class DirectedNetwork:
         n = w.shape[0]
         if w.shape != (n, n):
             raise GraphError("weight matrix must be square")
+        if not np.all(np.isfinite(w)):
+            raise GraphError("weight matrix must be finite")
         if np.any(np.abs(np.diag(w)) > weight_tolerance):
             raise GraphError("weight matrix must have zero diagonal")
         edges = [(s, t, w[t, s]) for t in range(n) for s in range(n)
@@ -119,6 +122,19 @@ class DirectedNetwork:
         return sorted(nbrs)
 
 
+def _reachable(start: int, adj: Dict[int, List[int]]) -> set:
+    """Nodes reachable from ``start`` along the adjacency lists."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def _strongly_connected(nodes: Sequence[int], edges: Iterable[Edge]) -> bool:
     node_set = set(nodes)
     fwd: Dict[int, List[int]] = {i: [] for i in nodes}
@@ -127,20 +143,8 @@ def _strongly_connected(nodes: Sequence[int], edges: Iterable[Edge]) -> bool:
         if s in node_set and t in node_set:
             fwd[s].append(t)
             rev[t].append(s)
-
-    def reach(adj: Dict[int, List[int]]) -> set:
-        start = nodes[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    return reach(fwd) == node_set and reach(rev) == node_set
+    return (_reachable(nodes[0], fwd) == node_set
+            and _reachable(nodes[0], rev) == node_set)
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,7 @@ class ClusterPartition:
                 raise GraphError(f"cluster {k} has fewer than two nodes")
             if list(c) != sorted(c):
                 raise GraphError(f"cluster {k} must list nodes in ascending order")
-            intra = [(s, t) for (s, t) in self.net.edges if s in set(c) and t in set(c)]
-            if not _strongly_connected(list(c), intra):
+            if not _strongly_connected(list(c), self.net.edges):
                 raise DisconnectedCluster(
                     f"cluster {k} is not strongly connected through intra-cluster edges"
                 )
@@ -195,20 +198,16 @@ class ClusterPartition:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """A digraph whose edges carry a sign in {-1, +1}.
-
-    Self-loops are rejected unless ``allow_self_loops`` is set.
-    """
+    """A digraph without self-loops whose edges carry a sign in {-1, +1}."""
 
     n: int
     signs: Dict[Edge, int] = field(compare=False)
-    allow_self_loops: bool = False
 
     def __post_init__(self):
         for (i, j), s in self.signs.items():
             if s not in (-1, 1):
                 raise GraphError(f"edge ({i},{j}) sign must be -1 or +1")
-            if i == j and not self.allow_self_loops:
+            if i == j:
                 raise GraphError(f"self-loop ({i},{j}) not allowed here")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise GraphError(f"edge ({i},{j}) out of range")
@@ -220,6 +219,27 @@ class SignedGraph:
 
 # ---------------------------------------------------------------------------
 # spanning trees
+
+
+def _union_find(size: int) -> Callable[[int, int], bool]:
+    """Union-find over ``0 .. size-1``: the returned ``union(a, b)`` merges
+    the components of a and b, and returns False when they were already one."""
+    parent = list(range(size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+        return True
+
+    return union
 
 
 def _cluster_root(net: DirectedNetwork, cluster: Sequence[int]) -> int:
@@ -285,22 +305,10 @@ def select_spanning_tree(net: DirectedNetwork, partition: ClusterPartition,
 
     # join clusters with the lexicographically smallest available edges
     label = partition.node_to_cluster()
-    parent = list(range(partition.r))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    union = _union_find(partition.r)
     joined = 0
     for s, t in net.edges:
-        ks, kt = label[s], label[t]
-        if ks == kt:
-            continue
-        ra, rb = find(ks), find(kt)
-        if ra != rb:
-            parent[ra] = rb
+        if label[s] != label[t] and union(label[s], label[t]):
             edges.append((s, t))
             joined += 1
             if joined == partition.r - 1:
@@ -321,10 +329,9 @@ class IncidenceSet:
     ``edges`` lists columns of ``B`` in canonical order and ``tree_edges``
     the columns of ``Bhat`` (intra tree edges grouped by cluster, then the
     inter tree edges).  ``R`` is the exact transfer matrix with
-    ``B.T == R @ Bhat.T``; its blocks ``R1``, ``R2``, ``R3`` follow the
-    intra/inter split.  The primed variants are the undirected-representative
-    solutions obtained through the projector pseudo-inverse construction,
-    from which ``R1/R2/R3`` stack with a sign per edge orientation.
+    ``B.T == R @ Bhat.T``; its blocks ``R1`` (intra edges on intra
+    coordinates) and ``R2`` (inter edges on intra coordinates) follow the
+    intra/inter split.
     """
 
     net: DirectedNetwork
@@ -336,28 +343,13 @@ class IncidenceSet:
     Bpos: np.ndarray
     Bhat: np.ndarray
     n_intra_coords: int
-    intra_edge_slices: Tuple[slice, ...]
     coord_slices: Tuple[slice, ...]
     W_diag: np.ndarray
     R: np.ndarray
     R1: np.ndarray
     R2: np.ndarray
-    R3: np.ndarray
-    R1p: np.ndarray
-    R2p: np.ndarray
-    R3p: np.ndarray
-    P_intra: np.ndarray
-    P_inter: np.ndarray
 
     # convenience views ----------------------------------------------------
-    @property
-    def B_intra(self) -> np.ndarray:
-        return self.B[:, : self.m_intra]
-
-    @property
-    def B_inter(self) -> np.ndarray:
-        return self.B[:, self.m_intra:]
-
     @property
     def Bhat_intra(self) -> np.ndarray:
         return self.Bhat[:, : self.n_intra_coords]
@@ -431,34 +423,16 @@ def _validate_tree(net: DirectedNetwork, partition: ClusterPartition,
         for s, t in block:
             adj[s].append(t)
             adj[t].append(s)
-        seen = {cluster[0]}
-        stack = [cluster[0]]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if seen != set(cluster):
+        if _reachable(cluster[0], adj) != set(cluster):
             raise NotSpanningTree(f"intra tree edges do not span cluster {k}")
         slices.append(slice(len(ordered_intra), len(ordered_intra) + len(block)))
         ordered_intra.extend(block)
-    # inter edges form a tree over clusters
-    if len(inter) != partition.r - 1:
-        raise NotSpanningTree(f"need {partition.r - 1} inter-cluster tree edges")
-    parent = list(range(partition.r))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    # inter edges form a tree over clusters; the n-1 total and the
+    # per-cluster counts above leave exactly r-1 of them
+    union = _union_find(partition.r)
     for s, t in inter:
-        ra, rb = find(label[s]), find(label[t])
-        if ra == rb:
+        if not union(label[s], label[t]):
             raise NotSpanningTree("inter-cluster tree edges contain a cycle")
-        parent[ra] = rb
     return ordered_intra, sorted(inter), slices
 
 
@@ -467,7 +441,7 @@ def build_incidence(net: DirectedNetwork, partition: ClusterPartition,
     """Assemble all incidence matrices and transfer blocks for a tree."""
     if partition.net is not net and partition.net != net:
         raise GraphError("partition was built for a different network")
-    edges, m_intra, edge_slices = canonical_edge_order(net, partition)
+    edges, m_intra, _ = canonical_edge_order(net, partition)
     tree_intra, tree_inter, coord_slices = _validate_tree(net, partition, tree)
     tree_edges = tree_intra + tree_inter
 
@@ -478,9 +452,6 @@ def build_incidence(net: DirectedNetwork, partition: ClusterPartition,
     W_diag = np.array([net.weight(*e) for e in edges])
     n_intra = len(tree_intra)
 
-    Bhat_intra = Bhat[:, :n_intra]
-    Bhat_inter = Bhat[:, n_intra:]
-
     # exact transfer matrix: the unique R with B.T = R Bhat.T
     gram = Bhat.T @ Bhat
     R = np.linalg.solve(gram, Bhat.T @ B).T
@@ -490,34 +461,16 @@ def build_incidence(net: DirectedNetwork, partition: ClusterPartition,
             f"edge differences are not expressible through the tree (residual {residual:.2e})"
         )
 
-    R1 = R[:m_intra, :n_intra]
-    R2 = R[m_intra:, :n_intra]
-    R3 = R[m_intra:, n_intra:]
     leak = R[:m_intra, n_intra:]
     if leak.size and np.abs(leak).max() > identity_tolerance:
         raise NotSpanningTree("intra-cluster differences leaked into inter coordinates")
-
-    # undirected-representative construction through projectors
-    P_intra = np.eye(n) - Bhat_intra @ np.linalg.pinv(Bhat_intra, rcond=pinv_cutoff)
-    P_inter = np.eye(n) - Bhat_inter @ np.linalg.pinv(Bhat_inter, rcond=pinv_cutoff)
-    label = partition.node_to_cluster()
-    undirected_intra = sorted({(min(s, t), max(s, t)) for (s, t) in edges[:m_intra]})
-    undirected_inter = sorted({(min(s, t), max(s, t)) for (s, t) in edges[m_intra:]})
-    Bbar_intra = _incidence_columns(n, undirected_intra)
-    Bbar_inter = _incidence_columns(n, undirected_inter)
-    R1p = Bbar_intra.T @ np.linalg.pinv(Bhat_intra.T @ P_inter, rcond=pinv_cutoff)
-    R2p = Bbar_inter.T @ np.linalg.pinv(Bhat_intra.T @ P_inter, rcond=pinv_cutoff)
-    R3p = Bbar_inter.T @ np.linalg.pinv(Bhat_inter.T @ P_intra, rcond=pinv_cutoff)
-    del label
 
     return IncidenceSet(
         net=net, partition=partition,
         edges=tuple(edges), tree_edges=tuple(tree_edges),
         m_intra=m_intra, B=B, Bpos=Bpos, Bhat=Bhat,
-        n_intra_coords=n_intra,
-        intra_edge_slices=tuple(edge_slices), coord_slices=tuple(coord_slices),
-        W_diag=W_diag, R=R, R1=R1, R2=R2, R3=R3,
-        R1p=R1p, R2p=R2p, R3p=R3p, P_intra=P_intra, P_inter=P_inter,
+        n_intra_coords=n_intra, coord_slices=tuple(coord_slices),
+        W_diag=W_diag, R=R, R1=R[:m_intra, :n_intra], R2=R[m_intra:, :n_intra],
     )
 
 
@@ -550,7 +503,7 @@ def check_invariance(net: DirectedNetwork, partition: ClusterPartition,
         base = ck[0]
         for i in ck[1:]:
             res = abs(omega[i] - omega[base])
-            if res > tol:
+            if not res <= tol:  # a NaN residual is a violation too
                 violations.append((k, k, base, i, float(res)))
         for l, cl in enumerate(partition.clusters):
             if l == k:
@@ -558,7 +511,7 @@ def check_invariance(net: DirectedNetwork, partition: ClusterPartition,
             sums = [float(w[i, list(cl)].sum()) for i in ck]
             for idx, i in enumerate(ck[1:], start=1):
                 res = abs(sums[idx] - sums[0])
-                if res > tol:
+                if not res <= tol:
                     violations.append((k, l, base, i, float(res)))
     return InvarianceResult(ok=not violations, violations=tuple(violations))
 

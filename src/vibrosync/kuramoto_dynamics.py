@@ -3,6 +3,7 @@ linearization around cluster-synchronized motion and perturbation bounds."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -11,9 +12,8 @@ import numpy as np
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, build_incidence, check_invariance,
                          select_spanning_tree, Edge)
-from .linalg import SinusoidSum, StepTooCoarse, _linear_flow
+from .linalg import SinusoidSum, _linear_flow, _resolve_step
 
-steps_per_period = 40
 default_oversampling = 50
 max_recorded_samples = 100_000
 rational_ratio_tolerance = 1e-9
@@ -49,6 +49,8 @@ class KuramotoNetwork:
         omega = np.asarray(self.omega, dtype=float)
         if omega.shape != (self.net.n,):
             raise GraphError("omega must have one entry per node")
+        if not np.all(np.isfinite(omega)):
+            raise GraphError("omega must be finite")
         object.__setattr__(self, "omega", omega)
         if self.partition.net != self.net:
             raise GraphError("partition belongs to a different network")
@@ -59,6 +61,10 @@ class VibrationEntry:
     amplitude: float
     frequency: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.frequency, self.phase))):
+            raise ValueError("vibration amplitude, frequency and phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,8 @@ class VibrationSchedule:
     intra_only: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         freqs: List[float] = []
         for e, entry in self.entries.items():
             if entry.frequency <= 0:
@@ -104,10 +110,6 @@ class VibrationSchedule:
     @property
     def max_frequency(self) -> float:
         return max((e.frequency for e in self.entries.values()), default=0.0)
-
-    @property
-    def min_frequency(self) -> float:
-        return min((e.frequency for e in self.entries.values()), default=0.0)
 
     def check_edges(self, net: DirectedNetwork, partition: Optional[ClusterPartition]) -> None:
         label = partition.node_to_cluster() if partition is not None else None
@@ -197,7 +199,7 @@ def _schedule_arrays(schedule: Optional[VibrationSchedule]):
 
 
 def _integrate_batch(w: np.ndarray, omega: np.ndarray, sched, th0: np.ndarray,
-                     t_end: float, dt: float) -> Tuple[np.ndarray, np.ndarray, int]:
+                     t_end: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 for a batch of phase vectors; returns decimated records."""
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
@@ -242,12 +244,29 @@ def _integrate_batch(w: np.ndarray, omega: np.ndarray, sched, th0: np.ndarray,
             rec_i += 1
     if not np.all(np.isfinite(th)):
         raise NonFiniteState("state became non-finite")
-    return times[:rec_i], recs[:, :rec_i, :], stride
+    return times[:rec_i], recs[:, :rec_i, :]
 
 
 def _default_incidence(kn: KuramotoNetwork) -> IncidenceSet:
     tree = select_spanning_tree(kn.net, kn.partition, "min_depth")
     return build_incidence(kn.net, kn.partition, tree)
+
+
+def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSchedule],
+         th0: np.ndarray, t_end: float, dt: Optional[float]) -> List[Trajectory]:
+    """Check the schedule, horizon and step, then integrate a batch of
+    initial phase vectors into one Trajectory each; a zero horizon records
+    the initial state alone, with ``dt = 0``."""
+    if schedule is not None:
+        schedule.check_edges(kn.net, kn.partition)
+    auto_dt, min_period = _default_step(kn, schedule)
+    dt = _resolve_step(t_end, auto_dt if dt is None else dt, min_period)
+    times, recs = _integrate_batch(kn.net.weight_matrix(), kn.omega,
+                                   _schedule_arrays(schedule), th0, t_end, dt)
+    used_dt = dt if t_end > 0 else 0.0
+    return [Trajectory(times=times, theta=theta, x=theta @ inc.Bhat_intra,
+                       y=theta @ inc.Bhat_inter, dt=used_dt)
+            for theta in recs]
 
 
 def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
@@ -257,36 +276,15 @@ def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
 
     The default step keeps at least 50 steps per fastest period present
     (natural drift, coupling, or vibration carrier); an explicit ``dt``
-    coarser than 1/40 of that period raises StepTooCoarse.
+    coarser than 1/40 of that period raises StepTooCoarse, a non-positive
+    ``dt`` or a negative ``t_end`` ValueError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (kn.net.n,):
         raise ValueError("theta0 must have one phase per node")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if schedule is not None:
-        schedule.check_edges(kn.net, kn.partition)
-    auto_dt, min_period = _default_step(kn, schedule)
-    if dt is None:
-        dt = auto_dt
-    elif dt > min_period / steps_per_period * (1 + 1e-12):
-        raise StepTooCoarse(
-            f"dt={dt:g} undersamples the fastest period {min_period:g}"
-        )
     if inc is None:
         inc = _default_incidence(kn)
-    w = kn.net.weight_matrix()
-    if t_end == 0:
-        times = np.zeros(1)
-        recs = theta0[None, None, :].copy()
-        used_dt = 0.0
-    else:
-        times, recs, _ = _integrate_batch(w, kn.omega, _schedule_arrays(schedule),
-                                          theta0[None, :], t_end, dt)
-        used_dt = dt
-    theta = recs[0]
-    return Trajectory(times=times, theta=theta, x=theta @ inc.Bhat_intra,
-                      y=theta @ inc.Bhat_inter, dt=used_dt)
+    return _run(kn, inc, schedule, theta0[None, :], t_end, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +380,14 @@ def cluster_vibration_matrix(terms) -> Optional[SinusoidSum]:
 # perturbation bounds
 
 
-def perturbation_bounds(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
+def perturbation_bounds(lin: Linearization,
                         schedule: Optional[VibrationSchedule] = None) -> np.ndarray:
     """Entrywise bound gamma[k, l] on the inter-cluster forcing gains.
 
     Combines the static envelope of the inter-edge rows with the worst
     sampled conjugation growth of the per-cluster vibration flows.
     """
-    if inc is None:
-        inc = _default_incidence(kn)
-    lin = linearize(kn, inc)
+    inc = lin.inc
     r = inc.partition.r
     envelope = np.abs(lin.M1) @ np.abs(inc.R2)
     gains = np.zeros((r, r))
@@ -401,30 +397,25 @@ def perturbation_bounds(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
             if block.size:
                 gains[k, l] = np.linalg.svd(block, compute_uv=False)[0]
 
+    if schedule is None or not schedule.entries:
+        return gains
     growth = np.ones(r)
     shrink = np.ones(r)
-    if schedule is not None and schedule.entries:
-        terms = schedule_slot_matrices(inc, schedule)
-        for k in range(r):
-            p = cluster_vibration_matrix(terms[k])
-            if p is None:
-                continue
-            freqs = [f for _, f, _, _ in terms[k]]
-            t_max = 20.0 * 2.0 * np.pi / min(freqs)
-            dt = 2.0 * np.pi / max(freqs) / default_oversampling
-            d = terms[k][0][3].shape[0]
-            sup_fwd, sup_inv = 1.0, 1.0
-            steps = int(np.ceil(t_max / dt))
-            for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):
-                s = np.linalg.svd(phis, compute_uv=False)
-                sup_fwd = max(sup_fwd, float(s[:, 0].max()))
-                sup_inv = max(sup_inv, float((1.0 / s[:, -1]).max()))
-            growth[k] = sup_fwd
-            shrink[k] = sup_inv
-    cond = np.outer(shrink, growth) * envelope_safety
-    if schedule is None or not schedule.entries:
-        cond = np.ones((r, r))
-    return cond * gains
+    terms = schedule_slot_matrices(inc, schedule)
+    for k in range(r):
+        p = cluster_vibration_matrix(terms[k])
+        if p is None:
+            continue
+        freqs = [f for _, f, _, _ in terms[k]]
+        t_max = 20.0 * 2.0 * np.pi / min(freqs)
+        dt = 2.0 * np.pi / max(freqs) / default_oversampling
+        d = terms[k][0][3].shape[0]
+        steps = int(np.ceil(t_max / dt))
+        for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):
+            s = np.linalg.svd(phis, compute_uv=False)
+            growth[k] = max(growth[k], float(s[:, 0].max()))
+            shrink[k] = max(shrink[k], float((1.0 / s[:, -1]).max()))
+    return np.outer(shrink, growth) * envelope_safety * gains
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +504,9 @@ def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: Optional[IncidenceSe
     """Ensemble of runs from random intra-cluster kicks of fixed norm."""
     if inc is None:
         inc = _default_incidence(kn)
-    if schedule is not None:
-        schedule.check_edges(kn.net, kn.partition)
     th0 = perturbed_initial_states(inc, n_samples, kick, seed,
                                    base_theta=base_theta, clusters=clusters)
-    auto_dt, min_period = _default_step(kn, schedule)
-    if dt is None:
-        dt = auto_dt
-    elif dt > min_period / steps_per_period * (1 + 1e-12):
-        raise StepTooCoarse(f"dt={dt:g} undersamples the fastest period {min_period:g}")
-    times, recs, _ = _integrate_batch(kn.net.weight_matrix(), kn.omega,
-                                      _schedule_arrays(schedule), th0, t_end, dt)
-    out = []
-    for s in range(n_samples):
-        theta = recs[s]
-        out.append(Trajectory(times=times, theta=theta,
-                              x=theta @ inc.Bhat_intra, y=theta @ inc.Bhat_inter,
-                              dt=dt))
-    return out
+    return _run(kn, inc, schedule, th0, t_end, dt)
 
 
 def classify_partial_stability(trajectories: Sequence[Trajectory],

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .kuramoto_dynamics import (Classification, KuramotoNetwork,
                                 perturbation_bounds,
                                 sample_perturbed_trajectories,
                                 schedule_slot_matrices, _default_incidence)
-from .linalg import (NotHurwitz, conjugated_average, default_oversampling, is_hurwitz,
+from .linalg import (conjugated_average, default_oversampling, is_hurwitz,
                      is_m_matrix, robustness)
 
 default_sweep_epsilons = (0.1, 0.01, 0.001)
@@ -214,18 +214,12 @@ def certify(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
     lin = linearize(kn, inc)
     averaged = averaged_jacobians(lin.J_blocks, schedule, inc)
     hurwitz_flags = tuple(bool(is_hurwitz(b)) for b in averaged)
-    r_values: List[Optional[float]] = []
-    for blk, ok in zip(averaged, hurwitz_flags):
-        if not ok:
-            r_values.append(None)
-            continue
-        try:
-            r_values.append(float(robustness(blk).value))
-        except NotHurwitz:
-            r_values.append(None)
-    gamma = perturbation_bounds(kn, inc, schedule)
+    # robustness raises NotHurwitz exactly when is_hurwitz is false
+    r_values = [float(robustness(blk).value) if ok else None
+                for blk, ok in zip(averaged, hurwitz_flags)]
+    gamma = perturbation_bounds(lin, schedule)
     if all(v is not None for v in r_values):
-        s_matrix = build_S([float(v) for v in r_values], gamma)
+        s_matrix = build_S(r_values, gamma)
         s_is_m = bool(is_m_matrix(s_matrix))
     else:
         s_matrix = None

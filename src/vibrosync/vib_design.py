@@ -8,6 +8,7 @@ through exact cancellation pairs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -16,11 +17,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _trig
-from .graph_core import (CycleDetected, Edge, GraphError, IncidenceSet,
-                         SignedGraph, permutation_to_qlt)
-from .kuramoto_dynamics import (KuramotoNetwork, VibrationEntry,
-                                VibrationSchedule, edge_influence, linearize)
-from .linalg import SinusoidSum, conjugated_average, default_oversampling
+from .graph_core import Edge, IncidenceSet, SignedGraph, permutation_to_qlt
+from .kuramoto_dynamics import (KuramotoNetwork, Linearization, VibrationEntry,
+                                VibrationSchedule, edge_influence, linearize,
+                                perturbation_bounds)
+from .linalg import (SinusoidSum, conjugated_average, default_oversampling,
+                     is_m_matrix, robustness)
+from .stability_cert import build_S
 
 pattern_tolerance = 1e-12
 relative_residual_tolerance = 1e-2
@@ -267,10 +270,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
     else:
         averaged = a.copy()
     residual = float(np.abs(averaged - (a + spec.delta)).max())
-    design = LinearDesign(a=a, delta=spec.delta, slots=slots,
-                          permutation=q_perm, predicted=predicted,
-                          residual=residual, verified=residual <= tol,
-                          infeasible_slots=infeasible_orig)
+    design = dataclasses.replace(design, residual=residual, verified=residual <= tol)
     if residual > tol:
         raise VerificationFailed(
             f"averaged matrix misses the target by {residual:.3e} (tolerance {tol:.3e})",
@@ -296,7 +296,6 @@ class InfluenceMap:
     cluster: int
     edges: Tuple[Edge, ...]
     matrices: Dict[Edge, np.ndarray] = field(compare=False)
-    a_mod: np.ndarray = field(compare=False, default=None)
     combos: Dict[Tuple[int, int], Tuple[Tuple[Tuple[Edge, float], ...], ...]] = field(
         compare=False, default=None)
     realizable: SignedGraph = None
@@ -356,12 +355,12 @@ def _slot_combos(edges: Sequence[Edge], mats: Dict[Edge, np.ndarray],
     return tuple(recipe for _, recipe in found)
 
 
-def kuramoto_modifiable(kn: KuramotoNetwork, inc: IncidenceSet) -> Tuple[InfluenceMap, ...]:
+def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
     """Influence maps and realizable modification graphs, cluster by cluster.
 
     Raises NoRealizableEdges when no cluster offers any realizable slot.
     """
-    lin = linearize(kn, inc)
+    inc = lin.inc
     label = inc.partition.node_to_cluster()
     maps: List[InfluenceMap] = []
     any_realizable = False
@@ -370,7 +369,6 @@ def kuramoto_modifiable(kn: KuramotoNetwork, inc: IncidenceSet) -> Tuple[Influen
                         if label[e[0]] == k)
         mats = {e: edge_influence(inc, e)[sl, sl].copy() for e in edges_k}
         d = sl.stop - sl.start
-        a_mod = np.zeros((d, d))
         combos: Dict[Tuple[int, int], tuple] = {}
         jk = lin.J_blocks[k]
         signs: Dict[Edge, int] = {}
@@ -378,8 +376,6 @@ def kuramoto_modifiable(kn: KuramotoNetwork, inc: IncidenceSet) -> Tuple[Influen
             for q in range(d):
                 if p == q:
                     continue
-                if any(abs(mats[e][p, q]) > pattern_tolerance for e in edges_k):
-                    a_mod[p, q] = 1.0
                 recipes = _slot_combos(edges_k, mats, p, q)
                 if recipes:
                     combos[(p, q)] = recipes
@@ -389,7 +385,7 @@ def kuramoto_modifiable(kn: KuramotoNetwork, inc: IncidenceSet) -> Tuple[Influen
         if signs:
             any_realizable = True
         maps.append(InfluenceMap(cluster=k, edges=edges_k, matrices=mats,
-                                 a_mod=a_mod, combos=combos, realizable=realizable))
+                                 combos=combos, realizable=realizable))
     if not any_realizable:
         raise NoRealizableEdges("no cluster has a realizable modification slot")
     return tuple(maps)
@@ -425,7 +421,7 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
     if not isinstance(specs, dict):
         specs = {spec.target: spec for spec in specs}
     lin = linearize(kn, inc)
-    maps = kuramoto_modifiable(kn, inc)
+    maps = kuramoto_modifiable(lin)
     freq_iter = _trig.squarefree_radicands()
 
     entries: Dict[Edge, VibrationEntry] = {}
@@ -481,11 +477,7 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
     schedule = VibrationSchedule(entries=entries, epsilon=epsilon, intra_only=True)
 
     # certificate ingredients
-    from .stability_cert import build_S  # local import avoids a cycle
-    from .kuramoto_dynamics import perturbation_bounds
-    from .linalg import is_m_matrix, robustness
-
-    gamma = perturbation_bounds(kn, inc, schedule)
+    gamma = perturbation_bounds(lin, schedule)
     r_values = [robustness(t).value for t in targets]
     s = build_S(r_values, gamma)
     certified = bool(is_m_matrix(s)) and all_verified

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vibrosync.cli as cli
+from vibrosync.kuramoto_dynamics import Trajectory, sync_error
 
 TINY = {
     "name": "tiny",
@@ -206,6 +207,54 @@ def test_cyclic_modification_exits_3(tmp_path):
     path = write_scenario(tmp_path, data)
     assert cli.main(["design", "--scenario", path,
                      "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("override", [
+    {"schedule": {"epsilon": 0, "entries": [
+        {"edge": [0, 1], "amplitude": 0.5, "frequency": 1.0}]}},
+    {"schedule": {"epsilon": 0.05, "entries": [
+        {"edge": [0], "amplitude": "abc", "frequency": 1.0}]}},
+    {"edges": [[0, 1, float("nan")]] + TINY["edges"][1:]},
+    {"simulation": {"theta0": [0.1, 0.0, 0.0, 0.0], "t_end": 1.0, "dt": 0.0}},
+], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt"])
+def test_bad_scenario_values_exit_2(tmp_path, override):
+    path = write_scenario(tmp_path, dict(TINY, **override))
+    with pytest.raises(cli.ScenarioError):
+        cli.load_scenario(path)
+    assert cli.main(["analyze", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+def test_nonpositive_epsilon_override_exits_2(tmp_path):
+    assert cli.main(["design", "--scenario", "cluster_flip", "--epsilon", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+def per_value_csv(traj, partition):
+    """The per-value f-string formatting trajectory_csv must reproduce."""
+    n = traj.theta.shape[1]
+    err = sync_error(traj.theta, partition)
+    wrapped = traj.wrapped_theta()
+    lines = ["t," + ",".join(f"theta_{i + 1}" for i in range(n)) + ",err"]
+    err_lines = ["t,err"]
+    for row in range(len(traj.times)):
+        t = traj.times[row]
+        fields = [f"{t:.10g}"] + [f"{v:.10g}" for v in wrapped[row]] + [f"{err[row]:.10g}"]
+        lines.append(",".join(fields))
+        err_lines.append(f"{t:.10g},{err[row]:.10g}")
+    return "\n".join(lines) + "\n", "\n".join(err_lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_value_formatting():
+    partition = cli.parse_scenario(TINY).kuramoto().partition
+    times = np.array([-0.0, 1e-310, 2.5, 1.2345678901234e22])
+    theta = np.array([[-0.0, 1e-12, 3.0, -3.0],
+                      [1e20, -2.5e-8, 0.1, 6.283185307179586],
+                      [-1e-300, 12.5, -7.25, 1e15],
+                      [0.5, 0.5, 2.0, 2.0 + 1e-13]])
+    traj = Trajectory(times=times, theta=theta, x=theta[:, :2], y=theta[:, 2:], dt=0.1)
+    assert cli.trajectory_csv(traj, partition) == per_value_csv(traj, partition)
+    assert cli.trajectory_csv(traj, partition)[1].splitlines()[1].startswith("-0,")
 
 
 def test_theta0_length_validation():

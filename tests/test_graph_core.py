@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vibrosync as vs
 from vibrosync.graph_core import (CycleDetected, DisconnectedCluster,
                                   DisconnectedNetwork, GraphError,
-                                  canonical_edge_order)
+                                  NotSpanningTree, canonical_edge_order)
 
 from conftest import random_clustered_network
 
@@ -117,6 +118,68 @@ def test_incidence_rejects_bad_tree():
         vs.build_incidence(net, part, ((0, 1), (0, 1), (0, 2)))
 
 
+def three_cluster_net():
+    # clusters {0,1,2}, {3,4}, {5,6} with two-way intra edges; inter edges
+    # join cluster 0 to 1 twice and cluster 1 to 2
+    edges = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0),
+             (3, 4, 1.0), (4, 3, 1.0), (5, 6, 1.0), (6, 5, 1.0),
+             (0, 3, 0.5), (3, 0, 0.5), (1, 4, 0.5), (3, 5, 0.5), (5, 3, 0.5)]
+    net = vs.DirectedNetwork.from_edges(7, edges)
+    return net, vs.ClusterPartition(net, ((0, 1, 2), (3, 4), (5, 6)))
+
+
+@pytest.mark.parametrize("tree, message", [
+    (((0, 1), (1, 2), (3, 4), (5, 6), (0, 3), (4, 5)), "not an edge of the network"),
+    (((0, 1), (1, 0), (1, 2), (5, 6), (0, 3), (3, 5)), "cluster 0 needs 2 intra"),
+    (((0, 1), (1, 0), (3, 4), (5, 6), (0, 3), (3, 5)), "do not span cluster 0"),
+    (((0, 1), (1, 2), (3, 4), (5, 6), (0, 3), (1, 4)), "contain a cycle"),
+], ids=["missing_edge", "intra_count", "intra_not_spanning", "inter_cycle"])
+def test_incidence_rejects_each_bad_tree_shape(tree, message):
+    net, part = three_cluster_net()
+    vs.build_incidence(net, part, ((0, 1), (1, 2), (3, 4), (5, 6), (0, 3), (3, 5)))
+    with pytest.raises(NotSpanningTree, match=message):
+        vs.build_incidence(net, part, tree)
+
+
+def _rank(n, edges):
+    b = np.zeros((n, len(edges)))
+    for c, (s, t) in enumerate(edges):
+        b[s, c], b[t, c] = -1.0, 1.0
+    return np.linalg.matrix_rank(b) if edges else 0
+
+
+def _is_compatible_spanning_tree(n, part, tree):
+    """Rank oracle: n-1 edges of full rank, |c|-1 full-rank intra edges per cluster."""
+    if len(tree) != n - 1 or _rank(n, tree) != n - 1:
+        return False
+    for c in part.clusters:
+        intra = [e for e in tree if e[0] in c and e[1] in c]
+        if len(intra) != len(c) - 1 or _rank(n, intra) != len(c) - 1:
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), random_subset=st.booleans(), data=st.data())
+def test_build_incidence_accepts_exactly_the_spanning_trees(seed, random_subset, data):
+    net, part = random_clustered_network(np.random.default_rng(seed))
+    edges = list(net.edges)
+    if random_subset:
+        tree = data.draw(st.permutations(edges))[: net.n - 1]
+    else:
+        # a valid tree with up to two edges swapped out, so both verdicts occur
+        tree = list(vs.select_spanning_tree(net, part))
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, net.n - 2))
+            tree[i] = data.draw(st.sampled_from([e for e in edges if e not in tree]))
+    if _is_compatible_spanning_tree(net.n, part, tree):
+        inc = vs.build_incidence(net, part, tree)
+        assert np.abs(inc.B.T - inc.R @ inc.Bhat.T).max() < 1e-9
+    else:
+        with pytest.raises(NotSpanningTree):
+            vs.build_incidence(net, part, tree)
+
+
 def test_reduction_identity_random_networks():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -144,6 +207,19 @@ def test_invariance_flagship_and_violations(flip_kn):
     part2 = vs.ClusterPartition(net2, ((0, 1), (2, 3)))
     res2 = vs.check_invariance(net2, part2, np.array([1.0, 1.0, 3.0, 3.0]))
     assert not res2.ok
+
+
+def test_nonfinite_weights_rejected():
+    for w in (np.nan, np.inf):
+        with pytest.raises(GraphError, match="finite"):
+            vs.DirectedNetwork.from_edges(2, [(0, 1, w), (1, 0, 1.0)])
+        with pytest.raises(GraphError, match="finite"):
+            vs.DirectedNetwork.from_weight_matrix(np.array([[0.0, 1.0], [w, 0.0]]))
+    # a NaN frequency residual is a violation, not a pass
+    net, part = two_cluster_net()
+    res = vs.check_invariance(net, part, np.array([1.0, np.nan, 5.0, 5.0]))
+    assert not res.ok
+    assert any(v[0] == v[1] == 0 for v in res.violations)
 
 
 def test_topological_order_and_qlt():

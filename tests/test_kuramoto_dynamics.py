@@ -123,6 +123,37 @@ def test_nonfinite_guard():
         vs.simulate(kn, None, np.array([np.nan, 0.0]), 1.0)
 
 
+def test_nonfinite_construction_rejected():
+    net = two_node_kn().net
+    part = vs.ClusterPartition(net, ((0, 1),))
+    for omega in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(vs.GraphError):
+            vs.KuramotoNetwork(net=net, omega=np.array(omega), partition=part)
+    for bad in ((np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (1.0, np.nan, 0.0),
+                (1.0, np.inf, 0.0), (1.0, 1.0, np.nan), (1.0, 1.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            vs.VibrationEntry(*bad)
+    entries = {(0, 1): vs.VibrationEntry(1.0, 1.0)}
+    for eps in (np.nan, np.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="epsilon"):
+            vs.VibrationSchedule(entries=entries, epsilon=eps)
+
+
+def test_sample_perturbed_trajectories_horizon(flip_kn, flip_inc):
+    with pytest.raises(ValueError, match="nonnegative span"):
+        vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=2,
+                                         t_end=-1.0)
+    for dt in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            vs.simulate(flip_kn, None, np.zeros(8), 1.0, dt=dt, inc=flip_inc)
+    trajs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=2,
+                                             t_end=0.0)
+    for tr in trajs:
+        assert tr.theta.shape == (1, 8)
+        assert tr.dt == 0.0
+    assert vs.simulate(flip_kn, None, trajs[0].theta[0], 0.0, inc=flip_inc).dt == 0.0
+
+
 def test_linearize_flagship_blocks(flip_kn, flip_inc, flip_lin):
     j1 = 0.05 * np.array([[-8, 0, 2], [-1, -4, -1], [1, -1, -5]], dtype=float)
     j2 = np.array([[-3, 0, 1], [-1, -2, 1], [1, 0, -3]], dtype=float)
@@ -176,7 +207,7 @@ def test_linearize_matches_finite_differences():
 
 
 def test_perturbation_bounds_envelope(flip_kn, flip_inc, flip_lin):
-    gamma = vs.perturbation_bounds(flip_kn, flip_inc)
+    gamma = vs.perturbation_bounds(flip_lin)
     assert gamma.shape == (2, 2)
     m1 = flip_lin.M1
     r2 = flip_inc.R[flip_inc.m_intra:, : flip_inc.n_intra_coords]

@@ -266,7 +266,7 @@ def test_state_transition_matches_per_step_loop():
                      reference_state_transition(vib, 0.7, 9.0, 0.01))
 
 
-def test_perturbation_bounds_growth_matches_per_step_loop(flip_kn, flip_inc, flip_design):
+def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, flip_design):
     schedule = flip_design.schedule
     growth, shrink = np.ones(flip_inc.partition.r), np.ones(flip_inc.partition.r)
     for k, terms in enumerate(vs.schedule_slot_matrices(flip_inc, schedule)):
@@ -279,5 +279,5 @@ def test_perturbation_bounds_growth_matches_per_step_loop(flip_kn, flip_inc, fli
             2.0 * np.pi / max(freqs) / kuramoto_dynamics.default_oversampling)
     assert growth.max() > 1.0
     expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
-                * vs.perturbation_bounds(flip_kn, flip_inc))
-    assert_rel_close(vs.perturbation_bounds(flip_kn, flip_inc, schedule), expected)
+                * vs.perturbation_bounds(flip_lin))
+    assert_rel_close(vs.perturbation_bounds(flip_lin, schedule), expected)

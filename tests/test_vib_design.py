@@ -169,8 +169,8 @@ def test_edge_influence_flagship(flip_inc):
     assert np.abs(m20 - e).max() < 1e-12
 
 
-def test_kuramoto_modifiable_flagship(flip_kn, flip_inc):
-    maps = vs.kuramoto_modifiable(flip_kn, flip_inc)
+def test_kuramoto_modifiable_flagship(flip_lin):
+    maps = vs.kuramoto_modifiable(flip_lin)
     assert len(maps) == 2
     m0 = maps[0]
     assert sorted(m0.combos) == [(0, 1), (0, 2), (1, 0), (2, 0)]
@@ -211,7 +211,7 @@ def test_no_realizable_edges():
                             partition=part)
     inc = vs.build_incidence(net, part, vs.select_spanning_tree(net, part))
     with pytest.raises(vs.NoRealizableEdges):
-        vs.kuramoto_modifiable(kn, inc)
+        vs.kuramoto_modifiable(vs.linearize(kn, inc))
 
 
 def test_design_cluster_flagship_schedule(flip_design):
