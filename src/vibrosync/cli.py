@@ -31,7 +31,6 @@ from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
 from .kuramoto_dynamics import (KuramotoNetwork, Trajectory, VibrationEntry,
                                 VibrationSchedule, perturbed_initial_states,
                                 simulate, sync_error)
-from .linalg import robustness
 from .stability_cert import StabilityReport, certify
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
                          VerificationFailed, design_cluster)
@@ -42,6 +41,8 @@ class ScenarioError(ValueError):
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
@@ -111,8 +112,13 @@ class Scenario:
         specs: Dict[int, ModificationSpec] = {}
         for item in self.modifications:
             k = int(item["cluster"])
-            specs[k] = ModificationSpec(delta=np.array(item["delta"], dtype=float),
-                                        target=k)
+            try:
+                specs[k] = ModificationSpec(delta=np.array(item["delta"], dtype=float),
+                                            target=k)
+            except CycleDetected:
+                raise
+            except ValueError as exc:
+                raise ScenarioError(f"modification for cluster {k}: {exc}") from exc
         return specs
 
 
@@ -134,20 +140,42 @@ def load_scenario(source: str) -> Scenario:
 
 
 def parse_scenario(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a JSON object")
     _require_keys(data, allowed={"name", "description", "n", "edges", "clusters",
                                  "omega", "schedule", "modifications", "simulation",
                                  "tolerances", "references"},
                   required={"name", "n", "edges", "clusters", "omega"},
                   where="scenario")
+    modifications = tuple(data.get("modifications", ()))
+    for item in modifications:
+        _require_keys(item, {"cluster", "delta"}, {"cluster", "delta"},
+                      "modification")
+    sim = data.get("simulation", {})
+    _require_keys(sim, {"theta0", "seed", "perturbation", "perturb_clusters",
+                        "t_end", "dt", "epsilon"}, set(), "simulation")
+    tolerances = data.get("tolerances", {})
+    _require_keys(tolerances, {"sync"}, set(), "tolerances")
+
     try:
         n = int(data["n"])
         edges = tuple((int(s), int(t), float(w)) for s, t, w in data["edges"])
         clusters = tuple(tuple(int(i) for i in c) for c in data["clusters"])
         omega = tuple(float(x) for x in data["omega"])
+        mod_clusters = [int(item["cluster"]) for item in modifications]
+        deltas = [np.array(item["delta"], dtype=float) for item in modifications]
+        theta0 = sim.get("theta0")
+        if theta0 is not None:
+            theta0 = tuple(float(x) for x in theta0)
+        perturb_clusters = sim.get("perturb_clusters")
+        if perturb_clusters is not None:
+            perturb_clusters = tuple(int(k) for k in perturb_clusters)
+        seed = int(sim.get("seed", 0))
+        perturbation = float(sim.get("perturbation", 0.1))
+        t_end = float(sim.get("t_end", 100.0))
+        dt = None if sim.get("dt") is None else float(sim["dt"])
+        epsilon = float(sim.get("epsilon", 0.01))
+        sync_tolerance = float(tolerances.get("sync", 0.01))
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed network data: {exc}") from exc
+        raise ScenarioError(f"malformed scenario data: {exc}") from exc
     if len(omega) != n:
         raise ScenarioError(f"omega has {len(omega)} entries for {n} nodes")
     _require_finite([w for _, _, w in edges], "edge weights")
@@ -161,26 +189,15 @@ def parse_scenario(data: dict) -> Scenario:
             _require_keys(item, {"edge", "amplitude", "frequency", "phase"},
                           {"edge", "amplitude", "frequency"}, "schedule entry")
 
-    modifications = tuple(data.get("modifications", ()))
-    for item in modifications:
-        _require_keys(item, {"cluster", "delta"}, {"cluster", "delta"},
-                      "modification")
-
-    sim = data.get("simulation", {})
-    _require_keys(sim, {"theta0", "seed", "perturbation", "perturb_clusters",
-                        "t_end", "dt", "epsilon"}, set(), "simulation")
-    theta0 = sim.get("theta0")
+    for k in mod_clusters + list(perturb_clusters or ()):
+        if not 0 <= k < len(clusters):
+            raise ScenarioError(f"cluster index {k} out of range for {len(clusters)} clusters")
+    for delta in deltas:
+        _require_finite(delta.ravel(), "modification delta")
     if theta0 is not None:
-        theta0 = tuple(float(x) for x in theta0)
         if len(theta0) != n:
             raise ScenarioError("theta0 length does not match the node count")
         _require_finite(theta0, "theta0")
-    perturb_clusters = sim.get("perturb_clusters")
-    if perturb_clusters is not None:
-        perturb_clusters = tuple(int(k) for k in perturb_clusters)
-
-    tolerances = data.get("tolerances", {})
-    _require_keys(tolerances, {"sync"}, set(), "tolerances")
 
     references = data.get("references", {})
     if not isinstance(references, dict):
@@ -190,15 +207,9 @@ def parse_scenario(data: dict) -> Scenario:
         name=str(data["name"]),
         n=n, edges=edges, clusters=clusters, omega=omega,
         schedule=schedule, modifications=modifications,
-        theta0=theta0,
-        seed=int(sim.get("seed", 0)),
-        perturbation=float(sim.get("perturbation", 0.1)),
-        perturb_clusters=perturb_clusters,
-        t_end=float(sim.get("t_end", 100.0)),
-        dt=None if sim.get("dt") is None else float(sim["dt"]),
-        epsilon=float(sim.get("epsilon", 0.01)),
-        sync_tolerance=float(tolerances.get("sync", 0.01)),
-        references=references,
+        theta0=theta0, seed=seed, perturbation=perturbation,
+        perturb_clusters=perturb_clusters, t_end=t_end, dt=dt, epsilon=epsilon,
+        sync_tolerance=sync_tolerance, references=references,
     )
     _require_finite([scenario.perturbation, scenario.t_end, scenario.sync_tolerance],
                     "simulation settings")
@@ -280,7 +291,7 @@ def _schedule_dict(design: ClusterDesign) -> dict:
 def _certificate_dict(design: ClusterDesign) -> dict:
     return {
         "targets": [t.tolist() for t in design.targets],
-        "target_robustness": [float(robustness(t).value) for t in design.targets],
+        "target_robustness": list(design.target_robustness),
         "gamma_bar": design.gamma_bar.tolist(),
         "comparison_matrix": design.s_matrix.tolist(),
         "certified": design.certified,

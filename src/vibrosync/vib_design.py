@@ -64,6 +64,8 @@ class ModificationSpec:
         object.__setattr__(self, "delta", delta)
         if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
             raise ValueError("delta must be square")
+        if not np.all(np.isfinite(delta)):
+            raise ValueError("delta must be finite")
         if np.any(np.abs(np.diag(delta)) > pattern_tolerance):
             raise ValueError("delta must have zero diagonal")
         # raises CycleDetected when the pattern cannot be made triangular
@@ -398,6 +400,7 @@ class ClusterDesign:
     schedule: VibrationSchedule
     designs: Dict[int, LinearDesign] = field(compare=False)
     targets: Tuple[np.ndarray, ...] = ()
+    target_robustness: Tuple[float, ...] = ()
     residuals: Dict[int, float] = field(compare=False, default=None)
     all_verified: bool = True
     gamma_bar: np.ndarray = None
@@ -478,11 +481,12 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
 
     # certificate ingredients
     gamma = perturbation_bounds(lin, schedule)
-    r_values = [robustness(t).value for t in targets]
+    r_values = tuple(float(robustness(t).value) for t in targets)
     s = build_S(r_values, gamma)
     certified = bool(is_m_matrix(s)) and all_verified
 
     return ClusterDesign(schedule=schedule, designs=designs,
-                         targets=tuple(targets), residuals=residuals,
+                         targets=tuple(targets), target_robustness=r_values,
+                         residuals=residuals,
                          all_verified=all_verified, gamma_bar=gamma,
                          s_matrix=s, certified=certified)

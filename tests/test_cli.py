@@ -216,13 +216,35 @@ def test_cyclic_modification_exits_3(tmp_path):
         {"edge": [0], "amplitude": "abc", "frequency": 1.0}]}},
     {"edges": [[0, 1, float("nan")]] + TINY["edges"][1:]},
     {"simulation": {"theta0": [0.1, 0.0, 0.0, 0.0], "t_end": 1.0, "dt": 0.0}},
-], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt"])
+    {"simulation": {"t_end": "abc"}},
+    {"simulation": {"theta0": ["x", 0.0, 0.0, 0.0]}},
+    {"simulation": {"perturb_clusters": [5]}},
+    {"modifications": [{"cluster": 0, "delta": [[0.0, float("nan")], [0.0, 0.0]]}]},
+    {"simulation": 5},
+], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
+        "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object"])
 def test_bad_scenario_values_exit_2(tmp_path, override):
     path = write_scenario(tmp_path, dict(TINY, **override))
     with pytest.raises(cli.ScenarioError):
         cli.load_scenario(path)
-    assert cli.main(["analyze", "--scenario", path,
+    for command in ("analyze", "simulate"):
+        assert cli.main([command, "--scenario", path,
+                         "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("delta", [
+    [[0.0, 0.05, 0.0], [float("nan"), 0.0, 0.0], [-0.05, 0.0, 0.0]],
+    [[0.0, 0.05, 0.0], [0.0, 0.0, 0.0], [-0.05, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[0.1, 0.05, 0.0], [0.0, 0.0, 0.0], [-0.05, 0.0, 0.0]],
+], ids=["nan_entry", "not_square", "nonzero_diagonal"])
+def test_bad_modification_exits_2(tmp_path, delta):
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data["modifications"][0]["delta"] = delta
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["design", "--scenario", path,
                      "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_nonpositive_epsilon_override_exits_2(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import vibrosync as vs
+from vibrosync import kuramoto_dynamics as kd
 from vibrosync.kuramoto_dynamics import (InvarianceViolated, NonFiniteState,
                                          Trajectory, classification_horizon)
 from vibrosync.linalg import StepTooCoarse
@@ -265,3 +267,151 @@ def test_sample_perturbed_trajectories_shapes(flip_kn, flip_inc):
     for tr in trajs:
         assert tr.theta.shape[1] == 8
         assert tr.x.shape[1] == flip_inc.n_intra_coords
+
+
+# ---------------------------------------------------------------------------
+# parity of the incidence-form integrator with the dense-field RK4 loop it
+# replaced (kept verbatim below as the reference; only the decimation limit
+# is read from the module, so monkeypatching it reaches both)
+
+
+def reference_schedule_arrays(schedule):
+    if schedule is None or not schedule.entries:
+        return None
+    rows, cols, amps, freqs, phases = [], [], [], [], []
+    for (s, t), entry in schedule.sorted_items():
+        rows.append(t)
+        cols.append(s)
+        amps.append(entry.amplitude / schedule.epsilon)
+        freqs.append(entry.frequency / schedule.epsilon)
+        phases.append(entry.phase)
+    return (np.array(rows), np.array(cols), np.array(amps),
+            np.array(freqs), np.array(phases))
+
+
+def reference_integrate_batch(w, omega, sched, th0, t_end, dt):
+    ns, n = th0.shape
+    steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
+    h = t_end / steps if steps else 0.0
+    stride = max(1, int(np.ceil((steps + 1) / kd.max_recorded_samples)))
+    n_rec = steps // stride + 1
+    times = np.empty(n_rec)
+    recs = np.empty((ns, n_rec, n))
+    times[0] = 0.0
+    recs[:, 0, :] = th0
+
+    if sched is None:
+        w_static = w
+
+        def field(t, th):
+            diff = th[:, None, :] - th[:, :, None]  # (ns, i, j) -> th_j - th_i
+            return omega + np.einsum("ij,sij->si", w_static, np.sin(diff))
+    else:
+        rows, cols, amps, freqs, phases = sched
+
+        def field(t, th):
+            wt = w.copy()
+            wt[rows, cols] += amps * np.sin(freqs * t + phases)
+            diff = th[:, None, :] - th[:, :, None]
+            return omega + np.einsum("ij,sij->si", wt, np.sin(diff))
+
+    th = th0.copy()
+    t = 0.0
+    rec_i = 1
+    for step in range(1, steps + 1):
+        k1 = field(t, th)
+        k2 = field(t + 0.5 * h, th + 0.5 * h * k1)
+        k3 = field(t + 0.5 * h, th + 0.5 * h * k2)
+        k4 = field(t + h, th + h * k3)
+        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        if step % stride == 0:
+            if not np.all(np.isfinite(th)):
+                raise NonFiniteState(f"state became non-finite near t={t:g}")
+            times[rec_i] = t
+            recs[:, rec_i, :] = th
+            rec_i += 1
+    if not np.all(np.isfinite(th)):
+        raise NonFiniteState("state became non-finite")
+    return times[:rec_i], recs[:, :rec_i, :]
+
+
+def phased(schedule):
+    """The schedule with a distinct nonzero phase on every entry."""
+    entries = {e: vs.VibrationEntry(entry.amplitude, entry.frequency, 0.3 + 0.7 * i)
+               for i, (e, entry) in enumerate(schedule.sorted_items())}
+    return vs.VibrationSchedule(entries=entries, epsilon=schedule.epsilon)
+
+
+def assert_matches_reference(kn, inc, schedule, th0, t_end, dt, rel=1e-10):
+    got = kd._run(kn, inc, schedule, th0, t_end, dt)
+    times, recs = reference_integrate_batch(kn.net.weight_matrix(), kn.omega,
+                                            reference_schedule_arrays(schedule),
+                                            th0, t_end, dt)
+    assert len(got) == len(th0)
+    for tr, ref in zip(got, recs):
+        assert tr.times.shape == times.shape
+        assert np.abs(tr.times - times).max() <= rel * times.max()
+        assert np.abs(tr.theta - ref).max() <= rel * np.abs(ref).max()
+    return got
+
+
+@pytest.mark.parametrize("batch", [3, 1])
+@pytest.mark.parametrize("vibrated", [True, False], ids=["phased_schedule", "static"])
+def test_integrator_matches_dense_loop(flip_kn, flip_inc, flip_design, batch, vibrated):
+    schedule = phased(flip_design.schedule) if vibrated else None
+    if vibrated:
+        assert all(entry.phase != 0.0 for entry in schedule.entries.values())
+    dt, _ = kd._default_step(flip_kn, schedule)
+    steps = 2 * kd._chunk_steps + 37  # two full chunks and a remainder
+    th0 = vs.perturbed_initial_states(flip_inc, batch, 0.2, seed=5)
+    got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
+    assert len(got[0].times) == steps + 1
+
+
+def test_integrator_decimation_matches_dense_loop(flip_kn, flip_inc, flip_design,
+                                                  monkeypatch):
+    monkeypatch.setattr(kd, "max_recorded_samples", 7)
+    schedule = phased(flip_design.schedule)
+    dt, _ = kd._default_step(flip_kn, schedule)
+    steps = 2 * kd._chunk_steps + 37
+    th0 = vs.perturbed_initial_states(flip_inc, 2, 0.2, seed=6)
+    got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
+    stride = math.ceil((steps + 1) / 7)
+    assert len(got[0].times) == steps // stride + 1 <= 7
+    assert got[0].times[1:] == pytest.approx(stride * dt * np.arange(1, 7), rel=1e-12)
+
+
+def test_vibrated_run_going_non_finite_names_the_break():
+    # a carrier of amplitude 1e308 overflows the RK4 update only once it has
+    # grown, a few chunks into the run; power-of-two steps make the shorter
+    # reruns below repeat the same grid exactly
+    net = two_node_kn().net
+    kn = vs.KuramotoNetwork(net=net, omega=np.zeros(2),
+                            partition=vs.ClusterPartition(net, ((0, 1),)))
+    sched = vs.VibrationSchedule({(0, 1): vs.VibrationEntry(1e308, 0.01)}, epsilon=1.0)
+    dt = 2.0 ** -4
+    th0 = np.array([0.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteState) as info:
+            vs.simulate(kn, sched, th0, 4096 * dt, dt=dt)
+        t_bad = float(re.search(r"near t=(\S+)", str(info.value)).group(1))
+        step = round(t_bad / dt)
+        assert step * dt == pytest.approx(t_bad, abs=1e-3)  # "%g" keeps 6 digits
+        assert kd._chunk_steps < step < 4096  # partway, past the first chunk
+        before = vs.simulate(kn, sched, th0, (step - 1) * dt, dt=dt)
+        assert np.all(np.isfinite(before.theta))
+        with pytest.raises(NonFiniteState, match=f"near t={t_bad:g}"):
+            vs.simulate(kn, sched, th0, step * dt, dt=dt)
+
+
+def test_incidence_of_another_network_rejected(flip_kn, flip_inc):
+    kn = two_node_kn()
+    with pytest.raises(vs.GraphError, match="different network"):
+        vs.simulate(kn, None, np.zeros(2), 1.0, inc=flip_inc)
+    heavier = vs.DirectedNetwork.from_edges(
+        flip_kn.net.n, [(s, t, 2.0 * w) for (s, t), w in flip_kn.net.weights.items()])
+    heavy_kn = vs.KuramotoNetwork(net=heavier, omega=flip_kn.omega,
+                                  partition=vs.ClusterPartition(heavier, flip_kn.partition.clusters))
+    with pytest.raises(vs.GraphError, match="different network"):
+        vs.simulate(heavy_kn, None, np.zeros(8), 1.0, inc=flip_inc)

@@ -77,6 +77,14 @@ def test_modification_spec_validation():
         vs.ModificationSpec(delta=cyclic)
 
 
+def test_modification_spec_rejects_nonfinite_delta():
+    for bad in (np.nan, np.inf, -np.inf):
+        delta = np.zeros((3, 3))
+        delta[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vs.ModificationSpec(delta=delta)
+
+
 # ---------------------------------------------------------------------------
 # linear-system designer
 
@@ -246,6 +254,11 @@ def test_design_cluster_flagship_schedule(flip_design):
     # certificate ingredients have the right shapes
     assert flip_design.gamma_bar.shape == (2, 2)
     assert flip_design.s_matrix.shape == (2, 2)
+    assert flip_design.target_robustness == tuple(
+        vs.robustness(t).value for t in flip_design.targets)
+    assert np.allclose(np.diag(flip_design.s_matrix),
+                       np.array(flip_design.target_robustness)
+                       - np.diag(flip_design.gamma_bar))
 
 
 def test_design_cluster_slot_matrices_merge(flip_kn, flip_inc, flip_design):
