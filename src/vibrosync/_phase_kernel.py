@@ -1,0 +1,192 @@
+"""Compiled RK4 chunk for the phase network, built with the C compiler ``cc``.
+
+The C source below is compiled on first use into a shared library cached
+in this package's ``__pycache__/`` (or, when that directory is not
+writable, in a fresh private temporary directory) under a name carrying
+the SHA-256 of the source, the flags and the platform, and loaded with
+:mod:`ctypes`; a cached file that does not load is rebuilt once.
+``-ffp-contract=off`` keeps the compiler from fusing multiply-adds, so the
+results do not depend on whether the host has FMA.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s) */
+static void field(int n, int m, const int *src, const int *dst,
+                  const double *omega, const double *w, const double *x,
+                  double *dx)
+{
+    for (int i = 0; i < n; i++)
+        dx[i] = omega[i];
+    for (int e = 0; e < m; e++)
+        dx[dst[e]] -= w[e] * sin(x[dst[e]] - x[src[e]]);
+}
+
+/* RK4 steps start+1 .. start+k of every sample in th (ns rows of n);
+   w holds the edge weights on the half-step grid (2k+1 rows of m).  The
+   state after every stride-th step goes to recs (ns, n_rec, n) at record
+   index step / stride.  scratch holds 5n doubles.  Returns the record
+   index after the chunk. */
+int64_t rk4_chunk(int ns, int n, int m, const int *src, const int *dst,
+                  const double *omega, const double *w, int64_t start, int k,
+                  double h, int64_t stride, double *th, double *recs,
+                  int64_t n_rec, double *scratch)
+{
+    double *k1 = scratch, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *y = k4 + n;
+    for (int s = 0; s < ns; s++) {
+        double *x = th + (int64_t)s * n;
+        for (int i = 0; i < k; i++) {
+            const double *w0 = w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
+            field(n, m, src, dst, omega, w0, x, k1);
+            for (int j = 0; j < n; j++)
+                y[j] = x[j] + 0.5 * h * k1[j];
+            field(n, m, src, dst, omega, wm, y, k2);
+            for (int j = 0; j < n; j++)
+                y[j] = x[j] + 0.5 * h * k2[j];
+            field(n, m, src, dst, omega, wm, y, k3);
+            for (int j = 0; j < n; j++)
+                y[j] = x[j] + h * k3[j];
+            field(n, m, src, dst, omega, w1, y, k4);
+            for (int j = 0; j < n; j++)
+                x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+            int64_t step = start + i + 1;
+            if (step % stride == 0) {
+                double *r = recs + ((int64_t)s * n_rec + step / stride) * n;
+                for (int j = 0; j < n; j++)
+                    r[j] = x[j];
+            }
+        }
+    }
+    return (start + k) / stride + 1;
+}
+"""
+
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_compiler = "cc"
+_cache_dir = Path(__file__).resolve().parent / "__pycache__"
+_kernel = None  # the loaded ctypes function, once built
+_lock = threading.Lock()
+
+
+class KernelBuildError(RuntimeError):
+    pass
+
+
+def _library_name() -> str:
+    key = (_SOURCE, *_FLAGS, sys.platform, platform.machine())
+    digest = hashlib.sha256("\0".join(key).encode()).hexdigest()
+    return f"phase_kernel-{digest}.so"
+
+
+def _writable_dir() -> Path:
+    try:
+        _cache_dir.mkdir(exist_ok=True)
+    except OSError:
+        pass
+    else:
+        if os.access(_cache_dir, os.W_OK | os.X_OK):
+            return _cache_dir
+    return Path(tempfile.mkdtemp(prefix="vibrosync-kernel-"))
+
+
+def _build(path: Path) -> None:
+    """Compile the source into ``path``: build to a temporary name in the
+    same directory and publish with ``os.replace``, so concurrent builds
+    never expose a partly written library."""
+    fd, c_file = tempfile.mkstemp(suffix=".c", prefix="phase_kernel-", dir=path.parent)
+    so_file = c_file[:-2] + ".so"
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(_SOURCE)
+        cmd = [_compiler, *_FLAGS, "-o", so_file, c_file, "-lm"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelBuildError(
+                f"the phase-network kernel needs the C compiler {_compiler!r}: {exc}") from exc
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"building the phase-network kernel failed ({' '.join(cmd)}):\n{proc.stderr}")
+        os.replace(so_file, path)
+    finally:
+        for leftover in (c_file, so_file):
+            try:
+                os.unlink(leftover)
+            except FileNotFoundError:
+                pass
+
+
+def load():
+    """The ``rk4_chunk`` C function, built and loaded on first use."""
+    global _kernel
+    with _lock:
+        if _kernel is None:
+            _kernel = _load_library()
+    return _kernel
+
+
+def _load_library():
+    path = _cache_dir / _library_name()
+    fn = None
+    if path.is_file():
+        try:
+            fn = ctypes.CDLL(str(path)).rk4_chunk
+        except OSError:  # a truncated or foreign file: build over it
+            pass
+    if fn is None:
+        directory = _writable_dir()
+        try:
+            _build(directory / path.name)
+            try:
+                fn = ctypes.CDLL(str(directory / path.name)).rk4_chunk
+            except OSError as exc:
+                raise KernelBuildError(
+                    f"the freshly built phase-network kernel does not load: {exc}") from exc
+        finally:
+            if directory != _cache_dir:  # a loaded library needs no file
+                shutil.rmtree(directory, ignore_errors=True)
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ints, ints,
+                   doubles, doubles, ctypes.c_int64, ctypes.c_int, ctypes.c_double,
+                   ctypes.c_int64, doubles, doubles, ctypes.c_int64, doubles]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def rk4_chunk(src: np.ndarray, dst: np.ndarray, omega: np.ndarray, wt: np.ndarray,
+              start: int, h: float, stride: int, th: np.ndarray, recs: np.ndarray,
+              scratch: np.ndarray) -> int:
+    """Advance ``th`` (ns, n) in place by ``len(wt) // 2`` RK4 steps from
+    step ``start``, writing every ``stride``-th state into ``recs``
+    (ns, n_rec, n) at index ``step // stride``; returns the record index
+    after the chunk.  ``src``/``dst`` are the edge endpoints and ``wt`` the
+    edge weights on the chunk's half-step grid."""
+    ns, n = th.shape
+    m = len(src)
+    k = (len(wt) - 1) // 2
+    n_rec = recs.shape[1]
+    if (dst.shape != (m,) or omega.shape != (n,) or wt.shape != (2 * k + 1, m)
+            or recs.shape != (ns, n_rec, n) or (start + k) // stride >= n_rec
+            or scratch.shape != (5 * n,)
+            or (m and not (0 <= min(src.min(), dst.min()) <= max(src.max(), dst.max()) < n))):
+        raise ValueError("inconsistent phase-kernel array shapes or edge indices")
+    return load()(ns, n, m, src, dst, omega, wt, start, k, h, stride, th, recs,
+                  n_rec, scratch)

@@ -51,6 +51,12 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise ScenarioError(f"missing field(s) {sorted(missing)} in {where}")
 
 
+def _require_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list")
+    return value
+
+
 def _require_finite(values: Sequence[float], where: str) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ScenarioError(f"{where} must be finite")
@@ -145,7 +151,7 @@ def parse_scenario(data: dict) -> Scenario:
                                  "tolerances", "references"},
                   required={"name", "n", "edges", "clusters", "omega"},
                   where="scenario")
-    modifications = tuple(data.get("modifications", ()))
+    modifications = tuple(_require_list(data.get("modifications", []), "modifications"))
     for item in modifications:
         _require_keys(item, {"cluster", "delta"}, {"cluster", "delta"},
                       "modification")
@@ -185,7 +191,7 @@ def parse_scenario(data: dict) -> Scenario:
     if schedule is not None:
         _require_keys(schedule, {"epsilon", "entries"}, {"epsilon", "entries"},
                       "schedule")
-        for item in schedule["entries"]:
+        for item in _require_list(schedule["entries"], "schedule entries"):
             _require_keys(item, {"edge", "amplitude", "frequency", "phase"},
                           {"edge", "amplitude", "frequency"}, "schedule entry")
 

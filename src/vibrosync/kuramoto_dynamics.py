@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, build_incidence, check_invariance,
                          select_spanning_tree, Edge)
@@ -186,7 +187,7 @@ def _default_step(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule]) ->
 
 # RK4 steps per chunk of the phase-network integrator: bounds the tabulated
 # edge weights (memory grows linearly with it) while keeping the per-chunk
-# numpy calls few.
+# numpy and kernel calls few.
 _chunk_steps = 256
 
 
@@ -195,25 +196,20 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
                      t_end: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 for a batch of phase vectors; returns decimated records.
 
-    The field is in incidence form, ``omega - (w(t) * sin(theta @ B)) @ Bpos.T``:
-    ``theta @ B`` holds ``theta_target - theta_source`` per edge and
-    ``Bpos.T`` scatters each edge onto its target, so a stage costs O(m) per
-    sample.  Stage inputs are carried in edge space: with ``g`` the weighted
-    edge sines of the previous stage, ``(theta + c k) @ B`` equals
-    ``theta @ B + c (omega @ B) + g @ (c S @ B)`` for the scatter
-    ``S = -Bpos.T``, which saves a product and the ``omega`` sum per stage.
     Per chunk of at most ``_chunk_steps`` steps the edge weights w(t) are
-    tabulated on the half-step grid with one ``np.sin`` call, and the state
-    is checked for finiteness once (a non-finite phase stays non-finite).
+    tabulated on the half-step grid with one ``np.sin`` call, and one call
+    into the compiled kernel (:mod:`._phase_kernel`) runs the four RK4
+    stages of the field ``omega_t - sum over edges (s, t) of
+    w_e sin(theta_t - theta_s)`` for every sample of the chunk; the state is
+    checked for finiteness once per chunk (a non-finite phase stays
+    non-finite).
     """
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
     h = t_end / steps if steps else 0.0
     stride = max(1, int(np.ceil((steps + 1) / max_recorded_samples)))
     n_rec = steps // stride + 1
-    times = np.empty(n_rec)
     recs = np.empty((ns, n_rec, n))
-    times[0] = 0.0
     recs[:, 0, :] = th0
     if not np.all(np.isfinite(th0)):
         raise NonFiniteState("state became non-finite near t=0")
@@ -226,17 +222,11 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
         freqs = np.array([entry.frequency for _, entry in items]) / schedule.epsilon
         phases = np.array([entry.phase for _, entry in items])
 
-    # ndarray.dot: less per-call overhead than @ on these small operands
-    b = inc.B
-    scatter = -inc.Bpos.T
-    lift = scatter.dot(b)
-    half_lift, full_lift = 0.5 * h * lift, h * lift
-    drift = omega.dot(b)
-    half_drift, full_drift = 0.5 * h * drift, h * drift
-    h_omega = h * omega
-    sixth_scatter = (h / 6.0) * scatter
-
-    th = th0.copy()
+    src = np.array([s for s, _ in inc.edges], dtype=np.intc)
+    dst = np.array([t for _, t in inc.edges], dtype=np.intc)
+    omega = np.ascontiguousarray(omega, dtype=float)
+    th = np.array(th0, dtype=float, order="C")
+    scratch = np.empty(5 * n)
     rec_i = 1
     for start in range(0, steps, _chunk_steps):
         k = min(_chunk_steps, steps - start)
@@ -246,26 +236,14 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
             ts = h * (start + 0.5 * np.arange(2 * k + 1))
             wt[:, cols] += amps * np.sin(np.multiply.outer(ts, freqs) + phases)
         chunk_rec = rec_i
-        for i in range(k):
-            w0, wm, w1 = wt[2 * i], wt[2 * i + 1], wt[2 * i + 2]
-            u = th.dot(b)
-            u_half = u + half_drift
-            g1 = w0 * np.sin(u)
-            g2 = wm * np.sin(u_half + g1.dot(half_lift))
-            g3 = wm * np.sin(u_half + g2.dot(half_lift))
-            g4 = w1 * np.sin(u + full_drift + g3.dot(full_lift))
-            th = (th + h_omega) + ((g1 + g4) + 2.0 * (g2 + g3)).dot(sixth_scatter)
-            step = start + i + 1
-            if step % stride == 0:
-                times[rec_i] = step * h
-                recs[:, rec_i, :] = th
-                rec_i += 1
+        rec_i = _phase_kernel.rk4_chunk(src, dst, omega, wt, start, h, stride,
+                                        th, recs, scratch)
         if not np.all(np.isfinite(th)):
             # name the first record of this chunk that broke, or the chunk end
             bad = ~np.isfinite(recs[:, chunk_rec:rec_i, :]).all(axis=(0, 2))
-            t_bad = times[chunk_rec + int(np.argmax(bad))] if bad.any() else (start + k) * h
-            raise NonFiniteState(f"state became non-finite near t={t_bad:g}")
-    return times[:rec_i], recs[:, :rec_i, :]
+            step = (chunk_rec + int(np.argmax(bad))) * stride if bad.any() else start + k
+            raise NonFiniteState(f"state became non-finite near t={step * h:g}")
+    return (np.arange(rec_i) * stride) * h, recs[:, :rec_i, :]
 
 
 def _default_incidence(kn: KuramotoNetwork) -> IncidenceSet:
@@ -538,19 +516,24 @@ def classify_partial_stability(trajectories: Sequence[Trajectory],
     """Empirical verdict from the tail behaviour of intra-cluster errors.
 
     Stable means every run either ends below an absolute convergence floor
-    (its tail slope is then floating-point noise) or shows a fitted
-    log-norm slope below the threshold over the second half of the horizon
-    while ending at least a factor ``decay_factor`` below its initial
-    error.
+    or shows a fitted log-norm slope below the threshold over the second
+    half of the horizon while ending at least a factor ``decay_factor``
+    below its initial error.  A run that ends below the floor is cut at its
+    first sample below it before the slope is fitted over the second half
+    of what is left (at least two samples), so its reported slope measures
+    the decay and not the round-off noise after it; such a run needs no
+    slope test, so the cut never changes the verdict.
     """
     slopes, initials, finals = [], [], []
     stable = True
     for traj in trajectories:
         norms = np.linalg.norm(traj.x, axis=1)
         norms = np.maximum(norms, 1e-300)
-        half = len(norms) // 2
-        t_tail = traj.times[half:]
-        slope = float(np.polyfit(t_tail, np.log(norms[half:]), 1)[0])
+        end, half = len(norms), len(norms) // 2
+        if norms[-1] < converged_floor:
+            end = max(int(np.argmax(norms < converged_floor)) + 1, 2)
+            half = min(end // 2, end - 2)
+        slope = float(np.polyfit(traj.times[half:end], np.log(norms[half:end]), 1)[0])
         slopes.append(slope)
         initials.append(float(norms[0]))
         finals.append(float(norms[-1]))

@@ -221,8 +221,11 @@ def test_cyclic_modification_exits_3(tmp_path):
     {"simulation": {"perturb_clusters": [5]}},
     {"modifications": [{"cluster": 0, "delta": [[0.0, float("nan")], [0.0, 0.0]]}]},
     {"simulation": 5},
+    {"modifications": 5},
+    {"schedule": {"epsilon": 0.05, "entries": 5}},
 ], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
-        "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object"])
+        "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object",
+        "modifications_not_list", "entries_not_list"])
 def test_bad_scenario_values_exit_2(tmp_path, override):
     path = write_scenario(tmp_path, dict(TINY, **override))
     with pytest.raises(cli.ScenarioError):

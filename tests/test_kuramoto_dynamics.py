@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,53 @@ def test_classifier_on_synthetic_trajectories():
     assert not mixed.stable
 
 
+def test_classifier_slope_ignores_noise_after_the_floor():
+    # decay at rate -0.5 down to 1e-12, then round-off noise of any size
+    # below the floor: the slope is fitted before the noise starts
+    times = np.linspace(0.0, 80.0, 801)
+    decay = 0.1 * np.exp(-0.5 * times)
+    reached = decay < 1e-12
+    rng = np.random.default_rng(4)
+    for level in (1e-13, 1e-11, 1e-10):
+        norms = np.where(reached, level * (1.0 + rng.uniform(0.0, 9.0, times.size)), decay)
+        result = vs.classify_partial_stability([synthetic_run(times, norms)])
+        assert result.slopes[0] == pytest.approx(-0.5, abs=1e-6)
+        assert result.final_norms[0] == norms[-1]
+        assert result.stable
+
+
+def synthetic_run(times, norms):
+    x = np.column_stack([norms, np.zeros_like(norms)])
+    return Trajectory(times=times, theta=np.zeros((len(times), 3)), x=x,
+                      y=np.zeros((len(times), 0)), dt=times[1] - times[0])
+
+
+def test_classifier_run_regrowing_after_the_floor_stays_unstable():
+    # decay at rate -0.5 to 1e-12, then growth at rate +0.5 to 1e-3 at the
+    # horizon: the run ends above the floor, so the whole second half is fitted
+    times = np.linspace(0.0, 92.0, 921)
+    turn = 2.0 * np.log(0.1 / 1e-12)
+    log_norms = np.where(times < turn, np.log(0.1) - 0.5 * times,
+                         np.log(1e-12) + 0.5 * (times - turn))
+    norms = np.exp(log_norms)
+    assert 5e-4 < norms[-1] < 2e-3 and norms.min() < 1e-11
+    result = vs.classify_partial_stability([synthetic_run(times, norms)])
+    assert not result.stable
+    tail = np.polyfit(times[460:], log_norms[460:], 1)[0]
+    assert result.slopes[0] > 0.1
+    assert result.slopes[0] == pytest.approx(tail, rel=1e-9)
+
+
+def test_classifier_run_starting_below_the_floor_fits_two_samples():
+    times = np.linspace(0.0, 10.0, 101)
+    for norms in (np.zeros_like(times), np.full_like(times, 1e-14)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = vs.classify_partial_stability([synthetic_run(times, norms)])
+        assert result.stable
+        assert result.slopes[0] == pytest.approx(0.0, abs=1e-9)
+
+
 def test_classification_horizon_caps():
     fast = [np.array([[-1.0]])]
     assert classification_horizon(fast) == pytest.approx(200.0)
@@ -269,10 +317,22 @@ def test_sample_perturbed_trajectories_shapes(flip_kn, flip_inc):
         assert tr.x.shape[1] == flip_inc.n_intra_coords
 
 
+def test_batch_member_equals_single_run(flip_kn, flip_inc, flip_design):
+    # every sample runs the same compiled stage code, so batching changes
+    # nothing, bit for bit
+    trajs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, flip_design.schedule,
+                                             n_samples=4, kick=0.1, seed=7, t_end=1.0)
+    for tr in trajs:
+        one = vs.simulate(flip_kn, flip_design.schedule, tr.theta[0], 1.0, inc=flip_inc)
+        assert one.dt == tr.dt
+        for name in ("times", "theta", "x", "y"):
+            assert np.array_equal(getattr(one, name), getattr(tr, name)), name
+
+
 # ---------------------------------------------------------------------------
-# parity of the incidence-form integrator with the dense-field RK4 loop it
-# replaced (kept verbatim below as the reference; only the decimation limit
-# is read from the module, so monkeypatching it reaches both)
+# parity of the compiled integrator with the dense-field numpy RK4 loop (kept
+# verbatim below as the reference; only the decimation limit is read from
+# the module, so monkeypatching it reaches both)
 
 
 def reference_schedule_arrays(schedule):

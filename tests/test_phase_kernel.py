@@ -1,0 +1,118 @@
+import ctypes
+import os
+import subprocess
+
+import numpy as np
+import pytest
+
+from vibrosync import _phase_kernel as pk
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty library cache and no library loaded yet."""
+    monkeypatch.setattr(pk, "_cache_dir", tmp_path)
+    monkeypatch.setattr(pk, "_kernel", None)
+    return tmp_path
+
+
+def count_compiler_runs(monkeypatch):
+    calls = []
+    run = subprocess.run
+
+    def counting(cmd, *args, **kwargs):
+        calls.append(cmd)
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting)
+    return calls
+
+
+def libraries(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_first_load_compiles_once_then_reuses_the_library(fresh_cache, monkeypatch):
+    calls = count_compiler_runs(monkeypatch)
+    first = pk.load()
+    assert pk.load() is first
+    assert len(calls) == 1 and calls[0][0] == "cc"
+    assert libraries(fresh_cache) == [pk._library_name()]  # no temporary left
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran again")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    monkeypatch.setattr(pk, "_kernel", None)
+    assert pk.load() is not None
+
+
+def test_changed_source_gets_another_library(fresh_cache, monkeypatch):
+    pk.load()
+    before = libraries(fresh_cache)
+    monkeypatch.setattr(pk, "_SOURCE", pk._SOURCE + "\n/* changed */\n")
+    monkeypatch.setattr(pk, "_kernel", None)
+    pk.load()
+    after = libraries(fresh_cache)
+    assert len(before) == 1 and len(after) == 2
+    assert pk._library_name() in after and pk._library_name() not in before
+
+
+def test_library_name_carries_the_platform(monkeypatch):
+    name = pk._library_name()
+    monkeypatch.setattr(pk.platform, "machine", lambda: "some-other-machine")
+    assert pk._library_name() != name
+
+
+def test_unloadable_cached_library_is_rebuilt(fresh_cache, monkeypatch):
+    (fresh_cache / pk._library_name()).write_bytes(b"\x7fELF truncated")
+    calls = count_compiler_runs(monkeypatch)
+    assert pk.load() is not None
+    assert len(calls) == 1
+    assert libraries(fresh_cache) == [pk._library_name()]
+
+
+def test_unwritable_cache_builds_in_a_private_temporary_directory(tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(pk, "_cache_dir", blocker / "__pycache__")  # cannot exist
+    monkeypatch.setattr(pk, "_kernel", None)
+    made = []
+    mkdtemp = pk.tempfile.mkdtemp
+
+    def recording(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(pk.tempfile, "mkdtemp", recording)
+    calls = count_compiler_runs(monkeypatch)
+    assert pk.load() is not None
+    assert len(calls) == 1 and len(made) == 1
+    assert not os.path.exists(made[0])  # removed once the library is loaded
+
+
+def test_compiler_failure_shows_its_stderr(fresh_cache, monkeypatch):
+    monkeypatch.setattr(pk, "_SOURCE", "this is not C")
+    with pytest.raises(pk.KernelBuildError, match="error"):
+        pk.load()
+    assert libraries(fresh_cache) == []
+    monkeypatch.setattr(pk, "_compiler", "no-such-compiler-vibrosync")
+    with pytest.raises(pk.KernelBuildError, match="no-such-compiler-vibrosync"):
+        pk.load()
+
+
+def test_chunk_rejects_inconsistent_arrays():
+    src = np.array([0, 1], dtype=np.intc)
+    dst = np.array([1, 0], dtype=np.intc)
+    omega, wt = np.zeros(2), np.ones((5, 2))
+    th, recs, scratch = np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros(10)
+    assert pk.rk4_chunk(src, dst, omega, wt, 0, 0.1, 1, th, recs, scratch) == 3
+    bad_edge = np.array([1, 2], dtype=np.intc)
+    with pytest.raises(ValueError):
+        pk.rk4_chunk(src, bad_edge, omega, wt, 0, 0.1, 1, th, recs, scratch)
+    with pytest.raises(ValueError):  # records past the end of recs
+        pk.rk4_chunk(src, dst, omega, wt, 1, 0.1, 1, th, recs, scratch)
+    with pytest.raises(ValueError):
+        pk.rk4_chunk(src, dst, omega, wt, 0, 0.1, 1, th, recs, np.zeros(9))
+    with pytest.raises(ctypes.ArgumentError, match="data type"):
+        pk.rk4_chunk(src.astype(np.int64), dst, omega, wt, 0, 0.1, 1, th, recs, scratch)
