@@ -428,12 +428,23 @@ def _fmt_table(rows: List[SummaryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the scenario references every reproduce summary row is checked against
+_reproduce_references = (
+    "j_cluster1", "j_cluster2", "robust_cluster1", "robust_cluster1_tol",
+    "robust_cluster2", "robust_cluster2_tol", "robust_cluster1_shifted",
+    "robust_cluster1_shifted_tol", "normalized_gain_1", "normalized_gain_2",
+    "gain_tol", "frequency_ratio", "frequency_ratio_tol")
+
+
 def cmd_reproduce(out: Path, scenario_name: str = "cluster_flip",
                   tree_strategy: str = "min_depth",
                   epsilon: Optional[float] = None,
                   seed: Optional[int] = None) -> int:
     scenario = load_scenario(scenario_name)
     ref = scenario.references
+    missing = [key for key in _reproduce_references if key not in ref]
+    if missing:
+        raise ScenarioError(f"references lack {', '.join(missing)}")
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn, tree_strategy)
     eps = scenario.epsilon if epsilon is None else epsilon

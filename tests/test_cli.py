@@ -303,6 +303,19 @@ def test_scenario_must_be_object():
 # the full reproduction run
 
 
+def test_reproduce_without_references_is_scenario_error(tmp_path, capsys):
+    data = json.loads((ir.files("vibrosync") / "scenarios" / "cluster_flip.json").read_text())
+    del data["references"]
+    data["simulation"]["t_end"] = 1.0
+    out = tmp_path / "repro"
+    out.mkdir()
+    code = cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)])
+    assert code == 2
+    assert "j_cluster1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_reproduce_flagship(tmp_path):
     out = tmp_path / "repro"
     assert cli.main(["reproduce", "--out", str(out)]) == 0

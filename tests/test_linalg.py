@@ -7,6 +7,8 @@ import vibrosync as vs
 from vibrosync import kuramoto_dynamics, linalg
 from vibrosync.linalg import HorizonTooShort, NotHurwitz, SinusoidSum, StepTooCoarse
 
+from test_acceptance import _random_design_case
+
 
 def test_is_hurwitz():
     assert vs.is_hurwitz(-np.eye(3))
@@ -115,6 +117,53 @@ def test_conjugated_average_horizon_guard():
                               base_period=2 * math.pi, rel_tol=1e-6)
 
 
+def test_conjugated_average_window_without_weight():
+    # one step per horizon: the [0, T] window sees only its zero-weight end
+    # point, so no estimate exists to check the average against
+    def p(t):
+        return np.array([[0.0, 0.0], [math.sin(t), 0.0]])
+
+    with pytest.raises(HorizonTooShort, match="without weight"):
+        vs.conjugated_average(np.eye(2), p, T=0.05, dt=0.05)
+
+
+def test_conjugated_average_matches_exact_engine():
+    # seeded designs of sizes 2-6 with 1-3 slots, chained and chain-free in
+    # turn, averaged as the designer verifies them; the weighted mean over
+    # 40 base periods lands on the exact symbolic average
+    rng = np.random.default_rng(0)
+    checked, too_short = 0, 0
+    for case in range(50):
+        n = 2 + case % 5
+        a, spec = _random_design_case(rng, n, int(rng.integers(1, 4)),
+                                      chain_free=case % 2 == 0)
+        design = vs.design_linear(a, spec, verify=False)
+        if not design.slots:
+            continue
+        freqs = [s.frequency for s in design.slots]
+        try:
+            numeric = vs.conjugated_average(
+                a, design.vibration_matrix(),
+                base_period=2.0 * math.pi / min(freqs),
+                dt=2.0 * math.pi / max(freqs) / linalg.default_oversampling)
+        except HorizonTooShort:
+            # a chained design whose carriers combine to a near-resonant slow
+            # frequency needs a longer horizon; the doubling check says so
+            too_short += 1
+            continue
+        checked += 1
+        scale = max(np.abs(design.predicted).max(), 1e-9)
+        rel = np.abs(numeric - design.predicted).max() / scale
+        assert rel <= 2e-5, f"case {case}: numeric/exact disagree by {rel:.3e}"
+    assert checked >= 45 and too_short <= 2
+
+
+def test_averaged_jacobians_flagship_match_exact_engine(flip_lin, flip_inc, flip_design):
+    avg = vs.averaged_jacobians(flip_lin.J_blocks, flip_design.schedule, flip_inc)
+    exact = flip_design.designs[0].predicted
+    assert_rel_close(avg[0], exact, rel=1e-6)
+
+
 @pytest.mark.parametrize("call", [
     lambda p: vs.conjugated_average(np.eye(2), p, T=float("nan"), dt=0.01),
     lambda p: vs.conjugated_average(np.eye(2), p, base_period=float("inf"), dt=0.01),
@@ -169,29 +218,36 @@ def reference_conjugated_average(j, p, T, dt):
     steps = max(1, int(np.ceil(T / dt - 1e-12)))
     h = T / steps
 
-    def average_until(total_steps, psi0, t_start, acc_psi, acc_m, done):
+    def bump(s):
+        return math.exp(-1.0 / (s * (1.0 - s))) if 0.0 < s < 1.0 else 0.0
+
+    def average_until(total_steps, psi0, t_start, acc_w, acc_psi, acc_m, done):
         psi_c = psi0
         t = t_start
-        for _ in range(total_steps - done):
+        for i in range(done + 1, total_steps + 1):
             k1 = p(t) @ psi_c
             k2 = p(t + 0.5 * h) @ (psi_c + 0.5 * h * k1)
             k3 = p(t + 0.5 * h) @ (psi_c + 0.5 * h * k2)
             k4 = p(t + h) @ (psi_c + h * k3)
             psi_next = psi_c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            m_c = np.linalg.solve(psi_c, j @ psi_c)
             m_n = np.linalg.solve(psi_next, j @ psi_next)
-            acc_psi += 0.5 * h * (psi_c + psi_next)
-            acc_m += 0.5 * h * (m_c + m_n)
+            # grid point i (time i h) of the window [0, 2T]
+            w = bump(i / (2 * steps))
+            acc_w += w
+            acc_psi += w * psi_next
+            acc_m += w * m_n
             psi_c = psi_next
             t += h
-        return psi_c, t, acc_psi, acc_m
+        return psi_c, t, acc_w, acc_psi, acc_m
 
+    acc_w = 0.0
     acc_psi = np.zeros((n, n))
     acc_m = np.zeros((n, n))
-    psi, t, acc_psi, acc_m = average_until(steps, psi, 0.0, acc_psi, acc_m, 0)
-    psi, t, acc_psi, acc_m = average_until(2 * steps, psi, t, acc_psi, acc_m, steps)
-    mean_psi = acc_psi / (2 * T)
-    mean_m = acc_m / (2 * T)
+    psi, t, acc_w, acc_psi, acc_m = average_until(steps, psi, 0.0, acc_w, acc_psi, acc_m, 0)
+    psi, t, acc_w, acc_psi, acc_m = average_until(2 * steps, psi, t, acc_w, acc_psi, acc_m,
+                                                  steps)
+    mean_psi = acc_psi / acc_w
+    mean_m = acc_m / acc_w
     return mean_psi @ mean_m @ np.linalg.inv(mean_psi)
 
 
