@@ -7,6 +7,14 @@ the SHA-256 of the source, the flags and the platform, and loaded with
 :mod:`ctypes`; a cached file that does not load is rebuilt once.
 ``-ffp-contract=off`` keeps the compiler from fusing multiply-adds, so the
 results do not depend on whether the host has FMA.
+
+The field takes one sine per coupled pair {s, t}, not one per directed
+edge: the reciprocal edges (s, t) and (t, s) share sin(x_t - x_s) up to
+its sign, which the caller folds into the edge weights.  Negation is exact
+in IEEE arithmetic and the C library's ``sin`` is odd (glibc 2.36: no
+mismatch in 5e7 random arguments), so the field matches one sine per edge
+value for value; only the sign of an exact zero may differ.  A network
+without reciprocal edges has one pair per edge.
 """
 
 from __future__ import annotations
@@ -28,42 +36,50 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-/* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s) */
-static void field(int n, int m, const int *src, const int *dst,
-                  const double *omega, const double *w, const double *x,
-                  double *dx)
+/* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s), with one
+   sine per coupled pair: sp[p] = sin(x_a - x_b) for the pair's ends
+   (a, b) = ends[2p], ends[2p+1], and edge e reads sp[pair[e]].  An edge
+   with (t, s) = (b, a) needs -sp[p]; the caller stores -w_e for it, which is
+   exact, as are x_a - x_b = -(x_b - x_a) and sin(-u) = -sin(u). */
+static void field(int n, int m, int npair, const int *dst, const int *pair,
+                  const int *ends, const double *omega, const double *w,
+                  const double *x, double *sp, double *dx)
 {
+    for (int p = 0; p < npair; p++)
+        sp[p] = sin(x[ends[2 * p]] - x[ends[2 * p + 1]]);
     for (int i = 0; i < n; i++)
         dx[i] = omega[i];
     for (int e = 0; e < m; e++)
-        dx[dst[e]] -= w[e] * sin(x[dst[e]] - x[src[e]]);
+        dx[dst[e]] -= w[e] * sp[pair[e]];
 }
 
 /* RK4 steps start+1 .. start+k of every sample in th (ns rows of n);
    w holds the edge weights on the half-step grid (2k+1 rows of m).  The
    state after every stride-th step goes to recs (ns, n_rec, n) at record
-   index step / stride.  scratch holds 5n doubles.  Returns the record
-   index after the chunk. */
-int64_t rk4_chunk(int ns, int n, int m, const int *src, const int *dst,
-                  const double *omega, const double *w, int64_t start, int k,
-                  double h, int64_t stride, double *th, double *recs,
-                  int64_t n_rec, double *scratch)
+   index step / stride.  scratch holds 5n + npair doubles.  Returns the
+   record index after the chunk. */
+int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
+                  const int *pair, const int *ends, const double *omega,
+                  const double *w, int64_t start, int k, double h,
+                  int64_t stride, double *th, double *recs, int64_t n_rec,
+                  double *scratch)
 {
     double *k1 = scratch, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *y = k4 + n;
+    double *sp = y + n;
     for (int s = 0; s < ns; s++) {
         double *x = th + (int64_t)s * n;
         for (int i = 0; i < k; i++) {
             const double *w0 = w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
-            field(n, m, src, dst, omega, w0, x, k1);
+            field(n, m, npair, dst, pair, ends, omega, w0, x, sp, k1);
             for (int j = 0; j < n; j++)
                 y[j] = x[j] + 0.5 * h * k1[j];
-            field(n, m, src, dst, omega, wm, y, k2);
+            field(n, m, npair, dst, pair, ends, omega, wm, y, sp, k2);
             for (int j = 0; j < n; j++)
                 y[j] = x[j] + 0.5 * h * k2[j];
-            field(n, m, src, dst, omega, wm, y, k3);
+            field(n, m, npair, dst, pair, ends, omega, wm, y, sp, k3);
             for (int j = 0; j < n; j++)
                 y[j] = x[j] + h * k3[j];
-            field(n, m, src, dst, omega, w1, y, k4);
+            field(n, m, npair, dst, pair, ends, omega, w1, y, sp, k4);
             for (int j = 0; j < n; j++)
                 x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
             int64_t step = start + i + 1;
@@ -164,29 +180,37 @@ def _load_library():
                 shutil.rmtree(directory, ignore_errors=True)
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ints, ints,
-                   doubles, doubles, ctypes.c_int64, ctypes.c_int, ctypes.c_double,
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, ints, ints,
+                   ints, doubles, doubles, ctypes.c_int64, ctypes.c_int, ctypes.c_double,
                    ctypes.c_int64, doubles, doubles, ctypes.c_int64, doubles]
     fn.restype = ctypes.c_int64
     return fn
 
 
-def rk4_chunk(src: np.ndarray, dst: np.ndarray, omega: np.ndarray, wt: np.ndarray,
-              start: int, h: float, stride: int, th: np.ndarray, recs: np.ndarray,
-              scratch: np.ndarray) -> int:
+def _within(index: np.ndarray, bound: int) -> bool:
+    return not index.size or 0 <= index.min() <= index.max() < bound
+
+
+def rk4_chunk(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.ndarray,
+              wt: np.ndarray, start: int, h: float, stride: int, th: np.ndarray,
+              recs: np.ndarray, scratch: np.ndarray) -> int:
     """Advance ``th`` (ns, n) in place by ``len(wt) // 2`` RK4 steps from
     step ``start``, writing every ``stride``-th state into ``recs``
     (ns, n_rec, n) at index ``step // stride``; returns the record index
-    after the chunk.  ``src``/``dst`` are the edge endpoints and ``wt`` the
-    edge weights on the chunk's half-step grid."""
+    after the chunk.  Edge ``e`` ends at node ``dst[e]`` and reads the sine
+    ``sin(x_a - x_b)`` of its pair ``pair[e]``, whose ends ``(a, b)`` are a
+    row of ``ends`` (npair, 2); ``wt`` holds the edge weights on the chunk's
+    half-step grid, negated for an edge whose sine is ``sin(x_b - x_a)``.
+    ``scratch`` holds ``5 n + npair`` doubles."""
     ns, n = th.shape
-    m = len(src)
+    m, npair = len(dst), len(ends)
     k = (len(wt) - 1) // 2
     n_rec = recs.shape[1]
-    if (dst.shape != (m,) or omega.shape != (n,) or wt.shape != (2 * k + 1, m)
-            or recs.shape != (ns, n_rec, n) or (start + k) // stride >= n_rec
-            or scratch.shape != (5 * n,)
-            or (m and not (0 <= min(src.min(), dst.min()) <= max(src.max(), dst.max()) < n))):
-        raise ValueError("inconsistent phase-kernel array shapes or edge indices")
-    return load()(ns, n, m, src, dst, omega, wt, start, k, h, stride, th, recs,
-                  n_rec, scratch)
+    if (pair.shape != (m,) or ends.shape != (npair, 2) or omega.shape != (n,)
+            or wt.shape != (2 * k + 1, m) or recs.shape != (ns, n_rec, n)
+            or start < 0 or stride < 1 or (start + k) // stride >= n_rec
+            or scratch.shape != (5 * n + npair,)
+            or not (_within(dst, n) and _within(pair, npair) and _within(ends, n))):
+        raise ValueError("inconsistent phase-kernel array shapes or indices")
+    return load()(ns, n, m, npair, dst, pair, ends, omega, wt, start, k, h, stride,
+                  th, recs, n_rec, scratch)

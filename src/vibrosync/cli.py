@@ -7,7 +7,8 @@ byte-identical across reruns with the same inputs.
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
 numbers and a non-positive epsilon), 3 design not realizable (including a
 cyclic change pattern), 4 a verification or reproduction check failed
-(artifacts are still written).
+(artifacts are still written), or the average a design is verified with
+did not settle within the longest averaging horizon (the command stops there).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
 from .kuramoto_dynamics import (KuramotoNetwork, Trajectory, VibrationEntry,
                                 VibrationSchedule, perturbed_initial_states,
                                 simulate, sync_error)
+from .linalg import HorizonTooShort
 from .stability_cert import StabilityReport, certify
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
                          VerificationFailed, design_cluster)
@@ -618,7 +620,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GraphError as exc:
         print(f"invalid network: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailed as exc:
+    except (VerificationFailed, HorizonTooShort) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
 

@@ -191,6 +191,25 @@ def _default_step(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule]) ->
 _chunk_steps = 256
 
 
+def _edge_pairs(edges: Sequence[Edge]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unordered coupled pairs {s, t} of ``edges``: each edge's pair
+    index, the pairs' ends (t, s) taken from their first edge (s, t), and
+    each edge's sign, -1 for an edge running the other way, so that
+    ``sin(theta_t - theta_s) = sign_e sin(theta_a - theta_b)`` for pair ends
+    (a, b)."""
+    first: Dict[Edge, int] = {}
+    pair, sign = [], []
+    for s, t in edges:
+        if (t, s) in first:
+            pair.append(first[(t, s)])
+            sign.append(-1.0)
+        else:
+            pair.append(first.setdefault((s, t), len(first)))
+            sign.append(1.0)
+    ends = np.array([(t, s) for s, t in first], dtype=np.intc).reshape(-1, 2)
+    return np.array(pair, dtype=np.intc), ends, np.array(sign)
+
+
 def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
                      schedule: Optional[VibrationSchedule], th0: np.ndarray,
                      t_end: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -202,7 +221,9 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     stages of the field ``omega_t - sum over edges (s, t) of
     w_e sin(theta_t - theta_s)`` for every sample of the chunk; the state is
     checked for finiteness once per chunk (a non-finite phase stays
-    non-finite).
+    non-finite).  The kernel takes one sine per coupled pair (``_edge_pairs``,
+    built once per run): an edge running against its pair's first edge gets
+    its weight negated in the table, so reciprocal edges share one sine.
     """
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
@@ -214,29 +235,30 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     if not np.all(np.isfinite(th0)):
         raise NonFiniteState("state became non-finite near t=0")
 
+    pair, ends, sign = _edge_pairs(inc.edges)
     vibrated = schedule is not None and bool(schedule.entries)
     if vibrated:
         items = schedule.sorted_items()
         cols = [inc.edge_column(e) for e, _ in items]
-        amps = np.array([entry.amplitude for _, entry in items]) / schedule.epsilon
+        amps = sign[cols] * (np.array([entry.amplitude for _, entry in items])
+                             / schedule.epsilon)
         freqs = np.array([entry.frequency for _, entry in items]) / schedule.epsilon
         phases = np.array([entry.phase for _, entry in items])
 
-    src = np.array([s for s, _ in inc.edges], dtype=np.intc)
     dst = np.array([t for _, t in inc.edges], dtype=np.intc)
     omega = np.ascontiguousarray(omega, dtype=float)
     th = np.array(th0, dtype=float, order="C")
-    scratch = np.empty(5 * n)
+    scratch = np.empty(5 * n + len(ends))
     rec_i = 1
     for start in range(0, steps, _chunk_steps):
         k = min(_chunk_steps, steps - start)
         # edge weights on the half-step grid t0 + i h/2 of this chunk
-        wt = np.tile(inc.W_diag, (2 * k + 1, 1))
+        wt = np.tile(sign * inc.W_diag, (2 * k + 1, 1))
         if vibrated:
             ts = h * (start + 0.5 * np.arange(2 * k + 1))
             wt[:, cols] += amps * np.sin(np.multiply.outer(ts, freqs) + phases)
         chunk_rec = rec_i
-        rec_i = _phase_kernel.rk4_chunk(src, dst, omega, wt, start, h, stride,
+        rec_i = _phase_kernel.rk4_chunk(dst, pair, ends, omega, wt, start, h, stride,
                                         th, recs, scratch)
         if not np.all(np.isfinite(th)):
             # name the first record of this chunk that broke, or the chunk end

@@ -14,6 +14,7 @@ symmetry_tolerance = 1e-10
 steps_per_period = 40
 default_oversampling = 48
 horizon_periods = 20
+horizon_doublings = 3
 horizon_rel_tolerance = 1e-3
 
 
@@ -232,19 +233,36 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
     Phi this converges faster than any power of W (Das & Yorke, Nonlinearity
     31, 2018).  One RK4 pass over [0, 2T] gives the estimates for W = T and
     W = 2T; a drift between them above ``rel_tol`` (relative), or a window
-    without weight, raises HorizonTooShort.  With ``p=None`` the input is
-    returned unchanged.
+    without weight, raises HorizonTooShort.  A horizon derived from
+    ``base_period`` (``T=None``) starts at ``horizon_periods`` base periods
+    and is doubled up to ``horizon_doublings`` times before that error is
+    raised: carriers can combine to frequencies far below the slowest one.
+    With ``p=None`` the input is returned unchanged.
     """
     j = np.asarray(j, dtype=float)
     if p is None:
         return j.copy()
-    if T is None:
-        if base_period is None:
-            raise ValueError("need T or base_period for the averaging horizon")
-        T = horizon_periods * base_period
     if dt is None and min_period is None:
         # single-frequency convenience: the base period also bounds the step
         min_period = base_period
+    if T is not None:
+        return _windowed_average(j, p, T, dt, min_period, rel_tol)
+    if base_period is None:
+        raise ValueError("need T or base_period for the averaging horizon")
+    for doubling in range(horizon_doublings + 1):
+        try:
+            return _windowed_average(j, p, horizon_periods * 2 ** doubling * base_period,
+                                     dt, min_period, rel_tol)
+        except HorizonTooShort:
+            if doubling == horizon_doublings:
+                raise
+
+
+def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
+                      dt: Optional[float], min_period: Optional[float],
+                      rel_tol: float) -> np.ndarray:
+    """The weighted estimate over [0, 2T], checked against the one over
+    [0, T] (see ``conjugated_average``)."""
     dt = _resolve_step(T, dt, min_period)
 
     n = j.shape[0]

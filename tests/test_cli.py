@@ -154,6 +154,22 @@ def test_design_flagship_best_effort(tmp_path):
     assert np.array(cert["gamma_bar"]).shape == (2, 2)
 
 
+def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
+    import vibrosync.vib_design as vd
+    from vibrosync.linalg import HorizonTooShort
+
+    def unsettled(*args, **kwargs):
+        raise HorizonTooShort("average moved by 4.87e-02 (rel) when doubling the horizon 1005.31")
+
+    monkeypatch.setattr(vd, "conjugated_average", unsettled)
+    code = cli.main(["design", "--scenario", "cluster_flip", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == ["verification failed: average moved by 4.87e-02 (rel) "
+                                "when doubling the horizon 1005.31"]
+    assert "Traceback" not in err
+
+
 def test_design_requires_modifications(tiny_path, tmp_path):
     code = cli.main(["design", "--scenario", tiny_path,
                      "--out", str(tmp_path / "out")])

@@ -442,6 +442,71 @@ def test_integrator_decimation_matches_dense_loop(flip_kn, flip_inc, flip_design
     assert got[0].times[1:] == pytest.approx(stride * dt * np.arange(1, 7), rel=1e-12)
 
 
+def assert_pair_table_reproduces_edges(edges, pair, ends, sign):
+    """Every edge (s, t) reads sin(x_t - x_s) as sign * sin(x_a - x_b)."""
+    assert pair.shape == sign.shape == (len(edges),)
+    assert ends.shape == (len(ends), 2) and set(pair) == set(range(len(ends)))
+    for (s, t), p, sg in zip(edges, pair, sign):
+        assert (tuple(ends[p]), sg) in {((t, s), 1.0), ((s, t), -1.0)}
+
+
+def test_flagship_pair_table_has_one_pair_per_reciprocal_edge_pair(flip_inc):
+    pair, ends, sign = kd._edge_pairs(flip_inc.edges)
+    assert len(flip_inc.edges) == 30 and len(ends) == 15
+    assert_pair_table_reproduces_edges(flip_inc.edges, pair, ends, sign)
+    assert np.all(np.bincount(pair) == 2) and sign.sum() == 0.0
+
+
+def test_one_way_edges_get_one_pair_each():
+    net = vs.DirectedNetwork.from_edges(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0),
+                                            (3, 0, 1.5), (0, 2, 0.7)])
+    inc = kd._default_incidence(vs.KuramotoNetwork(
+        net=net, omega=np.zeros(4), partition=vs.ClusterPartition(net, ((0, 1, 2, 3),))))
+    pair, ends, sign = kd._edge_pairs(inc.edges)
+    assert len(ends) == len(inc.edges) == 5 and np.all(sign == 1.0)
+    assert_pair_table_reproduces_edges(inc.edges, pair, ends, sign)
+
+
+def mixed_kn():
+    """Reciprocal pairs of unequal weights inside and across clusters next to
+    one-way edges of both kinds."""
+    net = vs.DirectedNetwork.from_edges(5, [
+        (0, 1, 1.0), (1, 0, 0.4), (1, 2, 0.8), (2, 0, 0.6),  # cluster (0, 1, 2)
+        (3, 4, 1.2), (4, 3, 0.7),                            # cluster (3, 4)
+        (2, 4, 0.5), (4, 1, 0.3), (0, 3, 0.9), (3, 0, 0.2)])
+    return vs.KuramotoNetwork(net=net, omega=np.array([1.0, 1.2, 0.9, 2.0, 2.1]),
+                              partition=vs.ClusterPartition(net, ((0, 1, 2), (3, 4))))
+
+
+def test_mixed_network_pair_table():
+    inc = kd._default_incidence(mixed_kn())
+    pair, ends, sign = kd._edge_pairs(inc.edges)
+    assert len(inc.edges) == 10 and len(ends) == 7 and (sign == -1.0).sum() == 3
+    assert_pair_table_reproduces_edges(inc.edges, pair, ends, sign)
+
+
+@pytest.mark.parametrize("batch", [3, 1])
+@pytest.mark.parametrize("vibrated", [True, False], ids=["vibrated", "static"])
+def test_mixed_network_matches_dense_loop(batch, vibrated):
+    # (0, 1) and (4, 3) are vibrated and their reverses are not, so the two
+    # edges of those pairs carry different weights on every grid point; one
+    # of them runs against its pair, so its carrier is negated too
+    kn = mixed_kn()
+    inc = kd._default_incidence(kn)
+    schedule = vs.VibrationSchedule({(0, 1): vs.VibrationEntry(0.02, 1.0, 0.3),
+                                     (4, 3): vs.VibrationEntry(-0.03, math.sqrt(2), 1.1),
+                                     (1, 2): vs.VibrationEntry(0.01, 1.0, 2.0)},
+                                    epsilon=0.05) if vibrated else None
+    if vibrated:
+        _, _, sign = kd._edge_pairs(inc.edges)
+        assert {sign[inc.edges.index(e)] for e in schedule.entries} == {1.0, -1.0}
+    dt, _ = kd._default_step(kn, schedule)
+    steps = kd._chunk_steps + 37
+    th0 = np.random.default_rng(7).normal(0.0, 1.0, (batch, 5))
+    got = assert_matches_reference(kn, inc, schedule, th0, steps * dt, dt)
+    assert len(got[0].times) == steps + 1
+
+
 def test_vibrated_run_going_non_finite_names_the_break():
     # a carrier of amplitude 1e308 overflows the RK4 update only once it has
     # grown, a few chunks into the run; power-of-two steps make the shorter

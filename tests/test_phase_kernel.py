@@ -102,17 +102,38 @@ def test_compiler_failure_shows_its_stderr(fresh_cache, monkeypatch):
 
 
 def test_chunk_rejects_inconsistent_arrays():
-    src = np.array([0, 1], dtype=np.intc)
     dst = np.array([1, 0], dtype=np.intc)
+    pair = np.array([0, 0], dtype=np.intc)  # two reciprocal edges, one pair
+    ends = np.array([[1, 0]], dtype=np.intc)
     omega, wt = np.zeros(2), np.ones((5, 2))
-    th, recs, scratch = np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros(10)
-    assert pk.rk4_chunk(src, dst, omega, wt, 0, 0.1, 1, th, recs, scratch) == 3
-    bad_edge = np.array([1, 2], dtype=np.intc)
+    th, recs, scratch = np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros(11)
+
+    def run(dst=dst, pair=pair, ends=ends, start=0, stride=1, scratch=scratch):
+        return pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.1, stride, th, recs,
+                            scratch)
+
+    assert run() == 3
     with pytest.raises(ValueError):
-        pk.rk4_chunk(src, bad_edge, omega, wt, 0, 0.1, 1, th, recs, scratch)
+        run(dst=np.array([1, 2], dtype=np.intc))
+    with pytest.raises(ValueError):  # a pair end outside the network
+        run(ends=np.array([[1, 2]], dtype=np.intc))
+    with pytest.raises(ValueError):  # a pair index past the pair table
+        run(pair=np.array([0, 1], dtype=np.intc))
+    with pytest.raises(ValueError):  # a negative pair index
+        run(pair=np.array([0, -1], dtype=np.intc))
+    with pytest.raises(ValueError):  # one pair index for two edges
+        run(pair=np.array([0], dtype=np.intc))
+    with pytest.raises(ValueError):  # pair ends that are not (a, b) rows
+        run(ends=np.array([[1, 0, 1]], dtype=np.intc))
     with pytest.raises(ValueError):  # records past the end of recs
-        pk.rk4_chunk(src, dst, omega, wt, 1, 0.1, 1, th, recs, scratch)
+        run(start=1)
+    with pytest.raises(ValueError):  # records before the start of recs
+        run(stride=-1)
     with pytest.raises(ValueError):
-        pk.rk4_chunk(src, dst, omega, wt, 0, 0.1, 1, th, recs, np.zeros(9))
+        run(start=-2)
+    with pytest.raises(ValueError):  # no room for the pair sines
+        run(scratch=np.zeros(10))
     with pytest.raises(ctypes.ArgumentError, match="data type"):
-        pk.rk4_chunk(src.astype(np.int64), dst, omega, wt, 0, 0.1, 1, th, recs, scratch)
+        run(dst=dst.astype(np.int64))
+    with pytest.raises(ctypes.ArgumentError, match="data type"):
+        run(ends=ends.astype(np.int64))
