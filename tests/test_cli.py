@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import vibrosync.cli as cli
+from vibrosync import vib_design
 from vibrosync.kuramoto_dynamics import Trajectory, sync_error
+from vibrosync.linalg import HorizonTooShort
 
 TINY = {
     "name": "tiny",
@@ -155,18 +157,16 @@ def test_design_flagship_best_effort(tmp_path):
 
 
 def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
-    import vibrosync.vib_design as vd
-    from vibrosync.linalg import HorizonTooShort
+    message = "average moved by 4.87e-02 (rel) when doubling the horizon 1005.31"
 
     def unsettled(*args, **kwargs):
-        raise HorizonTooShort("average moved by 4.87e-02 (rel) when doubling the horizon 1005.31")
+        raise HorizonTooShort(message)
 
-    monkeypatch.setattr(vd, "conjugated_average", unsettled)
+    monkeypatch.setattr(vib_design, "conjugated_average", unsettled)
     code = cli.main(["design", "--scenario", "cluster_flip", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.splitlines() == ["verification failed: average moved by 4.87e-02 (rel) "
-                                "when doubling the horizon 1005.31"]
+    assert err.splitlines() == [f"verification failed: {message}"]
     assert "Traceback" not in err
 
 
