@@ -22,6 +22,7 @@ import numpy as np
 
 weight_tolerance = 1e-12
 identity_tolerance = 1e-9
+invariance_tolerance = 1e-9
 
 Edge = Tuple[int, int]
 
@@ -260,15 +261,15 @@ def _cluster_root(net: DirectedNetwork, cluster: Sequence[int]) -> int:
     return min(cluster, key=lambda i: (-degree(i), in_strength(i), i))
 
 
-def _tree_edges_from(net: DirectedNetwork, cluster: Sequence[int], root: int,
-                     bfs: bool) -> List[Edge]:
-    """Traverse the undirected intra-cluster graph, orienting edges outward."""
+def _tree_edges_from(net: DirectedNetwork, cluster: Sequence[int], root: int) -> List[Edge]:
+    """Traverse the undirected intra-cluster graph breadth-first, orienting
+    edges outward."""
     cset = set(cluster)
     visited = {root}
     frontier = [root]
     out: List[Edge] = []
     while frontier:
-        u = frontier.pop(0 if bfs else -1)
+        u = frontier.pop(0)
         for v in net.undirected_neighbors(u):
             if v in cset and v not in visited:
                 visited.add(v)
@@ -301,7 +302,7 @@ def select_spanning_tree(net: DirectedNetwork, partition: ClusterPartition,
             root = _cluster_root(net, cluster)
         else:
             root = cluster[0]
-        edges.extend(_tree_edges_from(net, cluster, root, bfs=True))
+        edges.extend(_tree_edges_from(net, cluster, root))
 
     # join clusters with the lexicographically smallest available edges
     label = partition.node_to_cluster()
@@ -485,7 +486,7 @@ class InvarianceResult:
 
 
 def check_invariance(net: DirectedNetwork, partition: ClusterPartition,
-                     omega: Sequence[float], tol: float = 1e-9) -> InvarianceResult:
+                     omega: Sequence[float]) -> InvarianceResult:
     """Check that cluster-synchronized states are dynamically invariant.
 
     Two ingredients: nodes of one cluster share the natural frequency, and
@@ -503,7 +504,7 @@ def check_invariance(net: DirectedNetwork, partition: ClusterPartition,
         base = ck[0]
         for i in ck[1:]:
             res = abs(omega[i] - omega[base])
-            if not res <= tol:  # a NaN residual is a violation too
+            if not res <= invariance_tolerance:  # a NaN residual is a violation too
                 violations.append((k, k, base, i, float(res)))
         for l, cl in enumerate(partition.clusters):
             if l == k:
@@ -511,7 +512,7 @@ def check_invariance(net: DirectedNetwork, partition: ClusterPartition,
             sums = [float(w[i, list(cl)].sum()) for i in ck]
             for idx, i in enumerate(ck[1:], start=1):
                 res = abs(sums[idx] - sums[0])
-                if not res <= tol:
+                if not res <= invariance_tolerance:
                     violations.append((k, l, base, i, float(res)))
     return InvarianceResult(ok=not violations, violations=tuple(violations))
 
@@ -522,12 +523,12 @@ def check_invariance(net: DirectedNetwork, partition: ClusterPartition,
 # Entry (i, j) != 0 of a square matrix is read as the influence j -> i.
 
 
-def _influence_adjacency(a: np.ndarray, tol: float = 0.0) -> List[List[int]]:
+def _influence_adjacency(a: np.ndarray) -> List[List[int]]:
     n = a.shape[0]
     adj: List[List[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and abs(a[i, j]) > tol:
+            if i != j and abs(a[i, j]) > 0.0:
                 adj[j].append(i)  # j influences i
     return adj
 

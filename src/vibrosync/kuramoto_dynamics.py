@@ -19,7 +19,6 @@ default_oversampling = 50
 max_recorded_samples = 100_000
 rational_ratio_tolerance = 1e-9
 max_rational_denominator = 32
-invariance_tolerance = 1e-9
 classification_slope_threshold = -1e-3
 classification_decay_factor = 10.0
 classification_converged_floor = 1e-9
@@ -81,7 +80,6 @@ class VibrationSchedule:
 
     entries: Dict[Edge, VibrationEntry] = field(compare=False)
     epsilon: float = 0.01
-    intra_only: bool = True
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -112,12 +110,12 @@ class VibrationSchedule:
     def max_frequency(self) -> float:
         return max((e.frequency for e in self.entries.values()), default=0.0)
 
-    def check_edges(self, net: DirectedNetwork, partition: Optional[ClusterPartition]) -> None:
-        label = partition.node_to_cluster() if partition is not None else None
+    def check_edges(self, net: DirectedNetwork, partition: ClusterPartition) -> None:
+        label = partition.node_to_cluster()
         for (s, t) in self.entries:
             if not net.has_edge(s, t):
                 raise GraphError(f"vibrated edge ({s},{t}) does not exist in the network")
-            if self.intra_only and label is not None and label[s] != label[t]:
+            if label[s] != label[t]:
                 raise GraphError(f"vibrated edge ({s},{t}) crosses clusters")
 
     def sorted_items(self) -> List[Tuple[Edge, VibrationEntry]]:
@@ -129,14 +127,13 @@ class Trajectory:
     """Recorded phases and tree coordinates of one simulation run.
 
     ``theta`` is unwrapped (continuous); use :meth:`wrapped_theta` for
-    phases folded into [0, 2pi).  ``x`` and ``y`` are the intra- and
-    inter-cluster tree coordinates of the unwrapped phases.
+    phases folded into [0, 2pi).  ``x`` holds the intra-cluster tree
+    coordinates of the unwrapped phases.
     """
 
     times: np.ndarray
     theta: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     dt: float
 
     def wrapped_theta(self) -> np.ndarray:
@@ -286,8 +283,7 @@ def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSch
     dt = _resolve_step(t_end, auto_dt if dt is None else dt, min_period)
     times, recs = _integrate_batch(inc, kn.omega, schedule, th0, t_end, dt)
     used_dt = dt if t_end > 0 else 0.0
-    return [Trajectory(times=times, theta=theta, x=theta @ inc.Bhat_intra,
-                       y=theta @ inc.Bhat_inter, dt=used_dt)
+    return [Trajectory(times=times, theta=theta, x=theta @ inc.Bhat_intra, dt=used_dt)
             for theta in recs]
 
 
@@ -328,11 +324,10 @@ class Linearization:
     M1: np.ndarray
 
 
-def linearize(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
-              tol: float = invariance_tolerance) -> Linearization:
+def linearize(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None) -> Linearization:
     if inc is None:
         inc = _default_incidence(kn)
-    res = check_invariance(kn.net, kn.partition, kn.omega, tol=tol)
+    res = check_invariance(kn.net, kn.partition, kn.omega)
     if not res.ok:
         raise InvarianceViolated(
             "cluster-synchronized states are not invariant for this network",
@@ -464,7 +459,6 @@ def classification_horizon(j_blocks: Sequence[np.ndarray]) -> float:
 
 def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
                              seed: int,
-                             base_theta: Optional[Sequence[float]] = None,
                              clusters: Optional[Sequence[int]] = None) -> np.ndarray:
     """Random phase vectors whose intra-cluster coordinates have norm ``kick``.
 
@@ -472,7 +466,6 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
     clusters (all clusters by default).
     """
     n = inc.net.n
-    base = np.zeros(n) if base_theta is None else np.asarray(base_theta, dtype=float)
     rng = np.random.default_rng(seed)
     gram = inc.Bhat_intra.T @ inc.Bhat_intra
     lift = inc.Bhat_intra @ np.linalg.inv(gram)
@@ -483,9 +476,9 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
             mask[inc.coord_slices[k]] = 1.0
 
     # per-cluster constants cancel the lift's spill into the inter
-    # coordinates, so the kick leaves the base state's y untouched;
+    # coordinates, so the kick leaves the inter coordinates at zero;
     # the free global constant is pinned so the lowest-indexed
-    # unkicked cluster stays exactly at the base state
+    # unkicked cluster stays exactly at zero
     label = inc.partition.node_to_cluster()
     inter_tree = inc.tree_edges[inc.n_intra_coords:]
     kicked = set(range(inc.partition.r)) if clusters is None else set(clusters)
@@ -512,7 +505,7 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
     for s in range(n_samples):
         v = rng.standard_normal(inc.n_intra_coords) * mask
         v *= kick / np.linalg.norm(v)
-        th0[s] = base + level(lift @ v)
+        th0[s] = level(lift @ v)
     return th0
 
 
@@ -521,25 +514,21 @@ def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: Optional[IncidenceSe
                                   n_samples: int = 10, kick: float = 0.1,
                                   seed: int = 0, t_end: float = 240.0,
                                   dt: Optional[float] = None,
-                                  base_theta: Optional[Sequence[float]] = None,
                                   clusters: Optional[Sequence[int]] = None) -> List[Trajectory]:
     """Ensemble of runs from random intra-cluster kicks of fixed norm."""
     if inc is None:
         inc = _default_incidence(kn)
-    th0 = perturbed_initial_states(inc, n_samples, kick, seed,
-                                   base_theta=base_theta, clusters=clusters)
+    th0 = perturbed_initial_states(inc, n_samples, kick, seed, clusters=clusters)
     return _run(kn, inc, schedule, th0, t_end, dt)
 
 
-def classify_partial_stability(trajectories: Sequence[Trajectory],
-                               slope_threshold: float = classification_slope_threshold,
-                               decay_factor: float = classification_decay_factor,
-                               converged_floor: float = classification_converged_floor) -> Classification:
+def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classification:
     """Empirical verdict from the tail behaviour of intra-cluster errors.
 
     Stable means every run either ends below an absolute convergence floor
     or shows a fitted log-norm slope below the threshold over the second
-    half of the horizon while ending at least a factor ``decay_factor``
+    half of the horizon while ending at least a factor
+    ``classification_decay_factor``
     below its initial error.  A run that ends below the floor is cut at its
     first sample below it before the slope is fitted over the second half
     of what is left (at least two samples), so its reported slope measures
@@ -552,16 +541,17 @@ def classify_partial_stability(trajectories: Sequence[Trajectory],
         norms = np.linalg.norm(traj.x, axis=1)
         norms = np.maximum(norms, 1e-300)
         end, half = len(norms), len(norms) // 2
-        if norms[-1] < converged_floor:
-            end = max(int(np.argmax(norms < converged_floor)) + 1, 2)
+        if norms[-1] < classification_converged_floor:
+            end = max(int(np.argmax(norms < classification_converged_floor)) + 1, 2)
             half = min(end // 2, end - 2)
         slope = float(np.polyfit(traj.times[half:end], np.log(norms[half:end]), 1)[0])
         slopes.append(slope)
         initials.append(float(norms[0]))
         finals.append(float(norms[-1]))
-        if finals[-1] < converged_floor:
+        if finals[-1] < classification_converged_floor:
             continue
-        if not (slope < slope_threshold and finals[-1] < initials[-1] / decay_factor):
+        if not (slope < classification_slope_threshold
+                and finals[-1] < initials[-1] / classification_decay_factor):
             stable = False
     return Classification(stable=stable, slopes=tuple(slopes),
                           initial_norms=tuple(initials), final_norms=tuple(finals))

@@ -30,15 +30,16 @@ class HorizonTooShort(ValueError):
     pass
 
 
-def is_hurwitz(a: np.ndarray, margin: float = hurwitz_margin) -> bool:
-    """True when every eigenvalue has real part strictly below ``-margin``."""
-    return bool(np.all(np.linalg.eigvals(np.asarray(a, dtype=float)).real < -margin))
+def is_hurwitz(a: np.ndarray) -> bool:
+    """True when every eigenvalue has real part strictly below
+    ``-hurwitz_margin``."""
+    return bool(np.all(np.linalg.eigvals(np.asarray(a, dtype=float)).real < -hurwitz_margin))
 
 
-def solve_lyapunov(a: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve A^T X + X A = -Q for symmetric positive definite X.
+def solve_lyapunov(a: np.ndarray) -> np.ndarray:
+    """Solve A^T X + X A = -I for symmetric positive definite X.
 
-    Q defaults to the identity.  Solved densely through the
+    Solved densely through the
     Kronecker-vectorized linear system; raises NotHurwitz when A has an
     eigenvalue with real part >= -1e-12 (no solution exists then).
     """
@@ -48,15 +49,12 @@ def solve_lyapunov(a: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not is_hurwitz(a):
         raise NotHurwitz("matrix has an eigenvalue with nonnegative real part")
-    if q is None:
-        q = np.eye(n)
-    q = np.asarray(q, dtype=float)
     ident = np.eye(n)
     # vec(A^T X) = (I kron A^T) vec X, vec(X A) = (A^T kron I) vec X
     k = np.kron(ident, a.T) + np.kron(a.T, ident)
-    x = np.linalg.solve(k, -q.reshape(-1)).reshape(n, n)
+    x = np.linalg.solve(k, -ident.reshape(-1)).reshape(n, n)
     x = 0.5 * (x + x.T)
-    residual = np.abs(a.T @ x + x @ a + q).max()
+    residual = np.abs(a.T @ x + x @ a + ident).max()
     if residual > lyapunov_residual_tolerance:
         raise ValueError(f"Lyapunov solve left residual {residual:.2e}")
     return x
@@ -93,13 +91,13 @@ def robustness(a: np.ndarray) -> RobustnessValue:
                            residual=residual, asymmetry=asymmetry)
 
 
-def is_m_matrix(a: np.ndarray, tol: float = 0.0) -> bool:
-    """Nonsingular M-matrix test: off-diagonal entries <= tol and every
+def is_m_matrix(a: np.ndarray) -> bool:
+    """Nonsingular M-matrix test: off-diagonal entries <= 0 and every
     leading principal minor strictly positive."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     off = a - np.diag(np.diag(a))
-    if np.any(off > tol):
+    if np.any(off > 0.0):
         return False
     for k in range(1, n + 1):
         if np.linalg.det(a[:k, :k]) <= 0.0:

@@ -173,8 +173,7 @@ def _sweep(kn: KuramotoNetwork, inc: IncidenceSet, schedule: VibrationSchedule,
            seed: int, kick: float) -> Tuple[Tuple[SweepPoint, ...], bool, Tuple[str, ...]]:
     points: List[SweepPoint] = []
     for eps in default_sweep_epsilons:
-        sched_eps = VibrationSchedule(entries=dict(schedule.entries), epsilon=eps,
-                                      intra_only=schedule.intra_only)
+        sched_eps = dataclasses.replace(schedule, epsilon=eps)
         trajs = sample_perturbed_trajectories(kn, inc, sched_eps,
                                               n_samples=sweep_samples, kick=kick,
                                               seed=seed, t_end=sweep_horizon)

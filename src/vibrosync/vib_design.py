@@ -148,9 +148,7 @@ class LinearDesign:
     """Result of the triangular vibration synthesis for one state matrix."""
 
     a: np.ndarray
-    delta: np.ndarray
     slots: Tuple[SlotVibration, ...]
-    permutation: np.ndarray
     predicted: np.ndarray
     residual: float
     verified: bool
@@ -178,9 +176,7 @@ def _slot_dc_coefficient(u_sym: list, p: int, q: int) -> float:
 
 
 def design_linear(a: np.ndarray, spec: ModificationSpec,
-                  base_freq: float = 1.0,
                   freq_iter: Optional[Iterator[int]] = None,
-                  rel_tol: float = relative_residual_tolerance,
                   verify: bool = True) -> LinearDesign:
     """Design sinusoidal slot vibrations realizing ``a -> a + delta`` on average.
 
@@ -244,23 +240,21 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
     order = np.argmax(q_perm, axis=1)  # order[new] = old index
     slots = tuple(
         SlotVibration(row=int(order[p]), col=int(order[q]),
-                      amplitude=amplitude * base_freq,
-                      frequency=math.sqrt(radicand) * base_freq,
+                      amplitude=amplitude, frequency=math.sqrt(radicand),
                       radicand=radicand)
         for p, q, amplitude, radicand in slots_p
     )
     infeasible_orig = tuple((int(order[p]), int(order[q]), miss)
                             for p, q, miss in infeasible)
 
-    design = LinearDesign(a=a, delta=spec.delta, slots=slots,
-                          permutation=q_perm, predicted=predicted,
+    design = LinearDesign(a=a, slots=slots, predicted=predicted,
                           residual=float(np.abs(predicted - (a + spec.delta)).max()),
                           verified=False, infeasible_slots=infeasible_orig)
 
     if not verify:
         return design
 
-    tol = rel_tol * max(float(np.abs(spec.delta).max()), residual_floor)
+    tol = relative_residual_tolerance * max(float(np.abs(spec.delta).max()), residual_floor)
     if slots:
         freqs = [s.frequency for s in design.slots]
         p_func = design.vibration_matrix()
@@ -312,7 +306,7 @@ def _match_elementary(mats: Sequence[np.ndarray], coeff_target: np.ndarray):
 
 
 def _slot_combos(edges: Sequence[Edge], mats: Dict[Edge, np.ndarray],
-                 p: int, q: int, max_partners: int = 2):
+                 p: int, q: int):
     """Enumerate cancellation recipes for slot (p, q), preferred first.
 
     Preference order: fewest edges, diagonal-only partners before others,
@@ -410,8 +404,7 @@ class ClusterDesign:
 
 def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                    specs: Dict[int, ModificationSpec] | Sequence[ModificationSpec],
-                   epsilon: float = 0.01, base_freq: float = 1.0,
-                   rel_tol: float = relative_residual_tolerance) -> ClusterDesign:
+                   epsilon: float = 0.01) -> ClusterDesign:
     """Design edge vibrations shifting each cluster's reduced Jacobian.
 
     Reduced-coordinate slots are realized by exact cancellation pairs of
@@ -448,8 +441,7 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                 raise NotRealizable(
                     f"cluster {k}: no edge recipe can isolate slot ({i},{j})")
         try:
-            design = design_linear(jk, spec, base_freq=base_freq,
-                                   freq_iter=freq_iter, rel_tol=rel_tol)
+            design = design_linear(jk, spec, freq_iter=freq_iter)
         except VerificationFailed as fail:
             design = fail.design
             all_verified = False
@@ -477,7 +469,7 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                                             frequency=slot.frequency, phase=0.0)
                 used_edges.add(e)
 
-    schedule = VibrationSchedule(entries=entries, epsilon=epsilon, intra_only=True)
+    schedule = VibrationSchedule(entries=entries, epsilon=epsilon)
 
     # certificate ingredients
     gamma = perturbation_bounds(lin, schedule)

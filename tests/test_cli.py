@@ -293,7 +293,7 @@ def test_trajectory_csv_matches_per_value_formatting():
                       [1e20, -2.5e-8, 0.1, 6.283185307179586],
                       [-1e-300, 12.5, -7.25, 1e15],
                       [0.5, 0.5, 2.0, 2.0 + 1e-13]])
-    traj = Trajectory(times=times, theta=theta, x=theta[:, :2], y=theta[:, 2:], dt=0.1)
+    traj = Trajectory(times=times, theta=theta, x=theta[:, :2], dt=0.1)
     assert cli.trajectory_csv(traj, partition) == per_value_csv(traj, partition)
     assert cli.trajectory_csv(traj, partition)[1].splitlines()[1].startswith("-0,")
 

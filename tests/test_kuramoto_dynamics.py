@@ -243,8 +243,7 @@ def test_classifier_on_synthetic_trajectories():
     def fake(rate):
         x = np.exp(rate * times)[:, None] * np.array([[0.1, 0.05]])
         theta = np.zeros((len(times), 3))
-        return Trajectory(times=times, theta=theta, x=x,
-                          y=np.zeros((len(times), 0)), dt=times[1] - times[0])
+        return Trajectory(times=times, theta=theta, x=x, dt=times[1] - times[0])
 
     stable = vs.classify_partial_stability([fake(-1.0), fake(-0.8)])
     assert stable.stable
@@ -271,7 +270,7 @@ def test_classifier_slope_ignores_noise_after_the_floor():
 def synthetic_run(times, norms):
     x = np.column_stack([norms, np.zeros_like(norms)])
     return Trajectory(times=times, theta=np.zeros((len(times), 3)), x=x,
-                      y=np.zeros((len(times), 0)), dt=times[1] - times[0])
+                      dt=times[1] - times[0])
 
 
 def test_classifier_run_regrowing_after_the_floor_stays_unstable():
@@ -325,7 +324,7 @@ def test_batch_member_equals_single_run(flip_kn, flip_inc, flip_design):
     for tr in trajs:
         one = vs.simulate(flip_kn, flip_design.schedule, tr.theta[0], 1.0, inc=flip_inc)
         assert one.dt == tr.dt
-        for name in ("times", "theta", "x", "y"):
+        for name in ("times", "theta", "x"):
             assert np.array_equal(getattr(one, name), getattr(tr, name)), name
 
 
