@@ -15,7 +15,6 @@ from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          select_spanning_tree, Edge)
 from .linalg import SinusoidSum, _linear_flow, _resolve_step
 
-default_oversampling = 50
 max_recorded_samples = 100_000
 rational_ratio_tolerance = 1e-9
 max_rational_denominator = 32
@@ -173,13 +172,13 @@ def _characteristic_period(kn: KuramotoNetwork) -> float:
     return 2.0 * np.pi / max(rate, 1.0)
 
 
-def _default_step(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule]) -> Tuple[float, float]:
-    """Return (dt, min_period) honoring the fastest time scale present."""
+def _fastest_period(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule]) -> float:
+    """The fastest period present: natural drift, coupling or vibration carrier."""
     period = _characteristic_period(kn)
     if schedule is not None and schedule.entries:
         vib_period = schedule.epsilon * 2.0 * np.pi / schedule.max_frequency
         period = min(period, vib_period)
-    return period / default_oversampling, period
+    return period
 
 
 # RK4 steps per chunk of the phase-network integrator: bounds the tabulated
@@ -279,8 +278,7 @@ def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSch
         raise GraphError("incidence set was built for a different network")
     if schedule is not None:
         schedule.check_edges(kn.net, kn.partition)
-    auto_dt, min_period = _default_step(kn, schedule)
-    dt = _resolve_step(t_end, auto_dt if dt is None else dt, min_period)
+    dt = _resolve_step(t_end, dt, _fastest_period(kn, schedule))
     times, recs = _integrate_batch(inc, kn.omega, schedule, th0, t_end, dt)
     used_dt = dt if t_end > 0 else 0.0
     return [Trajectory(times=times, theta=theta, x=theta @ inc.Bhat_intra, dt=used_dt)
@@ -292,7 +290,7 @@ def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
              inc: Optional[IncidenceSet] = None) -> Trajectory:
     """Integrate the (optionally vibrated) network from ``theta0``.
 
-    The default step keeps at least 50 steps per fastest period present
+    The default step keeps at least 48 steps per fastest period present
     (natural drift, coupling, or vibration carrier); an explicit ``dt``
     coarser than 1/40 of that period raises StepTooCoarse, a non-positive
     ``dt`` or a negative ``t_end`` ValueError.
@@ -425,7 +423,7 @@ def perturbation_bounds(lin: Linearization,
             continue
         freqs = [f for _, f, _, _ in terms[k]]
         t_max = 20.0 * 2.0 * np.pi / min(freqs)
-        dt = 2.0 * np.pi / max(freqs) / default_oversampling
+        dt = _resolve_step(t_max, None, 2.0 * np.pi / max(freqs))
         d = terms[k][0][3].shape[0]
         steps = int(np.ceil(t_max / dt))
         for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):

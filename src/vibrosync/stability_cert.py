@@ -24,8 +24,7 @@ from .kuramoto_dynamics import (Classification, KuramotoNetwork,
                                 perturbation_bounds,
                                 sample_perturbed_trajectories,
                                 schedule_slot_matrices, _default_incidence)
-from .linalg import (conjugated_average, default_oversampling, is_hurwitz,
-                     is_m_matrix, robustness)
+from .linalg import conjugated_average, is_hurwitz, is_m_matrix, robustness
 
 default_sweep_epsilons = (0.1, 0.01, 0.001)
 sweep_samples = 3
@@ -54,7 +53,7 @@ def averaged_jacobians(j_blocks: Sequence[np.ndarray],
         out.append(conjugated_average(
             blk, p,
             base_period=2.0 * math.pi / min(freqs),
-            dt=2.0 * math.pi / max(freqs) / default_oversampling,
+            min_period=2.0 * math.pi / max(freqs),
         ))
     return tuple(out)
 

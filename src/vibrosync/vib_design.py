@@ -21,8 +21,7 @@ from .graph_core import Edge, IncidenceSet, SignedGraph, permutation_to_qlt
 from .kuramoto_dynamics import (KuramotoNetwork, Linearization, VibrationEntry,
                                 VibrationSchedule, edge_influence, linearize,
                                 perturbation_bounds)
-from .linalg import (SinusoidSum, conjugated_average, default_oversampling,
-                     is_m_matrix, robustness)
+from .linalg import SinusoidSum, conjugated_average, is_m_matrix, robustness
 from .stability_cert import build_S
 
 pattern_tolerance = 1e-12
@@ -261,7 +260,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
         averaged = conjugated_average(
             a, p_func,
             base_period=2.0 * math.pi / min(freqs),
-            dt=2.0 * math.pi / max(freqs) / default_oversampling,
+            min_period=2.0 * math.pi / max(freqs),
         )
     else:
         averaged = a.copy()

@@ -9,7 +9,7 @@ import vibrosync as vs
 from vibrosync import kuramoto_dynamics as kd
 from vibrosync.kuramoto_dynamics import (InvarianceViolated, NonFiniteState,
                                          Trajectory, classification_horizon)
-from vibrosync.linalg import StepTooCoarse
+from vibrosync.linalg import StepTooCoarse, default_oversampling
 
 
 def two_node_kn():
@@ -81,6 +81,15 @@ def test_simulate_zero_horizon_and_coarse_dt():
     assert traj.theta.shape == (1, 2)
     with pytest.raises(StepTooCoarse):
         vs.simulate(kn, None, np.array([0.0, 0.1]), 1.0, dt=0.5)
+
+
+def test_default_step_is_the_linear_flows_policy(flip_kn, flip_inc, flip_design):
+    # the phase network resolves its fastest carrier with the same number
+    # of steps per period as the linear flows
+    schedule = flip_design.schedule
+    traj = vs.simulate(flip_kn, schedule, np.zeros(flip_kn.net.n), 0.5, inc=flip_inc)
+    period = schedule.epsilon * 2.0 * np.pi / schedule.max_frequency
+    assert traj.dt == period / default_oversampling
 
 
 def test_long_run_is_decimated():
@@ -421,7 +430,7 @@ def test_integrator_matches_dense_loop(flip_kn, flip_inc, flip_design, batch, vi
     schedule = phased(flip_design.schedule) if vibrated else None
     if vibrated:
         assert all(entry.phase != 0.0 for entry in schedule.entries.values())
-    dt, _ = kd._default_step(flip_kn, schedule)
+    dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
     steps = 2 * kd._chunk_steps + 37  # two full chunks and a remainder
     th0 = vs.perturbed_initial_states(flip_inc, batch, 0.2, seed=5)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
@@ -432,7 +441,7 @@ def test_integrator_decimation_matches_dense_loop(flip_kn, flip_inc, flip_design
                                                   monkeypatch):
     monkeypatch.setattr(kd, "max_recorded_samples", 7)
     schedule = phased(flip_design.schedule)
-    dt, _ = kd._default_step(flip_kn, schedule)
+    dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
     steps = 2 * kd._chunk_steps + 37
     th0 = vs.perturbed_initial_states(flip_inc, 2, 0.2, seed=6)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
@@ -499,7 +508,7 @@ def test_mixed_network_matches_dense_loop(batch, vibrated):
     if vibrated:
         _, _, sign = kd._edge_pairs(inc.edges)
         assert {sign[inc.edges.index(e)] for e in schedule.entries} == {1.0, -1.0}
-    dt, _ = kd._default_step(kn, schedule)
+    dt = kd._fastest_period(kn, schedule) / default_oversampling
     steps = kd._chunk_steps + 37
     th0 = np.random.default_rng(7).normal(0.0, 1.0, (batch, 5))
     got = assert_matches_reference(kn, inc, schedule, th0, steps * dt, dt)

@@ -347,7 +347,7 @@ def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, fl
         growth[k], shrink[k] = reference_growth(
             vs.cluster_vibration_matrix(terms), terms[0][3].shape[0],
             20.0 * 2.0 * np.pi / min(freqs),
-            2.0 * np.pi / max(freqs) / kuramoto_dynamics.default_oversampling)
+            2.0 * np.pi / max(freqs) / linalg.default_oversampling)
     assert growth.max() > 1.0
     expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
                 * vs.perturbation_bounds(flip_lin))
