@@ -5,10 +5,12 @@ loudly.  All outputs are written atomically (temp file + rename) and are
 byte-identical across reruns with the same inputs.
 
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
-numbers and a non-positive epsilon), 3 design not realizable (including a
-cyclic change pattern), 4 a verification or reproduction check failed
-(artifacts are still written), or the average a design is verified with
-did not settle within the longest averaging horizon (the command stops there).
+numbers, a non-positive epsilon, a negative seed, and cluster-synchronized
+states that are not invariant where a command needs them), 3 design not
+realizable (including a cyclic change pattern), 4 a verification or
+reproduction check failed (artifacts are still written), or the average a
+design is verified with did not settle within the longest averaging horizon
+(the command stops there).
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import numpy as np
 
 from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          GraphError, IncidenceSet, build_incidence,
-                         check_invariance, select_spanning_tree)
-from .kuramoto_dynamics import (KuramotoNetwork, Trajectory, VibrationEntry,
-                                VibrationSchedule, perturbed_initial_states,
-                                simulate, sync_error)
+                         select_spanning_tree)
+from .kuramoto_dynamics import (InvarianceViolated, KuramotoNetwork, Trajectory,
+                                VibrationEntry, VibrationSchedule,
+                                perturbed_initial_states, simulate, sync_error)
 from .linalg import HorizonTooShort
 from .stability_cert import StabilityReport, certify
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
@@ -67,6 +69,11 @@ def _require_finite(values: Sequence[float], where: str) -> None:
 def _require_epsilon(value: float, where: str) -> None:
     if not 0 < value < math.inf:
         raise ScenarioError(f"{where} must be positive and finite, got {value!r}")
+
+
+def _require_seed(value: int, where: str) -> None:
+    if value < 0:
+        raise ScenarioError(f"{where} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +207,9 @@ def parse_scenario(data: dict) -> Scenario:
     for k in mod_clusters + list(perturb_clusters or ()):
         if not 0 <= k < len(clusters):
             raise ScenarioError(f"cluster index {k} out of range for {len(clusters)} clusters")
+    if perturb_clusters == ():
+        raise ScenarioError("simulation perturb_clusters must name at least one cluster")
+    _require_seed(seed, "simulation seed")
     for delta in deltas:
         _require_finite(delta.ravel(), "modification delta")
     if theta0 is not None:
@@ -316,22 +326,20 @@ def _analysis(scenario: Scenario, kn: KuramotoNetwork, tree_strategy: str,
               inc: Optional[IncidenceSet] = None) -> Tuple[dict, Optional[StabilityReport]]:
     """The analysis report and, when the cluster states are invariant, the
     certificate behind it; ``inc`` is built from ``tree_strategy`` if not given."""
-    inv = check_invariance(kn.net, kn.partition, kn.omega)
     report: dict = {
         "scenario": scenario.name,
         "n": kn.net.n,
         "clusters": [list(c) for c in kn.partition.clusters],
-        "invariance": {
-            "ok": inv.ok,
-            "violations": [list(v) for v in inv.violations],
-        },
     }
-    if not inv.ok:
-        return report, None
     if inc is None:
         inc = scenario.incidence(kn, tree_strategy)
-    cert = certify(kn, inc, scenario.vibration_schedule(), empirical=False)
+    try:
+        cert = certify(kn, inc, scenario.vibration_schedule(), empirical=False)
+    except InvarianceViolated as exc:
+        report["invariance"] = {"ok": False, "violations": [list(v) for v in exc.violations]}
+        return report, None
     report.update({
+        "invariance": {"ok": True, "violations": []},
         "tree_edges": [list(e) for e in inc.tree_edges],
         "j_blocks": [b.tolist() for b in cert.j_blocks],
         "averaged_blocks": [b.tolist() for b in cert.averaged_blocks],
@@ -599,6 +607,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "epsilon", None) is not None:
             _require_epsilon(args.epsilon, "--epsilon")
+        if getattr(args, "seed", None) is not None:
+            _require_seed(args.seed, "--seed")
         if args.command == "analyze":
             return cmd_analyze(load_scenario(args.scenario), args.out, args.tree)
         if args.command == "design":
@@ -617,7 +627,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotRealizable, CycleDetected) as exc:
         print(f"design not realizable: {exc}", file=sys.stderr)
         return 3
-    except GraphError as exc:
+    except (GraphError, InvarianceViolated) as exc:
         print(f"invalid network: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailed, HorizonTooShort) as exc:

@@ -461,8 +461,10 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
     """Random phase vectors whose intra-cluster coordinates have norm ``kick``.
 
     ``clusters`` restricts the kick to the tree coordinates of the listed
-    clusters (all clusters by default).
+    clusters (all clusters by default); an empty selection raises ValueError.
     """
+    if clusters is not None and len(clusters) == 0:
+        raise ValueError("perturbed clusters must name at least one cluster")
     n = inc.net.n
     rng = np.random.default_rng(seed)
     gram = inc.Bhat_intra.T @ inc.Bhat_intra
@@ -526,8 +528,7 @@ def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classifica
     Stable means every run either ends below an absolute convergence floor
     or shows a fitted log-norm slope below the threshold over the second
     half of the horizon while ending at least a factor
-    ``classification_decay_factor``
-    below its initial error.  A run that ends below the floor is cut at its
+    ``classification_decay_factor`` below its initial error.  A run that ends below the floor is cut at its
     first sample below it before the slope is fitted over the second half
     of what is left (at least two samples), so its reported slope measures
     the decay and not the round-off noise after it; such a run needs no

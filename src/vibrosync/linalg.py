@@ -31,17 +31,16 @@ class HorizonTooShort(ValueError):
 
 
 def is_hurwitz(a: np.ndarray) -> bool:
-    """True when every eigenvalue has real part strictly below
-    ``-hurwitz_margin``."""
+    """True when every eigenvalue has real part strictly below ``-hurwitz_margin``."""
     return bool(np.all(np.linalg.eigvals(np.asarray(a, dtype=float)).real < -hurwitz_margin))
 
 
 def solve_lyapunov(a: np.ndarray) -> np.ndarray:
     """Solve A^T X + X A = -I for symmetric positive definite X.
 
-    Solved densely through the
-    Kronecker-vectorized linear system; raises NotHurwitz when A has an
-    eigenvalue with real part >= -1e-12 (no solution exists then).
+    Solved densely through the Kronecker-vectorized linear system; raises
+    NotHurwitz when A has an eigenvalue with real part >= -1e-12 (no
+    solution exists then).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]

@@ -239,9 +239,12 @@ def test_cyclic_modification_exits_3(tmp_path):
     {"simulation": 5},
     {"modifications": 5},
     {"schedule": {"epsilon": 0.05, "entries": 5}},
+    {"simulation": {"perturb_clusters": []}},
+    {"simulation": {"seed": -1}},
 ], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
         "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object",
-        "modifications_not_list", "entries_not_list"])
+        "modifications_not_list", "entries_not_list", "empty_perturb_clusters",
+        "negative_seed"])
 def test_bad_scenario_values_exit_2(tmp_path, override):
     path = write_scenario(tmp_path, dict(TINY, **override))
     with pytest.raises(cli.ScenarioError):
@@ -269,6 +272,22 @@ def test_bad_modification_exits_2(tmp_path, delta):
 def test_nonpositive_epsilon_override_exits_2(tmp_path):
     assert cli.main(["design", "--scenario", "cluster_flip", "--epsilon", "-1",
                      "--out", str(tmp_path / "out")]) == 2
+    for command in ("simulate", "reproduce"):
+        args = ["--scenario", "cluster_flip"] if command == "simulate" else []
+        assert cli.main([command, *args, "--seed", "-3",
+                         "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_invariant_scenario_exits_2(tmp_path, capsys):
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data["omega"][1] += 0.5
+    path = write_scenario(tmp_path, data)
+    for command in ("design", "simulate"):
+        assert cli.main([command, "--scenario", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def per_value_csv(traj, partition):

@@ -244,6 +244,8 @@ def test_perturbed_initial_states_structure(flip_inc):
         assert np.abs(flip_inc.y_of(row)).max() < 1e-12
     again = vs.perturbed_initial_states(flip_inc, 5, 0.2, seed=1, clusters=(0,))
     assert np.array_equal(states, again)
+    with pytest.raises(ValueError):  # a kick of norm 0.2 spread over nothing
+        vs.perturbed_initial_states(flip_inc, 1, 0.2, seed=1, clusters=())
 
 
 def test_classifier_on_synthetic_trajectories():
