@@ -21,13 +21,12 @@ The package is organized in layers:
 
 from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          DisconnectedCluster, DisconnectedNetwork, GraphError,
-                         IncidenceSet, InvarianceResult, NotSpanningTree,
-                         SignedGraph, build_incidence, canonical_edge_order,
+                         NotSpanningTree, build_incidence, canonical_edge_order,
                          check_invariance, is_dag, permutation_to_qlt,
                          select_spanning_tree, topological_order)
 from .kuramoto_dynamics import (Classification, InvarianceViolated,
-                                KuramotoNetwork, Linearization, NonFiniteState,
-                                Trajectory, VibrationEntry, VibrationSchedule,
+                                KuramotoNetwork, NonFiniteState, Trajectory,
+                                VibrationEntry, VibrationSchedule,
                                 classification_horizon,
                                 classify_partial_stability,
                                 cluster_vibration_matrix, edge_influence,
@@ -35,16 +34,14 @@ from .kuramoto_dynamics import (Classification, InvarianceViolated,
                                 perturbation_bounds, perturbed_initial_states,
                                 sample_perturbed_trajectories,
                                 schedule_slot_matrices, simulate, sync_error)
-from .linalg import (HorizonTooShort, NotHurwitz, RobustnessValue,
-                     StepTooCoarse, conjugated_average, is_hurwitz,
-                     is_m_matrix, robustness, solve_lyapunov,
-                     state_transition)
+from .linalg import (HorizonTooShort, NotHurwitz, StepTooCoarse,
+                     conjugated_average, is_hurwitz, is_m_matrix, robustness,
+                     solve_lyapunov, state_transition)
 from .stability_cert import (StabilityReport, SweepPoint, averaged_jacobians,
-                             build_S, certify)
-from .vib_design import (ClusterDesign, InfluenceMap, LinearDesign,
-                         ModificationSpec, NoRealizableEdges, NotRealizable,
-                         SlotVibration, VerificationFailed, design_cluster,
-                         design_linear, kuramoto_modifiable, modifiable_graph,
+                             build_S, certify, comparison)
+from .vib_design import (ModificationSpec, NoRealizableEdges, NotRealizable,
+                         VerificationFailed, design_cluster, design_linear,
+                         kuramoto_modifiable, modifiable_graph,
                          validate_modification)
 
 __version__ = "0.1.0"
@@ -54,27 +51,26 @@ __all__ = [
     # graph_core
     "GraphError", "NotSpanningTree", "DisconnectedCluster",
     "DisconnectedNetwork", "CycleDetected", "DirectedNetwork",
-    "ClusterPartition", "SignedGraph", "IncidenceSet", "InvarianceResult",
-    "select_spanning_tree", "canonical_edge_order", "build_incidence",
-    "check_invariance", "topological_order", "is_dag", "permutation_to_qlt",
+    "ClusterPartition", "select_spanning_tree", "canonical_edge_order",
+    "build_incidence", "check_invariance", "topological_order", "is_dag",
+    "permutation_to_qlt",
     # linalg
-    "NotHurwitz", "StepTooCoarse", "HorizonTooShort", "RobustnessValue",
-    "is_hurwitz", "solve_lyapunov", "robustness", "is_m_matrix",
-    "state_transition", "conjugated_average",
+    "NotHurwitz", "StepTooCoarse", "HorizonTooShort", "is_hurwitz",
+    "solve_lyapunov", "robustness", "is_m_matrix", "state_transition",
+    "conjugated_average",
     # kuramoto_dynamics
     "NonFiniteState", "InvarianceViolated", "KuramotoNetwork",
-    "VibrationEntry", "VibrationSchedule", "Trajectory", "Linearization",
-    "Classification", "geodesic_distance", "sync_error", "simulate",
-    "linearize", "edge_influence", "schedule_slot_matrices",
-    "cluster_vibration_matrix", "perturbation_bounds",
-    "classification_horizon", "perturbed_initial_states",
-    "sample_perturbed_trajectories", "classify_partial_stability",
+    "VibrationEntry", "VibrationSchedule", "Trajectory", "Classification",
+    "geodesic_distance", "sync_error", "simulate", "linearize",
+    "edge_influence", "schedule_slot_matrices", "cluster_vibration_matrix",
+    "perturbation_bounds", "classification_horizon",
+    "perturbed_initial_states", "sample_perturbed_trajectories",
+    "classify_partial_stability",
     # vib_design
     "NotRealizable", "NoRealizableEdges", "VerificationFailed",
-    "ModificationSpec", "SlotVibration", "LinearDesign", "InfluenceMap",
-    "ClusterDesign", "modifiable_graph", "validate_modification",
+    "ModificationSpec", "modifiable_graph", "validate_modification",
     "design_linear", "kuramoto_modifiable", "design_cluster",
     # stability_cert
     "SweepPoint", "StabilityReport", "averaged_jacobians", "build_S",
-    "certify",
+    "comparison", "certify",
 ]

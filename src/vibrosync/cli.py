@@ -32,10 +32,11 @@ from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          GraphError, IncidenceSet, build_incidence,
                          select_spanning_tree)
 from .kuramoto_dynamics import (InvarianceViolated, KuramotoNetwork, Trajectory,
-                                VibrationEntry, VibrationSchedule,
-                                perturbed_initial_states, simulate, sync_error)
+                                VibrationEntry, VibrationSchedule, linearize,
+                                perturbation_bounds, perturbed_initial_states,
+                                simulate, sync_error)
 from .linalg import HorizonTooShort
-from .stability_cert import StabilityReport, certify
+from .stability_cert import StabilityReport, certify, comparison
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
                          VerificationFailed, design_cluster)
 
@@ -69,6 +70,13 @@ def _require_finite(values: Sequence[float], where: str) -> None:
 def _require_epsilon(value: float, where: str) -> None:
     if not 0 < value < math.inf:
         raise ScenarioError(f"{where} must be positive and finite, got {value!r}")
+
+
+def _require_int(value, where: str) -> int:
+    """``value`` itself if it is an integer; a bool or a float is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _require_seed(value: int, where: str) -> None:
@@ -114,8 +122,8 @@ class Scenario:
             return None
         entries: Dict[Tuple[int, int], VibrationEntry] = {}
         for item in self.schedule["entries"]:
-            s, t = item["edge"]
-            entries[(int(s), int(t))] = VibrationEntry(
+            s, t = (_require_int(v, "schedule entry edge end") for v in item["edge"])
+            entries[(s, t)] = VibrationEntry(
                 amplitude=float(item["amplitude"]),
                 frequency=float(item["frequency"]),
                 phase=float(item.get("phase", 0.0)),
@@ -126,7 +134,7 @@ class Scenario:
     def modification_specs(self) -> Dict[int, ModificationSpec]:
         specs: Dict[int, ModificationSpec] = {}
         for item in self.modifications:
-            k = int(item["cluster"])
+            k = item["cluster"]
             try:
                 specs[k] = ModificationSpec(delta=np.array(item["delta"], dtype=float),
                                             target=k)
@@ -171,19 +179,22 @@ def parse_scenario(data: dict) -> Scenario:
     _require_keys(tolerances, {"sync"}, set(), "tolerances")
 
     try:
-        n = int(data["n"])
-        edges = tuple((int(s), int(t), float(w)) for s, t, w in data["edges"])
-        clusters = tuple(tuple(int(i) for i in c) for c in data["clusters"])
+        n = _require_int(data["n"], "n")
+        edges = tuple((_require_int(s, "edge end"), _require_int(t, "edge end"),
+                       float(w)) for s, t, w in data["edges"])
+        clusters = tuple(tuple(_require_int(i, "cluster member") for i in c)
+                         for c in data["clusters"])
         omega = tuple(float(x) for x in data["omega"])
-        mod_clusters = [int(item["cluster"]) for item in modifications]
+        mod_clusters = [_require_int(m["cluster"], "modification cluster") for m in modifications]
         deltas = [np.array(item["delta"], dtype=float) for item in modifications]
         theta0 = sim.get("theta0")
         if theta0 is not None:
             theta0 = tuple(float(x) for x in theta0)
         perturb_clusters = sim.get("perturb_clusters")
         if perturb_clusters is not None:
-            perturb_clusters = tuple(int(k) for k in perturb_clusters)
-        seed = int(sim.get("seed", 0))
+            perturb_clusters = tuple(_require_int(k, "simulation perturb_clusters entry")
+                                     for k in perturb_clusters)
+        seed = _require_int(sim.get("seed", 0), "simulation seed")
         perturbation = float(sim.get("perturbation", 0.1))
         t_end = float(sim.get("t_end", 100.0))
         dt = None if sim.get("dt") is None else float(sim["dt"])
@@ -306,13 +317,15 @@ def _schedule_dict(design: ClusterDesign) -> dict:
     }
 
 
-def _certificate_dict(design: ClusterDesign) -> dict:
+def _certificate_dict(design: ClusterDesign, gamma_bar: np.ndarray) -> dict:
+    """The design targets compared against ``gamma_bar``, the schedule's bound."""
+    r_values, s_matrix, s_is_m = comparison(design.targets, gamma_bar)
     return {
         "targets": [t.tolist() for t in design.targets],
-        "target_robustness": list(design.target_robustness),
-        "gamma_bar": design.gamma_bar.tolist(),
-        "comparison_matrix": design.s_matrix.tolist(),
-        "certified": design.certified,
+        "target_robustness": list(r_values),
+        "gamma_bar": gamma_bar.tolist(),
+        "comparison_matrix": None if s_matrix is None else s_matrix.tolist(),
+        "certified": s_is_m and design.all_verified,
         "all_designs_verified": design.all_verified,
         "residuals": {str(k): v for k, v in design.residuals.items()},
     }
@@ -367,8 +380,9 @@ def cmd_design(scenario: Scenario, out: Path, tree_strategy: str,
     inc = scenario.incidence(kn, tree_strategy)
     eps = scenario.epsilon if epsilon is None else epsilon
     design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
+    gamma_bar = perturbation_bounds(linearize(kn, inc), design.schedule)
     dump_json(out / "schedule.json", _schedule_dict(design))
-    dump_json(out / "certificate.json", _certificate_dict(design))
+    dump_json(out / "certificate.json", _certificate_dict(design, gamma_bar))
     print(f"wrote {out / 'schedule.json'} and {out / 'certificate.json'}")
     if not design.all_verified:
         worst = max(design.residuals.values()) if design.residuals else float("nan")
@@ -469,29 +483,34 @@ def cmd_reproduce(out: Path, scenario_name: str = "cluster_flip",
         raise ScenarioError("cluster-synchronized states are not invariant for this scenario")
     r1, r2 = cert.r_values[:2]
 
-    def close(value: float, key: str, tol_key: str) -> bool:
-        return abs(value - float(ref[key])) <= float(ref[tol_key])
+    def close(value: Optional[float], key: str, tol_key: str) -> bool:
+        return value is not None and abs(value - float(ref[key])) <= float(ref[tol_key])
+
+    def margin(value: Optional[float]) -> str:
+        return "not Hurwitz" if value is None else f"{value:.5f}"
 
     for blk, key in ((0, "j_cluster1"), (1, "j_cluster2")):
         expected = np.array(ref[key])
         ok = bool(np.abs(cert.j_blocks[blk] - expected).max() <= 1e-9)
         rows.append(SummaryRow(f"jacobian_cluster{blk + 1}",
                                "matrix", "matrix (exact)", ok))
-    rows.append(SummaryRow("robustness_cluster1", f"{r1:.5f}",
+    rows.append(SummaryRow("robustness_cluster1", margin(r1),
                            f"{ref['robust_cluster1']} +/- {ref['robust_cluster1_tol']}",
                            close(r1, "robust_cluster1", "robust_cluster1_tol")))
-    rows.append(SummaryRow("robustness_cluster2", f"{r2:.5f}",
+    rows.append(SummaryRow("robustness_cluster2", margin(r2),
                            f"{ref['robust_cluster2']} +/- {ref['robust_cluster2_tol']}",
                            close(r2, "robust_cluster2", "robust_cluster2_tol")))
 
     # --- design ---------------------------------------------------------
     design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
-    certificate = _certificate_dict(design)
+    report = certify(kn, inc, design.schedule, empirical=True,
+                     kick=scenario.perturbation, seed=use_seed, sweep=True)
+    certificate = _certificate_dict(design, report.gamma_bar)
     dump_json(out / "schedule.json", _schedule_dict(design))
     dump_json(out / "certificate.json", certificate)
     r1_shift = certificate["target_robustness"][0]
     rows.append(SummaryRow(
-        "robustness_cluster1_shifted", f"{r1_shift:.5f}",
+        "robustness_cluster1_shifted", margin(r1_shift),
         f"{ref['robust_cluster1_shifted']} +/- {ref['robust_cluster1_shifted_tol']}",
         close(r1_shift, "robust_cluster1_shifted", "robust_cluster1_shifted_tol")))
 
@@ -535,9 +554,7 @@ def cmd_reproduce(out: Path, scenario_name: str = "cluster_flip",
                            f"min ratio {err_u.min() / err_u[0]:.3f}", ">= 0.5", ok_u))
 
     # --- certification and classification --------------------------------
-    report = certify(kn, inc, design.schedule, empirical=True, n_samples=10,
-                     kick=scenario.perturbation, seed=use_seed, sweep=True)
-    baseline = certify(kn, inc, None, empirical=True, n_samples=10,
+    baseline = certify(kn, inc, None, empirical=True,
                        kick=scenario.perturbation, seed=use_seed)
     dump_json(out / "report.json", report.to_dict())
     dump_json(out / "baseline_report.json", baseline.to_dict())

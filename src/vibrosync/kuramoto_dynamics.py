@@ -513,13 +513,12 @@ def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: Optional[IncidenceSe
                                   schedule: Optional[VibrationSchedule],
                                   n_samples: int = 10, kick: float = 0.1,
                                   seed: int = 0, t_end: float = 240.0,
-                                  dt: Optional[float] = None,
                                   clusters: Optional[Sequence[int]] = None) -> List[Trajectory]:
     """Ensemble of runs from random intra-cluster kicks of fixed norm."""
     if inc is None:
         inc = _default_incidence(kn)
     th0 = perturbed_initial_states(inc, n_samples, kick, seed, clusters=clusters)
-    return _run(kn, inc, schedule, th0, t_end, dt)
+    return _run(kn, inc, schedule, th0, t_end, None)
 
 
 def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classification:

@@ -27,6 +27,7 @@ from .kuramoto_dynamics import (Classification, KuramotoNetwork,
 from .linalg import conjugated_average, is_hurwitz, is_m_matrix, robustness
 
 default_sweep_epsilons = (0.1, 0.01, 0.001)
+certify_samples = 10
 sweep_samples = 3
 sweep_horizon = 60.0
 sweep_slack = 0.1
@@ -71,6 +72,19 @@ def build_S(r_values: Sequence[float], gamma_bar: np.ndarray) -> np.ndarray:
     return s
 
 
+def comparison(blocks: Sequence[np.ndarray], gamma_bar: np.ndarray
+               ) -> Tuple[Tuple[Optional[float], ...], Optional[np.ndarray], bool]:
+    """Robustness margins, comparison matrix and its M-matrix verdict; a
+    block that is not Hurwitz has no margin (None), hence no matrix."""
+    # robustness raises NotHurwitz exactly when is_hurwitz is false
+    r_values = tuple(float(robustness(b).value) if is_hurwitz(b) else None
+                     for b in blocks)
+    if any(v is None for v in r_values):
+        return r_values, None, False
+    s_matrix = build_S(r_values, gamma_bar)
+    return r_values, s_matrix, bool(is_m_matrix(s_matrix))
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     epsilon: float
@@ -89,17 +103,30 @@ class StabilityReport:
     epsilon: Optional[float]
     j_blocks: Tuple[np.ndarray, ...]
     averaged_blocks: Tuple[np.ndarray, ...]
-    hurwitz_flags: Tuple[bool, ...]
     r_values: Tuple[Optional[float], ...]
     gamma_bar: np.ndarray
     s_matrix: Optional[np.ndarray]
-    s_is_m_matrix: bool
     certified: bool
-    label: str
     empirical: Optional[Classification] = None
     sweep: Optional[Tuple[SweepPoint, ...]] = None
     sweep_monotone: Optional[bool] = None
     sweep_deviations: Tuple[str, ...] = ()
+
+    @property
+    def hurwitz_flags(self) -> Tuple[bool, ...]:
+        return tuple(r is not None for r in self.r_values)
+
+    @property
+    def s_is_m_matrix(self) -> bool:
+        return self.certified
+
+    @property
+    def label(self) -> str:
+        if self.certified:
+            return "certified"
+        if self.empirical is None:
+            return "uncertified"
+        return "stable_uncertified" if self.empirical.stable else "not_stabilized"
 
     def to_dict(self) -> dict:
         def arr(a):
@@ -154,13 +181,10 @@ class StabilityReport:
             epsilon=data["epsilon"],
             j_blocks=tuple(np.array(b) for b in data["j_blocks"]),
             averaged_blocks=tuple(np.array(b) for b in data["averaged_blocks"]),
-            hurwitz_flags=tuple(bool(f) for f in data["hurwitz_flags"]),
             r_values=tuple(data["r_values"]),
             gamma_bar=np.array(data["gamma_bar"]),
             s_matrix=None if data["s_matrix"] is None else np.array(data["s_matrix"]),
-            s_is_m_matrix=data["s_is_m_matrix"],
             certified=data["certified"],
-            label=data["label"],
             empirical=emp,
             sweep=sweep,
             sweep_monotone=data.get("sweep_monotone"),
@@ -198,8 +222,7 @@ def _sweep(kn: KuramotoNetwork, inc: IncidenceSet, schedule: VibrationSchedule,
 
 def certify(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
             schedule: Optional[VibrationSchedule] = None, *,
-            empirical: bool = True, n_samples: int = 10, kick: float = 0.1,
-            seed: int = 0, t_end: Optional[float] = None,
+            empirical: bool = True, kick: float = 0.1, seed: int = 0,
             sweep: bool = False) -> StabilityReport:
     """Run the full certification pipeline on a (possibly vibrated) network.
 
@@ -211,35 +234,15 @@ def certify(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
         inc = _default_incidence(kn)
     lin = linearize(kn, inc)
     averaged = averaged_jacobians(lin.J_blocks, schedule, inc)
-    hurwitz_flags = tuple(bool(is_hurwitz(b)) for b in averaged)
-    # robustness raises NotHurwitz exactly when is_hurwitz is false
-    r_values = [float(robustness(blk).value) if ok else None
-                for blk, ok in zip(averaged, hurwitz_flags)]
     gamma = perturbation_bounds(lin, schedule)
-    if all(v is not None for v in r_values):
-        s_matrix = build_S(r_values, gamma)
-        s_is_m = bool(is_m_matrix(s_matrix))
-    else:
-        s_matrix = None
-        s_is_m = False
-    certified = s_is_m
+    r_values, s_matrix, certified = comparison(averaged, gamma)
 
     classification: Optional[Classification] = None
     if empirical:
-        horizon = t_end if t_end is not None else classification_horizon(averaged)
-        trajs = sample_perturbed_trajectories(kn, inc, schedule,
-                                              n_samples=n_samples, kick=kick,
-                                              seed=seed, t_end=horizon)
+        horizon = classification_horizon(averaged)
+        trajs = sample_perturbed_trajectories(kn, inc, schedule, n_samples=certify_samples,
+                                              kick=kick, seed=seed, t_end=horizon)
         classification = classify_partial_stability(trajs)
-
-    if certified:
-        label = "certified"
-    elif classification is not None and classification.stable:
-        label = "stable_uncertified"
-    elif classification is not None:
-        label = "not_stabilized"
-    else:
-        label = "uncertified"
 
     sweep_points = None
     sweep_monotone = None
@@ -254,13 +257,10 @@ def certify(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
         epsilon=None if schedule is None else schedule.epsilon,
         j_blocks=lin.J_blocks,
         averaged_blocks=averaged,
-        hurwitz_flags=hurwitz_flags,
-        r_values=tuple(r_values),
+        r_values=r_values,
         gamma_bar=gamma,
         s_matrix=s_matrix,
-        s_is_m_matrix=s_is_m,
         certified=certified,
-        label=label,
         empirical=classification,
         sweep=sweep_points,
         sweep_monotone=sweep_monotone,

@@ -19,10 +19,8 @@ import numpy as np
 from . import _trig
 from .graph_core import Edge, IncidenceSet, SignedGraph, permutation_to_qlt
 from .kuramoto_dynamics import (KuramotoNetwork, Linearization, VibrationEntry,
-                                VibrationSchedule, edge_influence, linearize,
-                                perturbation_bounds)
-from .linalg import SinusoidSum, conjugated_average, is_m_matrix, robustness
-from .stability_cert import build_S
+                                VibrationSchedule, edge_influence, linearize)
+from .linalg import SinusoidSum, conjugated_average
 
 pattern_tolerance = 1e-12
 relative_residual_tolerance = 1e-2
@@ -90,8 +88,7 @@ def modifiable_graph(a: np.ndarray) -> SignedGraph:
     return SignedGraph(n=n, signs=signs)
 
 
-def validate_modification(a: np.ndarray, spec: ModificationSpec,
-                          graph: Optional[SignedGraph] = None) -> List[str]:
+def validate_modification(a: np.ndarray, spec: ModificationSpec) -> List[str]:
     """Check a desired change against the modifiable pattern of ``a``.
 
     Returns a list of human-readable violations (empty when valid).
@@ -100,8 +97,7 @@ def validate_modification(a: np.ndarray, spec: ModificationSpec,
     delta = spec.delta
     if delta.shape != a.shape:
         return [f"delta shape {delta.shape} does not match matrix shape {a.shape}"]
-    if graph is None:
-        graph = modifiable_graph(a)
+    graph = modifiable_graph(a)
     violations: List[str] = []
     n = a.shape[0]
     for i in range(n):
@@ -388,17 +384,13 @@ def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
 
 @dataclass(frozen=True)
 class ClusterDesign:
-    """A designed schedule together with its certificate ingredients."""
+    """A designed schedule with its per-cluster designs and target blocks."""
 
     schedule: VibrationSchedule
     designs: Dict[int, LinearDesign] = field(compare=False)
-    targets: Tuple[np.ndarray, ...] = ()
-    target_robustness: Tuple[float, ...] = ()
-    residuals: Dict[int, float] = field(compare=False, default=None)
-    all_verified: bool = True
-    gamma_bar: np.ndarray = None
-    s_matrix: np.ndarray = None
-    certified: bool = False
+    targets: Tuple[np.ndarray, ...]
+    residuals: Dict[int, float] = field(compare=False)
+    all_verified: bool
 
 
 def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
@@ -469,15 +461,6 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                 used_edges.add(e)
 
     schedule = VibrationSchedule(entries=entries, epsilon=epsilon)
-
-    # certificate ingredients
-    gamma = perturbation_bounds(lin, schedule)
-    r_values = tuple(float(robustness(t).value) for t in targets)
-    s = build_S(r_values, gamma)
-    certified = bool(is_m_matrix(s)) and all_verified
-
     return ClusterDesign(schedule=schedule, designs=designs,
-                         targets=tuple(targets), target_robustness=r_values,
-                         residuals=residuals,
-                         all_verified=all_verified, gamma_bar=gamma,
-                         s_matrix=s, certified=certified)
+                         targets=tuple(targets), residuals=residuals,
+                         all_verified=all_verified)

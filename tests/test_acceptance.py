@@ -231,7 +231,7 @@ def test_criterion_8_manifold_invariance(flip_kn, flip_inc, flip_design):
 def test_criterion_9_uncertified_but_stable(flip_scenario, flip_kn, flip_inc,
                                             flip_design):
     report = vs.certify(flip_kn, flip_inc, flip_design.schedule,
-                        empirical=True, n_samples=10, kick=0.1,
+                        empirical=True, kick=0.1,
                         seed=flip_scenario.seed, sweep=True)
     assert not report.certified
     assert report.label == "stable_uncertified"

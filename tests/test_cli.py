@@ -156,6 +156,37 @@ def test_design_flagship_best_effort(tmp_path):
     assert np.array(cert["gamma_bar"]).shape == (2, 2)
 
 
+def test_non_hurwitz_design_target(tmp_path, capsys):
+    # the flagship's change scaled 25-fold: the target block is not Hurwitz
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data["modifications"][0]["delta"] = [[0.0, 1.25, 0.0], [0.0, 0.0, 0.0],
+                                         [-1.25, 0.0, 0.0]]
+    data["simulation"]["t_end"] = 1.0
+    path = write_scenario(tmp_path, data)
+
+    out = tmp_path / "design"
+    assert cli.main(["design", "--scenario", path, "--out", str(out)]) == 4
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["target_robustness"][0] is None
+    assert cert["comparison_matrix"] is None
+    assert cert["certified"] is False
+
+    assert cli.main(["simulate", "--scenario", path,
+                     "--out", str(tmp_path / "simulate")]) == 0
+
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", path, "--out", str(out)]) == 4
+    for name in ("analysis.json", "schedule.json", "certificate.json",
+                 "report.json", "baseline_report.json", "summary.json"):
+        assert (out / name).is_file(), name
+    rows = {row["name"]: row
+            for row in json.loads((out / "summary.json").read_text())}
+    assert rows["robustness_cluster1_shifted"]["computed"] == "not Hurwitz"
+    assert rows["robustness_cluster1_shifted"]["ok"] is False
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
     message = "average moved by 4.87e-02 (rel) when doubling the horizon 1005.31"
 
@@ -241,10 +272,15 @@ def test_cyclic_modification_exits_3(tmp_path):
     {"schedule": {"epsilon": 0.05, "entries": 5}},
     {"simulation": {"perturb_clusters": []}},
     {"simulation": {"seed": -1}},
+    {"simulation": {"seed": 3.9}},
+    {"simulation": {"seed": True}},
+    {"simulation": {"perturb_clusters": [0.7]}},
+    {"edges": [[0, 1.5, 1.0]] + TINY["edges"][1:]},
 ], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
         "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object",
         "modifications_not_list", "entries_not_list", "empty_perturb_clusters",
-        "negative_seed"])
+        "negative_seed", "fractional_seed", "boolean_seed",
+        "fractional_perturb_cluster", "fractional_edge_end"])
 def test_bad_scenario_values_exit_2(tmp_path, override):
     path = write_scenario(tmp_path, dict(TINY, **override))
     with pytest.raises(cli.ScenarioError):

@@ -143,13 +143,10 @@ def test_report_round_trip_with_empirical_and_sweep():
         epsilon=0.05,
         j_blocks=(np.array([[-1.0]]), np.array([[-2.0]])),
         averaged_blocks=(np.array([[-1.5]]), np.array([[-2.0]])),
-        hurwitz_flags=(True, True),
         r_values=(3.0, None),
         gamma_bar=np.array([[0.1, 0.2], [0.3, 0.4]]),
         s_matrix=None,
-        s_is_m_matrix=False,
         certified=False,
-        label="not_stabilized",
         empirical=vs.Classification(stable=False, slopes=(0.1, -0.2),
                                     initial_norms=(0.1, 0.1),
                                     final_norms=(0.5, 0.01)),

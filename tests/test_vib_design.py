@@ -222,7 +222,7 @@ def test_no_realizable_edges():
         vs.kuramoto_modifiable(vs.linearize(kn, inc))
 
 
-def test_design_cluster_flagship_schedule(flip_design):
+def test_design_cluster_flagship_schedule(flip_design, flip_lin):
     sched = flip_design.schedule
     assert sched.epsilon == 0.01
     expected = {
@@ -242,7 +242,6 @@ def test_design_cluster_flagship_schedule(flip_design):
     assert not flip_design.all_verified
     assert set(flip_design.designs) == {0}
     assert flip_design.residuals[0] == pytest.approx(0.1, abs=2e-3)
-    assert not flip_design.certified
 
     # targets: first cluster shifted, second untouched
     assert np.abs(flip_design.targets[0] - (J1 + DELTA1)).max() < 1e-9
@@ -251,14 +250,17 @@ def test_design_cluster_flagship_schedule(flip_design):
                    [1.0, 0.0, -3.0]])
     assert np.abs(flip_design.targets[1] - j2).max() < 1e-9
 
-    # certificate ingredients have the right shapes
-    assert flip_design.gamma_bar.shape == (2, 2)
-    assert flip_design.s_matrix.shape == (2, 2)
-    assert flip_design.target_robustness == tuple(
+    # the certificate of the targets: ingredients have the right shapes
+    gamma_bar = vs.perturbation_bounds(flip_lin, flip_design.schedule)
+    target_robustness, s_matrix, s_is_m = vs.comparison(flip_design.targets,
+                                                        gamma_bar)
+    assert not (s_is_m and flip_design.all_verified)
+    assert gamma_bar.shape == (2, 2)
+    assert s_matrix.shape == (2, 2)
+    assert target_robustness == tuple(
         vs.robustness(t).value for t in flip_design.targets)
-    assert np.allclose(np.diag(flip_design.s_matrix),
-                       np.array(flip_design.target_robustness)
-                       - np.diag(flip_design.gamma_bar))
+    assert np.allclose(np.diag(s_matrix),
+                       np.array(target_robustness) - np.diag(gamma_bar))
 
 
 def test_design_cluster_slot_matrices_merge(flip_kn, flip_inc, flip_design):
