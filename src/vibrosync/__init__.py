@@ -21,13 +21,12 @@ The package is organized in layers:
 
 from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          DisconnectedCluster, DisconnectedNetwork, GraphError,
-                         NotSpanningTree, build_incidence, canonical_edge_order,
-                         check_invariance, is_dag, permutation_to_qlt,
-                         select_spanning_tree, topological_order)
+                         NotSpanningTree, build_incidence, check_invariance,
+                         is_dag, permutation_to_qlt, select_spanning_tree,
+                         topological_order)
 from .kuramoto_dynamics import (Classification, InvarianceViolated,
-                                KuramotoNetwork, NonFiniteState, Trajectory,
+                                KuramotoNetwork, NonFiniteState,
                                 VibrationEntry, VibrationSchedule,
-                                classification_horizon,
                                 classify_partial_stability,
                                 cluster_vibration_matrix, edge_influence,
                                 geodesic_distance, linearize,
@@ -51,21 +50,19 @@ __all__ = [
     # graph_core
     "GraphError", "NotSpanningTree", "DisconnectedCluster",
     "DisconnectedNetwork", "CycleDetected", "DirectedNetwork",
-    "ClusterPartition", "select_spanning_tree", "canonical_edge_order",
-    "build_incidence", "check_invariance", "topological_order", "is_dag",
-    "permutation_to_qlt",
+    "ClusterPartition", "select_spanning_tree", "build_incidence",
+    "check_invariance", "topological_order", "is_dag", "permutation_to_qlt",
     # linalg
     "NotHurwitz", "StepTooCoarse", "HorizonTooShort", "is_hurwitz",
     "solve_lyapunov", "robustness", "is_m_matrix", "state_transition",
     "conjugated_average",
     # kuramoto_dynamics
     "NonFiniteState", "InvarianceViolated", "KuramotoNetwork",
-    "VibrationEntry", "VibrationSchedule", "Trajectory", "Classification",
+    "VibrationEntry", "VibrationSchedule", "Classification",
     "geodesic_distance", "sync_error", "simulate", "linearize",
     "edge_influence", "schedule_slot_matrices", "cluster_vibration_matrix",
-    "perturbation_bounds", "classification_horizon",
-    "perturbed_initial_states", "sample_perturbed_trajectories",
-    "classify_partial_stability",
+    "perturbation_bounds", "perturbed_initial_states",
+    "sample_perturbed_trajectories", "classify_partial_stability",
     # vib_design
     "NotRealizable", "NoRealizableEdges", "VerificationFailed",
     "ModificationSpec", "modifiable_graph", "validate_modification",

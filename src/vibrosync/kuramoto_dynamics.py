@@ -11,8 +11,7 @@ import numpy as np
 
 from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
-                         IncidenceSet, build_incidence, check_invariance,
-                         select_spanning_tree, Edge)
+                         IncidenceSet, check_invariance, Edge)
 from .linalg import SinusoidSum, _linear_flow, _resolve_step
 
 max_recorded_samples = 100_000
@@ -264,11 +263,6 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     return (np.arange(rec_i) * stride) * h, recs[:, :rec_i, :]
 
 
-def _default_incidence(kn: KuramotoNetwork) -> IncidenceSet:
-    tree = select_spanning_tree(kn.net, kn.partition, "min_depth")
-    return build_incidence(kn.net, kn.partition, tree)
-
-
 def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSchedule],
          th0: np.ndarray, t_end: float, dt: Optional[float]) -> List[Trajectory]:
     """Check the schedule, horizon and step, then integrate a batch of
@@ -286,8 +280,8 @@ def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSch
 
 
 def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
-             theta0: Sequence[float], t_end: float, dt: Optional[float] = None,
-             inc: Optional[IncidenceSet] = None) -> Trajectory:
+             theta0: Sequence[float], t_end: float, *, inc: IncidenceSet,
+             dt: Optional[float] = None) -> Trajectory:
     """Integrate the (optionally vibrated) network from ``theta0``.
 
     The default step keeps at least 48 steps per fastest period present
@@ -298,8 +292,6 @@ def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (kn.net.n,):
         raise ValueError("theta0 must have one phase per node")
-    if inc is None:
-        inc = _default_incidence(kn)
     return _run(kn, inc, schedule, theta0[None, :], t_end, dt)[0]
 
 
@@ -309,22 +301,22 @@ def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
 
 @dataclass(frozen=True)
 class Linearization:
-    """Reduced Jacobian blocks of the intra-cluster error dynamics.
+    """Reduced Jacobian blocks of the intra-cluster error dynamics of
+    ``kn`` in the coordinates of ``inc``.
 
     ``J`` is block diagonal over clusters (``J_blocks``); ``M1`` collects
     the rows through which inter-cluster edges force the intra coordinates,
     so the inter forcing is ``M1 @ diag(sin(R2 x + R3 y)-terms)``.
     """
 
+    kn: KuramotoNetwork
     inc: IncidenceSet
     J_blocks: Tuple[np.ndarray, ...]
     J: np.ndarray
     M1: np.ndarray
 
 
-def linearize(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None) -> Linearization:
-    if inc is None:
-        inc = _default_incidence(kn)
+def linearize(kn: KuramotoNetwork, inc: IncidenceSet) -> Linearization:
     res = check_invariance(kn.net, kn.partition, kn.omega)
     if not res.ok:
         raise InvarianceViolated(
@@ -344,7 +336,7 @@ def linearize(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None) -> Linear
         j_clean[sl, sl] = blk
     weighted_pos_inter = inc.Bpos[:, m_i:] * inc.W_inter
     m1 = -(bhat_i.T @ weighted_pos_inter)
-    return Linearization(inc=inc, J_blocks=tuple(blocks), J=j_clean, M1=m1)
+    return Linearization(kn=kn, inc=inc, J_blocks=tuple(blocks), J=j_clean, M1=m1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +501,12 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
     return th0
 
 
-def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: Optional[IncidenceSet],
+def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: IncidenceSet,
                                   schedule: Optional[VibrationSchedule],
                                   n_samples: int = 10, kick: float = 0.1,
                                   seed: int = 0, t_end: float = 240.0,
                                   clusters: Optional[Sequence[int]] = None) -> List[Trajectory]:
     """Ensemble of runs from random intra-cluster kicks of fixed norm."""
-    if inc is None:
-        inc = _default_incidence(kn)
     th0 = perturbed_initial_states(inc, n_samples, kick, seed, clusters=clusters)
     return _run(kn, inc, schedule, th0, t_end, None)
 

@@ -68,7 +68,6 @@ class RobustnessValue:
     """
 
     value: float
-    certificate: np.ndarray
     residual: float
     asymmetry: float
 
@@ -86,8 +85,7 @@ def robustness(a: np.ndarray) -> RobustnessValue:
     residual = float(np.abs(a.T @ x + x @ a + np.eye(a.shape[0])).max())
     asymmetry = float(np.abs(x - x.T).max())
     lam = float(np.linalg.eigvalsh(x).max())
-    return RobustnessValue(value=1.0 / lam, certificate=x,
-                           residual=residual, asymmetry=asymmetry)
+    return RobustnessValue(value=1.0 / lam, residual=residual, asymmetry=asymmetry)
 
 
 def is_m_matrix(a: np.ndarray) -> bool:

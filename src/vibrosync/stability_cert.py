@@ -16,14 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph_core import IncidenceSet
-from .kuramoto_dynamics import (Classification, KuramotoNetwork,
+from .kuramoto_dynamics import (Classification, Linearization,
                                 VibrationSchedule, classification_horizon,
                                 classify_partial_stability,
-                                cluster_vibration_matrix, linearize,
-                                perturbation_bounds,
+                                cluster_vibration_matrix, perturbation_bounds,
                                 sample_perturbed_trajectories,
-                                schedule_slot_matrices, _default_incidence)
+                                schedule_slot_matrices)
 from .linalg import conjugated_average, is_hurwitz, is_m_matrix, robustness
 
 default_sweep_epsilons = (0.1, 0.01, 0.001)
@@ -33,19 +31,18 @@ sweep_horizon = 60.0
 sweep_slack = 0.1
 
 
-def averaged_jacobians(j_blocks: Sequence[np.ndarray],
-                       schedule: Optional[VibrationSchedule],
-                       inc: IncidenceSet) -> Tuple[np.ndarray, ...]:
+def averaged_jacobians(lin: Linearization,
+                       schedule: Optional[VibrationSchedule]) -> Tuple[np.ndarray, ...]:
     """Per-cluster averaged Jacobians under a vibration schedule.
 
     Clusters without vibrated edges keep their Jacobian; the others are
     conjugate-averaged along the flow of their reduced vibration matrix.
     """
     if schedule is None or not schedule.entries:
-        return tuple(np.array(b, dtype=float, copy=True) for b in j_blocks)
-    terms = schedule_slot_matrices(inc, schedule)
+        return tuple(np.array(b, dtype=float, copy=True) for b in lin.J_blocks)
+    terms = schedule_slot_matrices(lin.inc, schedule)
     out: List[np.ndarray] = []
-    for k, blk in enumerate(j_blocks):
+    for k, blk in enumerate(lin.J_blocks):
         p = cluster_vibration_matrix(terms[k])
         if p is None:
             out.append(np.array(blk, dtype=float, copy=True))
@@ -192,12 +189,12 @@ class StabilityReport:
         )
 
 
-def _sweep(kn: KuramotoNetwork, inc: IncidenceSet, schedule: VibrationSchedule,
+def _sweep(lin: Linearization, schedule: VibrationSchedule,
            seed: int, kick: float) -> Tuple[Tuple[SweepPoint, ...], bool, Tuple[str, ...]]:
     points: List[SweepPoint] = []
     for eps in default_sweep_epsilons:
         sched_eps = dataclasses.replace(schedule, epsilon=eps)
-        trajs = sample_perturbed_trajectories(kn, inc, sched_eps,
+        trajs = sample_perturbed_trajectories(lin.kn, lin.inc, sched_eps,
                                               n_samples=sweep_samples, kick=kick,
                                               seed=seed, t_end=sweep_horizon)
         cls = classify_partial_stability(trajs)
@@ -220,40 +217,36 @@ def _sweep(kn: KuramotoNetwork, inc: IncidenceSet, schedule: VibrationSchedule,
     return tuple(points), not deviations, tuple(deviations)
 
 
-def certify(kn: KuramotoNetwork, inc: Optional[IncidenceSet] = None,
-            schedule: Optional[VibrationSchedule] = None, *,
-            empirical: bool = True, kick: float = 0.1, seed: int = 0,
-            sweep: bool = False) -> StabilityReport:
-    """Run the full certification pipeline on a (possibly vibrated) network.
+def certify(lin: Linearization, schedule: Optional[VibrationSchedule] = None, *,
+            empirical: bool = True, kick: float = 0.1,
+            seed: int = 0) -> StabilityReport:
+    """Run the full certification pipeline on a (possibly vibrated) network,
+    linearized as ``lin``.
 
     The certificate (M-matrix test on the comparison matrix) and the
     empirical classification are reported independently: a schedule can be
-    empirically stabilizing while remaining uncertified.
+    empirically stabilizing while remaining uncertified.  The empirical
+    evidence for a schedule with entries includes the epsilon sweep.
     """
-    if inc is None:
-        inc = _default_incidence(kn)
-    lin = linearize(kn, inc)
-    averaged = averaged_jacobians(lin.J_blocks, schedule, inc)
+    averaged = averaged_jacobians(lin, schedule)
     gamma = perturbation_bounds(lin, schedule)
     r_values, s_matrix, certified = comparison(averaged, gamma)
 
     classification: Optional[Classification] = None
+    sweep_points, sweep_monotone, sweep_dev = None, None, ()
     if empirical:
         horizon = classification_horizon(averaged)
-        trajs = sample_perturbed_trajectories(kn, inc, schedule, n_samples=certify_samples,
+        trajs = sample_perturbed_trajectories(lin.kn, lin.inc, schedule,
+                                              n_samples=certify_samples,
                                               kick=kick, seed=seed, t_end=horizon)
         classification = classify_partial_stability(trajs)
-
-    sweep_points = None
-    sweep_monotone = None
-    sweep_dev: Tuple[str, ...] = ()
-    if sweep and schedule is not None and schedule.entries:
-        sweep_points, sweep_monotone, sweep_dev = _sweep(kn, inc, schedule, seed, kick)
+        if schedule is not None and schedule.entries:
+            sweep_points, sweep_monotone, sweep_dev = _sweep(lin, schedule, seed, kick)
 
     return StabilityReport(
-        n=kn.net.n,
-        clusters=kn.partition.clusters,
-        tree_edges=tuple(inc.tree_edges),
+        n=lin.kn.net.n,
+        clusters=lin.kn.partition.clusters,
+        tree_edges=tuple(lin.inc.tree_edges),
         epsilon=None if schedule is None else schedule.epsilon,
         j_blocks=lin.J_blocks,
         averaged_blocks=averaged,

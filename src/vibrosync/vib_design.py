@@ -284,7 +284,6 @@ class InfluenceMap:
     that both have a recipe and a nonzero carrier in the reduced Jacobian.
     """
 
-    cluster: int
     edges: Tuple[Edge, ...]
     matrices: Dict[Edge, np.ndarray] = field(compare=False)
     combos: Dict[Tuple[int, int], Tuple[Tuple[Tuple[Edge, float], ...], ...]] = field(
@@ -375,7 +374,7 @@ def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
         realizable = SignedGraph(n=d, signs=signs)
         if signs:
             any_realizable = True
-        maps.append(InfluenceMap(cluster=k, edges=edges_k, matrices=mats,
+        maps.append(InfluenceMap(edges=edges_k, matrices=mats,
                                  combos=combos, realizable=realizable))
     if not any_realizable:
         raise NoRealizableEdges("no cluster has a realizable modification slot")
@@ -384,8 +383,10 @@ def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
 
 @dataclass(frozen=True)
 class ClusterDesign:
-    """A designed schedule with its per-cluster designs and target blocks."""
+    """A designed schedule with its per-cluster designs and target blocks,
+    and the linearization they were designed against."""
 
+    lin: Linearization
     schedule: VibrationSchedule
     designs: Dict[int, LinearDesign] = field(compare=False)
     targets: Tuple[np.ndarray, ...]
@@ -403,10 +404,18 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
     single pool so the merged schedule stays incommensurable across
     clusters.  Designs that fail their closing verification are still
     emitted, flagged through ``residuals`` and ``all_verified`` (the
-    achieved average is then reported rather than silently assumed).
+    achieved average is then reported rather than silently assumed).  A
+    spec keyed by anything but an existing cluster equal to its ``target``
+    raises ValueError.
     """
     if not isinstance(specs, dict):
         specs = {spec.target: spec for spec in specs}
+    for k, spec in specs.items():
+        if not 0 <= k < kn.partition.r:
+            raise ValueError(f"spec for cluster {k}: the network has "
+                             f"{kn.partition.r} clusters")
+        if spec.target != k:
+            raise ValueError(f"spec for cluster {k} targets cluster {spec.target}")
     lin = linearize(kn, inc)
     maps = kuramoto_modifiable(lin)
     freq_iter = _trig.squarefree_radicands()
@@ -461,6 +470,6 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                 used_edges.add(e)
 
     schedule = VibrationSchedule(entries=entries, epsilon=epsilon)
-    return ClusterDesign(schedule=schedule, designs=designs,
+    return ClusterDesign(lin=lin, schedule=schedule, designs=designs,
                          targets=tuple(targets), residuals=residuals,
                          all_verified=all_verified)

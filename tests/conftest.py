@@ -31,6 +31,12 @@ def flip_design(flip_scenario, flip_kn, flip_inc):
                              epsilon=0.01)
 
 
+def incidence(kn):
+    """The min-depth incidence set of ``kn``, the CLI's default."""
+    tree = vs.select_spanning_tree(kn.net, kn.partition, "min_depth")
+    return vs.build_incidence(kn.net, kn.partition, tree)
+
+
 def random_clustered_network(rng, n_max=12, r_max=3):
     """A random strongly-connected clustered network for structural tests."""
     r = int(rng.integers(2, r_max + 1))

@@ -4,12 +4,14 @@ layout, determinism of outputs, and exit-code conventions."""
 import json
 import math
 import importlib.resources as ir
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import vibrosync.cli as cli
-from vibrosync import vib_design
+from vibrosync import graph_core, kuramoto_dynamics, stability_cert, vib_design
 from vibrosync.kuramoto_dynamics import Trajectory, sync_error
 from vibrosync.linalg import HorizonTooShort
 
@@ -33,6 +35,26 @@ def write_scenario(directory, data, name="scenario.json"):
 @pytest.fixture(scope="module")
 def tiny_path(tmp_path_factory):
     return write_scenario(tmp_path_factory.mktemp("tiny"), TINY)
+
+
+def count_stage_calls(monkeypatch) -> Counter:
+    """Count the calls of the pipeline stages from every vibrosync module
+    that binds them."""
+    counts: Counter = Counter()
+    stages = (kuramoto_dynamics.linearize, graph_core.check_invariance,
+              stability_cert.certify, kuramoto_dynamics.perturbation_bounds)
+    modules = [module for name, module in sys.modules.items()
+               if name == "vibrosync" or name.startswith("vibrosync.")]
+    for stage in stages:
+        def counted(*args, _stage=stage, **kwargs):
+            counts[_stage.__name__] += 1
+            return _stage(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is stage:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +221,19 @@ def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert err.splitlines() == [f"verification failed: {message}"]
     assert "Traceback" not in err
+
+
+def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
+    counts = count_stage_calls(monkeypatch)
+    assert cli.main(["analyze", "--scenario", "cluster_flip",
+                     "--out", str(tmp_path / "analyze")]) == 0
+    assert counts == {"linearize": 1, "check_invariance": 1, "certify": 1,
+                      "perturbation_bounds": 1}
+    counts.clear()
+    assert cli.main(["design", "--scenario", "cluster_flip",
+                     "--out", str(tmp_path / "design")]) == 4
+    assert counts == {"linearize": 1, "check_invariance": 1,
+                      "perturbation_bounds": 1}
 
 
 def test_design_requires_modifications(tiny_path, tmp_path):
@@ -387,9 +422,14 @@ def test_reproduce_without_references_is_scenario_error(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_reproduce_flagship(tmp_path):
+def test_reproduce_flagship(tmp_path, monkeypatch):
+    counts = count_stage_calls(monkeypatch)
     out = tmp_path / "repro"
     assert cli.main(["reproduce", "--out", str(out)]) == 0
+    # one linearization; one certificate each for the uncontrolled and the
+    # controlled network
+    assert counts == {"linearize": 1, "check_invariance": 1, "certify": 2,
+                      "perturbation_bounds": 2}
     for name in ("analysis.json", "schedule.json", "certificate.json",
                  "controlled.csv", "err_controlled.csv", "uncontrolled.csv",
                  "err_uncontrolled.csv", "plot.gp", "report.json",
@@ -406,3 +446,27 @@ def test_reproduce_flagship(tmp_path):
     assert report["certified"] is False
     baseline = json.loads((out / "baseline_report.json").read_text())
     assert baseline["label"] == "not_stabilized"
+
+
+def test_reproduce_one_slot_design_fails_its_rows(tmp_path, capsys):
+    # a cluster-1 change with a single slot: the second gain and the
+    # frequency ratio have nothing to report
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data["modifications"][0]["delta"] = [[0.0, 0.05, 0.0], [0.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.0]]
+    data["simulation"]["t_end"] = 1.0
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 4
+    for name in ("analysis.json", "schedule.json", "certificate.json",
+                 "controlled.csv", "uncontrolled.csv", "report.json",
+                 "baseline_report.json", "summary.txt", "summary.json"):
+        assert (out / name).is_file(), name
+    rows = {row["name"]: row
+            for row in json.loads((out / "summary.json").read_text())}
+    assert rows["normalized_gain_1"]["ok"] is True
+    for name in ("normalized_gain_2", "frequency_ratio"):
+        assert rows[name]["computed"] == "missing"
+        assert rows[name]["ok"] is False
+    assert "Traceback" not in capsys.readouterr().err

@@ -11,6 +11,8 @@ from vibrosync.kuramoto_dynamics import (InvarianceViolated, NonFiniteState,
                                          Trajectory, classification_horizon)
 from vibrosync.linalg import StepTooCoarse, default_oversampling
 
+from conftest import incidence
+
 
 def two_node_kn():
     net = vs.DirectedNetwork.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -36,7 +38,7 @@ def test_sync_error_uses_wrapped_distances():
 
 def test_two_node_synchronization():
     kn = two_node_kn()
-    traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 12.0)
+    traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 12.0, inc=incidence(kn))
     gap = np.abs(traj.theta[:, 1] - traj.theta[:, 0])
     assert gap[-1] < 1e-3
     assert np.all(np.diff(gap) <= 1e-12)
@@ -49,7 +51,7 @@ def test_single_directed_edge_sign_convention():
     kn = vs.KuramotoNetwork(net=net, omega=np.array([0.3, 0.3]), partition=part)
     th0 = np.array([0.2, 1.1])
     h = 1e-6
-    traj = vs.simulate(kn, None, th0, h, dt=h)
+    traj = vs.simulate(kn, None, th0, h, inc=incidence(kn), dt=h)
     rate = (traj.theta[-1] - th0) / h
     # w[0,1] is the weight node 0 receives from node 1 (edge (1, 0))
     expected0 = 0.3 + 0.5 * math.sin(th0[1] - th0[0])
@@ -59,10 +61,10 @@ def test_single_directed_edge_sign_convention():
 def test_omega_shift_equivariance():
     kn = two_node_kn()
     th0 = np.array([0.0, 0.4])
-    base = vs.simulate(kn, None, th0, 5.0, dt=1e-3)
+    base = vs.simulate(kn, None, th0, 5.0, inc=incidence(kn), dt=1e-3)
     shifted_kn = vs.KuramotoNetwork(net=kn.net, omega=kn.omega + 3.0,
                                     partition=kn.partition)
-    shifted = vs.simulate(shifted_kn, None, th0, 5.0, dt=1e-3)
+    shifted = vs.simulate(shifted_kn, None, th0, 5.0, inc=incidence(shifted_kn), dt=1e-3)
     drift = shifted.theta - base.theta - 3.0 * base.times[:, None]
     assert np.abs(drift).max() < 1e-8
 
@@ -70,17 +72,17 @@ def test_omega_shift_equivariance():
 def test_dt_refinement_agrees():
     kn = two_node_kn()
     th0 = np.array([0.0, 0.7])
-    a = vs.simulate(kn, None, th0, 8.0, dt=2e-3)
-    b = vs.simulate(kn, None, th0, 8.0, dt=1e-3)
+    a = vs.simulate(kn, None, th0, 8.0, inc=incidence(kn), dt=2e-3)
+    b = vs.simulate(kn, None, th0, 8.0, inc=incidence(kn), dt=1e-3)
     assert np.abs(a.theta[-1] - b.theta[-1]).max() < 1e-6
 
 
 def test_simulate_zero_horizon_and_coarse_dt():
     kn = two_node_kn()
-    traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 0.0)
+    traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 0.0, inc=incidence(kn))
     assert traj.theta.shape == (1, 2)
     with pytest.raises(StepTooCoarse):
-        vs.simulate(kn, None, np.array([0.0, 0.1]), 1.0, dt=0.5)
+        vs.simulate(kn, None, np.array([0.0, 0.1]), 1.0, inc=incidence(kn), dt=0.5)
 
 
 def test_default_step_is_the_linear_flows_policy(flip_kn, flip_inc, flip_design):
@@ -94,7 +96,7 @@ def test_default_step_is_the_linear_flows_policy(flip_kn, flip_inc, flip_design)
 
 def test_long_run_is_decimated():
     kn = two_node_kn()
-    traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 300.0, dt=1e-3)
+    traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 300.0, inc=incidence(kn), dt=1e-3)
     assert len(traj.times) <= 100_001
     assert traj.times[-1] == pytest.approx(300.0, abs=1e-6)
 
@@ -132,7 +134,7 @@ def test_nonfinite_guard():
     part = vs.ClusterPartition(net, ((0, 1),))
     kn = vs.KuramotoNetwork(net=net, omega=np.array([1.0, 1.0]), partition=part)
     with pytest.raises(NonFiniteState):
-        vs.simulate(kn, None, np.array([np.nan, 0.0]), 1.0)
+        vs.simulate(kn, None, np.array([np.nan, 0.0]), 1.0, inc=incidence(kn))
 
 
 def test_nonfinite_construction_rejected():
@@ -186,7 +188,7 @@ def test_linearize_rejects_invariance_violations():
     kn = vs.KuramotoNetwork(net=net, omega=np.array([1.0, 2.0, 3.0, 3.0]),
                             partition=part)
     with pytest.raises(InvarianceViolated):
-        vs.linearize(kn)
+        vs.linearize(kn, incidence(kn))
 
 
 def test_linearize_matches_finite_differences():
@@ -470,7 +472,7 @@ def test_flagship_pair_table_has_one_pair_per_reciprocal_edge_pair(flip_inc):
 def test_one_way_edges_get_one_pair_each():
     net = vs.DirectedNetwork.from_edges(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0),
                                             (3, 0, 1.5), (0, 2, 0.7)])
-    inc = kd._default_incidence(vs.KuramotoNetwork(
+    inc = incidence(vs.KuramotoNetwork(
         net=net, omega=np.zeros(4), partition=vs.ClusterPartition(net, ((0, 1, 2, 3),))))
     pair, ends, sign = kd._edge_pairs(inc.edges)
     assert len(ends) == len(inc.edges) == 5 and np.all(sign == 1.0)
@@ -489,7 +491,7 @@ def mixed_kn():
 
 
 def test_mixed_network_pair_table():
-    inc = kd._default_incidence(mixed_kn())
+    inc = incidence(mixed_kn())
     pair, ends, sign = kd._edge_pairs(inc.edges)
     assert len(inc.edges) == 10 and len(ends) == 7 and (sign == -1.0).sum() == 3
     assert_pair_table_reproduces_edges(inc.edges, pair, ends, sign)
@@ -502,7 +504,7 @@ def test_mixed_network_matches_dense_loop(batch, vibrated):
     # edges of those pairs carry different weights on every grid point; one
     # of them runs against its pair, so its carrier is negated too
     kn = mixed_kn()
-    inc = kd._default_incidence(kn)
+    inc = incidence(kn)
     schedule = vs.VibrationSchedule({(0, 1): vs.VibrationEntry(0.02, 1.0, 0.3),
                                      (4, 3): vs.VibrationEntry(-0.03, math.sqrt(2), 1.1),
                                      (1, 2): vs.VibrationEntry(0.01, 1.0, 2.0)},
@@ -529,15 +531,15 @@ def test_vibrated_run_going_non_finite_names_the_break():
     th0 = np.array([0.0, 0.5])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as info:
-            vs.simulate(kn, sched, th0, 4096 * dt, dt=dt)
+            vs.simulate(kn, sched, th0, 4096 * dt, inc=incidence(kn), dt=dt)
         t_bad = float(re.search(r"near t=(\S+)", str(info.value)).group(1))
         step = round(t_bad / dt)
         assert step * dt == pytest.approx(t_bad, abs=1e-3)  # "%g" keeps 6 digits
         assert kd._chunk_steps < step < 4096  # partway, past the first chunk
-        before = vs.simulate(kn, sched, th0, (step - 1) * dt, dt=dt)
+        before = vs.simulate(kn, sched, th0, (step - 1) * dt, inc=incidence(kn), dt=dt)
         assert np.all(np.isfinite(before.theta))
         with pytest.raises(NonFiniteState, match=f"near t={t_bad:g}"):
-            vs.simulate(kn, sched, th0, step * dt, dt=dt)
+            vs.simulate(kn, sched, th0, step * dt, inc=incidence(kn), dt=dt)
 
 
 def test_incidence_of_another_network_rejected(flip_kn, flip_inc):

@@ -25,8 +25,8 @@ J2 = np.array([[-3.0, 0.0, 1.0],
 
 
 @pytest.fixture(scope="module")
-def flip_report(flip_kn, flip_inc, flip_design):
-    return vs.certify(flip_kn, flip_inc, flip_design.schedule, empirical=False)
+def flip_report(flip_lin, flip_design):
+    return vs.certify(flip_lin, flip_design.schedule, empirical=False)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,8 @@ def weak_pair():
 # averaged Jacobians
 
 
-def test_averaged_jacobians_without_schedule(flip_lin, flip_inc):
-    out = vs.averaged_jacobians(flip_lin.J_blocks, None, flip_inc)
+def test_averaged_jacobians_without_schedule(flip_lin):
+    out = vs.averaged_jacobians(flip_lin, None)
     for got, blk in zip(out, flip_lin.J_blocks):
         assert np.abs(got - blk).max() == 0.0
         assert got is not blk  # defensive copies
@@ -105,8 +105,8 @@ def test_certify_flagship_uncertified(flip_report):
     assert rep.empirical is None and rep.sweep is None
 
 
-def test_certify_flagship_baseline(flip_kn, flip_inc):
-    rep = vs.certify(flip_kn, flip_inc, None, empirical=False)
+def test_certify_flagship_baseline(flip_lin):
+    rep = vs.certify(flip_lin, None, empirical=False)
     assert rep.hurwitz_flags == (True, True)
     assert rep.r_values[0] == pytest.approx(0.3059, abs=1e-3)
     assert rep.r_values[1] == pytest.approx(3.6158, abs=1e-3)
@@ -172,7 +172,7 @@ def test_report_round_trip_with_empirical_and_sweep():
 
 def test_weak_coupling_certifies_and_is_stable(weak_pair):
     kn, inc = weak_pair
-    rep = vs.certify(kn, inc, None, empirical=True, seed=0)
+    rep = vs.certify(vs.linearize(kn, inc), None, empirical=True, seed=0)
     # the M-matrix certificate holds at weak inter-cluster coupling
     assert rep.s_is_m_matrix and rep.certified
     assert rep.label == "certified"
@@ -182,7 +182,7 @@ def test_weak_coupling_certifies_and_is_stable(weak_pair):
 
 def test_weak_coupling_report_fields(weak_pair):
     kn, inc = weak_pair
-    rep = vs.certify(kn, inc, None, empirical=False)
+    rep = vs.certify(vs.linearize(kn, inc), None, empirical=False)
     # intra-cluster blocks are unchanged by inter-cluster scaling
     assert rep.r_values[0] == pytest.approx(0.3059, abs=1e-3)
     assert rep.r_values[1] == pytest.approx(3.6158, abs=1e-3)

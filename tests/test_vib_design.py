@@ -303,3 +303,14 @@ def test_design_cluster_accepts_spec_sequence(flip_kn, flip_inc, flip_design):
     seq = [vs.ModificationSpec(delta=DELTA1, target=0)]
     d = vs.design_cluster(flip_kn, flip_inc, seq, epsilon=0.01)
     assert set(d.schedule.entries) == set(flip_design.schedule.entries)
+
+
+@pytest.mark.parametrize("specs, key", [
+    ({7: vs.ModificationSpec(delta=DELTA1)}, 7),
+    ({-1: vs.ModificationSpec(delta=DELTA1, target=-1)}, -1),
+    ([vs.ModificationSpec(delta=DELTA1, target=5)], 5),
+    ({1: vs.ModificationSpec(delta=DELTA1, target=0)}, 1),
+], ids=["key_out_of_range", "negative_key", "target_out_of_range", "key_not_target"])
+def test_design_cluster_rejects_spec_for_another_cluster(flip_kn, flip_inc, specs, key):
+    with pytest.raises(ValueError, match=rf"^spec for cluster {key}\b"):
+        vs.design_cluster(flip_kn, flip_inc, specs)
