@@ -15,6 +15,12 @@ in IEEE arithmetic and the C library's ``sin`` is odd (glibc 2.36: no
 mismatch in 5e7 random arguments), so the field matches one sine per edge
 value for value; only the sign of an exact zero may differ.  A network
 without reciprocal edges has one pair per edge.
+
+A chunk splits its samples into contiguous parts across at most
+``max_threads`` (2) POSIX threads, one part each, and never more threads
+than samples or than CPUs the process may run on.  The samples are
+independent and each runs the same arithmetic in the same order on
+whichever thread, so the results are bit-identical to one thread.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import numpy as np
 
 _SOURCE = r"""
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 
 /* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s), with one
@@ -53,23 +60,31 @@ static void field(int n, int m, int npair, const int *dst, const int *pair,
         dx[dst[e]] -= w[e] * sp[pair[e]];
 }
 
-/* RK4 steps start+1 .. start+k of every sample in th (ns rows of n);
-   w holds the edge weights on the half-step grid (2k+1 rows of m).  The
-   state after every stride-th step goes to recs (ns, n_rec, n) at record
-   index step / stride.  scratch holds 5n + npair doubles.  Returns the
-   record index after the chunk. */
-int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
-                  const int *pair, const int *ends, const double *omega,
-                  const double *w, int64_t start, int k, double h,
-                  int64_t stride, double *th, double *recs, int64_t n_rec,
-                  double *scratch)
+/* The samples [s0, s1) of a batch and the scratch of the thread that
+   runs them: 5n + npair doubles. */
+struct part {
+    int s0, s1, n, m, npair;
+    const int *dst, *pair, *ends;
+    const double *omega, *w;
+    int64_t start, stride, n_rec;
+    int k;
+    double h;
+    double *th, *recs, *scratch;
+};
+
+static void *run_part(void *arg)
 {
-    double *k1 = scratch, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *y = k4 + n;
+    const struct part *p = arg;
+    int n = p->n, m = p->m, npair = p->npair, k = p->k;
+    const int *dst = p->dst, *pair = p->pair, *ends = p->ends;
+    const double *omega = p->omega;
+    double h = p->h;
+    double *k1 = p->scratch, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *y = k4 + n;
     double *sp = y + n;
-    for (int s = 0; s < ns; s++) {
-        double *x = th + (int64_t)s * n;
+    for (int s = p->s0; s < p->s1; s++) {
+        double *x = p->th + (int64_t)s * n;
         for (int i = 0; i < k; i++) {
-            const double *w0 = w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
+            const double *w0 = p->w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
             field(n, m, npair, dst, pair, ends, omega, w0, x, sp, k1);
             for (int j = 0; j < n; j++)
                 y[j] = x[j] + 0.5 * h * k1[j];
@@ -82,20 +97,60 @@ int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
             field(n, m, npair, dst, pair, ends, omega, w1, y, sp, k4);
             for (int j = 0; j < n; j++)
                 x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-            int64_t step = start + i + 1;
-            if (step % stride == 0) {
-                double *r = recs + ((int64_t)s * n_rec + step / stride) * n;
+            int64_t step = p->start + i + 1;
+            if (step % p->stride == 0) {
+                double *r = p->recs + ((int64_t)s * p->n_rec + step / p->stride) * n;
                 for (int j = 0; j < n; j++)
                     r[j] = x[j];
             }
         }
     }
-    return (start + k) / stride + 1;
+    return NULL;
+}
+
+/* RK4 steps start+1 .. start+k of every sample in th (ns rows of n);
+   w holds the edge weights on the half-step grid (2k+1 rows of m).  The
+   state after every stride-th step goes to recs (ns, n_rec, n) at record
+   index step / stride.  The samples are split into nthreads contiguous
+   parts; the calling thread runs the first and one POSIX thread each of
+   the others, and a part whose thread does not start runs on the calling
+   thread after its own.  Part t uses the 5n + npair doubles of scratch
+   from t (5n + npair) on.  Returns the record index after the chunk. */
+int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
+                  const int *pair, const int *ends, const double *omega,
+                  const double *w, int64_t start, int k, double h,
+                  int64_t stride, double *th, double *recs, int64_t n_rec,
+                  double *scratch, int nthreads)
+{
+    int64_t next = (start + k) / stride + 1;
+    if (nthreads < 1)  /* no samples */
+        return next;
+    struct part parts[nthreads];
+    pthread_t tid[nthreads];
+    int started[nthreads];
+    for (int t = 0; t < nthreads; t++) {
+        struct part p = {(int)((int64_t)ns * t / nthreads),
+                         (int)((int64_t)ns * (t + 1) / nthreads), n, m, npair, dst,
+                         pair, ends, omega, w, start, stride, n_rec, k, h, th, recs,
+                         scratch + (int64_t)t * (5 * n + npair)};
+        parts[t] = p;
+    }
+    for (int t = 1; t < nthreads; t++)
+        started[t] = pthread_create(&tid[t], NULL, run_part, &parts[t]) == 0;
+    run_part(&parts[0]);
+    for (int t = 1; t < nthreads; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            run_part(&parts[t]);
+    }
+    return next;
 }
 """
 
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_FLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 _compiler = "cc"
+max_threads = 2  # the most threads one chunk runs on
 _cache_dir = Path(__file__).resolve().parent / "__pycache__"
 _kernel = None  # the loaded ctypes function, once built
 _lock = threading.Lock()
@@ -182,9 +237,30 @@ def _load_library():
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, ints, ints,
                    ints, doubles, doubles, ctypes.c_int64, ctypes.c_int, ctypes.c_double,
-                   ctypes.c_int64, doubles, doubles, ctypes.c_int64, doubles]
+                   ctypes.c_int64, doubles, doubles, ctypes.c_int64, doubles, ctypes.c_int]
     fn.restype = ctypes.c_int64
     return fn
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (it follows ``taskset`` and cpusets), else the count
+    of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def thread_count(ns: int) -> int:
+    """Threads a chunk of ``ns`` samples runs on."""
+    return min(ns, _cpus(), max_threads)
+
+
+def alloc_scratch(ns: int, n: int, npair: int) -> np.ndarray:
+    """Scratch memory for ``rk4_chunk`` on ``ns`` samples of ``n`` nodes and
+    ``npair`` coupled pairs: ``5 n + npair`` doubles for each thread a chunk
+    can run on."""
+    return np.empty(min(ns, max_threads) * (5 * n + npair))
 
 
 def _within(index: np.ndarray, bound: int) -> bool:
@@ -201,16 +277,19 @@ def rk4_chunk(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
     ``sin(x_a - x_b)`` of its pair ``pair[e]``, whose ends ``(a, b)`` are a
     row of ``ends`` (npair, 2); ``wt`` holds the edge weights on the chunk's
     half-step grid, negated for an edge whose sine is ``sin(x_b - x_a)``.
-    ``scratch`` holds ``5 n + npair`` doubles."""
+    The samples are split into ``thread_count(ns)`` contiguous parts, one
+    per thread, each with its own ``5 n + npair`` doubles of ``scratch``;
+    every sample runs the same arithmetic whatever the split."""
     ns, n = th.shape
     m, npair = len(dst), len(ends)
     k = (len(wt) - 1) // 2
     n_rec = recs.shape[1]
+    threads = thread_count(ns)
     if (pair.shape != (m,) or ends.shape != (npair, 2) or omega.shape != (n,)
             or wt.shape != (2 * k + 1, m) or recs.shape != (ns, n_rec, n)
             or start < 0 or stride < 1 or (start + k) // stride >= n_rec
-            or scratch.shape != (5 * n + npair,)
+            or scratch.ndim != 1 or len(scratch) < threads * (5 * n + npair)
             or not (_within(dst, n) and _within(pair, npair) and _within(ends, n))):
         raise ValueError("inconsistent phase-kernel array shapes or indices")
     return load()(ns, n, m, npair, dst, pair, ends, omega, wt, start, k, h, stride,
-                  th, recs, n_rec, scratch)
+                  th, recs, n_rec, scratch, threads)

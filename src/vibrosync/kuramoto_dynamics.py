@@ -243,7 +243,7 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     dst = np.array([t for _, t in inc.edges], dtype=np.intc)
     omega = np.ascontiguousarray(omega, dtype=float)
     th = np.array(th0, dtype=float, order="C")
-    scratch = np.empty(5 * n + len(ends))
+    scratch = _phase_kernel.alloc_scratch(ns, n, len(ends))
     rec_i = 1
     for start in range(0, steps, _chunk_steps):
         k = min(_chunk_steps, steps - start)
@@ -304,15 +304,15 @@ class Linearization:
     """Reduced Jacobian blocks of the intra-cluster error dynamics of
     ``kn`` in the coordinates of ``inc``.
 
-    ``J`` is block diagonal over clusters (``J_blocks``); ``M1`` collects
-    the rows through which inter-cluster edges force the intra coordinates,
-    so the inter forcing is ``M1 @ diag(sin(R2 x + R3 y)-terms)``.
+    The intra Jacobian is block diagonal over clusters; ``J_blocks`` holds
+    its diagonal blocks in cluster order.  ``M1`` collects the rows through
+    which inter-cluster edges force the intra coordinates, so the inter
+    forcing is ``M1 @ diag(sin(R2 x + R3 y)-terms)``.
     """
 
     kn: KuramotoNetwork
     inc: IncidenceSet
     J_blocks: Tuple[np.ndarray, ...]
-    J: np.ndarray
     M1: np.ndarray
 
 
@@ -327,16 +327,10 @@ def linearize(kn: KuramotoNetwork, inc: IncidenceSet) -> Linearization:
     bhat_i = inc.Bhat_intra
     weighted_pos_intra = inc.Bpos[:, :m_i] * inc.W_intra
     j = -(bhat_i.T @ weighted_pos_intra @ inc.R1)
-    blocks = []
-    for k, sl in enumerate(inc.coord_slices):
-        blocks.append(j[sl, sl].copy())
-    # the construction is block diagonal; discard numerical dust elsewhere
-    j_clean = np.zeros_like(j)
-    for sl, blk in zip(inc.coord_slices, blocks):
-        j_clean[sl, sl] = blk
+    blocks = tuple(j[sl, sl].copy() for sl in inc.coord_slices)
     weighted_pos_inter = inc.Bpos[:, m_i:] * inc.W_inter
     m1 = -(bhat_i.T @ weighted_pos_inter)
-    return Linearization(kn=kn, inc=inc, J_blocks=tuple(blocks), J=j_clean, M1=m1)
+    return Linearization(kn=kn, inc=inc, J_blocks=blocks, M1=m1)
 
 
 # ---------------------------------------------------------------------------

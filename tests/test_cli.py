@@ -448,13 +448,39 @@ def test_reproduce_flagship(tmp_path, monkeypatch):
     assert baseline["label"] == "not_stabilized"
 
 
+def test_reproduce_one_cluster_scenario_fails_its_cluster_2_rows(tmp_path, capsys):
+    # the flagship cut to its first cluster: nodes 0-3, their intra edges and
+    # the same modification; cluster 2 has no Jacobian and no margin
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data.update(n=4, clusters=[[0, 1, 2, 3]], omega=data["omega"][:4],
+                edges=[e for e in data["edges"] if e[0] < 4 and e[1] < 4])
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) in (0, 4)
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        "analysis.json", "schedule.json", "certificate.json", "controlled.csv",
+        "err_controlled.csv", "uncontrolled.csv", "err_uncontrolled.csv", "plot.gp",
+        "report.json", "baseline_report.json", "summary.txt", "summary.json"])
+    rows = {row["name"]: row
+            for row in json.loads((out / "summary.json").read_text())}
+    assert rows["jacobian_cluster1"]["ok"] is True
+    assert rows["robustness_cluster1"]["ok"] is True
+    for name in ("jacobian_cluster2", "robustness_cluster2"):
+        assert rows[name]["computed"] == "missing"
+        assert rows[name]["ok"] is False
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_reproduce_one_slot_design_fails_its_rows(tmp_path, capsys):
     # a cluster-1 change with a single slot: the second gain and the
-    # frequency ratio have nothing to report
+    # frequency ratio have nothing to report; and a cluster-2 Jacobian
+    # reference of another shape, which fails its row
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
     data["modifications"][0]["delta"] = [[0.0, 0.05, 0.0], [0.0, 0.0, 0.0],
                                          [0.0, 0.0, 0.0]]
+    data["references"]["j_cluster2"] = [[-3.0, 0.0], [-1.0, -2.0]]
     data["simulation"]["t_end"] = 1.0
     out = tmp_path / "repro"
     assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
@@ -466,6 +492,9 @@ def test_reproduce_one_slot_design_fails_its_rows(tmp_path, capsys):
     rows = {row["name"]: row
             for row in json.loads((out / "summary.json").read_text())}
     assert rows["normalized_gain_1"]["ok"] is True
+    assert rows["jacobian_cluster1"]["ok"] is True
+    assert rows["jacobian_cluster2"]["computed"] == "matrix"
+    assert rows["jacobian_cluster2"]["ok"] is False
     for name in ("normalized_gain_2", "frequency_ratio"):
         assert rows[name]["computed"] == "missing"
         assert rows[name]["ok"] is False

@@ -137,3 +137,72 @@ def test_chunk_rejects_inconsistent_arrays():
         run(dst=dst.astype(np.int64))
     with pytest.raises(ctypes.ArgumentError, match="data type"):
         run(ends=ends.astype(np.int64))
+
+
+def random_chunk(ns, k, rng):
+    """A chunk on a 5-node network with two reciprocal pairs and two one-way
+    edges: the kernel's arguments apart from the start, stride and records."""
+    dst = np.array([1, 0, 3, 2, 4, 0], dtype=np.intc)
+    pair = np.array([0, 0, 1, 1, 2, 3], dtype=np.intc)
+    ends = np.array([[1, 0], [3, 2], [4, 1], [0, 4]], dtype=np.intc)
+    omega = rng.normal(size=5)
+    wt = rng.normal(size=(2 * k + 1, 6))
+    return dst, pair, ends, omega, wt, rng.normal(size=(ns, 5))
+
+
+@pytest.mark.parametrize("ns", [1, 2, 3, 10])
+def test_split_batch_matches_single_sample_calls(ns, monkeypatch):
+    monkeypatch.setattr(pk, "_cpus", lambda: 2)  # split even on one CPU
+    rng = np.random.default_rng(ns)
+    k, start, stride = 200, 5, 3  # records at steps 6, 9, ..., 204
+    dst, pair, ends, omega, wt, th0 = random_chunk(ns, k, rng)
+    n_rec = (start + k) // stride + 1
+    th, recs = th0.copy(), np.zeros((ns, n_rec, 5))
+    got = pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th, recs,
+                       pk.alloc_scratch(ns, 5, len(ends)))
+    assert got == n_rec
+    for s in range(ns):
+        th1, recs1 = th0[s:s + 1].copy(), np.zeros((1, n_rec, 5))
+        assert pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th1, recs1,
+                            pk.alloc_scratch(1, 5, len(ends))) == got
+        assert np.array_equal(th[s], th1[0])
+        assert np.array_equal(recs[s], recs1[0])
+    assert np.all(recs[:, 2:] != 0.0) and np.all(recs[:, :2] == 0.0)
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("ns", [1, 10])
+def test_thread_count_is_bounded_by_samples_cpus_and_max_threads(ns, cpus, monkeypatch):
+    monkeypatch.setattr(pk, "_cpus", lambda: cpus)
+    assert pk.max_threads == 2
+    assert pk.thread_count(ns) == min(ns, cpus, pk.max_threads) <= 2
+
+
+def test_cpus_follow_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert pk._cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert pk._cpus() == (os.cpu_count() or 1)
+
+
+def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypatch):
+    rng = np.random.default_rng(0)
+    dst, pair, ends, omega, wt, th = random_chunk(10, 2, rng)
+    recs, per_thread = np.zeros((10, 3, 5)), 5 * 5 + len(ends)
+    assert len(pk.alloc_scratch(10, 5, len(ends))) == 2 * per_thread
+
+    def run(scratch):
+        return pk.rk4_chunk(dst, pair, ends, omega, wt, 0, 0.05, 1, th, recs, scratch)
+
+    def no_kernel():
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(pk, "_cpus", lambda: 2)
+    monkeypatch.setattr(pk, "load", no_kernel)
+    with pytest.raises(ValueError):  # room for one thread's slice only
+        run(np.zeros(2 * per_thread - 1))
+    with pytest.raises(ValueError):
+        run(np.zeros((2, per_thread)))
+    monkeypatch.undo()
+    monkeypatch.setattr(pk, "_cpus", lambda: 1)
+    assert run(np.zeros(per_thread)) == 3  # one thread needs one slice
