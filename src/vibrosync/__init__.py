@@ -22,7 +22,7 @@ The package is organized in layers:
 from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          DisconnectedCluster, DisconnectedNetwork, GraphError,
                          NotSpanningTree, build_incidence, check_invariance,
-                         is_dag, permutation_to_qlt, select_spanning_tree,
+                         permutation_to_qlt, select_spanning_tree,
                          topological_order)
 from .kuramoto_dynamics import (Classification, InvarianceViolated,
                                 KuramotoNetwork, NonFiniteState,
@@ -51,7 +51,7 @@ __all__ = [
     "GraphError", "NotSpanningTree", "DisconnectedCluster",
     "DisconnectedNetwork", "CycleDetected", "DirectedNetwork",
     "ClusterPartition", "select_spanning_tree", "build_incidence",
-    "check_invariance", "topological_order", "is_dag", "permutation_to_qlt",
+    "check_invariance", "topological_order", "permutation_to_qlt",
     # linalg
     "NotHurwitz", "StepTooCoarse", "HorizonTooShort", "is_hurwitz",
     "solve_lyapunov", "robustness", "is_m_matrix", "state_transition",

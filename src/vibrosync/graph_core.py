@@ -90,21 +90,6 @@ class DirectedNetwork:
             weights[e] = float(w)
         return DirectedNetwork(n, tuple(sorted(weights)), weights)
 
-    @staticmethod
-    def from_weight_matrix(w: np.ndarray) -> "DirectedNetwork":
-        """Build from the coupling matrix with ``w[t, s]`` = weight of (s, t)."""
-        w = np.asarray(w, dtype=float)
-        n = w.shape[0]
-        if w.shape != (n, n):
-            raise GraphError("weight matrix must be square")
-        if not np.all(np.isfinite(w)):
-            raise GraphError("weight matrix must be finite")
-        if np.any(np.abs(np.diag(w)) > weight_tolerance):
-            raise GraphError("weight matrix must have zero diagonal")
-        edges = [(s, t, w[t, s]) for t in range(n) for s in range(n)
-                 if s != t and w[t, s] > weight_tolerance]
-        return DirectedNetwork.from_edges(n, edges)
-
     def weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
         for (s, t), v in self.weights.items():
@@ -179,22 +164,12 @@ class ClusterPartition:
     def r(self) -> int:
         return len(self.clusters)
 
-    def cluster_of(self, node: int) -> int:
-        for k, c in enumerate(self.clusters):
-            if node in c:
-                return k
-        raise KeyError(node)
-
     def node_to_cluster(self) -> np.ndarray:
         out = np.empty(self.net.n, dtype=int)
         for k, c in enumerate(self.clusters):
             for i in c:
                 out[i] = k
         return out
-
-    def is_intra(self, e: Edge) -> bool:
-        label = self.node_to_cluster()
-        return label[e[0]] == label[e[1]]
 
 
 @dataclass(frozen=True)
@@ -212,10 +187,6 @@ class SignedGraph:
                 raise GraphError(f"self-loop ({i},{j}) not allowed here")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise GraphError(f"edge ({i},{j}) out of range")
-
-    @property
-    def edges(self) -> List[Edge]:
-        return sorted(self.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +327,6 @@ class IncidenceSet:
         return self.Bhat[:, : self.n_intra_coords]
 
     @property
-    def Bhat_inter(self) -> np.ndarray:
-        return self.Bhat[:, self.n_intra_coords:]
-
-    @property
     def W_intra(self) -> np.ndarray:
         return self.W_diag[: self.m_intra]
 
@@ -369,14 +336,6 @@ class IncidenceSet:
 
     def edge_column(self, e: Edge) -> int:
         return self.edges.index(e)
-
-    def x_of(self, theta: np.ndarray) -> np.ndarray:
-        """Intra-cluster tree coordinates of a phase vector."""
-        return np.asarray(theta) @ self.Bhat_intra
-
-    def y_of(self, theta: np.ndarray) -> np.ndarray:
-        """Inter-cluster tree coordinates of a phase vector."""
-        return np.asarray(theta) @ self.Bhat_inter
 
 
 def _incidence_columns(n: int, edges: Sequence[Edge]) -> np.ndarray:
@@ -563,14 +522,6 @@ def topological_order(a: np.ndarray) -> List[int]:
             visit(u)
     order.reverse()
     return order
-
-
-def is_dag(a: np.ndarray) -> bool:
-    try:
-        topological_order(a)
-        return True
-    except CycleDetected:
-        return False
 
 
 def permutation_to_qlt(a: np.ndarray) -> np.ndarray:

@@ -160,34 +160,6 @@ class StabilityReport:
             "sweep_deviations": list(self.sweep_deviations),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "StabilityReport":
-        emp = None
-        if data.get("empirical") is not None:
-            e = data["empirical"]
-            emp = Classification(stable=e["stable"], slopes=tuple(e["slopes"]),
-                                 initial_norms=tuple(e["initial_norms"]),
-                                 final_norms=tuple(e["final_norms"]))
-        sweep = None
-        if data.get("sweep") is not None:
-            sweep = tuple(SweepPoint(**pt) for pt in data["sweep"])
-        return StabilityReport(
-            n=data["n"],
-            clusters=tuple(tuple(c) for c in data["clusters"]),
-            tree_edges=tuple(tuple(e) for e in data["tree_edges"]),
-            epsilon=data["epsilon"],
-            j_blocks=tuple(np.array(b) for b in data["j_blocks"]),
-            averaged_blocks=tuple(np.array(b) for b in data["averaged_blocks"]),
-            r_values=tuple(data["r_values"]),
-            gamma_bar=np.array(data["gamma_bar"]),
-            s_matrix=None if data["s_matrix"] is None else np.array(data["s_matrix"]),
-            certified=data["certified"],
-            empirical=emp,
-            sweep=sweep,
-            sweep_monotone=data.get("sweep_monotone"),
-            sweep_deviations=tuple(data.get("sweep_deviations", ())),
-        )
-
 
 def _sweep(lin: Linearization, schedule: VibrationSchedule,
            seed: int, kick: float) -> Tuple[Tuple[SweepPoint, ...], bool, Tuple[str, ...]]:

@@ -410,16 +410,29 @@ def test_scenario_must_be_object():
 
 
 def test_reproduce_without_references_is_scenario_error(tmp_path, capsys):
-    data = json.loads((ir.files("vibrosync") / "scenarios" / "cluster_flip.json").read_text())
-    del data["references"]
-    data["simulation"]["t_end"] = 1.0
-    out = tmp_path / "repro"
-    out.mkdir()
-    code = cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
-                     "--out", str(out)])
-    assert code == 2
-    assert "j_cluster1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    # missing or malformed references stop reproduce before any work
+    flagship = (ir.files("vibrosync") / "scenarios" / "cluster_flip.json").read_text()
+    for case, (key, value) in enumerate([
+            ("references", None),
+            ("robust_cluster1_tol", "abc"),
+            ("j_cluster1", [[-0.4, 0.0, 0.1], [-0.05, -0.2]]),
+            ("frequency_ratio", "x"),
+            ("gain_tol", 10 ** 400)]):
+        data = json.loads(flagship)
+        if value is None:
+            del data[key]
+        else:
+            data["references"][key] = value
+        data["simulation"]["t_end"] = 1.0
+        out = tmp_path / f"repro{case}"
+        out.mkdir()
+        code = cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                         "--out", str(out)])
+        assert code == 2, key
+        err = capsys.readouterr().err
+        assert ("j_cluster1" if value is None else key) in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 def test_reproduce_flagship(tmp_path, monkeypatch):
@@ -439,13 +452,48 @@ def test_reproduce_flagship(tmp_path, monkeypatch):
     data_rows = table[2:]
     assert len(data_rows) == 14
     assert all(row.endswith("pass") for row in data_rows)
+    # every row's name, reference and verdict, in order; the computed
+    # column's last digits depend on the platform's libm
     summary = json.loads((out / "summary.json").read_text())
-    assert all(row["ok"] for row in summary)
+    assert [(row["name"], row["reference"], row["ok"]) for row in summary] == [
+        ("jacobian_cluster1", "matrix (exact)", True),
+        ("jacobian_cluster2", "matrix (exact)", True),
+        ("robustness_cluster1", "0.305 +/- 0.005", True),
+        ("robustness_cluster2", "3.62 +/- 0.01", True),
+        ("robustness_cluster1_shifted", "0.332 +/- 0.005", True),
+        ("normalized_gain_1", "1.0 +/- 1e-06", True),
+        ("normalized_gain_2", "1.0 +/- 1e-06", True),
+        ("frequency_ratio", "1.41421356 +/- 1e-06", True),
+        ("controlled_error_drops_below_tol", "< 0.01", True),
+        ("uncontrolled_error_stays_large", ">= 0.5", True),
+        ("certificate_not_granted", "True (bounds too conservative here)", True),
+        ("classifier_controlled", "stable_uncertified", True),
+        ("classifier_uncontrolled", "unstable", True),
+        ("epsilon_sweep", "monotone or deviations reported", True),
+    ]
     report = json.loads((out / "report.json").read_text())
     assert report["label"] == "stable_uncertified"
     assert report["certified"] is False
     baseline = json.loads((out / "baseline_report.json").read_text())
     assert baseline["label"] == "not_stabilized"
+
+
+def test_reproduce_synchronized_start_fails_uncontrolled_row(tmp_path, capsys):
+    # an uncontrolled run that starts on the cluster states has no error to
+    # keep large: its row fails instead of passing on 0/0
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data["simulation"].update(theta0=[0.0] * 4 + [0.5] * 4, t_end=2.0)
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 4
+    rows = {row["name"]: row
+            for row in json.loads((out / "summary.json").read_text())}
+    row = rows["uncontrolled_error_stays_large"]
+    assert row["ok"] is False
+    assert row["computed"] == "starts synchronized"
+    assert "nan" not in json.dumps(row).lower()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_reproduce_one_cluster_scenario_fails_its_cluster_2_rows(tmp_path, capsys):

@@ -35,9 +35,8 @@ def test_weight_matrix_round_trip():
     w = net.weight_matrix()
     # convention: w[target, source]
     assert w[1, 0] == 1.0 and w[0, 1] == 2.0
-    again = vs.DirectedNetwork.from_weight_matrix(w)
-    assert again.edges == net.edges
-    assert again.weight_matrix() == pytest.approx(w)
+    # the nonzero entries are exactly the weighted edges
+    assert {(s, t): w[t, s] for t, s in zip(*np.nonzero(w))} == net.weights
 
 
 def test_partition_validation():
@@ -58,8 +57,7 @@ def test_partition_validation():
 def test_partition_lookup():
     net, part = two_cluster_net()
     assert part.r == 2
-    assert part.cluster_of(3) == 1
-    assert part.is_intra((0, 1)) and not part.is_intra((0, 2))
+    assert part.node_to_cluster().tolist() == [0, 0, 1, 1]
 
 
 def test_spanning_tree_strategies_and_inter_join(flip_inc):
@@ -103,9 +101,9 @@ def test_incidence_matrices():
     assert np.abs(inc.B.T - inc.R @ inc.Bhat.T).max() < 1e-9
     n_x = inc.n_intra_coords
     assert np.abs(inc.R[: inc.m_intra, n_x:]).max() < 1e-12
-    # coordinate readers agree with the tree-edge differences
+    # intra tree coordinates are the tree-edge differences
     theta = np.array([0.0, 0.3, 1.0, -0.2])
-    x = inc.x_of(theta)
+    x = theta @ inc.Bhat_intra
     for p, (parent, child) in enumerate(inc.tree_edges[: n_x]):
         assert x[p] == pytest.approx(theta[child] - theta[parent])
 
@@ -213,8 +211,6 @@ def test_nonfinite_weights_rejected():
     for w in (np.nan, np.inf):
         with pytest.raises(GraphError, match="finite"):
             vs.DirectedNetwork.from_edges(2, [(0, 1, w), (1, 0, 1.0)])
-        with pytest.raises(GraphError, match="finite"):
-            vs.DirectedNetwork.from_weight_matrix(np.array([[0.0, 1.0], [w, 0.0]]))
     # a NaN frequency residual is a violation, not a pass
     net, part = two_cluster_net()
     res = vs.check_invariance(net, part, np.array([1.0, np.nan, 5.0, 5.0]))
@@ -228,7 +224,6 @@ def test_topological_order_and_qlt():
                   [0.0, -1.0, 0.0]])  # influences 0 -> 1 -> 2
     order = vs.topological_order(a)
     assert list(order) == [0, 1, 2]
-    assert vs.is_dag(a)
     q = vs.permutation_to_qlt(a)
     ap = q @ a @ q.T
     assert np.abs(np.triu(ap)).max() == 0.0
@@ -240,7 +235,6 @@ def test_topological_order_and_qlt():
     assert np.abs(np.triu(bp)).max() == 0.0
 
     cyc = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert not vs.is_dag(cyc)
     with pytest.raises(CycleDetected) as err:
         vs.topological_order(cyc)
     assert len(err.value.cycle) >= 2

@@ -207,7 +207,7 @@ def test_linearize_matches_finite_differences():
             theta[child] = theta[parent] + x[p]
         diff = theta[None, :] - theta[:, None]
         td = kn.omega + (w * np.sin(diff)).sum(axis=1)
-        return inc.x_of(td)
+        return td @ inc.Bhat_intra
 
     h = 1e-7
     for p in range(2):
@@ -237,8 +237,8 @@ def test_perturbed_initial_states_structure(flip_inc):
     assert np.abs(states[:, 4:]).max() == 0.0  # cluster 1 untouched
     for row in states:
         # the kick is normalized in tree coordinates, off the manifold
-        assert np.linalg.norm(flip_inc.x_of(row)) == pytest.approx(0.2)
-        assert np.abs(flip_inc.y_of(row)).max() < 1e-12
+        assert np.linalg.norm(row @ flip_inc.Bhat_intra) == pytest.approx(0.2)
+        assert np.abs(row @ flip_inc.Bhat[:, flip_inc.n_intra_coords:]).max() < 1e-12
     again = vs.perturbed_initial_states(flip_inc, 5, 0.2, seed=1, clusters=(0,))
     assert np.array_equal(states, again)
     with pytest.raises(ValueError):  # a kick of norm 0.2 spread over nothing

@@ -119,20 +119,18 @@ def test_certify_flagship_baseline(flip_lin):
 
 
 def test_report_round_trip(flip_report):
-    data = flip_report.to_dict()
-    back = vs.StabilityReport.from_dict(json.loads(json.dumps(data)))
-    assert back.n == flip_report.n
-    assert back.clusters == flip_report.clusters
-    assert back.tree_edges == flip_report.tree_edges
-    assert back.label == flip_report.label
-    assert back.certified == flip_report.certified
-    for a, b in zip(back.j_blocks, flip_report.j_blocks):
-        assert np.abs(a - b).max() == 0.0
-    for a, b in zip(back.averaged_blocks, flip_report.averaged_blocks):
-        assert np.abs(a - b).max() == 0.0
-    assert np.abs(back.gamma_bar - flip_report.gamma_bar).max() == 0.0
-    assert np.abs(back.s_matrix - flip_report.s_matrix).max() == 0.0
-    assert back.r_values == flip_report.r_values
+    # the JSON of to_dict carries every array exactly
+    data = json.loads(json.dumps(flip_report.to_dict()))
+    assert data["n"] == 8
+    assert data["clusters"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert data["tree_edges"] == [list(e) for e in flip_report.tree_edges]
+    assert data["label"] == "uncertified"
+    assert data["certified"] is False and data["s_is_m_matrix"] is False
+    assert data["j_blocks"] == [b.tolist() for b in flip_report.j_blocks]
+    assert data["averaged_blocks"] == [b.tolist() for b in flip_report.averaged_blocks]
+    assert data["gamma_bar"] == flip_report.gamma_bar.tolist()
+    assert data["s_matrix"] == flip_report.s_matrix.tolist()
+    assert data["r_values"] == list(flip_report.r_values)
 
 
 def test_report_round_trip_with_empirical_and_sweep():
@@ -157,13 +155,19 @@ def test_report_round_trip_with_empirical_and_sweep():
         sweep_monotone=True,
         sweep_deviations=(),
     )
-    back = vs.StabilityReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert back.r_values == (3.0, None)
-    assert back.s_matrix is None
-    assert back.empirical == rep.empirical
-    assert back.sweep == rep.sweep
-    assert back.sweep_monotone is True
-    assert back.label == "not_stabilized"
+    data = json.loads(json.dumps(rep.to_dict()))
+    assert data["r_values"] == [3.0, None]
+    assert data["hurwitz_flags"] == [True, False]
+    assert data["s_matrix"] is None
+    assert data["empirical"] == {"stable": False, "slopes": [0.1, -0.2],
+                                 "initial_norms": [0.1, 0.1],
+                                 "final_norms": [0.5, 0.01]}
+    assert data["sweep"] == [
+        {"epsilon": 0.1, "stable": False, "worst_slope": 0.1, "worst_final_ratio": 5.0},
+        {"epsilon": 0.01, "stable": True, "worst_slope": -0.5, "worst_final_ratio": 0.01}]
+    assert data["sweep_monotone"] is True
+    assert data["sweep_deviations"] == []
+    assert data["label"] == "not_stabilized"
 
 
 # ---------------------------------------------------------------------------
