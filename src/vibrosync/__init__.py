@@ -27,17 +27,17 @@ from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
 from .kuramoto_dynamics import (Classification, InvarianceViolated,
                                 KuramotoNetwork, NonFiniteState,
                                 VibrationEntry, VibrationSchedule,
-                                classify_partial_stability,
-                                cluster_vibration_matrix, edge_influence,
+                                averaged_jacobians, classify_partial_stability,
+                                cluster_vibration_matrices, edge_influence,
                                 geodesic_distance, linearize,
                                 perturbation_bounds, perturbed_initial_states,
-                                sample_perturbed_trajectories,
-                                schedule_slot_matrices, simulate, sync_error)
+                                sample_perturbed_trajectories, simulate,
+                                sync_error)
 from .linalg import (HorizonTooShort, NotHurwitz, StepTooCoarse,
                      conjugated_average, is_hurwitz, is_m_matrix, robustness,
                      solve_lyapunov, state_transition)
-from .stability_cert import (StabilityReport, SweepPoint, averaged_jacobians,
-                             build_S, certify, comparison)
+from .stability_cert import (StabilityReport, SweepPoint, build_S, certify,
+                             comparison)
 from .vib_design import (ModificationSpec, NoRealizableEdges, NotRealizable,
                          VerificationFailed, design_cluster, design_linear,
                          kuramoto_modifiable, modifiable_graph,
@@ -60,7 +60,7 @@ __all__ = [
     "NonFiniteState", "InvarianceViolated", "KuramotoNetwork",
     "VibrationEntry", "VibrationSchedule", "Classification",
     "geodesic_distance", "sync_error", "simulate", "linearize",
-    "edge_influence", "schedule_slot_matrices", "cluster_vibration_matrix",
+    "edge_influence", "cluster_vibration_matrices", "averaged_jacobians",
     "perturbation_bounds", "perturbed_initial_states",
     "sample_perturbed_trajectories", "classify_partial_stability",
     # vib_design
@@ -68,6 +68,5 @@ __all__ = [
     "ModificationSpec", "modifiable_graph", "validate_modification",
     "design_linear", "kuramoto_modifiable", "design_cluster",
     # stability_cert
-    "SweepPoint", "StabilityReport", "averaged_jacobians", "build_S",
-    "comparison", "certify",
+    "SweepPoint", "StabilityReport", "build_S", "comparison", "certify",
 ]

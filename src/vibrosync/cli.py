@@ -5,12 +5,12 @@ loudly.  All outputs are written atomically (temp file + rename) and are
 byte-identical across reruns with the same inputs.
 
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
-numbers, a non-positive epsilon, a negative seed, and cluster-synchronized
-states that are not invariant where a command needs them), 3 design not
-realizable (including a cyclic change pattern), 4 a verification or
-reproduction check failed (artifacts are still written), or the average a
-design is verified with did not settle within the longest averaging horizon
-(the command stops there).
+numbers, integers too large for a float, a non-positive epsilon, a negative
+seed, and cluster-synchronized states that are not invariant where a
+command needs them), 3 design not realizable (including a cyclic change
+pattern), 4 a verification or reproduction check failed (artifacts are
+still written), or an average did not settle within the longest averaging
+horizon (the command stops there).
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          GraphError, IncidenceSet, build_incidence,
                          select_spanning_tree)
 from .kuramoto_dynamics import (InvarianceViolated, KuramotoNetwork, Trajectory,
-                                VibrationEntry, VibrationSchedule, linearize,
+                                VibrationEntry, VibrationSchedule,
+                                averaged_jacobians, linearize,
                                 perturbation_bounds, perturbed_initial_states,
                                 simulate, sync_error)
 from .linalg import HorizonTooShort
 from .stability_cert import StabilityReport, certify, comparison
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
-                         VerificationFailed, design_cluster)
+                         design_cluster)
 
 
 class ScenarioError(ValueError):
@@ -140,7 +141,7 @@ class Scenario:
                                             target=k)
             except CycleDetected:
                 raise
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ScenarioError(f"modification for cluster {k}: {exc}") from exc
         return specs
 
@@ -200,7 +201,7 @@ def parse_scenario(data: dict) -> Scenario:
         dt = None if sim.get("dt") is None else float(sim["dt"])
         epsilon = float(sim.get("epsilon", 0.01))
         sync_tolerance = float(tolerances.get("sync", 0.01))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario data: {exc}") from exc
     if len(omega) != n:
         raise ScenarioError(f"omega has {len(omega)} entries for {n} nodes")
@@ -247,7 +248,7 @@ def parse_scenario(data: dict) -> Scenario:
     _require_epsilon(scenario.epsilon, "simulation epsilon")
     try:
         scenario.vibration_schedule()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed schedule: {exc}") from exc
     return scenario
 
@@ -363,7 +364,9 @@ def cmd_analyze(scenario: Scenario, out: Path) -> int:
     except InvarianceViolated as exc:
         report = _analysis(scenario, kn, None, exc.violations)
     else:
-        cert = certify(lin, scenario.vibration_schedule(), empirical=False)
+        schedule = scenario.vibration_schedule()
+        cert = certify(lin, schedule, averaged_jacobians(lin, schedule),
+                       empirical=False)
         report = _analysis(scenario, kn, cert)
     dump_json(out / "report.json", report)
     print(f"wrote {out / 'report.json'}")
@@ -507,7 +510,8 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
             "cluster-synchronized states are not invariant for this scenario") from exc
 
     # --- analysis: the uncontrolled network -------------------------------
-    baseline = certify(design.lin, None, kick=scenario.perturbation, seed=use_seed)
+    baseline = certify(design.lin, None, design.lin.J_blocks,
+                       kick=scenario.perturbation, seed=use_seed)
     dump_json(out / "analysis.json",
               _analysis(scenario, kn, dataclasses.replace(baseline, empirical=None)))
     print(f"wrote {out / 'analysis.json'}")
@@ -540,7 +544,7 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
                                close(r, key, key + "_tol")))
 
     # --- the controlled certificate -------------------------------------
-    report = certify(design.lin, design.schedule,
+    report = certify(design.lin, design.schedule, design.averaged,
                      kick=scenario.perturbation, seed=use_seed)
     certificate = _certificate_dict(design, report.gamma_bar)
     dump_json(out / "schedule.json", _schedule_dict(design))
@@ -677,7 +681,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GraphError, InvarianceViolated) as exc:
         print(f"invalid network: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailed, HorizonTooShort) as exc:
+    except HorizonTooShort as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
 

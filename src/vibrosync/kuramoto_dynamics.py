@@ -12,7 +12,7 @@ import numpy as np
 from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, check_invariance, Edge)
-from .linalg import SinusoidSum, _linear_flow, _resolve_step
+from .linalg import SinusoidSum, _linear_flow, _resolve_step, conjugated_average
 
 max_recorded_samples = 100_000
 rational_ratio_tolerance = 1e-9
@@ -349,36 +349,49 @@ def edge_influence(inc: IncidenceSet, e: Edge) -> np.ndarray:
     return np.outer(left, right)
 
 
-def schedule_slot_matrices(inc: IncidenceSet,
-                           schedule: VibrationSchedule) -> List[List[Tuple[float, float, float, np.ndarray]]]:
-    """Per-cluster vibration terms in reduced coordinates (fast time).
+def cluster_vibration_matrices(inc: IncidenceSet, schedule: Optional[VibrationSchedule]
+                               ) -> Tuple[Optional[SinusoidSum], ...]:
+    """Per-cluster vibration matrix P(t) of ``schedule`` in reduced
+    coordinates (fast time).
 
-    Returns, for each cluster, a list of (amplitude, frequency, phase, M)
-    with M the reduced influence matrix of that edge restricted to the
-    cluster's coordinate block.
+    Cluster k gets the sinusoid sum of its vibrated edges, in the order of
+    ``schedule.sorted_items()``, each term carrying the edge's reduced
+    influence restricted to the cluster's coordinate block; a cluster
+    without vibrated edges (every cluster when ``schedule`` is None) gets
+    None.
     """
     label = inc.partition.node_to_cluster()
-    out: List[List[Tuple[float, float, float, np.ndarray]]] = [[] for _ in inc.partition.clusters]
-    for (s, t), entry in schedule.sorted_items():
+    terms: List[list] = [[] for _ in inc.partition.clusters]
+    for (s, t), entry in schedule.sorted_items() if schedule is not None else ():
         k = int(label[t])
         if label[s] != k:
             raise GraphError(f"vibrated edge ({s},{t}) crosses clusters")
-        m_full = edge_influence(inc, (s, t))
         sl = inc.coord_slices[k]
-        out[k].append((entry.amplitude, entry.frequency, entry.phase,
-                       m_full[sl, sl].copy()))
-    return out
-
-
-def cluster_vibration_matrix(terms) -> Optional[SinusoidSum]:
-    """P(t) summing sinusoidal slot terms; None when empty."""
-    if not terms:
-        return None
-    return SinusoidSum(*zip(*terms))
+        terms[k].append((entry.amplitude, entry.frequency, entry.phase,
+                         edge_influence(inc, (s, t))[sl, sl]))
+    return tuple(SinusoidSum(*zip(*tk)) if tk else None for tk in terms)
 
 
 # ---------------------------------------------------------------------------
-# perturbation bounds
+# averaged Jacobians and perturbation bounds
+
+
+def averaged_jacobians(lin: Linearization,
+                       schedule: Optional[VibrationSchedule]) -> Tuple[np.ndarray, ...]:
+    """Per-cluster averaged Jacobians under a vibration schedule.
+
+    Each block is conjugate-averaged along the flow of its cluster's
+    vibration matrix; a cluster without one keeps (a copy of) its Jacobian.
+    """
+    out: List[np.ndarray] = []
+    for blk, p in zip(lin.J_blocks, cluster_vibration_matrices(lin.inc, schedule)):
+        base_period = min_period = None
+        if p is not None:
+            base_period = 2.0 * math.pi / p.freqs.min()
+            min_period = 2.0 * math.pi / p.freqs.max()
+        out.append(conjugated_average(blk, p, base_period=base_period,
+                                      min_period=min_period))
+    return tuple(out)
 
 
 def perturbation_bounds(lin: Linearization,
@@ -402,15 +415,12 @@ def perturbation_bounds(lin: Linearization,
         return gains
     growth = np.ones(r)
     shrink = np.ones(r)
-    terms = schedule_slot_matrices(inc, schedule)
-    for k in range(r):
-        p = cluster_vibration_matrix(terms[k])
+    for k, p in enumerate(cluster_vibration_matrices(inc, schedule)):
         if p is None:
             continue
-        freqs = [f for _, f, _, _ in terms[k]]
-        t_max = 20.0 * 2.0 * np.pi / min(freqs)
-        dt = _resolve_step(t_max, None, 2.0 * np.pi / max(freqs))
-        d = terms[k][0][3].shape[0]
+        t_max = 20.0 * 2.0 * np.pi / p.freqs.min()
+        dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max())
+        d = p.mats.shape[1]
         steps = int(np.ceil(t_max / dt))
         for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):
             s = np.linalg.svd(phis, compute_uv=False)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vibrosync.cli as cli
-from vibrosync import graph_core, kuramoto_dynamics, stability_cert, vib_design
+from vibrosync import graph_core, kuramoto_dynamics, linalg, stability_cert
 from vibrosync.kuramoto_dynamics import Trajectory, sync_error
 from vibrosync.linalg import HorizonTooShort
 
@@ -39,15 +39,19 @@ def tiny_path(tmp_path_factory):
 
 def count_stage_calls(monkeypatch) -> Counter:
     """Count the calls of the pipeline stages from every vibrosync module
-    that binds them."""
+    that binds them; ``conjugated_average`` counts the averages of a
+    vibration flow, not its calls without a vibration matrix, which return
+    a copy of the block."""
     counts: Counter = Counter()
     stages = (kuramoto_dynamics.linearize, graph_core.check_invariance,
-              stability_cert.certify, kuramoto_dynamics.perturbation_bounds)
+              stability_cert.certify, kuramoto_dynamics.perturbation_bounds,
+              linalg.conjugated_average)
     modules = [module for name, module in sys.modules.items()
                if name == "vibrosync" or name.startswith("vibrosync.")]
     for stage in stages:
         def counted(*args, _stage=stage, **kwargs):
-            counts[_stage.__name__] += 1
+            if _stage.__name__ != "conjugated_average" or args[1] is not None:
+                counts[_stage.__name__] += 1
             return _stage(*args, **kwargs)
 
         for module in modules:
@@ -215,7 +219,8 @@ def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
     def unsettled(*args, **kwargs):
         raise HorizonTooShort(message)
 
-    monkeypatch.setattr(vib_design, "conjugated_average", unsettled)
+    # the binding the designer's closing average goes through
+    monkeypatch.setattr(kuramoto_dynamics, "conjugated_average", unsettled)
     code = cli.main(["design", "--scenario", "cluster_flip", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 4
@@ -227,13 +232,16 @@ def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
     counts = count_stage_calls(monkeypatch)
     assert cli.main(["analyze", "--scenario", "cluster_flip",
                      "--out", str(tmp_path / "analyze")]) == 0
+    # the flagship scenario carries no schedule: nothing to average
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 1,
                       "perturbation_bounds": 1}
+    assert counts["conjugated_average"] == 0
     counts.clear()
     assert cli.main(["design", "--scenario", "cluster_flip",
                      "--out", str(tmp_path / "design")]) == 4
+    # one average of the vibrated cluster, of the realized schedule
     assert counts == {"linearize": 1, "check_invariance": 1,
-                      "perturbation_bounds": 1}
+                      "perturbation_bounds": 1, "conjugated_average": 1}
 
 
 def test_design_requires_modifications(tiny_path, tmp_path):
@@ -311,11 +319,19 @@ def test_cyclic_modification_exits_3(tmp_path):
     {"simulation": {"seed": True}},
     {"simulation": {"perturb_clusters": [0.7]}},
     {"edges": [[0, 1.5, 1.0]] + TINY["edges"][1:]},
+    # integers too large for a float
+    {"omega": [10**400, 1.0, 2.0, 2.0]},
+    {"edges": [[0, 1, 10**400]] + TINY["edges"][1:]},
+    {"simulation": {"t_end": 10**400}},
+    {"modifications": [{"cluster": 0, "delta": [[0.0, 10**400], [0.0, 0.0]]}]},
+    {"schedule": {"epsilon": 0.05, "entries": [
+        {"edge": [0, 1], "amplitude": 10**400, "frequency": 1.0}]}},
 ], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
         "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object",
         "modifications_not_list", "entries_not_list", "empty_perturb_clusters",
         "negative_seed", "fractional_seed", "boolean_seed",
-        "fractional_perturb_cluster", "fractional_edge_end"])
+        "fractional_perturb_cluster", "fractional_edge_end", "huge_omega",
+        "huge_weight", "huge_t_end", "huge_delta", "huge_amplitude"])
 def test_bad_scenario_values_exit_2(tmp_path, override):
     path = write_scenario(tmp_path, dict(TINY, **override))
     with pytest.raises(cli.ScenarioError):
@@ -329,7 +345,8 @@ def test_bad_scenario_values_exit_2(tmp_path, override):
     [[0.0, 0.05, 0.0], [float("nan"), 0.0, 0.0], [-0.05, 0.0, 0.0]],
     [[0.0, 0.05, 0.0], [0.0, 0.0, 0.0], [-0.05, 0.0, 0.0], [0.0, 0.0, 0.0]],
     [[0.1, 0.05, 0.0], [0.0, 0.0, 0.0], [-0.05, 0.0, 0.0]],
-], ids=["nan_entry", "not_square", "nonzero_diagonal"])
+    [[0.0, 10**400, 0.0], [0.0, 0.0, 0.0], [-0.05, 0.0, 0.0]],
+], ids=["nan_entry", "not_square", "nonzero_diagonal", "huge_entry"])
 def test_bad_modification_exits_2(tmp_path, delta):
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
@@ -435,14 +452,25 @@ def test_reproduce_without_references_is_scenario_error(tmp_path, capsys):
         assert list(out.iterdir()) == []
 
 
-def test_reproduce_flagship(tmp_path, monkeypatch):
-    counts = count_stage_calls(monkeypatch)
-    out = tmp_path / "repro"
-    assert cli.main(["reproduce", "--out", str(out)]) == 0
+@pytest.fixture(scope="module")
+def flagship_reproduce(tmp_path_factory):
+    """One ``vibrosync reproduce`` of the flagship: its output directory,
+    exit code and pipeline stage counts."""
+    out = tmp_path_factory.mktemp("repro") / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_stage_calls(mp)
+        code = cli.main(["reproduce", "--out", str(out)])
+    return out, code, counts
+
+
+def test_reproduce_flagship(flagship_reproduce):
+    out, code, counts = flagship_reproduce
+    assert code == 0
     # one linearization; one certificate each for the uncontrolled and the
-    # controlled network
+    # controlled network; one average of the vibrated cluster, which the
+    # design verifies and the controlled certificate reuses
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 2,
-                      "perturbation_bounds": 2}
+                      "perturbation_bounds": 2, "conjugated_average": 1}
     for name in ("analysis.json", "schedule.json", "certificate.json",
                  "controlled.csv", "err_controlled.csv", "uncontrolled.csv",
                  "err_uncontrolled.csv", "plot.gp", "report.json",
@@ -476,6 +504,19 @@ def test_reproduce_flagship(tmp_path, monkeypatch):
     assert report["certified"] is False
     baseline = json.loads((out / "baseline_report.json").read_text())
     assert baseline["label"] == "not_stabilized"
+
+
+def test_reproduce_residual_is_the_certified_average(flagship_reproduce):
+    # the design's residual and the certificate's averaged block come from
+    # the same average, digit for digit
+    out = flagship_reproduce[0]
+    certificate = json.loads((out / "certificate.json").read_text())
+    schedule = json.loads((out / "schedule.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    miss = float(np.abs(np.array(report["averaged_blocks"][0])
+                        - np.array(certificate["targets"][0])).max())
+    assert certificate["residuals"] == schedule["residuals"] == {"0": miss}
+    assert certificate["all_designs_verified"] is False
 
 
 def test_reproduce_synchronized_start_fails_uncontrolled_row(tmp_path, capsys):

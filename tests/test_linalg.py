@@ -340,14 +340,12 @@ def test_state_transition_matches_per_step_loop():
 def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, flip_design):
     schedule = flip_design.schedule
     growth, shrink = np.ones(flip_inc.partition.r), np.ones(flip_inc.partition.r)
-    for k, terms in enumerate(vs.schedule_slot_matrices(flip_inc, schedule)):
-        if not terms:
+    for k, p in enumerate(vs.cluster_vibration_matrices(flip_inc, schedule)):
+        if p is None:
             continue
-        freqs = [f for _, f, _, _ in terms]
         growth[k], shrink[k] = reference_growth(
-            vs.cluster_vibration_matrix(terms), terms[0][3].shape[0],
-            20.0 * 2.0 * np.pi / min(freqs),
-            2.0 * np.pi / max(freqs) / linalg.default_oversampling)
+            p, p.mats.shape[1], 20.0 * 2.0 * np.pi / p.freqs.min(),
+            2.0 * np.pi / p.freqs.max() / linalg.default_oversampling)
     assert growth.max() > 1.0
     expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
                 * vs.perturbation_bounds(flip_lin))

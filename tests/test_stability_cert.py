@@ -26,7 +26,9 @@ J2 = np.array([[-3.0, 0.0, 1.0],
 
 @pytest.fixture(scope="module")
 def flip_report(flip_lin, flip_design):
-    return vs.certify(flip_lin, flip_design.schedule, empirical=False)
+    return vs.certify(flip_lin, flip_design.schedule,
+                      vs.averaged_jacobians(flip_lin, flip_design.schedule),
+                      empirical=False)
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +101,13 @@ def test_certify_flagship_uncertified(flip_report):
     assert rep.r_values[1] == pytest.approx(3.6158, abs=1e-2)
     assert rep.gamma_bar.shape == (2, 2)
     assert rep.s_matrix is not None
-    assert not rep.s_is_m_matrix
     assert not rep.certified
     assert rep.label == "uncertified"  # no empirical evidence requested
     assert rep.empirical is None and rep.sweep is None
 
 
 def test_certify_flagship_baseline(flip_lin):
-    rep = vs.certify(flip_lin, None, empirical=False)
+    rep = vs.certify(flip_lin, None, flip_lin.J_blocks, empirical=False)
     assert rep.hurwitz_flags == (True, True)
     assert rep.r_values[0] == pytest.approx(0.3059, abs=1e-3)
     assert rep.r_values[1] == pytest.approx(3.6158, abs=1e-3)
@@ -176,9 +177,10 @@ def test_report_round_trip_with_empirical_and_sweep():
 
 def test_weak_coupling_certifies_and_is_stable(weak_pair):
     kn, inc = weak_pair
-    rep = vs.certify(vs.linearize(kn, inc), None, empirical=True, seed=0)
+    lin = vs.linearize(kn, inc)
+    rep = vs.certify(lin, None, lin.J_blocks, empirical=True, seed=0)
     # the M-matrix certificate holds at weak inter-cluster coupling
-    assert rep.s_is_m_matrix and rep.certified
+    assert rep.certified
     assert rep.label == "certified"
     # soundness: the certified network is empirically stable as well
     assert rep.empirical is not None and rep.empirical.stable
@@ -186,7 +188,8 @@ def test_weak_coupling_certifies_and_is_stable(weak_pair):
 
 def test_weak_coupling_report_fields(weak_pair):
     kn, inc = weak_pair
-    rep = vs.certify(vs.linearize(kn, inc), None, empirical=False)
+    lin = vs.linearize(kn, inc)
+    rep = vs.certify(lin, None, lin.J_blocks, empirical=False)
     # intra-cluster blocks are unchanged by inter-cluster scaling
     assert rep.r_values[0] == pytest.approx(0.3059, abs=1e-3)
     assert rep.r_values[1] == pytest.approx(3.6158, abs=1e-3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vibrosync as vs
+from vibrosync import vib_design
 
 SQ2 = math.sqrt(2.0)
 
@@ -280,6 +281,32 @@ def test_design_cluster_slot_matrices_merge(flip_kn, flip_inc, flip_design):
     e20[2, 0] = SQ2
     assert np.abs(drive_1 - e01).max() < 1e-9
     assert np.abs(drive_sq2 - e20).max() < 1e-9
+
+
+def test_design_cluster_verifies_the_realized_schedule(flip_kn, flip_inc, monkeypatch):
+    # a one-slot change the first cluster's edges realize on target; with the
+    # last coefficient of every cancellation recipe off by 10 % the symbolic
+    # design is unchanged, and only the average of the realized schedule
+    # shows that its edges no longer drive the designed slot alone
+    delta = np.zeros((3, 3))
+    delta[0, 1] = 0.05
+    specs = {0: vs.ModificationSpec(delta=delta)}
+    good = vs.design_cluster(flip_kn, flip_inc, specs)
+    assert good.all_verified
+    assert good.residuals[0] <= specs[0].tolerance
+
+    slot_combos = vib_design._slot_combos
+
+    def corrupted(*args):
+        return tuple(recipe[:-1] + ((recipe[-1][0], 1.1 * recipe[-1][1]),)
+                     for recipe in slot_combos(*args))
+
+    monkeypatch.setattr(vib_design, "_slot_combos", corrupted)
+    bad = vs.design_cluster(flip_kn, flip_inc, specs)
+    assert bad.designs[0].slots == good.designs[0].slots
+    assert bad.schedule.entries != good.schedule.entries
+    assert not bad.all_verified
+    assert bad.residuals[0] > 10 * specs[0].tolerance
 
 
 def test_design_cluster_shape_mismatch(flip_kn, flip_inc):
