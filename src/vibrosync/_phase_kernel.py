@@ -18,9 +18,18 @@ without reciprocal edges has one pair per edge.
 
 A chunk splits its samples into contiguous parts across at most
 ``max_threads`` (2) POSIX threads, one part each, and never more threads
-than samples or than CPUs the process may run on.  The samples are
-independent and each runs the same arithmetic in the same order on
-whichever thread, so the results are bit-identical to one thread.
+than samples or than CPUs the process may run on.  A thread advances its
+part in lockstep blocks of W = 4 samples (``_block_width``), stored
+node-major (node j of block sample s at ``j*W + s``), so each pair sine,
+edge scatter and RK4 update loops over the block's samples and each edge
+weight and index is loaded once per block; the samples left over, fewer
+than W, run one at a time through the same inlined code at width 1.  Every
+call site has a constant width, so neither path pays for run-time loop
+bounds.  Each thread's scratch slice is padded to whole 64-byte lines and
+starts on one, so the threads never write to a shared cache line.  The
+samples are independent and each runs the same arithmetic in the same
+order in any block and on any thread, so the results are bit-identical to
+one sample on one thread.
 """
 
 from __future__ import annotations
@@ -43,25 +52,42 @@ _SOURCE = r"""
 #include <pthread.h>
 #include <stdint.h>
 
-/* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s), with one
-   sine per coupled pair: sp[p] = sin(x_a - x_b) for the pair's ends
-   (a, b) = ends[2p], ends[2p+1], and edge e reads sp[pair[e]].  An edge
-   with (t, s) = (b, a) needs -sp[p]; the caller stores -w_e for it, which is
-   exact, as are x_a - x_b = -(x_b - x_a) and sin(-u) = -sin(u). */
-static void field(int n, int m, int npair, const int *dst, const int *pair,
-                  const int *ends, const double *omega, const double *w,
-                  const double *x, double *sp, double *dx)
+#define W 4  /* samples per lockstep block */
+
+/* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s) for the
+   `width` samples of a block, stored node-major: node j of block sample s
+   at j * width + s.  One sine per coupled pair: sp[p] = sin(x_a - x_b) for
+   the pair's ends (a, b) = ends[2p], ends[2p+1], and edge e reads sp[pair[e]].
+   An edge with (t, s) = (b, a) needs -sp[p]; the caller stores -w_e for it,
+   which is exact, as are x_a - x_b = -(x_b - x_a) and sin(-u) = -sin(u).
+   Each sample sees the same operations in the same order at any width;
+   every call site passes a constant width, so the sample loops compile
+   without run-time bounds. */
+static inline __attribute__((always_inline)) void
+field(int width, int n, int m, int npair, const int *restrict dst,
+      const int *restrict pair, const int *restrict ends,
+      const double *restrict omega, const double *restrict w,
+      const double *restrict x, double *restrict sp, double *restrict dx)
 {
-    for (int p = 0; p < npair; p++)
-        sp[p] = sin(x[ends[2 * p]] - x[ends[2 * p + 1]]);
+    for (int p = 0; p < npair; p++) {
+        const double *xa = x + ends[2 * p] * width, *xb = x + ends[2 * p + 1] * width;
+        for (int s = 0; s < width; s++)
+            sp[p * width + s] = sin(xa[s] - xb[s]);
+    }
     for (int i = 0; i < n; i++)
-        dx[i] = omega[i];
-    for (int e = 0; e < m; e++)
-        dx[dst[e]] -= w[e] * sp[pair[e]];
+        for (int s = 0; s < width; s++)
+            dx[i * width + s] = omega[i];
+    for (int e = 0; e < m; e++) {
+        double we = w[e];
+        double *d = dx + dst[e] * width;
+        const double *q = sp + pair[e] * width;
+        for (int s = 0; s < width; s++)
+            d[s] -= we * q[s];
+    }
 }
 
 /* The samples [s0, s1) of a batch and the scratch of the thread that
-   runs them: 5n + npair doubles. */
+   runs them: (6n + npair) W doubles, padded to whole 64-byte lines. */
 struct part {
     int s0, s1, n, m, npair;
     const int *dst, *pair, *ends;
@@ -72,39 +98,56 @@ struct part {
     double *th, *recs, *scratch;
 };
 
-static void *run_part(void *arg)
+/* All k steps of the `width` samples from row s0 of th, in lockstep. */
+static inline __attribute__((always_inline)) void
+advance(int width, const struct part *p, int s0)
 {
-    const struct part *p = arg;
-    int n = p->n, m = p->m, npair = p->npair, k = p->k;
+    int n = p->n, m = p->m, npair = p->npair, k = p->k, nw = p->n * width;
     const int *dst = p->dst, *pair = p->pair, *ends = p->ends;
     const double *omega = p->omega;
     double h = p->h;
-    double *k1 = p->scratch, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *y = k4 + n;
-    double *sp = y + n;
-    for (int s = p->s0; s < p->s1; s++) {
-        double *x = p->th + (int64_t)s * n;
-        for (int i = 0; i < k; i++) {
-            const double *w0 = p->w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
-            field(n, m, npair, dst, pair, ends, omega, w0, x, sp, k1);
-            for (int j = 0; j < n; j++)
-                y[j] = x[j] + 0.5 * h * k1[j];
-            field(n, m, npair, dst, pair, ends, omega, wm, y, sp, k2);
-            for (int j = 0; j < n; j++)
-                y[j] = x[j] + 0.5 * h * k2[j];
-            field(n, m, npair, dst, pair, ends, omega, wm, y, sp, k3);
-            for (int j = 0; j < n; j++)
-                y[j] = x[j] + h * k3[j];
-            field(n, m, npair, dst, pair, ends, omega, w1, y, sp, k4);
-            for (int j = 0; j < n; j++)
-                x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-            int64_t step = p->start + i + 1;
-            if (step % p->stride == 0) {
-                double *r = p->recs + ((int64_t)s * p->n_rec + step / p->stride) * n;
+    double *x = p->scratch, *y = x + nw, *k1 = y + nw, *k2 = k1 + nw, *k3 = k2 + nw;
+    double *k4 = k3 + nw, *sp = k4 + nw;
+    for (int s = 0; s < width; s++)
+        for (int j = 0; j < n; j++)
+            x[j * width + s] = p->th[(int64_t)(s0 + s) * n + j];
+    for (int i = 0; i < k; i++) {
+        const double *w0 = p->w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
+        field(width, n, m, npair, dst, pair, ends, omega, w0, x, sp, k1);
+        for (int j = 0; j < nw; j++)
+            y[j] = x[j] + 0.5 * h * k1[j];
+        field(width, n, m, npair, dst, pair, ends, omega, wm, y, sp, k2);
+        for (int j = 0; j < nw; j++)
+            y[j] = x[j] + 0.5 * h * k2[j];
+        field(width, n, m, npair, dst, pair, ends, omega, wm, y, sp, k3);
+        for (int j = 0; j < nw; j++)
+            y[j] = x[j] + h * k3[j];
+        field(width, n, m, npair, dst, pair, ends, omega, w1, y, sp, k4);
+        for (int j = 0; j < nw; j++)
+            x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+        int64_t step = p->start + i + 1;
+        if (step % p->stride == 0)
+            for (int s = 0; s < width; s++) {
+                double *r = p->recs + ((int64_t)(s0 + s) * p->n_rec + step / p->stride) * n;
                 for (int j = 0; j < n; j++)
-                    r[j] = x[j];
+                    r[j] = x[j * width + s];
             }
-        }
     }
+    for (int s = 0; s < width; s++)
+        for (int j = 0; j < n; j++)
+            p->th[(int64_t)(s0 + s) * n + j] = x[j * width + s];
+}
+
+/* A part runs in blocks of W samples; the last samples, fewer than W, run
+   one at a time. */
+static void *run_part(void *arg)
+{
+    const struct part *p = arg;
+    int s = p->s0;
+    for (; s + W <= p->s1; s += W)
+        advance(W, p, s);
+    for (; s < p->s1; s++)
+        advance(1, p, s);
     return NULL;
 }
 
@@ -114,8 +157,8 @@ static void *run_part(void *arg)
    index step / stride.  The samples are split into nthreads contiguous
    parts; the calling thread runs the first and one POSIX thread each of
    the others, and a part whose thread does not start runs on the calling
-   thread after its own.  Part t uses the 5n + npair doubles of scratch
-   from t (5n + npair) on.  Returns the record index after the chunk. */
+   thread after its own.  Part t uses the `slice` doubles of scratch from
+   t slice on.  Returns the record index after the chunk. */
 int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
                   const int *pair, const int *ends, const double *omega,
                   const double *w, int64_t start, int k, double h,
@@ -125,6 +168,7 @@ int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
     int64_t next = (start + k) / stride + 1;
     if (nthreads < 1)  /* no samples */
         return next;
+    int64_t slice = ((int64_t)(6 * n + npair) * W + 7) / 8 * 8;
     struct part parts[nthreads];
     pthread_t tid[nthreads];
     int started[nthreads];
@@ -132,7 +176,7 @@ int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
         struct part p = {(int)((int64_t)ns * t / nthreads),
                          (int)((int64_t)ns * (t + 1) / nthreads), n, m, npair, dst,
                          pair, ends, omega, w, start, stride, n_rec, k, h, th, recs,
-                         scratch + (int64_t)t * (5 * n + npair)};
+                         scratch + t * slice};
         parts[t] = p;
     }
     for (int t = 1; t < nthreads; t++)
@@ -256,11 +300,24 @@ def thread_count(ns: int) -> int:
     return min(ns, _cpus(), max_threads)
 
 
+_block_width = 4  # the W of the C source: samples one thread advances in lockstep
+
+
+def _slice_len(n: int, npair: int) -> int:
+    """Doubles of scratch one thread uses: ``(6 n + npair) W``, rounded up
+    to whole 64-byte lines."""
+    return -(-(6 * n + npair) * _block_width // 8) * 8
+
+
 def alloc_scratch(ns: int, n: int, npair: int) -> np.ndarray:
     """Scratch memory for ``rk4_chunk`` on ``ns`` samples of ``n`` nodes and
-    ``npair`` coupled pairs: ``5 n + npair`` doubles for each thread a chunk
-    can run on."""
-    return np.empty(min(ns, max_threads) * (5 * n + npair))
+    ``npair`` coupled pairs: one slice of ``_slice_len(n, npair)`` doubles
+    for each thread a chunk can run on, starting on a 64-byte line, so no
+    two threads write to one cache line."""
+    size = min(ns, max_threads) * _slice_len(n, npair)
+    buf = np.empty(size + 8)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip:skip + size]
 
 
 def _within(index: np.ndarray, bound: int) -> bool:
@@ -278,8 +335,10 @@ def rk4_chunk(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
     row of ``ends`` (npair, 2); ``wt`` holds the edge weights on the chunk's
     half-step grid, negated for an edge whose sine is ``sin(x_b - x_a)``.
     The samples are split into ``thread_count(ns)`` contiguous parts, one
-    per thread, each with its own ``5 n + npair`` doubles of ``scratch``;
-    every sample runs the same arithmetic whatever the split."""
+    per thread, each with its own ``_slice_len(n, npair)`` doubles of
+    ``scratch``; a thread advances its part in lockstep blocks of
+    ``_block_width`` samples and the rest one at a time, and every sample
+    runs the same arithmetic whatever the split or block."""
     ns, n = th.shape
     m, npair = len(dst), len(ends)
     k = (len(wt) - 1) // 2
@@ -288,7 +347,7 @@ def rk4_chunk(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
     if (pair.shape != (m,) or ends.shape != (npair, 2) or omega.shape != (n,)
             or wt.shape != (2 * k + 1, m) or recs.shape != (ns, n_rec, n)
             or start < 0 or stride < 1 or (start + k) // stride >= n_rec
-            or scratch.ndim != 1 or len(scratch) < threads * (5 * n + npair)
+            or scratch.ndim != 1 or len(scratch) < threads * _slice_len(n, npair)
             or not (_within(dst, n) and _within(pair, npair) and _within(ends, n))):
         raise ValueError("inconsistent phase-kernel array shapes or indices")
     return load()(ns, n, m, npair, dst, pair, ends, omega, wt, start, k, h, stride,

@@ -457,8 +457,11 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
     """Random phase vectors whose intra-cluster coordinates have norm ``kick``.
 
     ``clusters`` restricts the kick to the tree coordinates of the listed
-    clusters (all clusters by default); an empty selection raises ValueError.
+    clusters (all clusters by default); an empty selection, or fewer than one
+    sample, raises ValueError.
     """
+    if n_samples < 1:
+        raise ValueError(f"an ensemble needs at least one sample, got n_samples={n_samples}")
     if clusters is not None and len(clusters) == 0:
         raise ValueError("perturbed clusters must name at least one cluster")
     n = inc.net.n
@@ -525,8 +528,11 @@ def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classifica
     first sample below it before the slope is fitted over the second half
     of what is left (at least two samples), so its reported slope measures
     the decay and not the round-off noise after it; such a run needs no
-    slope test, so the cut never changes the verdict.
+    slope test, so the cut never changes the verdict.  An empty ensemble
+    shows nothing and raises ValueError.
     """
+    if len(trajectories) == 0:
+        raise ValueError("cannot classify an empty ensemble: no trajectories given")
     slopes, initials, finals = [], [], []
     stable = True
     for traj in trajectories:

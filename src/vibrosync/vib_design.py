@@ -169,14 +169,6 @@ class LinearDesign:
                            np.zeros(len(self.slots)), mats)
 
 
-def _slot_dc_coefficient(u_sym: list, p: int, q: int) -> float:
-    """Exact DC of (Phi^-1)[p,q] * Phi[p,q] for the current slot matrix."""
-    phi = _trig.transition_series(u_sym)
-    phi_inv = _trig.inverse_of_unitriangular(phi)
-    prod = phi_inv[p][q] * phi[p][q]
-    return prod.mean()
-
-
 def design_linear(a: np.ndarray, spec: ModificationSpec,
                   freq_iter: Optional[Iterator[int]] = None,
                   verify: bool = True) -> LinearDesign:
@@ -205,6 +197,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
     d_p = q_perm @ spec.delta @ q_perm.T
 
     u_sym = _trig.zeros_matrix(n)
+    phi = phi_inv = None  # flow of u_sym and its inverse; rebuilt once a slot is placed
     slots_p: List[Tuple[int, int, float, int]] = []  # row, col, amplitude, radicand
     infeasible: List[Tuple[int, int, float]] = []
 
@@ -219,7 +212,10 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
                         f"no carrier for requested change at permuted slot ({p},{q})"
                     )
                 continue
-            c0 = _slot_dc_coefficient(u_sym, p, q)
+            if phi is None:
+                phi = _trig.transition_series(u_sym)
+                phi_inv = _trig.inverse_of_unitriangular(phi)
+            c0 = (phi_inv[p][q] * phi[p][q]).mean()  # exact DC of the shallower slots
             needed = c0 - want / carrier
             if abs(needed) <= feasibility_tolerance:
                 continue
@@ -233,6 +229,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
             u_sym[p][q] = u_sym[p][q] + _trig.TrigPoly.sin_line(
                 ((radicand, 1),), amplitude)
             slots_p.append((p, q, amplitude, radicand))
+            phi = None
 
     # exact averaged matrix of the final design (permuted frame)
     predicted_p = _trig.conjugated_mean(a_p, u_sym)

@@ -243,6 +243,9 @@ def test_perturbed_initial_states_structure(flip_inc):
     assert np.array_equal(states, again)
     with pytest.raises(ValueError):  # a kick of norm 0.2 spread over nothing
         vs.perturbed_initial_states(flip_inc, 1, 0.2, seed=1, clusters=())
+    for n_samples in (0, -1):  # no ensemble at all
+        with pytest.raises(ValueError, match="at least one sample"):
+            vs.perturbed_initial_states(flip_inc, n_samples, 0.2, seed=1)
 
 
 def test_classifier_on_synthetic_trajectories():
@@ -258,6 +261,8 @@ def test_classifier_on_synthetic_trajectories():
     assert stable.slopes == pytest.approx((-1.0, -0.8), abs=1e-6)
     mixed = vs.classify_partial_stability([fake(-1.0), fake(0.3)])
     assert not mixed.stable
+    with pytest.raises(ValueError, match="empty ensemble"):  # no runs show nothing
+        vs.classify_partial_stability([])
 
 
 def test_classifier_slope_ignores_noise_after_the_floor():
@@ -322,13 +327,17 @@ def test_sample_perturbed_trajectories_shapes(flip_kn, flip_inc):
     for tr in trajs:
         assert tr.theta.shape[1] == 8
         assert tr.x.shape[1] == flip_inc.n_intra_coords
+    with pytest.raises(ValueError, match="at least one sample"):
+        vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=0,
+                                         kick=0.05, seed=2, t_end=1.0)
 
 
 def test_batch_member_equals_single_run(flip_kn, flip_inc, flip_design):
     # every sample runs the same compiled stage code, so batching changes
-    # nothing, bit for bit
+    # nothing, bit for bit; 9 samples fill a lockstep block on either thread
+    # count and leave samples over
     trajs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, flip_design.schedule,
-                                             n_samples=4, kick=0.1, seed=7, t_end=1.0)
+                                             n_samples=9, kick=0.1, seed=7, t_end=1.0)
     for tr in trajs:
         one = vs.simulate(flip_kn, flip_design.schedule, tr.theta[0], 1.0, inc=flip_inc)
         assert one.dt == tr.dt

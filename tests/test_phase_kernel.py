@@ -106,7 +106,8 @@ def test_chunk_rejects_inconsistent_arrays():
     pair = np.array([0, 0], dtype=np.intc)  # two reciprocal edges, one pair
     ends = np.array([[1, 0]], dtype=np.intc)
     omega, wt = np.zeros(2), np.ones((5, 2))
-    th, recs, scratch = np.zeros((1, 2)), np.zeros((1, 3, 2)), np.zeros(11)
+    th, recs = np.zeros((1, 2)), np.zeros((1, 3, 2))
+    scratch = pk.alloc_scratch(1, 2, len(ends))
 
     def run(dst=dst, pair=pair, ends=ends, start=0, stride=1, scratch=scratch):
         return pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.1, stride, th, recs,
@@ -131,8 +132,8 @@ def test_chunk_rejects_inconsistent_arrays():
         run(stride=-1)
     with pytest.raises(ValueError):
         run(start=-2)
-    with pytest.raises(ValueError):  # no room for the pair sines
-        run(scratch=np.zeros(10))
+    with pytest.raises(ValueError):  # one double short
+        run(scratch=np.zeros(len(scratch) - 1))
     with pytest.raises(ctypes.ArgumentError, match="data type"):
         run(dst=dst.astype(np.int64))
     with pytest.raises(ctypes.ArgumentError, match="data type"):
@@ -150,24 +151,30 @@ def random_chunk(ns, k, rng):
     return dst, pair, ends, omega, wt, rng.normal(size=(ns, 5))
 
 
-@pytest.mark.parametrize("ns", [1, 2, 3, 10])
+@pytest.mark.parametrize("ns", [1, 2, 3, 4, 5, 7, 8, 9, 10])
 def test_split_batch_matches_single_sample_calls(ns, monkeypatch):
-    monkeypatch.setattr(pk, "_cpus", lambda: 2)  # split even on one CPU
+    """Every batch member equals its own run, on one thread and split in two
+    (even on one CPU), across whole lockstep blocks and the samples left
+    over."""
     rng = np.random.default_rng(ns)
     k, start, stride = 200, 5, 3  # records at steps 6, 9, ..., 204
     dst, pair, ends, omega, wt, th0 = random_chunk(ns, k, rng)
     n_rec = (start + k) // stride + 1
-    th, recs = th0.copy(), np.zeros((ns, n_rec, 5))
-    got = pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th, recs,
-                       pk.alloc_scratch(ns, 5, len(ends)))
-    assert got == n_rec
+    singles = []
     for s in range(ns):
         th1, recs1 = th0[s:s + 1].copy(), np.zeros((1, n_rec, 5))
         assert pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th1, recs1,
-                            pk.alloc_scratch(1, 5, len(ends))) == got
-        assert np.array_equal(th[s], th1[0])
-        assert np.array_equal(recs[s], recs1[0])
-    assert np.all(recs[:, 2:] != 0.0) and np.all(recs[:, :2] == 0.0)
+                            pk.alloc_scratch(1, 5, len(ends))) == n_rec
+        singles.append((th1[0], recs1[0]))
+    for cpus in (1, 2):
+        monkeypatch.setattr(pk, "_cpus", lambda: cpus)
+        th, recs = th0.copy(), np.zeros((ns, n_rec, 5))
+        assert pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th, recs,
+                            pk.alloc_scratch(ns, 5, len(ends))) == n_rec
+        for s, (th1, recs1) in enumerate(singles):
+            assert np.array_equal(th[s], th1)
+            assert np.array_equal(recs[s], recs1)
+        assert np.all(recs[:, 2:] != 0.0) and np.all(recs[:, :2] == 0.0)
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
@@ -188,8 +195,12 @@ def test_cpus_follow_the_affinity_mask():
 def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypatch):
     rng = np.random.default_rng(0)
     dst, pair, ends, omega, wt, th = random_chunk(10, 2, rng)
-    recs, per_thread = np.zeros((10, 3, 5)), 5 * 5 + len(ends)
-    assert len(pk.alloc_scratch(10, 5, len(ends))) == 2 * per_thread
+    recs, per_thread = np.zeros((10, 3, 5)), len(pk.alloc_scratch(1, 5, len(ends)))
+    scratch = pk.alloc_scratch(10, 5, len(ends))
+    assert len(scratch) == 2 * per_thread
+    # each thread's slice starts on its own 64-byte line
+    assert per_thread % 8 == 0 and scratch.ctypes.data % 64 == 0
+    assert f"#define W {pk._block_width} " in pk._SOURCE
 
     def run(scratch):
         return pk.rk4_chunk(dst, pair, ends, omega, wt, 0, 0.05, 1, th, recs, scratch)
