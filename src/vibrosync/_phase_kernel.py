@@ -1,4 +1,4 @@
-"""Compiled RK4 chunk for the phase network, built with the C compiler ``cc``.
+"""Compiled RK4 for the phase network, built with the C compiler ``cc``.
 
 The C source below is compiled on first use into a shared library cached
 in this package's ``__pycache__/`` (or, when that directory is not
@@ -7,6 +7,15 @@ the SHA-256 of the source, the flags and the platform, and loaded with
 :mod:`ctypes`; a cached file that does not load is rebuilt once.
 ``-ffp-contract=off`` keeps the compiler from fusing multiply-adds, so the
 results do not depend on whether the host has FMA.
+
+An integration run is bound to the kernel once (:class:`Run`): its edge
+and pair tables, natural frequencies, base edge weights, vibrated-edge
+columns, state, records and scratch are checked and their addresses handed
+to the C side in one call.  Each chunk of steps then passes only its start,
+its length and a table of the vibrated edges' weight offsets on the
+half-step grid, one column per vibrated edge; the kernel adds a row to the
+base weights of those edges before each stage, and every other edge keeps
+its base weight.
 
 The field takes one sine per coupled pair {s, t}, not one per directed
 edge: the reciprocal edges (s, t) and (t, s) share sin(x_t - x_s) up to
@@ -18,18 +27,19 @@ without reciprocal edges has one pair per edge.
 
 A chunk splits its samples into contiguous parts across at most
 ``max_threads`` (2) POSIX threads, one part each, and never more threads
-than samples or than CPUs the process may run on.  A thread advances its
-part in lockstep blocks of W = 4 samples (``_block_width``), stored
-node-major (node j of block sample s at ``j*W + s``), so each pair sine,
-edge scatter and RK4 update loops over the block's samples and each edge
-weight and index is loaded once per block; the samples left over, fewer
-than W, run one at a time through the same inlined code at width 1.  Every
-call site has a constant width, so neither path pays for run-time loop
-bounds.  Each thread's scratch slice is padded to whole 64-byte lines and
-starts on one, so the threads never write to a shared cache line.  The
-samples are independent and each runs the same arithmetic in the same
-order in any block and on any thread, so the results are bit-identical to
-one sample on one thread.
+than samples or than CPUs the process may run on when the run is bound.
+A thread advances its part in lockstep blocks of W = 4 samples
+(``_block_width``), stored node-major (node j of block sample s at
+``j*W + s``), so each pair sine, edge scatter and RK4 update loops over the
+block's samples and each edge weight and index is loaded once per block;
+the samples left over, fewer than W, run one at a time through the same
+inlined code at width 1.  Every call site has a constant width, so neither
+path pays for run-time loop bounds.  Each thread's scratch slice is padded
+to whole 64-byte lines and starts on one, so the threads never write to a
+shared cache line.  The samples are independent and each runs the same
+arithmetic in the same order in any block, on any thread and in any
+chunking, so the results are bit-identical to one sample on one thread in
+one chunk.
 """
 
 from __future__ import annotations
@@ -44,13 +54,16 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 _SOURCE = r"""
 #include <math.h>
 #include <pthread.h>
+#include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define W 4  /* samples per lockstep block */
 
@@ -86,56 +99,106 @@ field(int width, int n, int m, int npair, const int *restrict dst,
     }
 }
 
-/* The samples [s0, s1) of a batch and the scratch of the thread that
-   runs them: (6n + npair) W doubles, padded to whole 64-byte lines. */
-struct part {
-    int s0, s1, n, m, npair;
-    const int *dst, *pair, *ends;
-    const double *omega, *w;
-    int64_t start, stride, n_rec;
-    int k;
+/* One integration run, filled once by `bind`: ns samples of n nodes in th
+   (ns, n), m edges in npair coupled pairs, base edge weights and the nv
+   vibrated edge columns vcol; the state after every stride-th step goes
+   to recs (ns, n_rec, n) at record index step / stride.  Thread t of
+   nthreads uses the `slice` doubles of scratch from t slice on. */
+struct run {
+    int ns, n, m, npair, nv, nthreads;
+    const int *dst, *pair, *ends, *vcol;
+    const double *omega, *base;
     double h;
+    int64_t stride, n_rec;
     double *th, *recs, *scratch;
 };
 
-/* All k steps of the `width` samples from row s0 of th, in lockstep. */
+size_t run_size(void) { return sizeof(struct run); }
+
+void bind(struct run *r, int ns, int n, int m, int npair, int nv, const int *dst,
+          const int *pair, const int *ends, const int *vcol, const double *omega,
+          const double *base, double h, int64_t stride, double *th, double *recs,
+          int64_t n_rec, double *scratch, int nthreads)
+{
+    struct run b = {ns, n, m, npair, nv, nthreads, dst, pair, ends, vcol, omega,
+                    base, h, stride, n_rec, th, recs, scratch};
+    *r = b;
+}
+
+/* Doubles of scratch one thread uses: block state, stage vector, k1-k4 and
+   pair sines, (6n + npair) W, then the current edge weights, m; rounded up
+   to whole 64-byte lines. */
+static int64_t slice_len(const struct run *r)
+{
+    return ((int64_t)(6 * r->n + r->npair) * W + r->m + 7) / 8 * 8;
+}
+
+/* The samples [s0, s1) of a chunk of k steps from step start, the chunk's
+   table of vibrated weight offsets, and the scratch of the thread that
+   runs them. */
+struct part {
+    const struct run *r;
+    int s0, s1;
+    const double *table;
+    int64_t start, k;
+    double *scratch;
+};
+
+/* The weights of table row `row`: each vibrated edge gets its base weight
+   plus the row's offset, every other edge keeps the base weight. */
+static inline __attribute__((always_inline)) void
+set_row(const struct run *r, const double *row, double *w)
+{
+    for (int j = 0; j < r->nv; j++)
+        w[r->vcol[j]] = r->base[r->vcol[j]] + row[j];
+}
+
+/* All k steps of the `width` samples from row s0 of th, in lockstep; the
+   table holds 2k+1 rows of nv offsets on the half-step grid. */
 static inline __attribute__((always_inline)) void
 advance(int width, const struct part *p, int s0)
 {
-    int n = p->n, m = p->m, npair = p->npair, k = p->k, nw = p->n * width;
-    const int *dst = p->dst, *pair = p->pair, *ends = p->ends;
-    const double *omega = p->omega;
-    double h = p->h;
+    const struct run *r = p->r;
+    int n = r->n, m = r->m, npair = r->npair, nv = r->nv, nw = r->n * width;
+    const int *dst = r->dst, *pair = r->pair, *ends = r->ends;
+    const double *omega = r->omega, *table = p->table;
+    double h = r->h;
     double *x = p->scratch, *y = x + nw, *k1 = y + nw, *k2 = k1 + nw, *k3 = k2 + nw;
-    double *k4 = k3 + nw, *sp = k4 + nw;
+    double *k4 = k3 + nw, *sp = k4 + nw, *w = sp + npair * width;
+    memcpy(w, r->base, (size_t)m * sizeof(double));
+    if (nv)
+        set_row(r, table, w);
     for (int s = 0; s < width; s++)
         for (int j = 0; j < n; j++)
-            x[j * width + s] = p->th[(int64_t)(s0 + s) * n + j];
-    for (int i = 0; i < k; i++) {
-        const double *w0 = p->w + 2 * (int64_t)i * m, *wm = w0 + m, *w1 = wm + m;
-        field(width, n, m, npair, dst, pair, ends, omega, w0, x, sp, k1);
+            x[j * width + s] = r->th[(int64_t)(s0 + s) * n + j];
+    for (int64_t i = 0; i < p->k; i++) {
+        field(width, n, m, npair, dst, pair, ends, omega, w, x, sp, k1);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + 0.5 * h * k1[j];
-        field(width, n, m, npair, dst, pair, ends, omega, wm, y, sp, k2);
+        if (nv)
+            set_row(r, table + (2 * i + 1) * nv, w);
+        field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k2);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + 0.5 * h * k2[j];
-        field(width, n, m, npair, dst, pair, ends, omega, wm, y, sp, k3);
+        field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k3);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + h * k3[j];
-        field(width, n, m, npair, dst, pair, ends, omega, w1, y, sp, k4);
+        if (nv)
+            set_row(r, table + (2 * i + 2) * nv, w);
+        field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k4);
         for (int j = 0; j < nw; j++)
             x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         int64_t step = p->start + i + 1;
-        if (step % p->stride == 0)
+        if (step % r->stride == 0)
             for (int s = 0; s < width; s++) {
-                double *r = p->recs + ((int64_t)(s0 + s) * p->n_rec + step / p->stride) * n;
+                double *rec = r->recs + ((int64_t)(s0 + s) * r->n_rec + step / r->stride) * n;
                 for (int j = 0; j < n; j++)
-                    r[j] = x[j * width + s];
+                    rec[j] = x[j * width + s];
             }
     }
     for (int s = 0; s < width; s++)
         for (int j = 0; j < n; j++)
-            p->th[(int64_t)(s0 + s) * n + j] = x[j * width + s];
+            r->th[(int64_t)(s0 + s) * n + j] = x[j * width + s];
 }
 
 /* A part runs in blocks of W samples; the last samples, fewer than W, run
@@ -151,38 +214,31 @@ static void *run_part(void *arg)
     return NULL;
 }
 
-/* RK4 steps start+1 .. start+k of every sample in th (ns rows of n);
-   w holds the edge weights on the half-step grid (2k+1 rows of m).  The
-   state after every stride-th step goes to recs (ns, n_rec, n) at record
-   index step / stride.  The samples are split into nthreads contiguous
+/* RK4 steps start+1 .. start+k of every sample of the run; table holds the
+   vibrated edges' weight offsets on the half-step grid (2k+1 rows of nv),
+   NULL when nv is 0.  The samples are split into nthreads contiguous
    parts; the calling thread runs the first and one POSIX thread each of
    the others, and a part whose thread does not start runs on the calling
-   thread after its own.  Part t uses the `slice` doubles of scratch from
-   t slice on.  Returns the record index after the chunk. */
-int64_t rk4_chunk(int ns, int n, int m, int npair, const int *dst,
-                  const int *pair, const int *ends, const double *omega,
-                  const double *w, int64_t start, int k, double h,
-                  int64_t stride, double *th, double *recs, int64_t n_rec,
-                  double *scratch, int nthreads)
+   thread after its own.  Returns the record index after the chunk. */
+int64_t rk4_chunk(const struct run *r, const double *table, int64_t start, int64_t k)
 {
-    int64_t next = (start + k) / stride + 1;
-    if (nthreads < 1)  /* no samples */
+    int64_t next = (start + k) / r->stride + 1;
+    int nt = r->nthreads;
+    if (nt < 1)  /* no samples */
         return next;
-    int64_t slice = ((int64_t)(6 * n + npair) * W + 7) / 8 * 8;
-    struct part parts[nthreads];
-    pthread_t tid[nthreads];
-    int started[nthreads];
-    for (int t = 0; t < nthreads; t++) {
-        struct part p = {(int)((int64_t)ns * t / nthreads),
-                         (int)((int64_t)ns * (t + 1) / nthreads), n, m, npair, dst,
-                         pair, ends, omega, w, start, stride, n_rec, k, h, th, recs,
-                         scratch + t * slice};
+    struct part parts[nt];
+    pthread_t tid[nt];
+    int started[nt];
+    for (int t = 0; t < nt; t++) {
+        struct part p = {r, (int)((int64_t)r->ns * t / nt),
+                         (int)((int64_t)r->ns * (t + 1) / nt), table, start, k,
+                         r->scratch + t * slice_len(r)};
         parts[t] = p;
     }
-    for (int t = 1; t < nthreads; t++)
+    for (int t = 1; t < nt; t++)
         started[t] = pthread_create(&tid[t], NULL, run_part, &parts[t]) == 0;
     run_part(&parts[0]);
-    for (int t = 1; t < nthreads; t++) {
+    for (int t = 1; t < nt; t++) {
         if (started[t])
             pthread_join(tid[t], NULL);
         else
@@ -196,7 +252,7 @@ _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 _compiler = "cc"
 max_threads = 2  # the most threads one chunk runs on
 _cache_dir = Path(__file__).resolve().parent / "__pycache__"
-_kernel = None  # the loaded ctypes function, once built
+_kernel = None  # the loaded ctypes library, once built
 _lock = threading.Lock()
 
 
@@ -249,7 +305,7 @@ def _build(path: Path) -> None:
 
 
 def load():
-    """The ``rk4_chunk`` C function, built and loaded on first use."""
+    """The kernel library, built and loaded on first use."""
     global _kernel
     with _lock:
         if _kernel is None:
@@ -259,31 +315,38 @@ def load():
 
 def _load_library():
     path = _cache_dir / _library_name()
-    fn = None
+    lib = None
     if path.is_file():
         try:
-            fn = ctypes.CDLL(str(path)).rk4_chunk
+            lib = ctypes.CDLL(str(path))
         except OSError:  # a truncated or foreign file: build over it
             pass
-    if fn is None:
+    if lib is None:
         directory = _writable_dir()
         try:
             _build(directory / path.name)
             try:
-                fn = ctypes.CDLL(str(directory / path.name)).rk4_chunk
+                lib = ctypes.CDLL(str(directory / path.name))
             except OSError as exc:
                 raise KernelBuildError(
                     f"the freshly built phase-network kernel does not load: {exc}") from exc
         finally:
             if directory != _cache_dir:  # a loaded library needs no file
                 shutil.rmtree(directory, ignore_errors=True)
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, ints, ints,
-                   ints, doubles, doubles, ctypes.c_int64, ctypes.c_int, ctypes.c_double,
-                   ctypes.c_int64, doubles, doubles, ctypes.c_int64, doubles, ctypes.c_int]
-    fn.restype = ctypes.c_int64
-    return fn
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    run = ctypes.POINTER(ctypes.c_int64)
+    lib.run_size.argtypes = []
+    lib.run_size.restype = ctypes.c_size_t
+    lib.bind.argtypes = [run, ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+                         ctypes.c_int, ints, ints, ints, ints, doubles, doubles,
+                         ctypes.c_double, ctypes.c_int64, out, out, ctypes.c_int64, out,
+                         ctypes.c_int]
+    lib.bind.restype = None
+    lib.rk4_chunk.argtypes = [run, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    lib.rk4_chunk.restype = ctypes.c_int64
+    return lib
 
 
 def _cpus() -> int:
@@ -296,25 +359,26 @@ def _cpus() -> int:
 
 
 def thread_count(ns: int) -> int:
-    """Threads a chunk of ``ns`` samples runs on."""
+    """Threads a run of ``ns`` samples runs its chunks on."""
     return min(ns, _cpus(), max_threads)
 
 
 _block_width = 4  # the W of the C source: samples one thread advances in lockstep
 
 
-def _slice_len(n: int, npair: int) -> int:
-    """Doubles of scratch one thread uses: ``(6 n + npair) W``, rounded up
-    to whole 64-byte lines."""
-    return -(-(6 * n + npair) * _block_width // 8) * 8
+def _slice_len(n: int, npair: int, m: int) -> int:
+    """Doubles of scratch one thread uses: ``(6 n + npair) W + m``, rounded
+    up to whole 64-byte lines."""
+    return -(-((6 * n + npair) * _block_width + m) // 8) * 8
 
 
-def alloc_scratch(ns: int, n: int, npair: int) -> np.ndarray:
-    """Scratch memory for ``rk4_chunk`` on ``ns`` samples of ``n`` nodes and
-    ``npair`` coupled pairs: one slice of ``_slice_len(n, npair)`` doubles
-    for each thread a chunk can run on, starting on a 64-byte line, so no
-    two threads write to one cache line."""
-    size = min(ns, max_threads) * _slice_len(n, npair)
+def alloc_scratch(ns: int, n: int, npair: int, m: int) -> np.ndarray:
+    """Scratch memory for a :class:`Run` of ``ns`` samples of ``n`` nodes,
+    ``npair`` coupled pairs and ``m`` edges: one slice of
+    ``_slice_len(n, npair, m)`` doubles for each thread a chunk can run on,
+    starting on a 64-byte line, so no two threads write to one cache
+    line."""
+    size = min(ns, max_threads) * _slice_len(n, npair, m)
     buf = np.empty(size + 8)
     skip = -buf.ctypes.data % 64 // 8
     return buf[skip:skip + size]
@@ -324,31 +388,66 @@ def _within(index: np.ndarray, bound: int) -> bool:
     return not index.size or 0 <= index.min() <= index.max() < bound
 
 
-def rk4_chunk(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.ndarray,
-              wt: np.ndarray, start: int, h: float, stride: int, th: np.ndarray,
-              recs: np.ndarray, scratch: np.ndarray) -> int:
-    """Advance ``th`` (ns, n) in place by ``len(wt) // 2`` RK4 steps from
-    step ``start``, writing every ``stride``-th state into ``recs``
-    (ns, n_rec, n) at index ``step // stride``; returns the record index
-    after the chunk.  Edge ``e`` ends at node ``dst[e]`` and reads the sine
-    ``sin(x_a - x_b)`` of its pair ``pair[e]``, whose ends ``(a, b)`` are a
-    row of ``ends`` (npair, 2); ``wt`` holds the edge weights on the chunk's
-    half-step grid, negated for an edge whose sine is ``sin(x_b - x_a)``.
+class Run:
+    """An integration run bound to the kernel: ``th`` (ns, n) is advanced
+    in place chunk by chunk (:meth:`chunk`) with step ``h``, and every
+    ``stride``-th state goes into ``recs`` (ns, n_rec, n) at index
+    ``step // stride``.
+
+    Edge ``e`` ends at node ``dst[e]`` and reads the sine ``sin(x_a - x_b)``
+    of its pair ``pair[e]``, whose ends ``(a, b)`` are a row of ``ends``
+    (npair, 2); its weight is ``base[e]``, negated by the caller for an edge
+    whose sine is ``sin(x_b - x_a)``.  The edges ``vcol`` (distinct) are
+    vibrated: each chunk adds its table's offsets to their base weights.
     The samples are split into ``thread_count(ns)`` contiguous parts, one
-    per thread, each with its own ``_slice_len(n, npair)`` doubles of
-    ``scratch``; a thread advances its part in lockstep blocks of
-    ``_block_width`` samples and the rest one at a time, and every sample
-    runs the same arithmetic whatever the split or block."""
-    ns, n = th.shape
-    m, npair = len(dst), len(ends)
-    k = (len(wt) - 1) // 2
-    n_rec = recs.shape[1]
-    threads = thread_count(ns)
-    if (pair.shape != (m,) or ends.shape != (npair, 2) or omega.shape != (n,)
-            or wt.shape != (2 * k + 1, m) or recs.shape != (ns, n_rec, n)
-            or start < 0 or stride < 1 or (start + k) // stride >= n_rec
-            or scratch.ndim != 1 or len(scratch) < threads * _slice_len(n, npair)
-            or not (_within(dst, n) and _within(pair, npair) and _within(ends, n))):
-        raise ValueError("inconsistent phase-kernel array shapes or indices")
-    return load()(ns, n, m, npair, dst, pair, ends, omega, wt, start, k, h, stride,
-                  th, recs, n_rec, scratch, threads)
+    per thread, each with its own ``_slice_len(n, npair, m)`` doubles of
+    ``scratch``.
+
+    Every array is checked here, once: dtype and C order (through ctypes,
+    which raises ``ctypes.ArgumentError``), shapes, index ranges and
+    scratch length (``ValueError``).  The network arrays are copied, so
+    the kernel never reads an index the check did not see; ``th``,
+    ``recs`` and ``scratch`` are written in place and kept alive with the
+    run."""
+
+    def __init__(self, dst: np.ndarray, pair: np.ndarray, ends: np.ndarray,
+                 omega: np.ndarray, base: np.ndarray, vcol: np.ndarray, h: float,
+                 stride: int, th: np.ndarray, recs: np.ndarray, scratch: np.ndarray):
+        dst, pair, ends, omega, base, vcol = (
+            np.array(a, order="C") for a in (dst, pair, ends, omega, base, vcol))
+        if th.ndim != 2 or recs.ndim != 3:
+            raise ValueError("inconsistent phase-kernel array shapes or indices")
+        (ns, n), n_rec = th.shape, recs.shape[1]
+        m, npair, nv = len(dst), len(ends), len(vcol)
+        threads = thread_count(ns)
+        if (dst.shape != (m,) or pair.shape != (m,) or ends.shape != (npair, 2)
+                or omega.shape != (n,) or base.shape != (m,) or vcol.shape != (nv,)
+                or recs.shape != (ns, n_rec, n) or stride < 1
+                or scratch.ndim != 1 or len(scratch) < threads * _slice_len(n, npair, m)
+                or not (_within(dst, n) and _within(pair, npair) and _within(ends, n)
+                        and _within(vcol, m)) or len(set(vcol.tolist())) != nv):
+            raise ValueError("inconsistent phase-kernel array shapes or indices")
+        lib = load()
+        self._run = (ctypes.c_int64 * -(-lib.run_size() // 8))()
+        lib.bind(self._run, ns, n, m, npair, nv, dst, pair, ends, vcol, omega, base, h,
+                 stride, th, recs, n_rec, scratch, threads)
+        self._chunk = lib.rk4_chunk
+        # the kernel holds their addresses
+        self._arrays = (dst, pair, ends, vcol, omega, base, th, recs, scratch)
+        self._nv, self._stride, self._n_rec = nv, stride, n_rec
+
+    def chunk(self, start: int, k: int, table: Optional[np.ndarray] = None) -> int:
+        """RK4 steps ``start + 1 .. start + k``; returns the record index
+        after the chunk.  ``table`` (2k + 1, nv) holds the vibrated edges'
+        weight offsets on the chunk's half-step grid ``start h + i h / 2``,
+        one column per entry of ``vcol``; a run without vibrated edges
+        takes none."""
+        if table is None:
+            ok, address = self._nv == 0, None
+        else:
+            ok = (self._nv > 0 and table.shape == (2 * k + 1, self._nv)
+                  and table.dtype == np.float64 and table.flags.c_contiguous)
+            address = table.ctypes.data
+        if not ok or start < 0 or k < 0 or (start + k) // self._stride >= self._n_rec:
+            raise ValueError("inconsistent phase-kernel chunk: table shape, start or stride")
+        return self._chunk(self._run, address, start, k)

@@ -4,14 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 import vibrosync as vs
+from vibrosync import _phase_kernel as pk
 from vibrosync import kuramoto_dynamics as kd
 from vibrosync.kuramoto_dynamics import (InvarianceViolated, NonFiniteState,
                                          Trajectory, classification_horizon)
 from vibrosync.linalg import StepTooCoarse, default_oversampling
 
-from conftest import incidence
+from conftest import incidence, random_clustered_network
 
 
 def two_node_kn():
@@ -432,27 +434,54 @@ def assert_matches_reference(kn, inc, schedule, th0, t_end, dt, rel=1e-10):
     return got
 
 
+def count_chunks(monkeypatch):
+    """The (start, k) of every kernel call from here on."""
+    calls = []
+    chunk = pk.Run.chunk
+
+    def counting(self, start, k, table=None):
+        calls.append((start, k))
+        return chunk(self, start, k, table)
+
+    monkeypatch.setattr(pk.Run, "chunk", counting)
+    return calls
+
+
+def chunks_of(monkeypatch, chunk_steps, schedule):
+    """Set the table budget so that a vibrated run of ``schedule`` takes
+    chunks of ``chunk_steps`` steps; returns the kernel calls."""
+    nv = len(schedule.entries) if schedule is not None else 1
+    monkeypatch.setattr(kd, "_table_budget", (2 * chunk_steps + 1) * nv)
+    return count_chunks(monkeypatch)
+
+
 @pytest.mark.parametrize("batch", [3, 1])
 @pytest.mark.parametrize("vibrated", [True, False], ids=["phased_schedule", "static"])
-def test_integrator_matches_dense_loop(flip_kn, flip_inc, flip_design, batch, vibrated):
+def test_integrator_matches_dense_loop(flip_kn, flip_inc, flip_design, batch, vibrated,
+                                       monkeypatch):
     schedule = phased(flip_design.schedule) if vibrated else None
     if vibrated:
         assert all(entry.phase != 0.0 for entry in schedule.entries.values())
+    calls = chunks_of(monkeypatch, 256, schedule)
     dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
-    steps = 2 * kd._chunk_steps + 37  # two full chunks and a remainder
+    steps = 2 * 256 + 37  # two full chunks and a remainder
     th0 = vs.perturbed_initial_states(flip_inc, batch, 0.2, seed=5)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
     assert len(got[0].times) == steps + 1
+    # an unvibrated run needs no table: one kernel call
+    assert calls == ([(0, 256), (256, 256), (512, 37)] if vibrated else [(0, steps)])
 
 
 def test_integrator_decimation_matches_dense_loop(flip_kn, flip_inc, flip_design,
                                                   monkeypatch):
     monkeypatch.setattr(kd, "max_recorded_samples", 7)
     schedule = phased(flip_design.schedule)
+    calls = chunks_of(monkeypatch, 256, schedule)
     dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
-    steps = 2 * kd._chunk_steps + 37
+    steps = 2 * 256 + 37
     th0 = vs.perturbed_initial_states(flip_inc, 2, 0.2, seed=6)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
+    assert calls == [(0, 256), (256, 256), (512, 37)]
     stride = math.ceil((steps + 1) / 7)
     assert len(got[0].times) == steps // stride + 1 <= 7
     assert got[0].times[1:] == pytest.approx(stride * dt * np.arange(1, 7), rel=1e-12)
@@ -503,7 +532,7 @@ def test_mixed_network_pair_table():
 
 @pytest.mark.parametrize("batch", [3, 1])
 @pytest.mark.parametrize("vibrated", [True, False], ids=["vibrated", "static"])
-def test_mixed_network_matches_dense_loop(batch, vibrated):
+def test_mixed_network_matches_dense_loop(batch, vibrated, monkeypatch):
     # (0, 1) and (4, 3) are vibrated and their reverses are not, so the two
     # edges of those pairs carry different weights on every grid point; one
     # of them runs against its pair, so its carrier is negated too
@@ -516,30 +545,34 @@ def test_mixed_network_matches_dense_loop(batch, vibrated):
     if vibrated:
         _, _, sign = kd._edge_pairs(inc.edges)
         assert {sign[inc.edges.index(e)] for e in schedule.entries} == {1.0, -1.0}
+    calls = chunks_of(monkeypatch, 128, schedule)
     dt = kd._fastest_period(kn, schedule) / default_oversampling
-    steps = kd._chunk_steps + 37
+    steps = 2 * 128 + 37  # two full chunks and a remainder
     th0 = np.random.default_rng(7).normal(0.0, 1.0, (batch, 5))
     got = assert_matches_reference(kn, inc, schedule, th0, steps * dt, dt)
     assert len(got[0].times) == steps + 1
+    assert calls == ([(0, 128), (128, 128), (256, 37)] if vibrated else [(0, steps)])
 
 
-def test_vibrated_run_going_non_finite_names_the_break():
+def test_vibrated_run_going_non_finite_names_the_break(monkeypatch):
     # a carrier of amplitude 1e308 overflows the RK4 update only once it has
-    # grown, a few chunks into the run; power-of-two steps make the shorter
-    # reruns below repeat the same grid exactly
+    # grown, past the first chunk of 512 steps; power-of-two steps make the
+    # shorter reruns below repeat the same grid exactly
     net = two_node_kn().net
     kn = vs.KuramotoNetwork(net=net, omega=np.zeros(2),
                             partition=vs.ClusterPartition(net, ((0, 1),)))
     sched = vs.VibrationSchedule({(0, 1): vs.VibrationEntry(1e308, 0.01)}, epsilon=1.0)
     dt = 2.0 ** -4
     th0 = np.array([0.0, 0.5])
+    calls = chunks_of(monkeypatch, 512, sched)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as info:
             vs.simulate(kn, sched, th0, 4096 * dt, inc=incidence(kn), dt=dt)
         t_bad = float(re.search(r"near t=(\S+)", str(info.value)).group(1))
         step = round(t_bad / dt)
         assert step * dt == pytest.approx(t_bad, abs=1e-3)  # "%g" keeps 6 digits
-        assert kd._chunk_steps < step < 4096  # partway, past the first chunk
+        assert calls[:2] == [(0, 512), (512, 512)]
+        assert 512 < step < 4096  # partway, past the first chunk
         before = vs.simulate(kn, sched, th0, (step - 1) * dt, inc=incidence(kn), dt=dt)
         assert np.all(np.isfinite(before.theta))
         with pytest.raises(NonFiniteState, match=f"near t={t_bad:g}"):
@@ -556,3 +589,68 @@ def test_incidence_of_another_network_rejected(flip_kn, flip_inc):
                                   partition=vs.ClusterPartition(heavier, flip_kn.partition.clusters))
     with pytest.raises(vs.GraphError, match="different network"):
         vs.simulate(heavy_kn, None, np.zeros(8), 1.0, inc=flip_inc)
+
+
+def test_run_is_set_up_once(flip_kn, flip_inc, flip_design, monkeypatch):
+    """A vibrated run of many chunks binds the kernel and checks its index
+    ranges once; an unvibrated run is a single kernel call."""
+    bounds, binds = [], []
+    within, bind = pk._within, pk.Run.__init__
+
+    def counting_within(index, bound):
+        bounds.append(bound)
+        return within(index, bound)
+
+    def counting_bind(self, *args, **kwargs):
+        binds.append(args)
+        bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(pk, "_within", counting_within)
+    monkeypatch.setattr(pk.Run, "__init__", counting_bind)
+    calls = chunks_of(monkeypatch, 4, flip_design.schedule)
+    trajs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, flip_design.schedule,
+                                             n_samples=3, kick=0.1, seed=1, t_end=0.5)
+    steps = len(trajs[0].times) - 1
+    assert len(calls) == math.ceil(steps / 4) > 20
+    # dst, pair, ends and the vibrated columns, each checked once
+    n, m = flip_kn.net.n, len(flip_inc.edges)
+    assert len(binds) == 1 and bounds == [n, len(flip_inc.edges) // 2, n, m]
+    for counted in (calls, binds, bounds):
+        counted.clear()
+    plain = vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=3,
+                                             kick=0.1, seed=1, t_end=5.0)
+    assert calls == [(0, len(plain[0].times) - 1)] and len(binds) == 1 and len(bounds) == 4
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9), steps=st.integers(1, 80),
+       data=st.data())
+def test_trajectories_do_not_depend_on_the_chunking(seed, batch, steps, data):
+    """Random networks of reciprocal and one-way edges, vibrated on a random
+    subset of edges (possibly none, possibly edges running against their
+    pair): any table budget, from one chunk to one step per chunk, gives
+    the same trajectories bit for bit."""
+    rng = np.random.default_rng(seed)
+    net, part = random_clustered_network(rng, n_max=7)
+    kn = vs.KuramotoNetwork(net=net, omega=rng.normal(size=net.n), partition=part)
+    inc = incidence(kn)
+    vibrated = data.draw(st.lists(st.sampled_from(inc.edges), unique=True, max_size=5))
+    schedule = vs.VibrationSchedule(
+        {e: vs.VibrationEntry(float(rng.uniform(0.1, 1.0)), math.sqrt(2 + i),
+                              float(rng.uniform(0.0, 2 * math.pi)))
+         for i, e in enumerate(vibrated)}, epsilon=0.1)
+    _, _, sign = kd._edge_pairs(inc.edges)
+    note(f"vibrated {vibrated}, against their pair: "
+         f"{[e for e in vibrated if sign[inc.edges.index(e)] < 0]}")
+    dt = kd._fastest_period(kn, schedule) / default_oversampling
+    th0 = rng.normal(size=(batch, net.n))
+    chunk_steps = data.draw(st.integers(1, steps))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_chunks(mp)
+        one = kd._integrate_batch(inc, kn.omega, schedule, th0, steps * dt, dt)
+        assert len(calls) == 1  # the default budget holds these runs in one chunk
+        calls.clear()
+        mp.setattr(kd, "_table_budget", (2 * chunk_steps + 1) * len(vibrated))
+        chunked = kd._integrate_batch(inc, kn.omega, schedule, th0, steps * dt, dt)
+    assert len(calls) == (math.ceil(steps / chunk_steps) if vibrated else 1)
+    assert np.array_equal(one[0], chunked[0]) and np.array_equal(one[1], chunked[1])

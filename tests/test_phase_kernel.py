@@ -102,53 +102,107 @@ def test_compiler_failure_shows_its_stderr(fresh_cache, monkeypatch):
 
 
 def test_chunk_rejects_inconsistent_arrays():
-    dst = np.array([1, 0], dtype=np.intc)
-    pair = np.array([0, 0], dtype=np.intc)  # two reciprocal edges, one pair
-    ends = np.array([[1, 0]], dtype=np.intc)
-    omega, wt = np.zeros(2), np.ones((5, 2))
-    th, recs = np.zeros((1, 2)), np.zeros((1, 3, 2))
-    scratch = pk.alloc_scratch(1, 2, len(ends))
+    args = dict(dst=np.array([1, 0], dtype=np.intc),
+                pair=np.array([0, 0], dtype=np.intc),  # two reciprocal edges, one pair
+                ends=np.array([[1, 0]], dtype=np.intc), omega=np.zeros(2),
+                base=np.array([1.0, -1.0]), vcol=np.array([1], dtype=np.intc), h=0.1,
+                stride=1, th=np.zeros((1, 2)), recs=np.zeros((1, 3, 2)),
+                scratch=pk.alloc_scratch(1, 2, 1, 2))
+    table = np.ones((5, 1))
 
-    def run(dst=dst, pair=pair, ends=ends, start=0, stride=1, scratch=scratch):
-        return pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.1, stride, th, recs,
-                            scratch)
+    def bind(**changes):
+        return pk.Run(**{**args, **changes})
 
-    assert run() == 3
+    dst = args["dst"].copy()
+    run = bind(dst=dst)
+    dst[0] = 10**6  # the run keeps the copy it checked
+    assert run.chunk(0, 2, table) == 3
+    # the run is checked once, when it is bound
     with pytest.raises(ValueError):
-        run(dst=np.array([1, 2], dtype=np.intc))
+        bind(dst=np.array([1, 2], dtype=np.intc))
     with pytest.raises(ValueError):  # a pair end outside the network
-        run(ends=np.array([[1, 2]], dtype=np.intc))
+        bind(ends=np.array([[1, 2]], dtype=np.intc))
     with pytest.raises(ValueError):  # a pair index past the pair table
-        run(pair=np.array([0, 1], dtype=np.intc))
+        bind(pair=np.array([0, 1], dtype=np.intc))
     with pytest.raises(ValueError):  # a negative pair index
-        run(pair=np.array([0, -1], dtype=np.intc))
+        bind(pair=np.array([0, -1], dtype=np.intc))
     with pytest.raises(ValueError):  # one pair index for two edges
-        run(pair=np.array([0], dtype=np.intc))
+        bind(pair=np.array([0], dtype=np.intc))
     with pytest.raises(ValueError):  # pair ends that are not (a, b) rows
-        run(ends=np.array([[1, 0, 1]], dtype=np.intc))
-    with pytest.raises(ValueError):  # records past the end of recs
-        run(start=1)
+        bind(ends=np.array([[1, 0, 1]], dtype=np.intc))
     with pytest.raises(ValueError):  # records before the start of recs
-        run(stride=-1)
+        bind(stride=-1)
     with pytest.raises(ValueError):
-        run(start=-2)
+        bind(stride=0)
     with pytest.raises(ValueError):  # one double short
-        run(scratch=np.zeros(len(scratch) - 1))
+        bind(scratch=np.zeros(len(args["scratch"]) - 1))
+    with pytest.raises(ValueError):  # one base weight for two edges
+        bind(base=np.ones(1))
+    with pytest.raises(ValueError):  # a vibrated column past the edges
+        bind(vcol=np.array([2], dtype=np.intc))
+    with pytest.raises(ValueError):
+        bind(vcol=np.array([-1], dtype=np.intc))
+    with pytest.raises(ValueError):  # one edge vibrated twice
+        bind(vcol=np.array([1, 1], dtype=np.intc))
+    with pytest.raises(ValueError):
+        bind(recs=np.zeros((1, 3, 3)))
     with pytest.raises(ctypes.ArgumentError, match="data type"):
-        run(dst=dst.astype(np.int64))
+        bind(dst=args["dst"].astype(np.int64))
     with pytest.raises(ctypes.ArgumentError, match="data type"):
-        run(ends=ends.astype(np.int64))
+        bind(ends=args["ends"].astype(np.int64))
+    with pytest.raises(ctypes.ArgumentError, match="data type"):
+        bind(vcol=args["vcol"].astype(np.int64))
+    frozen = np.zeros((1, 2))
+    frozen.flags.writeable = False
+    with pytest.raises(ctypes.ArgumentError, match="WRITEABLE"):
+        bind(th=frozen)
+    # each chunk checks its table, start and stride
+    with pytest.raises(ValueError):  # records past the end of recs
+        run.chunk(1, 2, table)
+    with pytest.raises(ValueError):
+        run.chunk(-2, 2, table)
+    with pytest.raises(ValueError):  # two rows short for two steps
+        run.chunk(0, 2, np.ones((3, 1)))
+    with pytest.raises(ValueError):  # an offset for an edge not vibrated
+        run.chunk(0, 2, np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        run.chunk(0, 2, np.ones((5, 1), dtype=np.float32))
+    with pytest.raises(ValueError):  # not in C order
+        run.chunk(0, 2, np.ones((5, 2))[:, 1:])
+    with pytest.raises(ValueError):  # a vibrated run needs its table
+        run.chunk(0, 2)
+    with pytest.raises(ValueError):  # an unvibrated one takes none
+        bind(vcol=np.zeros(0, dtype=np.intc)).chunk(0, 2, table)
+    assert bind(vcol=np.zeros(0, dtype=np.intc)).chunk(0, 2) == 3
 
 
-def random_chunk(ns, k, rng):
-    """A chunk on a 5-node network with two reciprocal pairs and two one-way
-    edges: the kernel's arguments apart from the start, stride and records."""
+def random_run(ns, k, rng):
+    """A run's arrays on a 5-node network with two reciprocal pairs and two
+    one-way edges, three of its edges vibrated (edge 1 runs against its
+    pair), and a table of offsets for k steps: every argument of ``Run``
+    apart from the step, stride, records and scratch, then the table."""
     dst = np.array([1, 0, 3, 2, 4, 0], dtype=np.intc)
     pair = np.array([0, 0, 1, 1, 2, 3], dtype=np.intc)
     ends = np.array([[1, 0], [3, 2], [4, 1], [0, 4]], dtype=np.intc)
-    omega = rng.normal(size=5)
-    wt = rng.normal(size=(2 * k + 1, 6))
-    return dst, pair, ends, omega, wt, rng.normal(size=(ns, 5))
+    vcol = np.array([5, 1, 4], dtype=np.intc)
+    arrays = dict(dst=dst, pair=pair, ends=ends, omega=rng.normal(size=5),
+                  base=rng.normal(size=6), vcol=vcol, th=rng.normal(size=(ns, 5)))
+    return arrays, rng.normal(size=(2 * k + 1, 3))
+
+
+def run_chunks(arrays, bounds, table, stride, n_rec, h=0.05):
+    """The run of ``arrays`` in chunks between ``bounds``, each with its
+    rows of ``table`` (row 0 at step ``bounds[0]``): its final state and
+    records."""
+    th = arrays["th"].copy()
+    recs = np.zeros((len(th), n_rec, 5))
+    run = pk.Run(**{**arrays, "th": th}, h=h, stride=stride, recs=recs,
+                 scratch=pk.alloc_scratch(len(th), 5, 4, 6))
+    for start, end in zip(bounds, bounds[1:]):
+        first, last = 2 * (start - bounds[0]), 2 * (end - bounds[0])
+        rows = None if table is None else table[first:last + 1]
+        assert run.chunk(start, end - start, rows) == end // stride + 1
+    return th, recs
 
 
 @pytest.mark.parametrize("ns", [1, 2, 3, 4, 5, 7, 8, 9, 10])
@@ -158,23 +212,45 @@ def test_split_batch_matches_single_sample_calls(ns, monkeypatch):
     over."""
     rng = np.random.default_rng(ns)
     k, start, stride = 200, 5, 3  # records at steps 6, 9, ..., 204
-    dst, pair, ends, omega, wt, th0 = random_chunk(ns, k, rng)
+    arrays, table = random_run(ns, k, rng)
     n_rec = (start + k) // stride + 1
-    singles = []
-    for s in range(ns):
-        th1, recs1 = th0[s:s + 1].copy(), np.zeros((1, n_rec, 5))
-        assert pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th1, recs1,
-                            pk.alloc_scratch(1, 5, len(ends))) == n_rec
-        singles.append((th1[0], recs1[0]))
+    singles = [run_chunks({**arrays, "th": arrays["th"][s:s + 1]}, [start, start + k], table,
+                          stride, n_rec) for s in range(ns)]
     for cpus in (1, 2):
         monkeypatch.setattr(pk, "_cpus", lambda: cpus)
-        th, recs = th0.copy(), np.zeros((ns, n_rec, 5))
-        assert pk.rk4_chunk(dst, pair, ends, omega, wt, start, 0.05, stride, th, recs,
-                            pk.alloc_scratch(ns, 5, len(ends))) == n_rec
+        th, recs = run_chunks(arrays, [start, start + k], table, stride, n_rec)
         for s, (th1, recs1) in enumerate(singles):
-            assert np.array_equal(th[s], th1)
-            assert np.array_equal(recs[s], recs1)
+            assert np.array_equal(th[s], th1[0])
+            assert np.array_equal(recs[s], recs1[0])
         assert np.all(recs[:, 2:] != 0.0) and np.all(recs[:, :2] == 0.0)
+
+
+def test_chunked_run_equals_one_chunk():
+    """A run continued across chunks of any length, each with its rows of
+    the table, is bit for bit the run in one chunk."""
+    rng = np.random.default_rng(11)
+    k = 60
+    arrays, table = random_run(6, k, rng)
+    th, recs = run_chunks(arrays, [0, k], table, 1, k + 1)
+    for bounds in ([0, 1, k], [0, 17, 34, 51, k], [0, *range(2, k, 2), k]):
+        th1, recs1 = run_chunks(arrays, bounds, table, 1, k + 1)
+        assert np.array_equal(th1, th) and np.array_equal(recs1, recs)
+
+
+def test_table_offsets_add_to_the_base_weights():
+    """A vibrated edge reads its base weight plus the row's offset, the same
+    IEEE sum as a base weight that already holds the offset: zero offsets
+    give the unvibrated run, constant ones the run on shifted weights."""
+    rng = np.random.default_rng(12)
+    k = 40
+    arrays, _ = random_run(5, k, rng)
+    still = {**arrays, "vcol": np.zeros(0, dtype=np.intc)}
+    for offset in (np.zeros(3), np.array([0.3, -1.7, 2.5])):
+        shifted = arrays["base"].copy()
+        shifted[arrays["vcol"]] += offset
+        expect = run_chunks({**still, "base": shifted}, [0, k], None, 2, k // 2 + 1)
+        got = run_chunks(arrays, [0, 15, k], np.tile(offset, (2 * k + 1, 1)), 2, k // 2 + 1)
+        assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
@@ -194,26 +270,26 @@ def test_cpus_follow_the_affinity_mask():
 
 def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypatch):
     rng = np.random.default_rng(0)
-    dst, pair, ends, omega, wt, th = random_chunk(10, 2, rng)
-    recs, per_thread = np.zeros((10, 3, 5)), len(pk.alloc_scratch(1, 5, len(ends)))
-    scratch = pk.alloc_scratch(10, 5, len(ends))
-    assert len(scratch) == 2 * per_thread
+    arrays, table = random_run(10, 2, rng)
+    recs, per_thread = np.zeros((10, 3, 5)), len(pk.alloc_scratch(1, 5, 4, 6))
+    scratch = pk.alloc_scratch(10, 5, 4, 6)
+    assert len(scratch) == 2 * per_thread == 2 * pk._slice_len(5, 4, 6)
     # each thread's slice starts on its own 64-byte line
     assert per_thread % 8 == 0 and scratch.ctypes.data % 64 == 0
     assert f"#define W {pk._block_width} " in pk._SOURCE
 
-    def run(scratch):
-        return pk.rk4_chunk(dst, pair, ends, omega, wt, 0, 0.05, 1, th, recs, scratch)
+    def bind(scratch):
+        return pk.Run(**arrays, h=0.05, stride=1, recs=recs, scratch=scratch)
 
     def no_kernel():
-        raise AssertionError("the kernel was called")
+        raise AssertionError("the kernel was loaded")
 
     monkeypatch.setattr(pk, "_cpus", lambda: 2)
     monkeypatch.setattr(pk, "load", no_kernel)
     with pytest.raises(ValueError):  # room for one thread's slice only
-        run(np.zeros(2 * per_thread - 1))
+        bind(np.zeros(2 * per_thread - 1))
     with pytest.raises(ValueError):
-        run(np.zeros((2, per_thread)))
+        bind(np.zeros((2, per_thread)))
     monkeypatch.undo()
     monkeypatch.setattr(pk, "_cpus", lambda: 1)
-    assert run(np.zeros(per_thread)) == 3  # one thread needs one slice
+    assert bind(np.zeros(per_thread)).chunk(0, 2, table) == 3  # one thread needs one slice
