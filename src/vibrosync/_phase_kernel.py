@@ -1,4 +1,5 @@
-"""Compiled RK4 for the phase network, built with the C compiler ``cc``.
+"""Compiled RK4 for the phase network and the CSV number formatter, built
+with the C compiler ``cc`` into one library.
 
 The C source below is compiled on first use into a shared library cached
 in this package's ``__pycache__/`` (or, when that directory is not
@@ -40,6 +41,15 @@ shared cache line.  The samples are independent and each runs the same
 arithmetic in the same order in any block, on any thread and in any
 chunking, so the results are bit-identical to one sample on one thread in
 one chunk.
+
+The same library writes CSV numbers (:func:`format_csv`) exactly as
+Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
+exact path: its ten significant digits are the product of the 53-bit
+significand and 10^j, 0 <= j <= 22, in 128-bit integers, rounded half-even
+at the binary point, then laid out by the ``%g`` rules.  Every other value
+(zeros, subnormals, large values, infinities) goes through the C library's
+``snprintf("%.10g")``, except NaN, which is written ``nan`` whatever its
+sign, as Python writes it (glibc writes ``-nan``).
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +73,7 @@ _SOURCE = r"""
 #include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 #define W 4  /* samples per lockstep block */
@@ -246,6 +257,133 @@ int64_t rk4_chunk(const struct run *r, const double *table, int64_t start, int64
     }
     return next;
 }
+
+/* ---- CSV numbers ---------------------------------------------------------- */
+
+#define FIELD 24  /* bytes one "%.10g" value and its separator fit in */
+
+typedef unsigned __int128 u128;
+
+/* 10^j for j in [0, 22]; 10^22 < 2^74 */
+static const u128 P10[23] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
+    1000000000u, 10000000000u, 100000000000u, 1000000000000u, 10000000000000u,
+    100000000000000u, 1000000000000000u, 10000000000000000u, 100000000000000000u,
+    1000000000000000000u, 10000000000000000000u, (u128)10000000000000000000u * 10,
+    (u128)10000000000000000000u * 100, (u128)10000000000000000000u * 1000};
+
+/* x as Python's "%.10g" % x writes it into s; returns the length.  For
+   1e-13 <= |x| < 1e10, x = f / 2^sh with f the 53-bit significand and
+   19 <= sh <= 97, and the ten significant digits of x 10^-k are the exact
+   f 10^j / 2^sh, j = 9 - k, rounded half-even; f 10^j < 2^127 for j <= 22.
+   The decimal exponent k starts at floor(log10 |x|) and moves by one while
+   the mantissa falls outside [10^9, 10^10), always within [-13, 9], which
+   the range allows.  Every other value goes through snprintf, except NaN,
+   which Python writes as "nan" whatever its sign. */
+static int fmt_g10(double x, char *s)
+{
+    double a = fabs(x);
+    if (!(a >= 1e-13 && a < 1e10)) {
+        if (isnan(x)) {
+            memcpy(s, "nan", 3);
+            return 3;
+        }
+        return snprintf(s, FIELD, "%.10g", x);
+    }
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t f = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    int sh = 1075 - (int)(bits >> 52 & 0x7ff);
+    u128 half = (u128)1 << (sh - 1);
+    int k = (int)floor(log10(a));
+    k = k < -13 ? -13 : k > 9 ? 9 : k;
+    u128 q;
+    for (;;) {  /* move k until the mantissa has ten digits */
+        u128 p = (u128)f * P10[9 - k];
+        u128 rem = p & ((half << 1) - 1);
+        q = p >> sh;
+        if (rem > half || (rem == half && (q & 1)))
+            q++;
+        if (q < 1000000000u && k > -13)
+            k--;
+        else if (q > 10000000000u && k < 9)
+            k++;
+        else
+            break;
+    }
+    if (q == 10000000000u) {  /* rounded up a decade */
+        q = 1000000000u;
+        k++;
+    }
+    char d[10];
+    uint64_t m = (uint64_t)q;
+    for (int i = 9; i >= 0; i--, m /= 10)
+        d[i] = (char)('0' + m % 10);
+    int nd = 10;  /* digits up to the last nonzero one */
+    while (nd > 1 && d[nd - 1] == '0')
+        nd--;
+    char *o = s;
+    if (x < 0)
+        *o++ = '-';
+    if (k >= 10 || k < -4) {  /* d.ddde+XX */
+        *o++ = d[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, nd - 1);
+            o += nd - 1;
+        }
+        int e = k < 0 ? -k : k;  /* 5 .. 13 */
+        *o++ = 'e';
+        *o++ = k < 0 ? '-' : '+';
+        *o++ = (char)('0' + e / 10);
+        *o++ = (char)('0' + e % 10);
+    } else if (k >= 0) {  /* ddd.ddd */
+        memcpy(o, d, k + 1);
+        o += k + 1;
+        if (nd > k + 1) {
+            *o++ = '.';
+            memcpy(o, d + k + 1, nd - k - 1);
+            o += nd - k - 1;
+        }
+    } else {  /* 0.000ddd */
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = 1; i < -k; i++)
+            *o++ = '0';
+        memcpy(o, d, nd);
+        o += nd;
+    }
+    return (int)(o - s);
+}
+
+/* The CSV body of the C-ordered (rows, cols) array a, cols >= 1: each value
+   as "%.10g", comma-separated, one newline-terminated line per row, into
+   out (rows cols FIELD bytes); and, copied from the same fields, the body
+   of the first and last columns into outer (rows 2 FIELD bytes).  The bytes
+   written go to len[0] and len[1]. */
+void format_csv(const double *a, int64_t rows, int64_t cols, char *out, char *outer,
+                int64_t *len)
+{
+    char *o = out, *t = outer;
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++) {
+            int n = fmt_g10(a[i * cols + j], o);
+            if (j == 0) {
+                memcpy(t, o, n);
+                t += n;
+                *t++ = ',';
+            }
+            if (j == cols - 1) {
+                memcpy(t, o, n);
+                t += n;
+                *t++ = '\n';
+            }
+            o += n;
+            *o++ = j == cols - 1 ? '\n' : ',';
+        }
+    len[0] = o - out;
+    len[1] = t - outer;
+}
 """
 
 _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
@@ -346,7 +484,29 @@ def _load_library():
     lib.bind.restype = None
     lib.rk4_chunk.argtypes = [run, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
     lib.rk4_chunk.restype = ctypes.c_int64
+    chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lib.format_csv.argtypes = [doubles, ctypes.c_int64, ctypes.c_int64, chars, chars, lens]
+    lib.format_csv.restype = None
     return lib
+
+
+_field_bytes = 24  # the FIELD of the C source: one value and its separator
+
+
+def format_csv(a: np.ndarray) -> Tuple[str, str]:
+    """The CSV body of the (rows, cols) array ``a``, cols >= 1, and the body
+    of its first and last columns: every value as Python's ``"%.10g" % v``
+    writes it, comma-separated, one newline-terminated line per row."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise ValueError("format_csv takes a (rows, cols) array with cols >= 1")
+    rows, cols = a.shape
+    out = np.empty(rows * cols * _field_bytes, np.uint8)
+    outer = np.empty(rows * 2 * _field_bytes, np.uint8)
+    lens = np.zeros(2, np.int64)
+    load().format_csv(a, rows, cols, out, outer, lens)
+    return str(out[:lens[0]].data, "ascii"), str(outer[:lens[1]].data, "ascii")
 
 
 def _cpus() -> int:

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _phase_kernel
 from .graph_core import (ClusterPartition, CycleDetected, DirectedNetwork,
                          GraphError, IncidenceSet, build_incidence,
                          select_spanning_tree)
@@ -268,16 +269,14 @@ def dump_json(path: Path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def trajectory_csv(traj: Trajectory, partition: ClusterPartition) -> Tuple[str, str]:
-    """Full trajectory CSV (wrapped phases + error) and the error-only CSV."""
+def trajectory_csv(traj: Trajectory, err: np.ndarray) -> Tuple[str, str]:
+    """Full trajectory CSV (wrapped phases + the run's sync error ``err``)
+    and the error-only CSV, every number as ``"%.10g"``."""
     n = traj.theta.shape[1]
-    err = sync_error(traj.theta, partition)
-    rows = np.column_stack([traj.times, traj.wrapped_theta(), err]).tolist()
-    row_fmt = ",".join(["%.10g"] * (n + 2))
-    header = "t," + ",".join(f"theta_{i + 1}" for i in range(n)) + ",err"
-    lines = [header] + [row_fmt % tuple(r) for r in rows]
-    err_lines = ["t,err"] + ["%.10g,%.10g" % (r[0], r[-1]) for r in rows]
-    return "\n".join(lines) + "\n", "\n".join(err_lines) + "\n"
+    body, err_body = _phase_kernel.format_csv(
+        np.column_stack([traj.times, traj.wrapped_theta(), err]))
+    header = "t," + ",".join(f"theta_{i + 1}" for i in range(n)) + ",err\n"
+    return header + body, "t,err\n" + err_body
 
 
 def plot_script(err_files: Sequence[Tuple[str, str]]) -> str:
@@ -419,7 +418,7 @@ def cmd_simulate(scenario: Scenario, out: Path, epsilon: Optional[float],
     schedule = None if uncontrolled else _scenario_schedule(scenario, kn, inc, epsilon)
     theta0 = _initial_state(scenario, inc, seed)
     traj = simulate(kn, schedule, theta0, scenario.t_end, dt=scenario.dt, inc=inc)
-    csv, err_csv = trajectory_csv(traj, kn.partition)
+    csv, err_csv = trajectory_csv(traj, sync_error(traj.theta, kn.partition))
     atomic_write_text(out / "trajectory.csv", csv)
     atomic_write_text(out / "err.csv", err_csv)
     atomic_write_text(out / "plot.gp", plot_script([("err.csv", "sync error")]))
@@ -572,8 +571,11 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
     theta0 = _initial_state(scenario, inc, seed)
     controlled = simulate(kn, design.schedule, theta0, scenario.t_end, inc=inc)
     uncontrolled = simulate(kn, None, theta0, scenario.t_end, inc=inc)
-    for name, traj in (("controlled", controlled), ("uncontrolled", uncontrolled)):
-        csv, err_csv = trajectory_csv(traj, kn.partition)
+    err_c = sync_error(controlled.theta, kn.partition)
+    err_u = sync_error(uncontrolled.theta, kn.partition)
+    for name, traj, err in (("controlled", controlled, err_c),
+                            ("uncontrolled", uncontrolled, err_u)):
+        csv, err_csv = trajectory_csv(traj, err)
         atomic_write_text(out / f"{name}.csv", csv)
         atomic_write_text(out / f"err_{name}.csv", err_csv)
     atomic_write_text(out / "plot.gp", plot_script([
@@ -581,8 +583,6 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
         ("err_uncontrolled.csv", "uncontrolled"),
     ]))
 
-    err_c = sync_error(controlled.theta, kn.partition)
-    err_u = sync_error(uncontrolled.theta, kn.partition)
     tol = scenario.sync_tolerance
     ok_c = bool(err_c.min() < tol)
     # a run that starts synchronized has no error to keep large: it fails

@@ -153,11 +153,12 @@ def sync_error(theta, partition: ClusterPartition):
     theta = np.asarray(theta, dtype=float)
     worst = np.zeros(theta.shape[:-1])
     for cluster in partition.clusters:
-        idx = list(cluster)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                d = geodesic_distance(theta[..., idx[a]], theta[..., idx[b]])
-                worst = np.maximum(worst, d)
+        if len(cluster) < 2:
+            continue
+        a, b = np.triu_indices(len(cluster), 1)
+        idx = np.asarray(cluster)
+        d = geodesic_distance(theta[..., idx[a]], theta[..., idx[b]])
+        worst = np.maximum(worst, d.max(axis=-1))
     return worst if worst.shape else float(worst)
 
 

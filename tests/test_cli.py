@@ -401,8 +401,36 @@ def test_trajectory_csv_matches_per_value_formatting():
                       [-1e-300, 12.5, -7.25, 1e15],
                       [0.5, 0.5, 2.0, 2.0 + 1e-13]])
     traj = Trajectory(times=times, theta=theta, x=theta[:, :2], dt=0.1)
-    assert cli.trajectory_csv(traj, partition) == per_value_csv(traj, partition)
-    assert cli.trajectory_csv(traj, partition)[1].splitlines()[1].startswith("-0,")
+    err = sync_error(theta, partition)
+    assert cli.trajectory_csv(traj, err) == per_value_csv(traj, partition)
+    assert cli.trajectory_csv(traj, err)[1].splitlines()[1].startswith("-0,")
+
+
+def test_flagship_simulate_csv_matches_per_value_formatting(flagship_reproduce, tmp_path):
+    """A 4-unit controlled flagship run with the reproduced schedule: the
+    CSVs equal the per-value formatting, also as ``vibrosync simulate``
+    writes them."""
+    schedule = json.loads((flagship_reproduce[0] / "schedule.json").read_text())
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    for key in ("modifications", "references"):
+        del data[key]
+    data["schedule"] = {"epsilon": schedule["epsilon"], "entries": schedule["entries"]}
+    data["simulation"]["t_end"] = 4.0
+    scenario = cli.parse_scenario(data)
+    kn = scenario.kuramoto()
+    inc = scenario.incidence(kn)
+    theta0 = cli._initial_state(scenario, inc, None)
+    traj = kuramoto_dynamics.simulate(kn, scenario.vibration_schedule(), theta0, 4.0,
+                                      inc=inc)
+    csv, err_csv = cli.trajectory_csv(traj, sync_error(traj.theta, kn.partition))
+    assert (csv, err_csv) == per_value_csv(traj, kn.partition)
+    assert len(traj.times) > 1000
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").read_text() == csv
+    assert (out / "err.csv").read_text() == err_csv
 
 
 def test_theta0_length_validation():

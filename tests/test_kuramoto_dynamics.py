@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,45 @@ def test_sync_error_uses_wrapped_distances():
     part = vs.ClusterPartition(net, ((0, 1), (2, 3)))
     err = vs.sync_error(theta, part)
     assert err[0] == pytest.approx(max(0.1, abs(6.0 - 2 * math.pi - 0.05)))
+
+
+def pairwise_sync_error(theta, clusters):
+    """sync_error pair by pair: the reference it must equal bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    worst = np.zeros(theta.shape[:-1])
+    for idx in clusters:
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                d = vs.geodesic_distance(theta[..., idx[a]], theta[..., idx[b]])
+                worst = np.maximum(worst, d)
+    return worst if worst.shape else float(worst)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       lead=st.lists(st.integers(0, 6), max_size=2))
+def test_sync_error_equals_the_pairwise_loop(seed, sizes, lead):
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(sum(sizes)).tolist()
+    cuts = np.cumsum([0, *sizes]).tolist()
+    clusters = tuple(tuple(nodes[a:b]) for a, b in zip(cuts, cuts[1:]))
+    theta = rng.normal(size=(*lead, len(nodes))) * 10.0 ** rng.integers(-8, 4, len(nodes))
+    got = vs.sync_error(theta, SimpleNamespace(clusters=clusters))
+    want = pairwise_sync_error(theta, clusters)
+    if lead:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    else:
+        assert type(got) is float and got == want
+
+
+def test_sync_error_of_one_node_clusters_and_one_state():
+    one_node = SimpleNamespace(clusters=((0,), (1,), (2,)))
+    assert np.array_equal(vs.sync_error(np.ones((5, 3)), one_node), np.zeros(5))
+    mixed = SimpleNamespace(clusters=((1,), (0, 2)))
+    got = vs.sync_error(np.array([0.3, 5.0, 2 * math.pi - 0.2]), mixed)
+    assert type(got) is float and got == pairwise_sync_error([0.3, 5.0, 2 * math.pi - 0.2],
+                                                             mixed.clusters)
+    assert got == pytest.approx(0.5)
 
 
 def test_two_node_synchronization():

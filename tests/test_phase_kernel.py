@@ -1,9 +1,11 @@
 import ctypes
 import os
+import struct
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibrosync import _phase_kernel as pk
 
@@ -293,3 +295,74 @@ def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypat
     monkeypatch.undo()
     monkeypatch.setattr(pk, "_cpus", lambda: 1)
     assert bind(np.zeros(per_thread)).chunk(0, 2, table) == 3  # one thread needs one slice
+
+
+# ---------------------------------------------------------------------------
+# the CSV formatter
+
+
+def per_value_bodies(a):
+    """The bodies format_csv must write: each value as ``"%.10g" % v``."""
+    rows = a.tolist()
+    body = "".join(",".join("%.10g" % v for v in row) + "\n" for row in rows)
+    return body, "".join("%.10g,%.10g\n" % (row[0], row[-1]) for row in rows)
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every exponent, subnormals and both zeros; hypothesis' own floats; and the
+# formatter's exact range, with its boundaries on both sides
+doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(from_bits),
+    st.floats(),
+    st.floats(5e-14, 2e10).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(shape=st.tuples(st.integers(0, 8), st.integers(1, 8)), data=st.data())
+def test_format_csv_writes_what_percent_g_writes(shape, data):
+    values = data.draw(st.lists(doubles, min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    a = np.array(values, dtype=np.float64).reshape(shape)
+    assert pk.format_csv(a) == per_value_bodies(a)
+
+
+def neighbours(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+FORMAT_EDGE_CASES = [
+    # the ends of the exact range and the switches to exponent notation
+    *neighbours(1e-13), *neighbours(1e-4), *neighbours(1e-5), *neighbours(1e10),
+    # rounding up a decade, also out of exponent notation and out of the range
+    9.9999999995, 9.99999999951, 9999999999.5, 999999999.95, 99999.999995,
+    0.00099999999995, 0.0000999999999951, 9.99999999995e-14,
+    # exact ties: half-even
+    12345678.125, 0.5, 2.5, 1234567890.5, 1234567891.5, 0.0001220703125,
+    # outside the range: snprintf
+    0.0, -0.0, 5e-324, 1e-310, np.finfo(float).tiny, np.finfo(float).max, 1e22,
+    np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+]
+
+
+def test_format_csv_edge_cases():
+    values = np.array(FORMAT_EDGE_CASES)
+    for a in (values.reshape(-1, 1), values.reshape(1, -1), -values.reshape(1, -1)):
+        assert pk.format_csv(a) == per_value_bodies(a)
+    body, two = pk.format_csv(np.array([[9999999999.5, np.copysign(np.nan, -1.0)]]))
+    assert body == "1e+10,nan\n" and two == "1e+10,nan\n"  # glibc would write -nan
+    assert pk.format_csv(np.array([[12345678.125, 0.5, -1e-5]]))[0] == \
+        "12345678.12,0.5,-1e-05\n"
+
+
+def test_format_csv_shapes():
+    assert pk.format_csv(np.zeros((0, 3))) == ("", "")
+    assert pk.format_csv(np.array([[1.5], [-2.0]])) == ("1.5\n-2\n", "1.5,1.5\n-2,-2\n")
+    wide = np.arange(12.0).reshape(3, 4)
+    assert pk.format_csv(wide[:, ::2]) == per_value_bodies(wide[:, ::2])  # not C order
+    for bad in (np.zeros(3), np.zeros((3, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="cols >= 1"):
+            pk.format_csv(bad)
