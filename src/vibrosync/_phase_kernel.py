@@ -49,7 +49,12 @@ significand and 10^j, 0 <= j <= 22, in 128-bit integers, rounded half-even
 at the binary point, then laid out by the ``%g`` rules.  Every other value
 (zeros, subnormals, large values, infinities) goes through the C library's
 ``snprintf("%.10g")``, except NaN, which is written ``nan`` whatever its
-sign, as Python writes it (glibc writes ``-nan``).
+sign, as Python writes it (glibc writes ``-nan``).  A compiler without
+128-bit integers (``__SIZEOF_INT128__``, missing on 32-bit targets) builds
+the library without the exact path, and every value goes through
+``snprintf``: the same bytes, about three times slower.  The formatter
+switches its thread to the C locale for the call, so a comma-decimal
+``LC_NUMERIC`` set by the program does not reach ``snprintf``.
 """
 
 from __future__ import annotations
@@ -68,15 +73,22 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+_block_width = 4  # samples one thread advances in lockstep: W in the C source
+_field_bytes = 24  # bytes one "%.10g" value and its separator fit in: FIELD
+
 _SOURCE = r"""
+#define _POSIX_C_SOURCE 200809L  /* newlocale and uselocale, also under -std=c99 */
+#include <locale.h>
 #include <math.h>
 #include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-
-#define W 4  /* samples per lockstep block */
+""" + f"""
+#define W {_block_width}  /* samples per lockstep block */
+#define FIELD {_field_bytes}  /* bytes one "%.10g" value and its separator fit in */
+""" + r"""
 
 /* dx_t = omega_t - sum over edges e = (s, t) of w_e sin(x_t - x_s) for the
    `width` samples of a block, stored node-major: node j of block sample s
@@ -260,8 +272,7 @@ int64_t rk4_chunk(const struct run *r, const double *table, int64_t start, int64
 
 /* ---- CSV numbers ---------------------------------------------------------- */
 
-#define FIELD 24  /* bytes one "%.10g" value and its separator fit in */
-
+#ifdef __SIZEOF_INT128__  /* the exact path needs 128-bit integers */
 typedef unsigned __int128 u128;
 
 /* 10^j for j in [0, 22]; 10^22 < 2^74 */
@@ -272,30 +283,20 @@ static const u128 P10[23] = {
     1000000000000000000u, 10000000000000000000u, (u128)10000000000000000000u * 10,
     (u128)10000000000000000000u * 100, (u128)10000000000000000000u * 1000};
 
-/* x as Python's "%.10g" % x writes it into s; returns the length.  For
-   1e-13 <= |x| < 1e10, x = f / 2^sh with f the 53-bit significand and
-   19 <= sh <= 97, and the ten significant digits of x 10^-k are the exact
-   f 10^j / 2^sh, j = 9 - k, rounded half-even; f 10^j < 2^127 for j <= 22.
-   The decimal exponent k starts at floor(log10 |x|) and moves by one while
-   the mantissa falls outside [10^9, 10^10), always within [-13, 9], which
-   the range allows.  Every other value goes through snprintf, except NaN,
-   which Python writes as "nan" whatever its sign. */
-static int fmt_g10(double x, char *s)
+/* x, 1e-13 <= |x| < 1e10, as "%.10g" writes it into s; returns the length.
+   x = f / 2^sh with f the 53-bit significand and 19 <= sh <= 97, and the
+   ten significant digits of x 10^-k are the exact f 10^j / 2^sh, j = 9 - k,
+   rounded half-even; f 10^j < 2^127 for j <= 22.  The decimal exponent k
+   starts at floor(log10 |x|) and moves by one while the mantissa falls
+   outside [10^9, 10^10), always within [-13, 9], which the range allows. */
+static int fmt_exact(double x, char *s)
 {
-    double a = fabs(x);
-    if (!(a >= 1e-13 && a < 1e10)) {
-        if (isnan(x)) {
-            memcpy(s, "nan", 3);
-            return 3;
-        }
-        return snprintf(s, FIELD, "%.10g", x);
-    }
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     uint64_t f = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
     int sh = 1075 - (int)(bits >> 52 & 0x7ff);
     u128 half = (u128)1 << (sh - 1);
-    int k = (int)floor(log10(a));
+    int k = (int)floor(log10(fabs(x)));
     k = k < -13 ? -13 : k > 9 ? 9 : k;
     u128 q;
     for (;;) {  /* move k until the mantissa has ten digits */
@@ -355,15 +356,41 @@ static int fmt_g10(double x, char *s)
     }
     return (int)(o - s);
 }
+#endif
+
+/* x as Python's "%.10g" % x writes it into s; returns the length.  Values
+   with 1e-13 <= |x| < 1e10 take the exact path where the compiler has
+   128-bit integers; every other value goes through snprintf, except NaN,
+   which Python writes as "nan" whatever its sign. */
+static int fmt_g10(double x, char *s)
+{
+#ifdef __SIZEOF_INT128__
+    double a = fabs(x);
+    if (a >= 1e-13 && a < 1e10)
+        return fmt_exact(x, s);
+#endif
+    if (isnan(x)) {
+        memcpy(s, "nan", 3);
+        return 3;
+    }
+    return snprintf(s, FIELD, "%.10g", x);
+}
 
 /* The CSV body of the C-ordered (rows, cols) array a, cols >= 1: each value
    as "%.10g", comma-separated, one newline-terminated line per row, into
    out (rows cols FIELD bytes); and, copied from the same fields, the body
    of the first and last columns into outer (rows 2 FIELD bytes).  The bytes
-   written go to len[0] and len[1]. */
-void format_csv(const double *a, int64_t rows, int64_t cols, char *out, char *outer,
-                int64_t *len)
+   written go to len[0] and len[1].  The numbers are written in the C locale,
+   as Python writes them, whatever the process's LC_NUMERIC: this thread
+   switches to it for the call.  Returns 0, or -1 when the C locale cannot
+   be had. */
+int format_csv(const double *a, int64_t rows, int64_t cols, char *out, char *outer,
+               int64_t *len)
 {
+    locale_t c = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    if (c == (locale_t)0)
+        return -1;
+    locale_t prev = uselocale(c);
     char *o = out, *t = outer;
     for (int64_t i = 0; i < rows; i++)
         for (int64_t j = 0; j < cols; j++) {
@@ -383,6 +410,9 @@ void format_csv(const double *a, int64_t rows, int64_t cols, char *out, char *ou
         }
     len[0] = o - out;
     len[1] = t - outer;
+    uselocale(prev);
+    freelocale(c);
+    return 0;
 }
 """
 
@@ -487,11 +517,8 @@ def _load_library():
     chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.format_csv.argtypes = [doubles, ctypes.c_int64, ctypes.c_int64, chars, chars, lens]
-    lib.format_csv.restype = None
+    lib.format_csv.restype = ctypes.c_int
     return lib
-
-
-_field_bytes = 24  # the FIELD of the C source: one value and its separator
 
 
 def format_csv(a: np.ndarray) -> Tuple[str, str]:
@@ -505,7 +532,8 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
     out = np.empty(rows * cols * _field_bytes, np.uint8)
     outer = np.empty(rows * 2 * _field_bytes, np.uint8)
     lens = np.zeros(2, np.int64)
-    load().format_csv(a, rows, cols, out, outer, lens)
+    if load().format_csv(a, rows, cols, out, outer, lens):
+        raise MemoryError("format_csv cannot switch to the C locale")
     return str(out[:lens[0]].data, "ascii"), str(outer[:lens[1]].data, "ascii")
 
 
@@ -521,9 +549,6 @@ def _cpus() -> int:
 def thread_count(ns: int) -> int:
     """Threads a run of ``ns`` samples runs its chunks on."""
     return min(ns, _cpus(), max_threads)
-
-
-_block_width = 4  # the W of the C source: samples one thread advances in lockstep
 
 
 def _slice_len(n: int, npair: int, m: int) -> int:

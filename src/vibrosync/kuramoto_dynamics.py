@@ -153,12 +153,10 @@ def sync_error(theta, partition: ClusterPartition):
     theta = np.asarray(theta, dtype=float)
     worst = np.zeros(theta.shape[:-1])
     for cluster in partition.clusters:
-        if len(cluster) < 2:
-            continue
-        a, b = np.triu_indices(len(cluster), 1)
-        idx = np.asarray(cluster)
-        d = geodesic_distance(theta[..., idx[a]], theta[..., idx[b]])
-        worst = np.maximum(worst, d.max(axis=-1))
+        idx = list(cluster)
+        for a in range(len(idx) - 1):  # node a against every later node at once
+            d = geodesic_distance(theta[..., idx[a]:idx[a] + 1], theta[..., idx[a + 1:]])
+            worst = np.maximum(worst, d.max(axis=-1))
     return worst if worst.shape else float(worst)
 
 

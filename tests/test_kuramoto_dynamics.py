@@ -78,6 +78,14 @@ def test_sync_error_of_one_node_clusters_and_one_state():
     assert got == pytest.approx(0.5)
 
 
+def test_sync_error_of_a_large_cluster():
+    rng = np.random.default_rng(7)
+    theta = rng.uniform(-10.0, 10.0, (300, 64))
+    clusters = (tuple(rng.permutation(64)[:60].tolist()),)
+    got = vs.sync_error(theta, SimpleNamespace(clusters=clusters))
+    assert np.array_equal(got, pairwise_sync_error(theta, clusters))
+
+
 def test_two_node_synchronization():
     kn = two_node_kn()
     traj = vs.simulate(kn, None, np.array([0.0, 0.1]), 12.0, inc=incidence(kn))

@@ -1,4 +1,5 @@
 import ctypes
+import locale
 import os
 import struct
 import subprocess
@@ -366,3 +367,37 @@ def test_format_csv_shapes():
     for bad in (np.zeros(3), np.zeros((3, 0)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="cols >= 1"):
             pk.format_csv(bad)
+
+
+def test_format_csv_without_128_bit_integers_uses_snprintf(fresh_cache, monkeypatch):
+    # a compiler without __int128 (a 32-bit target) builds the library with
+    # snprintf for every value; the bytes are the same
+    monkeypatch.setattr(pk, "_FLAGS", (*pk._FLAGS, "-U__SIZEOF_INT128__"))
+    values = np.array(FORMAT_EDGE_CASES + [3.25, 1e-7, 123456.789, 2 * np.pi])
+    a = np.concatenate([values, -values]).reshape(2, -1)
+    assert pk.format_csv(a) == per_value_bodies(a)
+
+
+def comma_locale():
+    """Set LC_NUMERIC to an installed locale with a decimal comma, if any."""
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "nl_NL.UTF-8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        if locale.localeconv()["decimal_point"] == ",":
+            return name
+    return None
+
+
+def test_format_csv_ignores_the_numeric_locale():
+    # Python's "%.10g" ignores LC_NUMERIC; snprintf would follow it
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        if comma_locale() is None:
+            pytest.skip("no locale with a decimal comma is installed")
+        a = np.array([[1.234e-14, 1.5e22, 0.5], [-2.5e-300, 6.02e23, np.inf]])
+        assert pk.format_csv(a) == per_value_bodies(a)
+        assert pk.format_csv(a[:1])[0] == "1.234e-14,1.5e+22,0.5\n"
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
