@@ -1,5 +1,5 @@
-"""Compiled RK4 for the phase network and the CSV number formatter, built
-with the C compiler ``cc`` into one library.
+"""Compiled RK4 for the phase network, compiled RK4 for linear flows and
+the CSV number formatter, built with the C compiler ``cc`` into one library.
 
 The C source below is compiled on first use into a shared library cached
 in this package's ``__pycache__/`` (or, when that directory is not
@@ -41,6 +41,16 @@ shared cache line.  The samples are independent and each runs the same
 arithmetic in the same order in any block, on any thread and in any
 chunking, so the results are bit-identical to one sample on one thread in
 one chunk.
+
+The same library steps the linear flows dPsi/dt = P(t) Psi of
+:mod:`vibrosync.linalg` (:class:`LinearFlow`): the caller tabulates P on a
+chunk's half-step grid, and the kernel takes the chunk's RK4 steps one
+after the other on the calling thread, carrying Psi from chunk to chunk.
+It writes Psi after every step to a stack.  For an average it also
+solves M = Psi^-1 J Psi after every step, by Gaussian elimination with
+partial pivoting on [Psi | J Psi] as LAPACK's ``gesv`` does, and adds the
+two window-weighted sums of Psi and of M in step order.  So neither Psi
+nor the sums depend on where the chunks end.
 
 The same library writes CSV numbers (:func:`format_csv`) exactly as
 Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
@@ -270,6 +280,111 @@ int64_t rk4_chunk(const struct run *r, const double *table, int64_t start, int64
     return next;
 }
 
+/* ---- linear flows --------------------------------------------------------- */
+
+/* c = a b for row-major n x n matrices, each entry summed in index order */
+static void matmul(int n, const double *restrict a, const double *restrict b,
+                   double *restrict c)
+{
+    for (int i = 0; i < n; i++) {
+        double *ci = c + i * n;
+        for (int q = 0; q < n; q++)
+            ci[q] = 0.0;
+        for (int l = 0; l < n; l++) {
+            double ail = a[i * n + l];
+            const double *bl = b + l * n;
+            for (int q = 0; q < n; q++)
+                ci[q] += ail * bl[q];
+        }
+    }
+}
+
+/* b = a^-1 b for row-major n x n matrices by Gaussian elimination with
+   partial pivoting, as LAPACK's gesv, overwriting a with its U factor.
+   Returns 0, or 1 when a pivot is exactly zero (a is singular). */
+static int lu_solve(int n, double *restrict a, double *restrict b)
+{
+    for (int c = 0; c < n; c++) {
+        int r = c;
+        for (int i = c + 1; i < n; i++)
+            if (fabs(a[i * n + c]) > fabs(a[r * n + c]))
+                r = i;
+        if (a[r * n + c] == 0.0)
+            return 1;
+        if (r != c)
+            for (int q = 0; q < n; q++) {
+                double t = a[r * n + q];
+                a[r * n + q] = a[c * n + q];
+                a[c * n + q] = t;
+                t = b[r * n + q];
+                b[r * n + q] = b[c * n + q];
+                b[c * n + q] = t;
+            }
+        for (int i = c + 1; i < n; i++) {
+            double f = a[i * n + c] / a[c * n + c];
+            for (int q = c + 1; q < n; q++)
+                a[i * n + q] -= f * a[c * n + q];
+            for (int q = 0; q < n; q++)
+                b[i * n + q] -= f * b[c * n + q];
+        }
+    }
+    for (int c = n - 1; c >= 0; c--)
+        for (int q = 0; q < n; q++) {
+            double s = b[c * n + q];
+            for (int i = c + 1; i < n; i++)
+                s -= a[c * n + i] * b[i * n + q];
+            b[c * n + q] = s / a[c * n + c];
+        }
+    return 0;
+}
+
+/* k RK4 steps of dPsi/dt = P(t) Psi for the row-major n x n Psi in psi,
+   advanced in place; table holds P on the chunk's half-step grid, 2k+1
+   matrices, and Psi after step i goes to stack + i n n.  Unless j is NULL,
+   M = Psi^-1 J Psi is formed after every step from J Psi by lu_solve, and
+   with the step's row (w0, w1) of w (k rows of 2) the products w0 Psi,
+   w1 Psi, w0 M, w1 M are added to the four n x n blocks of sums.  scratch
+   holds 7 n n doubles.  Returns 0, or i + 1 when Psi after step i is
+   singular; the sums then stop before that step. */
+int64_t flow_chunk(int n, int64_t k, double h, const double *table, double *psi,
+                   double *stack, const double *j, const double *w, double *sums,
+                   double *scratch)
+{
+    int nn = n * n;
+    double *k1 = scratch, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn, *y = k4 + nn;
+    double *lu = y + nn, *m = lu + nn;
+    for (int64_t i = 0; i < k; i++) {
+        const double *p0 = table + 2 * i * nn, *pm = p0 + nn, *p1 = pm + nn;
+        matmul(n, p0, psi, k1);
+        for (int e = 0; e < nn; e++)
+            y[e] = psi[e] + 0.5 * h * k1[e];
+        matmul(n, pm, y, k2);
+        for (int e = 0; e < nn; e++)
+            y[e] = psi[e] + 0.5 * h * k2[e];
+        matmul(n, pm, y, k3);
+        for (int e = 0; e < nn; e++)
+            y[e] = psi[e] + h * k3[e];
+        matmul(n, p1, y, k4);
+        for (int e = 0; e < nn; e++)
+            psi[e] = psi[e] + h / 6.0 * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]);
+        memcpy(stack + i * nn, psi, (size_t)nn * sizeof(double));
+        if (!j)
+            continue;
+        matmul(n, j, psi, m);
+        memcpy(lu, psi, (size_t)nn * sizeof(double));
+        if (lu_solve(n, lu, m))
+            return i + 1;
+        double w0 = w[2 * i], w1 = w[2 * i + 1];
+        for (int e = 0; e < nn; e++) {
+            sums[e] += w0 * psi[e];
+            sums[nn + e] += w1 * psi[e];
+            sums[2 * nn + e] += w0 * m[e];
+            sums[3 * nn + e] += w1 * m[e];
+        }
+    }
+    return 0;
+}
+
 /* ---- CSV numbers ---------------------------------------------------------- */
 
 #ifdef __SIZEOF_INT128__  /* the exact path needs 128-bit integers */
@@ -459,10 +574,10 @@ def _build(path: Path) -> None:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
             raise KernelBuildError(
-                f"the phase-network kernel needs the C compiler {_compiler!r}: {exc}") from exc
+                f"the vibrosync kernel needs the C compiler {_compiler!r}: {exc}") from exc
         if proc.returncode != 0:
             raise KernelBuildError(
-                f"building the phase-network kernel failed ({' '.join(cmd)}):\n{proc.stderr}")
+                f"building the vibrosync kernel failed ({' '.join(cmd)}):\n{proc.stderr}")
         os.replace(so_file, path)
     finally:
         for leftover in (c_file, so_file):
@@ -497,7 +612,7 @@ def _load_library():
                 lib = ctypes.CDLL(str(directory / path.name))
             except OSError as exc:
                 raise KernelBuildError(
-                    f"the freshly built phase-network kernel does not load: {exc}") from exc
+                    f"the freshly built vibrosync kernel does not load: {exc}") from exc
         finally:
             if directory != _cache_dir:  # a loaded library needs no file
                 shutil.rmtree(directory, ignore_errors=True)
@@ -514,6 +629,9 @@ def _load_library():
     lib.bind.restype = None
     lib.rk4_chunk.argtypes = [run, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
     lib.rk4_chunk.restype = ctypes.c_int64
+    lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int64, ctypes.c_double,
+                               *[ctypes.c_void_p] * 7]
+    lib.flow_chunk.restype = ctypes.c_int64
     chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.format_csv.argtypes = [doubles, ctypes.c_int64, ctypes.c_int64, chars, chars, lens]
@@ -535,6 +653,78 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
     if load().format_csv(a, rows, cols, out, outer, lens):
         raise MemoryError("format_csv cannot switch to the C locale")
     return str(out[:lens[0]].data, "ascii"), str(outer[:lens[1]].data, "ascii")
+
+
+def flow_scratch_len(n: int) -> int:
+    """Doubles of scratch a :class:`LinearFlow` of n x n matrices uses: the
+    four RK4 stages, the stage argument, the LU factor and M, ``7 n n``."""
+    return 7 * n * n
+
+
+def _address(a: np.ndarray, shape: Tuple[int, ...]) -> int:
+    """The address of ``a``, which must be a writeable C-ordered float64
+    array of shape ``shape`` (ValueError otherwise)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"a linear flow needs a writeable C-ordered float64 array of "
+                         f"shape {shape}")
+    return a.ctypes.data
+
+
+class LinearFlow:
+    """RK4 for dPsi/dt = P(t) Psi with step ``h``, bound to the kernel once:
+    ``psi`` (n, n) is advanced in place chunk by chunk (:meth:`chunk`), one
+    step after the other, on one thread.
+
+    A chunk of k <= kmax steps writes Psi after its i-th step to
+    ``stack[i]`` of ``stack`` (kmax, n, n).  Unless ``j`` (n, n) is None,
+    ``weights`` (steps, 2) holds two window weights for each step of the
+    whole flow, and after each step M = Psi^-1 J Psi is solved by LU with
+    partial pivoting in the kernel and ``sums`` (2, 2, n, n) gains
+    ``w0 Psi, w1 Psi`` in ``sums[0]`` and ``w0 M, w1 M`` in ``sums[1]``; a
+    singular Psi raises ``numpy.linalg.LinAlgError``.  Each sum is added to
+    in step order, so it does not depend on how the steps are chunked.
+
+    Every array is checked here, once: float64, C order, shape, writeable,
+    and the ``flow_scratch_len(n)`` doubles of ``scratch`` (ValueError).
+    ``j`` and ``weights`` are copied; ``psi``, ``stack``, ``sums`` and
+    ``scratch`` are written in place and kept alive with the flow."""
+
+    def __init__(self, h: float, psi: np.ndarray, stack: np.ndarray, scratch: np.ndarray,
+                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
+                 sums: Optional[np.ndarray] = None):
+        n = psi.shape[0] if psi.ndim == 2 else 0
+        self._psi = _address(psi, (n, n))
+        self._kmax = len(stack) if stack.ndim else 0
+        self._stack = _address(stack, (self._kmax, n, n))
+        if scratch.ndim != 1 or len(scratch) < flow_scratch_len(n):
+            raise ValueError("linear-flow scratch too short")
+        self._scratch = _address(scratch, scratch.shape)
+        self._steps, self._j, self._w, self._sums = 0, None, None, None
+        if j is not None:
+            j, weights = (np.array(a, dtype=np.float64, order="C") for a in (j, weights))
+            self._steps = len(weights)
+            self._j = _address(j, (n, n))
+            self._w = _address(weights, (self._steps, 2))
+            self._sums = _address(sums, (2, 2, n, n))
+        self._call = load().flow_chunk
+        self._n, self._h = n, h
+        # the flow passes their addresses on every chunk
+        self._arrays = (psi, stack, j, weights, sums, scratch)
+
+    def chunk(self, start: int, k: int, table: np.ndarray) -> None:
+        """RK4 steps ``start + 1 .. start + k``; ``table`` (2k + 1, n, n)
+        holds P on the chunk's half-step grid."""
+        n = self._n
+        if not (table.shape == (2 * k + 1, n, n) and table.dtype == np.float64
+                and table.flags.c_contiguous) or start < 0 or k < 0:
+            raise ValueError("inconsistent linear-flow chunk: table shape, start or k")
+        if k > self._kmax or (self._j is not None and start + k > self._steps):
+            raise ValueError("linear-flow chunk past its stack or weights")
+        w = None if self._w is None else self._w + 16 * start  # two doubles a step
+        if self._call(n, k, self._h, table.ctypes.data, self._psi, self._stack, self._j, w,
+                      self._sums, self._scratch):
+            raise np.linalg.LinAlgError("Singular matrix")
 
 
 def _cpus() -> int:

@@ -12,7 +12,8 @@ import numpy as np
 from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, check_invariance, Edge)
-from .linalg import SinusoidSum, _linear_flow, _resolve_step, conjugated_average
+from .linalg import (SinusoidSum, _linear_flow, _resolve_step, conjugated_average,
+                     horizon_periods)
 
 max_recorded_samples = 100_000
 rational_ratio_tolerance = 1e-9
@@ -422,10 +423,10 @@ def perturbation_bounds(lin: Linearization,
     for k, p in enumerate(cluster_vibration_matrices(inc, schedule)):
         if p is None:
             continue
-        t_max = 20.0 * 2.0 * np.pi / p.freqs.min()
+        t_max = horizon_periods * 2.0 * np.pi / p.freqs.min()
         dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max())
         d = p.mats.shape[1]
-        steps = int(np.ceil(t_max / dt))
+        steps = max(1, int(np.ceil(t_max / dt - 1e-12)))
         for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):
             s = np.linalg.svd(phis, compute_uv=False)
             growth[k] = max(growth[k], float(s[:, 0].max()))
@@ -522,6 +523,13 @@ def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: IncidenceSet,
     return _run(kn, inc, schedule, th0, t_end, None)
 
 
+def _slope(t: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of the line through the points (t, y), in closed
+    form about the means: sum (t - t_bar)(y - y_bar) / sum (t - t_bar)^2."""
+    tc = t - t.mean()
+    return float(tc @ (y - y.mean()) / (tc @ tc))
+
+
 def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classification:
     """Empirical verdict from the tail behaviour of intra-cluster errors.
 
@@ -546,7 +554,7 @@ def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classifica
         if norms[-1] < classification_converged_floor:
             end = max(int(np.argmax(norms < classification_converged_floor)) + 1, 2)
             half = min(end // 2, end - 2)
-        slope = float(np.polyfit(traj.times[half:end], np.log(norms[half:end]), 1)[0])
+        slope = _slope(traj.times[half:end], np.log(norms[half:end]))
         slopes.append(slope)
         initials.append(float(norms[0]))
         finals.append(float(norms[-1]))

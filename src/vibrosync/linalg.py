@@ -8,6 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _phase_kernel
+
 hurwitz_margin = 1e-12
 lyapunov_residual_tolerance = 1e-9
 symmetry_tolerance = 1e-10
@@ -106,8 +108,8 @@ def is_m_matrix(a: np.ndarray) -> bool:
 # transition matrices and averaged conjugations
 
 # RK4 steps per chunk of the linear-flow engine: bounds the tabulated P(t)
-# and propagator stacks (memory grows linearly with it) while keeping the
-# per-chunk numpy calls few.
+# and the Psi stack (memory grows linearly with it) while keeping the
+# per-chunk numpy calls few.  The results do not depend on it.
 _chunk_steps = 256
 
 
@@ -136,18 +138,26 @@ class SinusoidSum:
         return out
 
 
-def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray):
-    """Fixed-step RK4 for dPsi/dt = P(t) Psi from Psi(t0) = psi.
+def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
+                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
+                 sums: Optional[np.ndarray] = None):
+    """Fixed-step RK4 for dPsi/dt = P(t) Psi from Psi(t0) = psi, advanced in
+    place by the compiled stepper (``_phase_kernel.LinearFlow``).
 
     Yields, one chunk of at most ``_chunk_steps`` steps at a time, the stack
-    of Psi after each step of the chunk.  Per chunk, P is tabulated on the
-    half-step grid (one broadcast call for a SinusoidSum, one call per grid
-    time for any other callable), every step propagator
-    S_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4) is built with batched products, and
-    the propagators are composed with a log-depth doubling scan seeded by
-    the carried Psi.
+    of Psi after each step of the chunk, in a buffer the next chunk
+    overwrites.  Per chunk, P is tabulated here on the half-step grid (one
+    broadcast call for a SinusoidSum, one call per grid time for any other
+    callable) and the stepper takes the steps one after the other, in C.
+    Given ``j``, ``weights`` (steps, 2) and ``sums`` (2, 2, n, n), the
+    stepper also solves Psi^-1 J Psi after each step by LU with partial
+    pivoting and adds both window-weighted sums of Psi and of Psi^-1 J Psi
+    to ``sums`` (see ``LinearFlow``).
     """
-    eye = np.eye(psi.shape[0])
+    n = psi.shape[0]
+    stack = np.empty((min(steps, _chunk_steps), n, n))
+    flow = _phase_kernel.LinearFlow(h, psi, stack, np.empty(_phase_kernel.flow_scratch_len(n)),
+                                    j, weights, sums)
     for start in range(0, steps, _chunk_steps):
         k = min(_chunk_steps, steps - start)
         ts = t0 + h * (start + 0.5 * np.arange(2 * k + 1))
@@ -155,20 +165,8 @@ def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray):
             pt = p(ts)
         else:
             pt = np.array([p(float(t)) for t in ts], dtype=float)
-        # RK4 stages of the linear field applied to the identity: K1 = P(t)
-        p0, pm, p1 = pt[0:-1:2], pt[1::2], pt[2::2]
-        k2 = pm + (0.5 * h) * (pm @ p0)
-        k3 = pm + (0.5 * h) * (pm @ k2)
-        k4 = p1 + h * (p1 @ k3)
-        acc = eye + (h / 6.0) * (p0 + 2.0 * k2 + 2.0 * k3 + k4)
-        acc[0] = acc[0] @ psi
-        # inclusive prefix product acc[i] = S_i ... S_0 psi (Blelloch 1990)
-        shift = 1
-        while shift < k:
-            acc[shift:] = acc[shift:] @ acc[:-shift]
-            shift *= 2
-        psi = acc[-1]
-        yield acc
+        flow.chunk(start, k, pt)
+        yield stack[:k]
 
 
 def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float]) -> float:
@@ -200,8 +198,8 @@ def state_transition(p: Callable[[float], np.ndarray], t0: float, t1: float,
     if t1 == t0:
         return phi
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    for stack in _linear_flow(p, t0, (t1 - t0) / steps, steps, phi):
-        phi = stack[-1]
+    for _ in _linear_flow(p, t0, (t1 - t0) / steps, steps, phi):
+        pass
     return phi
 
 
@@ -228,7 +226,10 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
     Phi this converges faster than any power of W (Das & Yorke, Nonlinearity
     31, 2018).  One RK4 pass over [0, 2T] gives the estimates for W = T and
     W = 2T; a drift between them above ``rel_tol`` (relative), or a window
-    without weight, raises HorizonTooShort.  A horizon derived from
+    without weight, raises HorizonTooShort.  The pass runs step by step in
+    the compiled stepper of ``_linear_flow``, which solves Phi^-1 J Phi after
+    every step by LU with partial pivoting and adds both weighted sums; a
+    singular Phi raises ``numpy.linalg.LinAlgError``.  A horizon derived from
     ``base_period`` (``T=None``) starts at ``horizon_periods`` base periods
     and is doubled up to ``horizon_doublings`` times before that error is
     raised: carriers can combine to frequencies far below the slowest one.
@@ -257,7 +258,10 @@ def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
                       dt: Optional[float], min_period: Optional[float],
                       rel_tol: float) -> np.ndarray:
     """The weighted estimate over [0, 2T], checked against the one over
-    [0, T] (see ``conjugated_average``)."""
+    [0, T] (see ``conjugated_average``).  The window weights are built and
+    normalized here; the compiled stepper solves Psi^-1 J Psi after each
+    step and adds the weighted sums of Psi and of Psi^-1 J Psi for both
+    windows, and only the closing conjugation by the mean Psi uses numpy."""
     dt = _resolve_step(T, dt, min_period)
 
     n = j.shape[0]
@@ -271,13 +275,11 @@ def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
         raise HorizonTooShort(f"horizon {T:g} leaves an averaging window without weight")
     weights /= totals
 
-    mean_psi, mean_m = np.zeros((2, 2, n, n))
-    done = 0
-    for stack in _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n)):
-        w = weights[:, done:done + len(stack)]
-        done += len(stack)
-        mean_psi += np.tensordot(w, stack, axes=1)
-        mean_m += np.tensordot(w, np.linalg.solve(stack, j @ stack), axes=1)
+    sums = np.zeros((2, 2, n, n))
+    for _ in _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j=j, weights=weights.T,
+                          sums=sums):
+        pass
+    mean_psi, mean_m = sums
     jbar_1, jbar_2 = mean_psi @ mean_m @ np.linalg.inv(mean_psi)
 
     scale = max(float(np.abs(jbar_2).max()), 1e-30)

@@ -362,6 +362,27 @@ def test_classifier_run_starting_below_the_floor_fits_two_samples():
         assert result.slopes[0] == pytest.approx(0.0, abs=1e-9)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(end=st.integers(2, 5000), dt=st.floats(1e-3, 1.0), rate=st.floats(-5.0, 5.0),
+       offset=st.floats(-700.0, 10.0), noise=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_classifier_slope_agrees_with_polyfit(end, dt, rate, offset, noise, seed):
+    """The closed-form slope is np.polyfit's degree-1 coefficient to round-off
+    on what the classifier fits: the later half of a time grid from 0 (at
+    least two samples) against log-norms.  The absolute floor is 1e-12 while
+    the log-norms stay within the time span; beyond it, it grows with their
+    size over the span, the scale of either fit's round-off (a constant
+    -690.8 over two samples 0.001 apart has slope 0, which np.polyfit
+    misses by about 1e-10)."""
+    half = min(end // 2, end - 2)
+    times = dt * np.arange(end)[half:]
+    rng = np.random.default_rng(seed)
+    y = offset + rate * times + noise * rng.standard_normal(len(times))
+    expect = np.polyfit(times, y, 1)[0]
+    floor = 1e-12 * max(1.0, np.abs(y).max() / (times[-1] - times[0]))
+    assert abs(kd._slope(times, y) - expect) <= 1e-10 * abs(expect) + floor
+
+
 def test_classification_horizon_caps():
     fast = [np.array([[-1.0]])]
     assert classification_horizon(fast) == pytest.approx(200.0)

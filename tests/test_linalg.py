@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vibrosync as vs
 from vibrosync import kuramoto_dynamics, linalg
@@ -350,3 +351,65 @@ def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, fl
     expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
                 * vs.perturbation_bounds(flip_lin))
     assert_rel_close(vs.perturbation_bounds(flip_lin, schedule), expected)
+
+
+# ---------------------------------------------------------------------------
+# the compiled stepper: chunking and failures
+
+
+def random_sinusoid_sum(rng, n, terms):
+    """Terms of amplitude 0.2-2 and frequency 0.5-3 on dense matrices of
+    norm about 0.3: Psi stays well conditioned over a few periods."""
+    return SinusoidSum(rng.uniform(0.2, 2.0, terms), rng.uniform(0.5, 3.0, terms),
+                       rng.uniform(-math.pi, math.pi, terms),
+                       rng.normal(size=(terms, n, n)) * 0.3 / math.sqrt(n))
+
+
+def flow_outputs(p, j, T, dt):
+    """state_transition, the averages and the Psi stacks perturbation_bounds
+    reads, for the current chunk length."""
+    n = j.shape[0]
+    phi = vs.state_transition(p, 0.3, 0.3 + T, dt=dt)
+    average = vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf)
+    steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    stacks = [phis.copy() for phis in linalg._linear_flow(p, 0.0, T / steps, steps, np.eye(n))]
+    return phi, average, np.concatenate(stacks)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 6), terms=st.integers(1, 3), chunk=st.integers(1, 700),
+       seed=st.integers(0, 2**32 - 1))
+def test_compiled_flow_does_not_depend_on_the_chunk_length(n, terms, chunk, seed):
+    rng = np.random.default_rng(seed)
+    p = random_sinusoid_sum(rng, n, terms)
+    j = rng.normal(size=(n, n))
+    T, dt = 2.0 * math.pi, 2.0 * math.pi / 3.0 / 48  # 144 steps per window
+    whole = flow_outputs(p, j, T, dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_chunk_steps", chunk)
+        chunked = flow_outputs(p, j, T, dt)
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+
+
+def test_overflowing_flow_fails_the_drift_check():
+    # Psi = exp(50 t) overflows near t = 14, then inf - inf makes it NaN
+    grow = lambda t: 50.0 * np.eye(2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(HorizonTooShort, match="moved by nan"):
+            vs.conjugated_average(np.eye(2), grow, T=20.0, dt=0.01)
+        vib = SinusoidSum([1e3], [1.0], [math.pi / 2], [np.eye(2)])
+        with pytest.raises(HorizonTooShort, match="moved by nan"):
+            vs.conjugated_average(np.eye(2), vib, T=6.0, dt=0.01)
+        assert np.isnan(vs.state_transition(grow, 0.0, 40.0, dt=0.01)).all()
+
+
+def test_singular_flow_raises_linalg_error():
+    # P vanishes except at t = 1, where the first step's propagator becomes
+    # I + h/6 P(1) = diag(0, 1): Psi(1) is exactly singular
+    def p(t):
+        return np.diag([-6.0, 0.0]) if t == 1.0 else np.zeros((2, 2))
+
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        vs.conjugated_average(np.eye(2), p, T=4.0, dt=1.0)
+    assert np.array_equal(vs.state_transition(p, 0.0, 4.0, dt=1.0), np.diag([0.0, 1.0]))

@@ -299,6 +299,90 @@ def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypat
 
 
 # ---------------------------------------------------------------------------
+# the linear-flow stepper
+
+
+def bind_flow(n=2, kmax=4, steps=8, **changes):
+    """A LinearFlow of n x n matrices with a stack of kmax and the weights of
+    steps steps; ``changes`` replace its arguments."""
+    args = dict(h=0.1, psi=np.eye(n), scratch=np.zeros(pk.flow_scratch_len(n)),
+                stack=np.zeros((kmax, n, n)), j=-np.eye(n), weights=np.ones((steps, 2)),
+                sums=np.zeros((2, 2, n, n)))
+    return pk.LinearFlow(**{**args, **changes})
+
+
+def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
+    def no_kernel():
+        raise AssertionError("the kernel was loaded")
+
+    with monkeypatch.context() as m:
+        m.setattr(pk, "load", no_kernel)
+        with pytest.raises(ValueError, match="scratch"):  # one double short
+            bind_flow(scratch=np.zeros(pk.flow_scratch_len(2) - 1))
+        with pytest.raises(ValueError):
+            bind_flow(scratch=np.zeros((2, pk.flow_scratch_len(2))))
+        with pytest.raises(ValueError):  # Psi is not square
+            bind_flow(psi=np.eye(2)[:, :1].copy())
+        with pytest.raises(ValueError):
+            bind_flow(psi=np.eye(2, dtype=np.float32))
+        frozen = np.eye(2)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            bind_flow(psi=frozen)
+        with pytest.raises(ValueError):  # a stack of 3 x 3 matrices
+            bind_flow(stack=np.zeros((4, 3, 3)))
+        with pytest.raises(ValueError):  # J of another size
+            bind_flow(j=np.eye(3))
+        with pytest.raises(ValueError):  # three weights per step
+            bind_flow(weights=np.ones((8, 3)))
+        with pytest.raises(ValueError):
+            bind_flow(sums=np.zeros((2, 2, 2, 2))[:, :, :, :1])
+
+    flow = bind_flow()
+
+    def no_call(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(flow, "_call", no_call)
+    table = np.ones((5, 2, 2))
+    with pytest.raises(ValueError):  # two rows short for two steps
+        flow.chunk(0, 2, table[:3])
+    with pytest.raises(ValueError):  # matrices of another size
+        flow.chunk(0, 2, np.ones((5, 3, 3)))
+    with pytest.raises(ValueError):
+        flow.chunk(0, 2, table.astype(np.float32))
+    with pytest.raises(ValueError):  # not in C order
+        flow.chunk(0, 2, np.ones((5, 2, 4))[:, :, ::2])
+    with pytest.raises(ValueError):  # past the stack
+        flow.chunk(0, 5, np.ones((11, 2, 2)))
+    with pytest.raises(ValueError):  # past the weights
+        flow.chunk(7, 2, table)
+    with pytest.raises(ValueError):
+        flow.chunk(-1, 2, table)
+
+
+def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
+    # a constant P = -I: every step multiplies Psi by R(-h), the RK4
+    # polynomial of exp(-h)
+    h, r = 0.1, 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
+    psi, stack, sums = np.eye(2), np.zeros((4, 2, 2)), np.zeros((2, 2, 2, 2))
+    flow = bind_flow(psi=psi, stack=stack, sums=sums)
+    for start in (0, 3):
+        flow.chunk(start, 3, np.tile(-np.eye(2), (7, 1, 1)))
+    assert psi == pytest.approx(r ** 6 * np.eye(2), rel=1e-14)
+    assert stack[:3] == pytest.approx(r ** np.arange(4, 7)[:, None, None] * np.eye(2),
+                                      rel=1e-14)
+    # Psi^-1 J Psi = -I whatever Psi is; the weights are all one
+    assert sums[0, 0] == pytest.approx(sum(r ** np.arange(1, 7)) * np.eye(2), rel=1e-14)
+    assert np.array_equal(sums[1], np.tile(-6.0 * np.eye(2), (2, 1, 1)))
+    # P(h) = -(6/h) e0 e0^T zeroes the first row of the next step's Psi
+    table = np.zeros((3, 2, 2))
+    table[2, 0, 0] = -6.0 / h
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        bind_flow().chunk(0, 1, table)
+
+
+# ---------------------------------------------------------------------------
 # the CSV formatter
 
 
