@@ -43,10 +43,16 @@ chunking, so the results are bit-identical to one sample on one thread in
 one chunk.
 
 The same library steps the linear flows dPsi/dt = P(t) Psi of
-:mod:`vibrosync.linalg` (:class:`LinearFlow`): the caller tabulates P on a
-chunk's half-step grid, and the kernel takes the chunk's RK4 steps one
-after the other on the calling thread, carrying Psi from chunk to chunk.
-It writes Psi after every step to a stack.  For an average it also
+:mod:`vibrosync.linalg` (:class:`LinearFlow`).  A flow is bound once to
+P's structural pattern, the row-major list of entries where P may be
+nonzero (every entry for a dense P); the caller tabulates only those
+entries on a chunk's half-step grid, and the kernel takes the chunk's RK4
+steps one after the other on the calling thread, carrying Psi from chunk
+to chunk.  It multiplies P by Psi and by each stage argument through the
+pattern: for finite values a skipped product is an exact zero that leaves
+its sum unchanged, so the result is the full product bit for bit, and a
+multiplicand that is not all finite takes the full product, so that
+0 inf stays NaN.  It writes Psi after every step to a stack.  For an average it also
 solves M = Psi^-1 J Psi after every step, by Gaussian elimination with
 partial pivoting on [Psi | J Psi] as LAPACK's ``gesv`` does, and adds the
 two window-weighted sums of Psi and of M in step order.  So neither Psi
@@ -338,33 +344,65 @@ static int lu_solve(int n, double *restrict a, double *restrict b)
     return 0;
 }
 
+/* c = P y for the row-major n x n y, P given by its nz values v at the
+   row-major pattern pat of (row, col) pairs and zero elsewhere.  Each
+   entry of c adds its products in column order, as matmul does, but only
+   those of the pattern: for a finite y the others are exact zeros, which
+   leave a sum that starts at +0 unchanged.  A y that is not all finite
+   takes the full product instead, through full (n n doubles), so that
+   0 inf still gives NaN. */
+static void pattern_mul(int n, int nz, const int *restrict pat, const double *restrict v,
+                        const double *restrict y, double *restrict full,
+                        double *restrict c)
+{
+    int nn = n * n;
+    for (int e = 0; e < nn; e++)
+        if (!isfinite(y[e])) {
+            memset(full, 0, (size_t)nn * sizeof(double));
+            for (int p = 0; p < nz; p++)
+                full[pat[2 * p] * n + pat[2 * p + 1]] = v[p];
+            matmul(n, full, y, c);
+            return;
+        }
+    memset(c, 0, (size_t)nn * sizeof(double));
+    for (int p = 0; p < nz; p++) {
+        double a = v[p];
+        const double *yl = y + pat[2 * p + 1] * n;
+        double *ci = c + pat[2 * p] * n;
+        for (int q = 0; q < n; q++)
+            ci[q] += a * yl[q];
+    }
+}
+
 /* k RK4 steps of dPsi/dt = P(t) Psi for the row-major n x n Psi in psi,
-   advanced in place; table holds P on the chunk's half-step grid, 2k+1
-   matrices, and Psi after step i goes to stack + i n n.  Unless j is NULL,
-   M = Psi^-1 J Psi is formed after every step from J Psi by lu_solve, and
-   with the step's row (w0, w1) of w (k rows of 2) the products w0 Psi,
-   w1 Psi, w0 M, w1 M are added to the four n x n blocks of sums.  scratch
-   holds 7 n n doubles.  Returns 0, or i + 1 when Psi after step i is
-   singular; the sums then stop before that step. */
-int64_t flow_chunk(int n, int64_t k, double h, const double *table, double *psi,
-                   double *stack, const double *j, const double *w, double *sums,
-                   double *scratch)
+   advanced in place; P has the nz entries of the row-major pattern pat
+   ((row, col) pairs) and is zero elsewhere, and table holds those entries
+   on the chunk's half-step grid, 2k+1 rows of nz.  Psi after step i goes
+   to stack + i n n.  Unless j is NULL, M = Psi^-1 J Psi is formed after
+   every step from J Psi by lu_solve, and with the step's row (w0, w1) of
+   w (k rows of 2) the products w0 Psi, w1 Psi, w0 M, w1 M are added to the
+   four n x n blocks of sums.  scratch holds 8 n n doubles.  Returns 0, or
+   i + 1 when Psi after step i is singular; the sums then stop before that
+   step. */
+int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const double *table,
+                   double *psi, double *stack, const double *j, const double *w,
+                   double *sums, double *scratch)
 {
     int nn = n * n;
     double *k1 = scratch, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn, *y = k4 + nn;
-    double *lu = y + nn, *m = lu + nn;
+    double *lu = y + nn, *m = lu + nn, *full = m + nn;
     for (int64_t i = 0; i < k; i++) {
-        const double *p0 = table + 2 * i * nn, *pm = p0 + nn, *p1 = pm + nn;
-        matmul(n, p0, psi, k1);
+        const double *p0 = table + 2 * i * nz, *pm = p0 + nz, *p1 = pm + nz;
+        pattern_mul(n, nz, pat, p0, psi, full, k1);
         for (int e = 0; e < nn; e++)
             y[e] = psi[e] + 0.5 * h * k1[e];
-        matmul(n, pm, y, k2);
+        pattern_mul(n, nz, pat, pm, y, full, k2);
         for (int e = 0; e < nn; e++)
             y[e] = psi[e] + 0.5 * h * k2[e];
-        matmul(n, pm, y, k3);
+        pattern_mul(n, nz, pat, pm, y, full, k3);
         for (int e = 0; e < nn; e++)
             y[e] = psi[e] + h * k3[e];
-        matmul(n, p1, y, k4);
+        pattern_mul(n, nz, pat, p1, y, full, k4);
         for (int e = 0; e < nn; e++)
             psi[e] = psi[e] + h / 6.0 * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]);
         memcpy(stack + i * nn, psi, (size_t)nn * sizeof(double));
@@ -629,8 +667,8 @@ def _load_library():
     lib.bind.restype = None
     lib.rk4_chunk.argtypes = [run, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
     lib.rk4_chunk.restype = ctypes.c_int64
-    lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int64, ctypes.c_double,
-                               *[ctypes.c_void_p] * 7]
+    lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
+                               ctypes.c_double, *[ctypes.c_void_p] * 7]
     lib.flow_chunk.restype = ctypes.c_int64
     chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
@@ -657,8 +695,9 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
 
 def flow_scratch_len(n: int) -> int:
     """Doubles of scratch a :class:`LinearFlow` of n x n matrices uses: the
-    four RK4 stages, the stage argument, the LU factor and M, ``7 n n``."""
-    return 7 * n * n
+    four RK4 stages, the stage argument, the LU factor, M and the expanded
+    P of a non-finite product, ``8 n n``."""
+    return 8 * n * n
 
 
 def _address(a: np.ndarray, shape: Tuple[int, ...]) -> int:
@@ -671,10 +710,31 @@ def _address(a: np.ndarray, shape: Tuple[int, ...]) -> int:
     return a.ctypes.data
 
 
+def _check_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
+    """A copy of ``pattern``, which must be an (nz, 2) ``intc`` array of
+    (row, col) entries of an n x n matrix in strictly increasing row-major
+    order (ValueError otherwise)."""
+    if not (isinstance(pattern, np.ndarray) and pattern.dtype == np.intc
+            and pattern.ndim == 2 and pattern.shape[1] == 2):
+        raise ValueError("a linear-flow pattern is an (nz, 2) intc array of (row, col)")
+    flat = pattern[:, 0].astype(np.int64) * n + pattern[:, 1]
+    if (pattern < 0).any() or (pattern >= n).any() or (np.diff(flat) <= 0).any():
+        raise ValueError("a linear-flow pattern needs distinct in-range entries in "
+                         "row-major order")
+    return np.array(pattern, order="C")
+
+
 class LinearFlow:
     """RK4 for dPsi/dt = P(t) Psi with step ``h``, bound to the kernel once:
     ``psi`` (n, n) is advanced in place chunk by chunk (:meth:`chunk`), one
     step after the other, on one thread.
+
+    ``pattern`` (nz, 2), ``intc``, lists the (row, col) entries where P may
+    be nonzero, in row-major order; P is zero elsewhere, and a chunk's table
+    holds only those entries.  The kernel multiplies P by Psi and by each
+    stage argument through the pattern, which for finite values gives the
+    full product bit for bit; a multiplicand that is not all finite takes
+    the full product, so 0 inf stays NaN.  A dense P is the full pattern.
 
     A chunk of k <= kmax steps writes Psi after its i-th step to
     ``stack[i]`` of ``stack`` (kmax, n, n).  Unless ``j`` (n, n) is None,
@@ -686,13 +746,14 @@ class LinearFlow:
     in step order, so it does not depend on how the steps are chunked.
 
     Every array is checked here, once: float64, C order, shape, writeable,
-    and the ``flow_scratch_len(n)`` doubles of ``scratch`` (ValueError).
-    ``j`` and ``weights`` are copied; ``psi``, ``stack``, ``sums`` and
-    ``scratch`` are written in place and kept alive with the flow."""
+    the pattern's type, range and order, and the ``flow_scratch_len(n)``
+    doubles of ``scratch`` (ValueError).  ``pattern``, ``j`` and ``weights``
+    are copied; ``psi``, ``stack``, ``sums`` and ``scratch`` are written in
+    place and kept alive with the flow."""
 
     def __init__(self, h: float, psi: np.ndarray, stack: np.ndarray, scratch: np.ndarray,
-                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
-                 sums: Optional[np.ndarray] = None):
+                 pattern: np.ndarray, j: Optional[np.ndarray] = None,
+                 weights: Optional[np.ndarray] = None, sums: Optional[np.ndarray] = None):
         n = psi.shape[0] if psi.ndim == 2 else 0
         self._psi = _address(psi, (n, n))
         self._kmax = len(stack) if stack.ndim else 0
@@ -700,6 +761,7 @@ class LinearFlow:
         if scratch.ndim != 1 or len(scratch) < flow_scratch_len(n):
             raise ValueError("linear-flow scratch too short")
         self._scratch = _address(scratch, scratch.shape)
+        pattern = _check_pattern(pattern, n)
         self._steps, self._j, self._w, self._sums = 0, None, None, None
         if j is not None:
             j, weights = (np.array(a, dtype=np.float64, order="C") for a in (j, weights))
@@ -708,22 +770,23 @@ class LinearFlow:
             self._w = _address(weights, (self._steps, 2))
             self._sums = _address(sums, (2, 2, n, n))
         self._call = load().flow_chunk
-        self._n, self._h = n, h
+        self._n, self._nz, self._h = n, len(pattern), h
+        self._pattern = pattern.ctypes.data
         # the flow passes their addresses on every chunk
-        self._arrays = (psi, stack, j, weights, sums, scratch)
+        self._arrays = (psi, stack, pattern, j, weights, sums, scratch)
 
     def chunk(self, start: int, k: int, table: np.ndarray) -> None:
-        """RK4 steps ``start + 1 .. start + k``; ``table`` (2k + 1, n, n)
-        holds P on the chunk's half-step grid."""
-        n = self._n
-        if not (table.shape == (2 * k + 1, n, n) and table.dtype == np.float64
+        """RK4 steps ``start + 1 .. start + k``; ``table`` (2k + 1, nz)
+        holds P's pattern entries on the chunk's half-step grid."""
+        n, nz = self._n, self._nz
+        if not (table.shape == (2 * k + 1, nz) and table.dtype == np.float64
                 and table.flags.c_contiguous) or start < 0 or k < 0:
             raise ValueError("inconsistent linear-flow chunk: table shape, start or k")
         if k > self._kmax or (self._j is not None and start + k > self._steps):
             raise ValueError("linear-flow chunk past its stack or weights")
         w = None if self._w is None else self._w + 16 * start  # two doubles a step
-        if self._call(n, k, self._h, table.ctypes.data, self._psi, self._stack, self._j, w,
-                      self._sums, self._scratch):
+        if self._call(n, nz, self._pattern, k, self._h, table.ctypes.data, self._psi,
+                      self._stack, self._j, w, self._sums, self._scratch):
             raise np.linalg.LinAlgError("Singular matrix")
 
 

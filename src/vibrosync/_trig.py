@@ -169,6 +169,25 @@ class TrigPoly:
         """Exact time average (the DC coefficient)."""
         return self.terms.get(("cos", ()), 0.0)
 
+    def mean_product(self, other: "TrigPoly") -> float:
+        """Exact time average of ``self * other`` without expanding it.
+
+        Only equal lines meet at DC: a cos/cos or sin/sin pair of one
+        frequency contributes half the product of its coefficients, and the
+        DC pair contributes it twice (cos 0 cos 0 = 1), in the order and
+        with the rounding ``__mul__`` uses, so the value equals
+        ``(self * other).mean()`` bit for bit."""
+        total = 0.0
+        for key, c1 in self.terms.items():
+            c2 = other.terms.get(key)
+            if c2 is None:
+                continue
+            c = 0.5 * c1 * c2
+            total += c
+            if not key[1]:
+                total += c
+        return total
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -262,17 +281,6 @@ def mat_antiderivative(a: TrigMatrix) -> TrigMatrix:
     return [[e.antiderivative_zero_mean() for e in row] for row in a]
 
 
-def mat_mean(a: TrigMatrix):
-    import numpy as np
-
-    n = len(a)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = a[i][j].mean()
-    return out
-
-
 def transition_series(p: TrigMatrix, max_depth: int | None = None) -> TrigMatrix:
     """Fundamental solution of dPhi/dt = P(t) Phi built term by term.
 
@@ -316,10 +324,31 @@ def inverse_of_unitriangular(phi: TrigMatrix) -> TrigMatrix:
 def conjugated_mean(a, p: TrigMatrix):
     """Exact time average of Phi(t)^-1 A Phi(t) for nilpotent periodic P.
 
-    ``a`` is a plain numeric matrix; returns a numeric matrix.
+    ``a`` is a plain numeric matrix; returns a numeric matrix.  A Phi is
+    formed by scaled sums of the entries of Phi, and of Phi^-1 (A Phi) only
+    the DC of each entry is read (``TrigPoly.mean_product``), summed over
+    the inner index in the order ``mat_mul`` adds its products, so the
+    result equals the mean of the fully expanded product bit for bit.
     """
+    import numpy as np
+
     n = len(p)
-    a_sym = [[TrigPoly.constant(float(a[i][j])) for j in range(n)] for i in range(n)]
     phi = transition_series(p)
     phi_inv = inverse_of_unitriangular(phi)
-    return mat_mean(mat_mul(phi_inv, mat_mul(a_sym, phi)))
+    a_phi = zeros_matrix(n)
+    for i in range(n):
+        for k in range(n):
+            aik = float(a[i][k])
+            if aik == 0.0:
+                continue
+            for j in range(n):
+                if not phi[k][j].is_zero():
+                    a_phi[i][j] = a_phi[i][j] + phi[k][j].scaled(aik)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            total = 0.0
+            for k in range(n):
+                total += phi_inv[i][k].mean_product(a_phi[k][j])
+            out[i, j] = total
+    return out

@@ -118,7 +118,11 @@ class SinusoidSum:
 
     Calling it with a scalar time returns an (n, n) matrix; with an array of
     times of shape (N,) it returns the (N, n, n) stack, entry for entry equal
-    to the scalar calls.
+    to the scalar calls.  ``pattern`` (nz, 2), ``intc``, lists in row-major
+    order the (row, col) entries where some term matrix is nonzero: P is
+    exactly zero elsewhere, and :meth:`at_pattern` evaluates only those
+    entries.  amps, freqs and phases must be 1-D of one length E >= 1,
+    mats (E, n, n), and every value finite (ValueError otherwise).
     """
 
     def __init__(self, amps, freqs, phases, mats):
@@ -126,16 +130,44 @@ class SinusoidSum:
         self.freqs = np.asarray(freqs, dtype=float)
         self.phases = np.asarray(phases, dtype=float)
         self.mats = np.asarray(mats, dtype=float)
+        terms = len(self.amps) if self.amps.ndim == 1 else 0
+        if not (terms >= 1 and self.freqs.shape == self.phases.shape == (terms,)):
+            raise ValueError("a SinusoidSum needs amps, freqs and phases of one length E >= 1")
+        if not (self.mats.ndim == 3 and self.mats.shape[0] == terms
+                and self.mats.shape[1] == self.mats.shape[2]):
+            raise ValueError(f"a SinusoidSum of {terms} terms needs mats of shape ({terms}, n, n)")
+        if not all(np.isfinite(a).all() for a in (self.amps, self.freqs, self.phases, self.mats)):
+            raise ValueError("a SinusoidSum needs finite amps, freqs, phases and mats")
+        self.pattern = np.argwhere((self.mats != 0.0).any(axis=0)).astype(np.intc)
+        self._pattern_mats = self.mats[:, self.pattern[:, 0], self.pattern[:, 1]]
+
+    def _weights(self, t) -> np.ndarray:
+        return self.amps * np.sin(np.multiply.outer(np.asarray(t, dtype=float), self.freqs)
+                                  + self.phases)
 
     def __call__(self, t) -> np.ndarray:
-        w = self.amps * np.sin(np.multiply.outer(np.asarray(t, dtype=float), self.freqs)
-                               + self.phases)
+        w = self._weights(t)
         # elementwise sum in a fixed term order, so every time gets the same
         # rounding whatever the batch shape
         out = w[..., 0, None, None] * self.mats[0]
         for e in range(1, len(self.mats)):
             out += w[..., e, None, None] * self.mats[e]
         return out
+
+    def at_pattern(self, t) -> np.ndarray:
+        """P(t) at the ``pattern`` entries, shape ``t.shape + (nz,)``: each
+        entry the same sum in the same term order as :meth:`__call__`, so
+        equal to ``self(t)[..., row, col]`` bit for bit."""
+        w = self._weights(t)
+        out = w[..., 0, None] * self._pattern_mats[0]
+        for e in range(1, len(self._pattern_mats)):
+            out += w[..., e, None] * self._pattern_mats[e]
+        return out
+
+
+def _full_pattern(n: int) -> np.ndarray:
+    """Every entry of an n x n matrix, in row-major order."""
+    return np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
 
 
 def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
@@ -146,25 +178,30 @@ def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
 
     Yields, one chunk of at most ``_chunk_steps`` steps at a time, the stack
     of Psi after each step of the chunk, in a buffer the next chunk
-    overwrites.  Per chunk, P is tabulated here on the half-step grid (one
-    broadcast call for a SinusoidSum, one call per grid time for any other
-    callable) and the stepper takes the steps one after the other, in C.
-    Given ``j``, ``weights`` (steps, 2) and ``sums`` (2, 2, n, n), the
-    stepper also solves Psi^-1 J Psi after each step by LU with partial
-    pivoting and adds both window-weighted sums of Psi and of Psi^-1 J Psi
-    to ``sums`` (see ``LinearFlow``).
+    overwrites.  The stepper is bound to P's structural pattern: for a
+    SinusoidSum the entries where a term matrix is nonzero, for any other
+    callable every entry.  Per chunk, only those entries are tabulated
+    here on the half-step grid (one broadcast ``at_pattern`` call for a
+    SinusoidSum, one call per grid time for any other callable) into a
+    (2k + 1, nz) table, and the stepper takes the steps one after the
+    other, in C.  Given ``j``, ``weights`` (steps, 2) and ``sums``
+    (2, 2, n, n), the stepper also solves Psi^-1 J Psi after each step by
+    LU with partial pivoting and adds both window-weighted sums of Psi and
+    of Psi^-1 J Psi to ``sums`` (see ``LinearFlow``).
     """
     n = psi.shape[0]
+    sinusoids = isinstance(p, SinusoidSum)
     stack = np.empty((min(steps, _chunk_steps), n, n))
     flow = _phase_kernel.LinearFlow(h, psi, stack, np.empty(_phase_kernel.flow_scratch_len(n)),
+                                    p.pattern if sinusoids else _full_pattern(n),
                                     j, weights, sums)
     for start in range(0, steps, _chunk_steps):
         k = min(_chunk_steps, steps - start)
         ts = t0 + h * (start + 0.5 * np.arange(2 * k + 1))
-        if isinstance(p, SinusoidSum):
-            pt = p(ts)
+        if sinusoids:
+            pt = p.at_pattern(ts)
         else:
-            pt = np.array([p(float(t)) for t in ts], dtype=float)
+            pt = np.array([p(float(t)) for t in ts], dtype=float).reshape(len(ts), n * n)
         flow.chunk(start, k, pt)
         yield stack[:k]
 

@@ -215,7 +215,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
             if phi is None:
                 phi = _trig.transition_series(u_sym)
                 phi_inv = _trig.inverse_of_unitriangular(phi)
-            c0 = (phi_inv[p][q] * phi[p][q]).mean()  # exact DC of the shallower slots
+            c0 = phi_inv[p][q].mean_product(phi[p][q])  # exact DC of the shallower slots
             needed = c0 - want / carrier
             if abs(needed) <= feasibility_tolerance:
                 continue

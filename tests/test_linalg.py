@@ -365,6 +365,17 @@ def random_sinusoid_sum(rng, n, terms):
                        rng.normal(size=(terms, n, n)) * 0.3 / math.sqrt(n))
 
 
+def design_like_sinusoid_sum(rng, n, terms):
+    """Terms as the designers place them: each of amplitude 0.2-2 and
+    frequency 0.5-3 on one off-diagonal slot of an n x n matrix, n >= 2."""
+    mats = np.zeros((terms, n, n))
+    for e in range(terms):
+        row, col = rng.choice(n, 2, replace=False)
+        mats[e, row, col] = 1.0
+    return SinusoidSum(rng.uniform(0.2, 2.0, terms), rng.uniform(0.5, 3.0, terms),
+                       rng.uniform(-math.pi, math.pi, terms), mats)
+
+
 def flow_outputs(p, j, T, dt):
     """state_transition, the averages and the Psi stacks perturbation_bounds
     reads, for the current chunk length."""
@@ -390,6 +401,91 @@ def test_compiled_flow_does_not_depend_on_the_chunk_length(n, terms, chunk, seed
         chunked = flow_outputs(p, j, T, dt)
     for a, b in zip(whole, chunked):
         assert np.array_equal(a, b)
+
+
+def sparse_sinusoid_sum(rng, n, terms):
+    """Terms on matrices with about a third of their entries nonzero (some
+    may be all zero)."""
+    mats = rng.normal(size=(terms, n, n)) * (rng.random((terms, n, n)) < 0.3)
+    return SinusoidSum(rng.uniform(0.2, 2.0, terms), rng.uniform(0.5, 3.0, terms),
+                       rng.uniform(-math.pi, math.pi, terms), mats * 0.5)
+
+
+def flow_results(p, j, T, dt):
+    """state_transition, the average (or the error of a NaN drift), both
+    windows' raw sums of Psi and of Psi^-1 J Psi, and the Psi stacks
+    perturbation_bounds reads."""
+    n = j.shape[0]
+    steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    out = [vs.state_transition(p, 0.3, 0.3 + T, dt=dt)]
+    try:
+        out.append(vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf))
+    except HorizonTooShort as exc:
+        out.append(str(exc))
+    sums = np.zeros((2, 2, n, n))
+    for _ in linalg._linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j=j,
+                                 weights=np.full((2 * steps, 2), 0.5), sums=sums):
+        pass
+    out.append(sums)
+    out.append(np.concatenate([phis.copy() for phis in
+                               linalg._linear_flow(p, 0.0, T / steps, steps, np.eye(n))]))
+    return out
+
+
+def assert_same_results(a, b):
+    for x, y in zip(a, b, strict=True):
+        if isinstance(x, str):
+            assert x == y
+        else:
+            assert np.array_equal(x, y, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 6), terms=st.integers(1, 3), design_like=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pattern_flow_equals_the_full_flow_bit_for_bit(n, terms, design_like, seed):
+    rng = np.random.default_rng(seed)
+    if design_like and n >= 2:
+        p = design_like_sinusoid_sum(rng, n, terms)
+        assert len(p.pattern) <= terms
+    else:
+        p = sparse_sinusoid_sum(rng, n, terms)
+    j = rng.normal(size=(n, n))
+    T, dt = 2.0 * math.pi, 2.0 * math.pi / 3.0 / 48
+    assert np.array_equal(p.pattern, np.argwhere(np.abs(p.mats).sum(axis=0) > 0.0))
+    assert_same_results(flow_results(p, j, T, dt), flow_results(lambda t: p(t), j, T, dt))
+
+
+def test_overflowing_pattern_flow_has_the_full_flows_nans():
+    # Psi(t) grows as exp(1e3 sin t) on the diagonal until it overflows; the
+    # off-diagonal slots outside the pattern turn NaN only through 0 inf
+    mats = np.zeros((2, 3, 3))
+    mats[0, 0, 0] = mats[0, 1, 1] = 1.0
+    mats[1, 2, 0] = 1.0
+    p = SinusoidSum([1e3, 0.5], [1.0, math.sqrt(2.0)], [math.pi / 2, 0.0], mats)
+    j = np.arange(9.0).reshape(3, 3)
+    with np.errstate(all="ignore"):
+        sparse = flow_results(p, j, 6.0, 0.01)
+        full = flow_results(lambda t: p(t), j, 6.0, 0.01)
+    phi = sparse[0]
+    assert np.isnan(phi).any() and not np.isnan(phi).all()
+    assert_same_results(sparse, full)
+
+
+@pytest.mark.parametrize("args, match", [
+    (([1.0, 5.0], [1.0, 2.0], [0.0, 0.0], [np.eye(2)]), "mats"),  # a term without matrix
+    (([1.0], [1.0, 2.0], [0.0], [np.eye(2)]), "one length"),
+    (([[1.0]], [1.0], [0.0], [np.eye(2)]), "one length"),
+    (([], [], [], np.zeros((0, 2, 2))), "one length"),
+    (([1.0], [1.0], [0.0], np.eye(2)), "mats"),
+    (([1.0], [1.0], [0.0], np.zeros((1, 2, 3))), "mats"),
+    (([1.0], [np.nan], [0.0], [np.eye(2)]), "finite"),
+    (([np.inf], [1.0], [0.0], [np.eye(2)]), "finite"),
+    (([1.0], [1.0], [0.0], [np.diag([1.0, np.nan])]), "finite"),
+])
+def test_sinusoid_sum_rejects_inconsistent_terms(args, match):
+    with pytest.raises(ValueError, match=match):
+        SinusoidSum(*args)
 
 
 def test_overflowing_flow_fails_the_drift_check():

@@ -302,12 +302,16 @@ def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypat
 # the linear-flow stepper
 
 
+def full_pattern(n):
+    return np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
+
+
 def bind_flow(n=2, kmax=4, steps=8, **changes):
-    """A LinearFlow of n x n matrices with a stack of kmax and the weights of
-    steps steps; ``changes`` replace its arguments."""
+    """A LinearFlow of n x n matrices with a full pattern, a stack of kmax and
+    the weights of steps steps; ``changes`` replace its arguments."""
     args = dict(h=0.1, psi=np.eye(n), scratch=np.zeros(pk.flow_scratch_len(n)),
-                stack=np.zeros((kmax, n, n)), j=-np.eye(n), weights=np.ones((steps, 2)),
-                sums=np.zeros((2, 2, n, n)))
+                stack=np.zeros((kmax, n, n)), pattern=full_pattern(n), j=-np.eye(n),
+                weights=np.ones((steps, 2)), sums=np.zeros((2, 2, n, n)))
     return pk.LinearFlow(**{**args, **changes})
 
 
@@ -344,21 +348,52 @@ def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
         raise AssertionError("the kernel was called")
 
     monkeypatch.setattr(flow, "_call", no_call)
-    table = np.ones((5, 2, 2))
+    table = np.ones((5, 4))  # the four entries of the full 2 x 2 pattern
     with pytest.raises(ValueError):  # two rows short for two steps
         flow.chunk(0, 2, table[:3])
-    with pytest.raises(ValueError):  # matrices of another size
-        flow.chunk(0, 2, np.ones((5, 3, 3)))
+    with pytest.raises(ValueError):  # full matrices instead of pattern entries
+        flow.chunk(0, 2, np.ones((5, 2, 2)))
+    with pytest.raises(ValueError):  # a table wider than the pattern
+        flow.chunk(0, 2, np.ones((5, 9)))
     with pytest.raises(ValueError):
         flow.chunk(0, 2, table.astype(np.float32))
     with pytest.raises(ValueError):  # not in C order
-        flow.chunk(0, 2, np.ones((5, 2, 4))[:, :, ::2])
+        flow.chunk(0, 2, np.ones((5, 8))[:, ::2])
     with pytest.raises(ValueError):  # past the stack
-        flow.chunk(0, 5, np.ones((11, 2, 2)))
+        flow.chunk(0, 5, np.ones((11, 4)))
     with pytest.raises(ValueError):  # past the weights
         flow.chunk(7, 2, table)
     with pytest.raises(ValueError):
         flow.chunk(-1, 2, table)
+
+
+def test_flow_rejects_a_bad_pattern_or_table_width(monkeypatch):
+    def no_kernel():
+        raise AssertionError("the kernel was loaded")
+
+    with monkeypatch.context() as m:
+        m.setattr(pk, "load", no_kernel)
+        for bad in ([[0, 0], [2, 1]],  # row out of range
+                    [[0, -1]],  # negative column
+                    [[1, 0], [0, 1]],  # not in row-major order
+                    [[0, 1], [0, 1]],  # an entry twice
+                    [0, 1]):  # not (nz, 2)
+            with pytest.raises(ValueError, match="pattern"):
+                bind_flow(pattern=np.array(bad, dtype=np.intc))
+        with pytest.raises(ValueError, match="pattern"):
+            bind_flow(pattern=np.array([[0, 0]], dtype=np.int64))
+        with pytest.raises(ValueError, match="pattern"):
+            bind_flow(pattern=[[0, 0]])
+
+    flow = bind_flow(pattern=np.array([[0, 1], [1, 0]], dtype=np.intc))
+
+    def no_call(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(flow, "_call", no_call)
+    for width in (1, 3, 4):
+        with pytest.raises(ValueError):
+            flow.chunk(0, 2, np.ones((5, width)))
 
 
 def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
@@ -366,9 +401,10 @@ def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
     # polynomial of exp(-h)
     h, r = 0.1, 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
     psi, stack, sums = np.eye(2), np.zeros((4, 2, 2)), np.zeros((2, 2, 2, 2))
-    flow = bind_flow(psi=psi, stack=stack, sums=sums)
+    flow = bind_flow(psi=psi, stack=stack, sums=sums,
+                     pattern=np.array([[0, 0], [1, 1]], dtype=np.intc))
     for start in (0, 3):
-        flow.chunk(start, 3, np.tile(-np.eye(2), (7, 1, 1)))
+        flow.chunk(start, 3, np.full((7, 2), -1.0))
     assert psi == pytest.approx(r ** 6 * np.eye(2), rel=1e-14)
     assert stack[:3] == pytest.approx(r ** np.arange(4, 7)[:, None, None] * np.eye(2),
                                       rel=1e-14)
@@ -376,10 +412,10 @@ def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
     assert sums[0, 0] == pytest.approx(sum(r ** np.arange(1, 7)) * np.eye(2), rel=1e-14)
     assert np.array_equal(sums[1], np.tile(-6.0 * np.eye(2), (2, 1, 1)))
     # P(h) = -(6/h) e0 e0^T zeroes the first row of the next step's Psi
-    table = np.zeros((3, 2, 2))
-    table[2, 0, 0] = -6.0 / h
+    table = np.zeros((3, 1))
+    table[2, 0] = -6.0 / h
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        bind_flow().chunk(0, 1, table)
+        bind_flow(pattern=np.array([[0, 0]], dtype=np.intc)).chunk(0, 1, table)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibrosync import _trig
 
@@ -114,3 +115,46 @@ def test_inverse_of_unitriangular():
             diff = prod[i][j] - ident[i][j]
             for t in (0.0, 0.4, 2.2):
                 assert abs(diff(t)) < 1e-10
+
+
+# frequencies the random polynomials share: single radicands, multiples and
+# mixed combinations; () is the DC line
+freqs = st.sampled_from([(), ((1, 1),), ((1, 2),), ((2, 1),), ((1, 1), (2, -1)),
+                         ((2, 1), (3, 1)), ((5, 3),)])
+lines = st.tuples(st.sampled_from(["cos", "sin"]), freqs,
+                  st.floats(-10.0, 10.0, allow_nan=False).filter(lambda c: c != 0.0))
+
+
+def trig_poly(terms):
+    p = _trig.TrigPoly.zero()
+    for kind, freq, coeff in terms:
+        p = p + _trig.TrigPoly({(kind, freq): coeff})
+    return p
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(f=st.lists(lines, max_size=6), g=st.lists(lines, max_size=6))
+def test_mean_product_is_the_mean_of_the_expanded_product(f, g):
+    f, g = trig_poly(f), trig_poly(g)
+    want = (f * g).mean()
+    assert f.mean_product(g) == pytest.approx(want, rel=1e-14, abs=1e-15)
+    assert f.mean_product(g) == want  # the same sums in the same order
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_conjugated_mean_equals_the_mean_of_the_expanded_product(n, seed):
+    rng = np.random.default_rng(seed)
+    p = _trig.zeros_matrix(n)
+    radicands = _trig.squarefree_radicands()
+    for _ in range(int(rng.integers(1, 4))):
+        row = int(rng.integers(1, n))
+        col = int(rng.integers(0, row))
+        p[row][col] = p[row][col] + sin_line(float(rng.uniform(0.2, 2.0)), next(radicands))
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+    phi = _trig.transition_series(p)
+    phi_inv = _trig.inverse_of_unitriangular(phi)
+    a_sym = [[_trig.TrigPoly.constant(float(a[i, j])) for j in range(n)] for i in range(n)]
+    full = _trig.mat_mul(phi_inv, _trig.mat_mul(a_sym, phi))
+    expanded = np.array([[e.mean() for e in row] for row in full])
+    assert np.array_equal(_trig.conjugated_mean(a, p), expanded)
