@@ -58,6 +58,19 @@ partial pivoting on [Psi | J Psi] as LAPACK's ``gesv`` does, and adds the
 two window-weighted sums of Psi and of M in step order.  So neither Psi
 nor the sums depend on where the chunks end.
 
+The same library takes the extreme singular values of such a Psi stack
+(:func:`singular_extremes`), for the sampled conjugation growth of the
+perturbation bounds.  Cyclic one-sided Jacobi (Hestenes 1958) rotates the
+pairs of columns of a copy of each matrix, scaled by a power of two, to
+orthogonality while their cosine exceeds n eps (Demmel and Veselic, SIAM
+J. Matrix Anal. Appl. 13(4), 1992), and stops after a sweep that rotates
+no pair; the singular values are then the column norms, with high
+relative accuracy.  The call raises a running maximum of the largest
+singular value and of the reciprocal of the smallest, which for a
+singular matrix is 1/0 = inf; a stack that is not all finite is refused
+before the maximum changes.  The results do not depend on where the
+chunks end.
+
 The same library writes CSV numbers (:func:`format_csv`) exactly as
 Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
 exact path: its ten significant digits are the product of the 53-bit
@@ -94,6 +107,7 @@ _field_bytes = 24  # bytes one "%.10g" value and its separator fit in: FIELD
 
 _SOURCE = r"""
 #define _POSIX_C_SOURCE 200809L  /* newlocale and uselocale, also under -std=c99 */
+#include <float.h>
 #include <locale.h>
 #include <math.h>
 #include <pthread.h>
@@ -423,6 +437,90 @@ int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const dou
     return 0;
 }
 
+/* ---- extreme singular values ---------------------------------------------- */
+
+#define SWEEPS 60  /* Jacobi sweeps after which a matrix counts as not converging */
+
+/* ext[0] = max(ext[0], s_max) and ext[1] = max(ext[1], 1 / s_min) over the
+   k row-major n x n matrices of a, with s_max and s_min the largest and
+   smallest singular values of each.  Cyclic one-sided Jacobi (Hestenes):
+   the columns of a copy, scaled by the power of two that brings the
+   largest entry into [1/2, 1) (exact, so the squared norms neither
+   overflow nor underflow), are stored as the rows of g (n n doubles), and
+   each pair (p, q) in turn is rotated to orthogonality while
+   |g_p . g_q| > n eps |g_p| |g_q| (Demmel and Veselic 1992).  When a sweep
+   rotates no pair, the singular values are the norms of the rows.  A
+   singular matrix gives 1 / 0 = inf.  Returns 0, or 1, with ext
+   unchanged, when a matrix is not all finite or not orthogonalized after
+   SWEEPS sweeps. */
+int sv_extremes(int n, int64_t k, const double *a, double *ext, double *g)
+{
+    int nn = n * n;
+    double tol = n * DBL_EPSILON, top = ext[0], inv = ext[1];
+    for (int64_t m = 0; m < k; m++) {
+        const double *am = a + m * nn;
+        double amax = 0.0;
+        for (int e = 0; e < nn; e++) {
+            if (!isfinite(am[e]))
+                return 1;
+            amax = fmax(amax, fabs(am[e]));
+        }
+        int ex;
+        frexp(amax, &ex);
+        if (ex < -1021)  /* 2^-ex stays finite */
+            ex = -1021;
+        double scale = ldexp(1.0, -ex);
+        for (int i = 0; i < n; i++)
+            for (int r = 0; r < n; r++)
+                g[i * n + r] = am[r * n + i] * scale;
+        for (int sweep = 0;; sweep++) {
+            if (sweep == SWEEPS)
+                return 1;
+            int rotated = 0;
+            for (int p = 0; p < n - 1; p++)
+                for (int q = p + 1; q < n; q++) {
+                    double *gp = g + p * n, *gq = g + q * n;
+                    double alpha = 0.0, beta = 0.0, gamma = 0.0;
+                    for (int r = 0; r < n; r++) {
+                        alpha += gp[r] * gp[r];
+                        beta += gq[r] * gq[r];
+                        gamma += gp[r] * gq[r];
+                    }
+                    if (!(fabs(gamma) > tol * sqrt(alpha) * sqrt(beta)))
+                        continue;
+                    rotated = 1;
+                    /* t = tan of the angle that zeroes the pair's dot product,
+                       the smaller root of t^2 + 2 zeta t - 1 */
+                    double zeta = (beta - alpha) / (2.0 * gamma), az = fabs(zeta);
+                    double t = 1.0 / (az + (az < 1e150 ? sqrt(1.0 + az * az) : az));
+                    if (zeta < 0.0)
+                        t = -t;
+                    double c = 1.0 / sqrt(1.0 + t * t), s = c * t;
+                    for (int r = 0; r < n; r++) {
+                        double x = gp[r], y = gq[r];
+                        gp[r] = c * x - s * y;
+                        gq[r] = s * x + c * y;
+                    }
+                }
+            if (!rotated)
+                break;
+        }
+        double hi = 0.0, lo = INFINITY;
+        for (int i = 0; i < n; i++) {
+            double ss = 0.0;
+            for (int r = 0; r < n; r++)
+                ss += g[i * n + r] * g[i * n + r];
+            hi = fmax(hi, ss);
+            lo = fmin(lo, ss);
+        }
+        top = fmax(top, ldexp(sqrt(hi), ex));
+        inv = fmax(inv, 1.0 / ldexp(sqrt(lo), ex));
+    }
+    ext[0] = top;
+    ext[1] = inv;
+    return 0;
+}
+
 /* ---- CSV numbers ---------------------------------------------------------- */
 
 #ifdef __SIZEOF_INT128__  /* the exact path needs 128-bit integers */
@@ -670,6 +768,11 @@ def _load_library():
     lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
                                ctypes.c_double, *[ctypes.c_void_p] * 7]
     lib.flow_chunk.restype = ctypes.c_int64
+    lib.sv_extremes.argtypes = [ctypes.c_int, ctypes.c_int64, doubles,
+                                np.ctypeslib.ndpointer(np.float64, shape=(2,),
+                                                       flags=("C_CONTIGUOUS", "WRITEABLE")),
+                                out]
+    lib.sv_extremes.restype = ctypes.c_int
     chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.format_csv.argtypes = [doubles, ctypes.c_int64, ctypes.c_int64, chars, chars, lens]
@@ -691,6 +794,21 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
     if load().format_csv(a, rows, cols, out, outer, lens):
         raise MemoryError("format_csv cannot switch to the C locale")
     return str(out[:lens[0]].data, "ascii"), str(outer[:lens[1]].data, "ascii")
+
+
+def singular_extremes(stack: np.ndarray, ext: np.ndarray) -> None:
+    """Raise ``ext`` (2,) in place to the running maxima of the largest
+    singular value and of the reciprocal of the smallest singular value of
+    the C-ordered float64 (k, n, n) ``stack``, n >= 1, by one-sided Jacobi
+    in the kernel; a singular matrix gives ``inf``.  A stack that is not all
+    finite raises ``numpy.linalg.LinAlgError`` and leaves ``ext`` unchanged;
+    so does a matrix Jacobi does not orthogonalize within its sweep limit.
+    A wrong dtype, order or ``ext`` shape raises ``ctypes.ArgumentError``."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError("singular_extremes takes a (k, n, n) stack with n >= 1")
+    k, n, _ = stack.shape
+    if load().sv_extremes(n, k, stack, ext, np.empty(n * n)):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
 
 def flow_scratch_len(n: int) -> int:

@@ -681,7 +681,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GraphError, InvarianceViolated) as exc:
         print(f"invalid network: {exc}", file=sys.stderr)
         return 2
-    except HorizonTooShort as exc:
+    except (HorizonTooShort, np.linalg.LinAlgError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
 

@@ -399,12 +399,33 @@ def averaged_jacobians(lin: Linearization,
     return tuple(out)
 
 
+def _conjugation_growth(p: SinusoidSum) -> Tuple[float, float]:
+    """The sampled conjugation growth of the flow dPsi/dt = P(t) Psi from
+    Psi(0) = I: ``(sup |Psi|, sup |Psi^-1|)`` in the spectral norm, each at
+    least 1, over Psi after every RK4 step of ``horizon_periods`` base
+    periods, at the step ``_resolve_step`` gives the fastest period.  The
+    compiled kernel takes the extreme singular values of each chunk's Psi
+    stack (``_phase_kernel.singular_extremes``); a Psi that is not all
+    finite raises ``numpy.linalg.LinAlgError``."""
+    t_max = horizon_periods * 2.0 * np.pi / p.freqs.min()
+    dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max())
+    steps = max(1, int(np.ceil(t_max / dt - 1e-12)))
+    ext = np.ones(2)
+    for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(p.mats.shape[1])):
+        _phase_kernel.singular_extremes(phis, ext)
+    return float(ext[0]), float(ext[1])
+
+
 def perturbation_bounds(lin: Linearization,
                         schedule: Optional[VibrationSchedule] = None) -> np.ndarray:
     """Entrywise bound gamma[k, l] on the inter-cluster forcing gains.
 
-    Combines the static envelope of the inter-edge rows with the worst
-    sampled conjugation growth of the per-cluster vibration flows.
+    Combines the static envelope of the inter-edge rows (the largest
+    singular value of each cluster block of ``|M1| |R2|``) with the worst
+    sampled conjugation growth ``sup |Psi^-1|_k sup |Psi|_l`` of the
+    per-cluster vibration flows (``_conjugation_growth``, 1 for a cluster
+    without vibration), times ``envelope_safety``.  A vibration flow that
+    overflows raises ``numpy.linalg.LinAlgError``.
     """
     inc = lin.inc
     r = inc.partition.r
@@ -421,16 +442,8 @@ def perturbation_bounds(lin: Linearization,
     growth = np.ones(r)
     shrink = np.ones(r)
     for k, p in enumerate(cluster_vibration_matrices(inc, schedule)):
-        if p is None:
-            continue
-        t_max = horizon_periods * 2.0 * np.pi / p.freqs.min()
-        dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max())
-        d = p.mats.shape[1]
-        steps = max(1, int(np.ceil(t_max / dt - 1e-12)))
-        for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(d)):
-            s = np.linalg.svd(phis, compute_uv=False)
-            growth[k] = max(growth[k], float(s[:, 0].max()))
-            shrink[k] = max(shrink[k], float((1.0 / s[:, -1]).max()))
+        if p is not None:
+            growth[k], shrink[k] = _conjugation_growth(p)
     return np.outer(shrink, growth) * envelope_safety * gains
 
 
@@ -525,9 +538,11 @@ def sample_perturbed_trajectories(kn: KuramotoNetwork, inc: IncidenceSet,
 
 def _slope(t: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of the line through the points (t, y), in closed
-    form about the means: sum (t - t_bar)(y - y_bar) / sum (t - t_bar)^2."""
+    form about the means: sum (t - t_bar)(y - y_bar) / sum (t - t_bar)^2.
+    The sums are numpy's own pairwise reductions, not BLAS dot products,
+    whose bits depend on how many threads OpenBLAS splits them over."""
     tc = t - t.mean()
-    return float(tc @ (y - y.mean()) / (tc @ tc))
+    return float(np.add.reduce(tc * (y - y.mean())) / np.add.reduce(tc * tc))
 
 
 def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classification:

@@ -228,6 +228,23 @@ def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, capsys):
+    # the flagship's designed schedule at amplitude 1e3 and phase 1: the
+    # averaging stepper meets a singular Psi
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    for key in ("modifications", "references"):
+        del data[key]
+    data["schedule"] = {"epsilon": flip_design.schedule.epsilon, "entries": [
+        {"edge": list(e), "amplitude": 1e3, "frequency": entry.frequency, "phase": 1.0}
+        for e, entry in flip_design.schedule.sorted_items()]}
+    path = write_scenario(tmp_path, data)
+    code = cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == ["verification failed: Singular matrix"]
+
+
 def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
     counts = count_stage_calls(monkeypatch)
     assert cli.main(["analyze", "--scenario", "cluster_flip",

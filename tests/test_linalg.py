@@ -270,7 +270,7 @@ def reference_conjugated_average(j, p, T, dt):
 def reference_growth(p, d, t_max, dt):
     phi = np.eye(d)
     sup_fwd, sup_inv = 1.0, 1.0
-    steps = int(np.ceil(t_max / dt))
+    steps = max(1, int(np.ceil(t_max / dt - 1e-12)))
     h = t_max / steps
     t = 0.0
     for _ in range(steps):
@@ -351,6 +351,17 @@ def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, fl
     expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
                 * vs.perturbation_bounds(flip_lin))
     assert_rel_close(vs.perturbation_bounds(flip_lin, schedule), expected)
+
+
+def test_perturbation_bounds_of_an_overflowing_flow_raise(flip_lin, flip_design):
+    # the flagship's designed schedule at amplitude 1e3 and phase 1: the
+    # vibration flow overflows to a Psi that is not finite
+    schedule = kuramoto_dynamics.VibrationSchedule(
+        {e: kuramoto_dynamics.VibrationEntry(1e3, entry.frequency, 1.0)
+         for e, entry in flip_design.schedule.entries.items()},
+        epsilon=flip_design.schedule.epsilon)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        vs.perturbation_bounds(flip_lin, schedule)
 
 
 # ---------------------------------------------------------------------------
