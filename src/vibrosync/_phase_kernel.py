@@ -9,14 +9,15 @@ the SHA-256 of the source, the flags and the platform, and loaded with
 ``-ffp-contract=off`` keeps the compiler from fusing multiply-adds, so the
 results do not depend on whether the host has FMA.
 
-An integration run is bound to the kernel once (:class:`Run`): its edge
-and pair tables, natural frequencies, base edge weights, vibrated-edge
-columns, state, records and scratch are checked and their addresses handed
-to the C side in one call.  Each chunk of steps then passes only its start,
-its length and a table of the vibrated edges' weight offsets on the
-half-step grid, one column per vibrated edge; the kernel adds a row to the
-base weights of those edges before each stage, and every other edge keeps
-its base weight.
+An integration run is one kernel call (:func:`integrate`): its edge and
+pair tables, natural frequencies, base edge weights and the amplitude,
+frequency and phase of each vibrated edge are checked and handed to the C
+side with the records, whose first row holds the initial states.  The
+kernel evaluates each vibrated edge's carrier itself on the half-step grid,
+``base + sin(h (g/2) freq + phase) amp`` at half-step g, in the operation
+order of the numpy expression it replaced, and every other edge keeps its
+base weight.  It checks the state for finiteness after every step and
+returns the first step that is not finite.
 
 The field takes one sine per coupled pair {s, t}, not one per directed
 edge: the reciprocal edges (s, t) and (t, s) share sin(x_t - x_s) up to
@@ -26,21 +27,21 @@ mismatch in 5e7 random arguments), so the field matches one sine per edge
 value for value; only the sign of an exact zero may differ.  A network
 without reciprocal edges has one pair per edge.
 
-A chunk splits its samples into contiguous parts across at most
-``max_threads`` (2) POSIX threads, one part each, and never more threads
-than samples or than CPUs the process may run on when the run is bound.
-A thread advances its part in lockstep blocks of W = 4 samples
-(``_block_width``), stored node-major (node j of block sample s at
-``j*W + s``), so each pair sine, edge scatter and RK4 update loops over the
-block's samples and each edge weight and index is loaded once per block;
-the samples left over, fewer than W, run one at a time through the same
-inlined code at width 1.  Every call site has a constant width, so neither
-path pays for run-time loop bounds.  Each thread's scratch slice is padded
-to whole 64-byte lines and starts on one, so the threads never write to a
-shared cache line.  The samples are independent and each runs the same
-arithmetic in the same order in any block, on any thread and in any
-chunking, so the results are bit-identical to one sample on one thread in
-one chunk.
+A run splits its samples into contiguous parts across at most
+``max_threads`` (2) POSIX threads, one part each, started once per run, and
+never more threads than samples or than CPUs the process may run on.  A
+thread advances its part in lockstep blocks of W = 4 samples, stored
+node-major (node j of block sample s at ``j*W + s``), so each pair sine,
+edge scatter and RK4 update loops over the block's samples and each edge
+weight and index is loaded once per block; the samples left over, fewer
+than W, run one at a time through the same inlined code at width 1.  Every
+call site has a constant width, so neither path pays for run-time loop
+bounds.  The kernel allocates the threads' scratch in one 64-byte-aligned
+block and pads each thread's slice to whole 64-byte lines, so the threads
+never write to a shared cache line.  A block stops at its first non-finite
+step.  The samples are independent and each runs the same arithmetic in
+the same order in any block and on any thread, so the results are
+bit-identical to one sample on one thread.
 
 The same library steps the linear flows dPsi/dt = P(t) Psi of
 :mod:`vibrosync.linalg` (:class:`LinearFlow`).  A flow is bound once to
@@ -102,7 +103,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-_block_width = 4  # samples one thread advances in lockstep: W in the C source
 _field_bytes = 24  # bytes one "%.10g" value and its separator fit in: FIELD
 
 _SOURCE = r"""
@@ -114,9 +114,10 @@ _SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 """ + f"""
-#define W {_block_width}  /* samples per lockstep block */
+#define W 4  /* samples one thread advances in lockstep */
 #define FIELD {_field_bytes}  /* bytes one "%.10g" value and its separator fit in */
 """ + r"""
 
@@ -152,31 +153,19 @@ field(int width, int n, int m, int npair, const int *restrict dst,
     }
 }
 
-/* One integration run, filled once by `bind`: ns samples of n nodes in th
-   (ns, n), m edges in npair coupled pairs, base edge weights and the nv
-   vibrated edge columns vcol; the state after every stride-th step goes
-   to recs (ns, n_rec, n) at record index step / stride.  Thread t of
-   nthreads uses the `slice` doubles of scratch from t slice on. */
+/* One integration run: ns samples of n nodes, m edges in npair coupled
+   pairs with base weights base, and nv vibrated edges vcol; steps RK4 steps
+   of size h from the initial states recs[s, 0], the state after every
+   stride-th step going to recs (ns, n_rec, n) at record index
+   step / stride. */
 struct run {
-    int ns, n, m, npair, nv, nthreads;
+    int ns, n, m, npair, nv;
     const int *dst, *pair, *ends, *vcol;
-    const double *omega, *base;
+    const double *omega, *base, *amp, *freq, *phase;
     double h;
-    int64_t stride, n_rec;
-    double *th, *recs, *scratch;
+    int64_t steps, stride, n_rec;
+    double *recs;
 };
-
-size_t run_size(void) { return sizeof(struct run); }
-
-void bind(struct run *r, int ns, int n, int m, int npair, int nv, const int *dst,
-          const int *pair, const int *ends, const int *vcol, const double *omega,
-          const double *base, double h, int64_t stride, double *th, double *recs,
-          int64_t n_rec, double *scratch, int nthreads)
-{
-    struct run b = {ns, n, m, npair, nv, nthreads, dst, pair, ends, vcol, omega,
-                    base, h, stride, n_rec, th, recs, scratch};
-    *r = b;
-}
 
 /* Doubles of scratch one thread uses: block state, stage vector, k1-k4 and
    pair sines, (6n + npair) W, then the current edge weights, m; rounded up
@@ -186,50 +175,56 @@ static int64_t slice_len(const struct run *r)
     return ((int64_t)(6 * r->n + r->npair) * W + r->m + 7) / 8 * 8;
 }
 
-/* The samples [s0, s1) of a chunk of k steps from step start, the chunk's
-   table of vibrated weight offsets, and the scratch of the thread that
-   runs them. */
+/* The samples [s0, s1) of a run, the scratch of the thread that runs them,
+   and the first step after which one of them is not finite, 0 for none. */
 struct part {
     const struct run *r;
     int s0, s1;
-    const double *table;
-    int64_t start, k;
     double *scratch;
+    int64_t bad;
 };
 
-/* The weights of table row `row`: each vibrated edge gets its base weight
-   plus the row's offset, every other edge keeps the base weight. */
-static inline __attribute__((always_inline)) void
-set_row(const struct run *r, const double *row, double *w)
+/* The first of two steps, where 0 stands for none. */
+static int64_t first_step(int64_t a, int64_t b)
 {
-    for (int j = 0; j < r->nv; j++)
-        w[r->vcol[j]] = r->base[r->vcol[j]] + row[j];
+    return !a || (b && b < a) ? b : a;
 }
 
-/* All k steps of the `width` samples from row s0 of th, in lockstep; the
-   table holds 2k+1 rows of nv offsets on the half-step grid. */
+/* The weights at half-step index g: each vibrated edge j gets its base
+   weight plus amp_j sin(h (g / 2) freq_j + phase_j), in this operation
+   order; every other edge keeps the base weight already in w. */
 static inline __attribute__((always_inline)) void
+set_weights(const struct run *r, int64_t g, double *w)
+{
+    double t = r->h * (0.5 * (double)g);
+    for (int j = 0; j < r->nv; j++)
+        w[r->vcol[j]] = r->base[r->vcol[j]] + sin(t * r->freq[j] + r->phase[j]) * r->amp[j];
+}
+
+/* All steps of the `width` samples from s0, in lockstep.  Returns 0, or the
+   first step after which the block is not finite; the block stops there. */
+static inline __attribute__((always_inline)) int64_t
 advance(int width, const struct part *p, int s0)
 {
     const struct run *r = p->r;
     int n = r->n, m = r->m, npair = r->npair, nv = r->nv, nw = r->n * width;
     const int *dst = r->dst, *pair = r->pair, *ends = r->ends;
-    const double *omega = r->omega, *table = p->table;
+    const double *omega = r->omega;
     double h = r->h;
     double *x = p->scratch, *y = x + nw, *k1 = y + nw, *k2 = k1 + nw, *k3 = k2 + nw;
     double *k4 = k3 + nw, *sp = k4 + nw, *w = sp + npair * width;
     memcpy(w, r->base, (size_t)m * sizeof(double));
     if (nv)
-        set_row(r, table, w);
+        set_weights(r, 0, w);
     for (int s = 0; s < width; s++)
         for (int j = 0; j < n; j++)
-            x[j * width + s] = r->th[(int64_t)(s0 + s) * n + j];
-    for (int64_t i = 0; i < p->k; i++) {
+            x[j * width + s] = r->recs[(int64_t)(s0 + s) * r->n_rec * n + j];
+    for (int64_t step = 1; step <= r->steps; step++) {
         field(width, n, m, npair, dst, pair, ends, omega, w, x, sp, k1);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + 0.5 * h * k1[j];
         if (nv)
-            set_row(r, table + (2 * i + 1) * nv, w);
+            set_weights(r, 2 * step - 1, w);
         field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k2);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + 0.5 * h * k2[j];
@@ -237,11 +232,13 @@ advance(int width, const struct part *p, int s0)
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + h * k3[j];
         if (nv)
-            set_row(r, table + (2 * i + 2) * nv, w);
+            set_weights(r, 2 * step, w);
         field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k4);
         for (int j = 0; j < nw; j++)
             x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        int64_t step = p->start + i + 1;
+        for (int j = 0; j < nw; j++)
+            if (!isfinite(x[j]))
+                return step;
         if (step % r->stride == 0)
             for (int s = 0; s < width; s++) {
                 double *rec = r->recs + ((int64_t)(s0 + s) * r->n_rec + step / r->stride) * n;
@@ -249,55 +246,64 @@ advance(int width, const struct part *p, int s0)
                     rec[j] = x[j * width + s];
             }
     }
-    for (int s = 0; s < width; s++)
-        for (int j = 0; j < n; j++)
-            r->th[(int64_t)(s0 + s) * n + j] = x[j * width + s];
+    return 0;
 }
 
 /* A part runs in blocks of W samples; the last samples, fewer than W, run
    one at a time. */
 static void *run_part(void *arg)
 {
-    const struct part *p = arg;
+    struct part *p = arg;
     int s = p->s0;
     for (; s + W <= p->s1; s += W)
-        advance(W, p, s);
+        p->bad = first_step(p->bad, advance(W, p, s));
     for (; s < p->s1; s++)
-        advance(1, p, s);
+        p->bad = first_step(p->bad, advance(1, p, s));
     return NULL;
 }
 
-/* RK4 steps start+1 .. start+k of every sample of the run; table holds the
-   vibrated edges' weight offsets on the half-step grid (2k+1 rows of nv),
-   NULL when nv is 0.  The samples are split into nthreads contiguous
-   parts; the calling thread runs the first and one POSIX thread each of
-   the others, and a part whose thread does not start runs on the calling
-   thread after its own.  Returns the record index after the chunk. */
-int64_t rk4_chunk(const struct run *r, const double *table, int64_t start, int64_t k)
+/* Every RK4 step of the run of struct run.  The samples are split into
+   nthreads contiguous parts, each with its own slice of scratch from one
+   64-byte-aligned allocation; the calling thread runs the first part and
+   one POSIX thread each of the others, and a part whose thread does not
+   start runs on the calling thread after its own.  Returns 0, the first
+   step after which some sample is not finite, or -1 when the scratch
+   cannot be allocated. */
+int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const int *pair,
+                  const int *ends, const double *omega, const double *base, const int *vcol,
+                  const double *amp, const double *freq, const double *phase, double h,
+                  int64_t steps, int64_t stride, double *recs, int64_t n_rec, int nthreads)
 {
-    int64_t next = (start + k) / r->stride + 1;
-    int nt = r->nthreads;
-    if (nt < 1)  /* no samples */
-        return next;
-    struct part parts[nt];
-    pthread_t tid[nt];
-    int started[nt];
-    for (int t = 0; t < nt; t++) {
-        struct part p = {r, (int)((int64_t)r->ns * t / nt),
-                         (int)((int64_t)r->ns * (t + 1) / nt), table, start, k,
-                         r->scratch + t * slice_len(r)};
+    if (nthreads < 1)  /* no samples */
+        return 0;
+    struct run r = {ns, n, m, npair, nv, dst, pair, ends, vcol, omega, base, amp, freq,
+                    phase, h, steps, stride, n_rec, recs};
+    int64_t len = slice_len(&r);
+    void *scratch;
+    if (posix_memalign(&scratch, 64, (size_t)(nthreads * len) * sizeof(double)))
+        return -1;
+    struct part parts[nthreads];
+    pthread_t tid[nthreads];
+    int started[nthreads];
+    for (int t = 0; t < nthreads; t++) {
+        struct part p = {&r, (int)((int64_t)ns * t / nthreads),
+                         (int)((int64_t)ns * (t + 1) / nthreads),
+                         (double *)scratch + t * len, 0};
         parts[t] = p;
     }
-    for (int t = 1; t < nt; t++)
+    for (int t = 1; t < nthreads; t++)
         started[t] = pthread_create(&tid[t], NULL, run_part, &parts[t]) == 0;
     run_part(&parts[0]);
-    for (int t = 1; t < nt; t++) {
+    int64_t bad = parts[0].bad;
+    for (int t = 1; t < nthreads; t++) {
         if (started[t])
             pthread_join(tid[t], NULL);
         else
             run_part(&parts[t]);
+        bad = first_step(bad, parts[t].bad);
     }
-    return next;
+    free(scratch);
+    return bad;
 }
 
 /* ---- linear flows --------------------------------------------------------- */
@@ -669,7 +675,7 @@ int format_csv(const double *a, int64_t rows, int64_t cols, char *out, char *out
 
 _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread", "-ffp-contract=off")
 _compiler = "cc"
-max_threads = 2  # the most threads one chunk runs on
+max_threads = 2  # the most threads one run runs on
 _cache_dir = Path(__file__).resolve().parent / "__pycache__"
 _kernel = None  # the loaded ctypes library, once built
 _lock = threading.Lock()
@@ -755,16 +761,10 @@ def _load_library():
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    run = ctypes.POINTER(ctypes.c_int64)
-    lib.run_size.argtypes = []
-    lib.run_size.restype = ctypes.c_size_t
-    lib.bind.argtypes = [run, ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-                         ctypes.c_int, ints, ints, ints, ints, doubles, doubles,
-                         ctypes.c_double, ctypes.c_int64, out, out, ctypes.c_int64, out,
-                         ctypes.c_int]
-    lib.bind.restype = None
-    lib.rk4_chunk.argtypes = [run, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
-    lib.rk4_chunk.restype = ctypes.c_int64
+    lib.integrate.argtypes = [*[ctypes.c_int] * 5, ints, ints, ints, doubles, doubles, ints,
+                              doubles, doubles, doubles, ctypes.c_double, ctypes.c_int64,
+                              ctypes.c_int64, out, ctypes.c_int64, ctypes.c_int]
+    lib.integrate.restype = ctypes.c_int64
     lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
                                ctypes.c_double, *[ctypes.c_void_p] * 7]
     lib.flow_chunk.restype = ctypes.c_int64
@@ -918,92 +918,52 @@ def _cpus() -> int:
 
 
 def thread_count(ns: int) -> int:
-    """Threads a run of ``ns`` samples runs its chunks on."""
+    """Threads a run of ``ns`` samples runs on."""
     return min(ns, _cpus(), max_threads)
-
-
-def _slice_len(n: int, npair: int, m: int) -> int:
-    """Doubles of scratch one thread uses: ``(6 n + npair) W + m``, rounded
-    up to whole 64-byte lines."""
-    return -(-((6 * n + npair) * _block_width + m) // 8) * 8
-
-
-def alloc_scratch(ns: int, n: int, npair: int, m: int) -> np.ndarray:
-    """Scratch memory for a :class:`Run` of ``ns`` samples of ``n`` nodes,
-    ``npair`` coupled pairs and ``m`` edges: one slice of
-    ``_slice_len(n, npair, m)`` doubles for each thread a chunk can run on,
-    starting on a 64-byte line, so no two threads write to one cache
-    line."""
-    size = min(ns, max_threads) * _slice_len(n, npair, m)
-    buf = np.empty(size + 8)
-    skip = -buf.ctypes.data % 64 // 8
-    return buf[skip:skip + size]
 
 
 def _within(index: np.ndarray, bound: int) -> bool:
     return not index.size or 0 <= index.min() <= index.max() < bound
 
 
-class Run:
-    """An integration run bound to the kernel: ``th`` (ns, n) is advanced
-    in place chunk by chunk (:meth:`chunk`) with step ``h``, and every
-    ``stride``-th state goes into ``recs`` (ns, n_rec, n) at index
-    ``step // stride``.
+def integrate(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.ndarray,
+              base: np.ndarray, vcol: np.ndarray, amp: np.ndarray, freq: np.ndarray,
+              phase: np.ndarray, h: float, steps: int, stride: int, recs: np.ndarray) -> int:
+    """RK4 steps ``1 .. steps`` of size ``h`` of the samples whose initial
+    states are ``recs[:, 0]``, in one kernel call; the state after every
+    ``stride``-th step goes into ``recs`` (ns, steps // stride + 1, n) at
+    index ``step // stride``.  Returns 0, or the first step after which some
+    sample is not finite, from which step on records may be left unwritten.
 
     Edge ``e`` ends at node ``dst[e]`` and reads the sine ``sin(x_a - x_b)``
     of its pair ``pair[e]``, whose ends ``(a, b)`` are a row of ``ends``
     (npair, 2); its weight is ``base[e]``, negated by the caller for an edge
     whose sine is ``sin(x_b - x_a)``.  The edges ``vcol`` (distinct) are
-    vibrated: each chunk adds its table's offsets to their base weights.
-    The samples are split into ``thread_count(ns)`` contiguous parts, one
-    per thread, each with its own ``_slice_len(n, npair, m)`` doubles of
-    ``scratch``.
+    vibrated: at half-step ``g`` edge ``vcol[j]`` weighs
+    ``base + sin(h * (0.5 * g) * freq[j] + phase[j]) * amp[j]``, evaluated
+    in that order.  The samples are split into ``thread_count(ns)``
+    contiguous parts, one per thread.
 
-    Every array is checked here, once: dtype and C order (through ctypes,
-    which raises ``ctypes.ArgumentError``), shapes, index ranges and
-    scratch length (``ValueError``).  The network arrays are copied, so
-    the kernel never reads an index the check did not see; ``th``,
-    ``recs`` and ``scratch`` are written in place and kept alive with the
-    run."""
-
-    def __init__(self, dst: np.ndarray, pair: np.ndarray, ends: np.ndarray,
-                 omega: np.ndarray, base: np.ndarray, vcol: np.ndarray, h: float,
-                 stride: int, th: np.ndarray, recs: np.ndarray, scratch: np.ndarray):
-        dst, pair, ends, omega, base, vcol = (
-            np.array(a, order="C") for a in (dst, pair, ends, omega, base, vcol))
-        if th.ndim != 2 or recs.ndim != 3:
-            raise ValueError("inconsistent phase-kernel array shapes or indices")
-        (ns, n), n_rec = th.shape, recs.shape[1]
-        m, npair, nv = len(dst), len(ends), len(vcol)
-        threads = thread_count(ns)
-        if (dst.shape != (m,) or pair.shape != (m,) or ends.shape != (npair, 2)
-                or omega.shape != (n,) or base.shape != (m,) or vcol.shape != (nv,)
-                or recs.shape != (ns, n_rec, n) or stride < 1
-                or scratch.ndim != 1 or len(scratch) < threads * _slice_len(n, npair, m)
-                or not (_within(dst, n) and _within(pair, npair) and _within(ends, n)
-                        and _within(vcol, m)) or len(set(vcol.tolist())) != nv):
-            raise ValueError("inconsistent phase-kernel array shapes or indices")
-        lib = load()
-        self._run = (ctypes.c_int64 * -(-lib.run_size() // 8))()
-        lib.bind(self._run, ns, n, m, npair, nv, dst, pair, ends, vcol, omega, base, h,
-                 stride, th, recs, n_rec, scratch, threads)
-        self._chunk = lib.rk4_chunk
-        # the kernel holds their addresses
-        self._arrays = (dst, pair, ends, vcol, omega, base, th, recs, scratch)
-        self._nv, self._stride, self._n_rec = nv, stride, n_rec
-
-    def chunk(self, start: int, k: int, table: Optional[np.ndarray] = None) -> int:
-        """RK4 steps ``start + 1 .. start + k``; returns the record index
-        after the chunk.  ``table`` (2k + 1, nv) holds the vibrated edges'
-        weight offsets on the chunk's half-step grid ``start h + i h / 2``,
-        one column per entry of ``vcol``; a run without vibrated edges
-        takes none."""
-        if table is None:
-            ok, address = self._nv == 0, None
-        else:
-            ok = (self._nv > 0 and table.shape == (2 * k + 1, self._nv)
-                  and table.dtype == np.float64 and table.flags.c_contiguous)
-            address = table.ctypes.data
-        if not ok or start < 0 or k < 0 or (start + k) // self._stride >= self._n_rec:
-            raise ValueError("inconsistent phase-kernel chunk: table shape, start or stride")
-        return self._chunk(self._run, address, start, k)
+    Every array is checked before the call: dtype and C order (through
+    ctypes, which raises ``ctypes.ArgumentError``), shapes and index ranges
+    (``ValueError``).  The network arrays are copied, so the kernel never
+    reads an index the check did not see.  A failed allocation of the
+    threads' scratch raises ``MemoryError``."""
+    dst, pair, ends, omega, base, vcol, amp, freq, phase = (
+        np.array(a, order="C") for a in (dst, pair, ends, omega, base, vcol, amp, freq, phase))
+    if recs.ndim != 3:
+        raise ValueError("inconsistent phase-kernel array shapes or indices")
+    ns, n_rec, n = recs.shape
+    m, npair, nv = len(dst), len(ends), len(vcol)
+    if (dst.shape != (m,) or pair.shape != (m,) or ends.shape != (npair, 2)
+            or omega.shape != (n,) or base.shape != (m,) or vcol.shape != (nv,)
+            or {amp.shape, freq.shape, phase.shape} != {(nv,)}
+            or steps < 0 or stride < 1 or n_rec != steps // stride + 1
+            or not (_within(dst, n) and _within(pair, npair) and _within(ends, n)
+                    and _within(vcol, m)) or len(set(vcol.tolist())) != nv):
+        raise ValueError("inconsistent phase-kernel array shapes or indices")
+    bad = load().integrate(ns, n, m, npair, nv, dst, pair, ends, omega, base, vcol, amp, freq,
+                           phase, h, steps, stride, recs, n_rec, thread_count(ns))
+    if bad < 0:
+        raise MemoryError("the phase kernel cannot allocate its scratch")
+    return bad

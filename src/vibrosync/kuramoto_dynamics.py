@@ -180,11 +180,6 @@ def _fastest_period(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule]) 
     return period
 
 
-# Doubles in one chunk's table of vibrated edge weights, (2k + 1) rows of
-# one offset per vibrated edge: sets the chunk length k of a vibrated run.
-_table_budget = 1 << 14
-
-
 def _edge_pairs(edges: Sequence[Edge]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unordered coupled pairs {s, t} of ``edges``: each edge's pair
     index, the pairs' ends (t, s) taken from their first edge (s, t), and
@@ -209,19 +204,15 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
                      t_end: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 for a batch of phase vectors; returns decimated records.
 
-    The run is bound to the compiled kernel (:mod:`._phase_kernel`) once,
-    with the signed base edge weights and the columns of the vibrated
-    edges; each kernel call then runs the four RK4 stages of the field
+    The whole run is one call of the compiled kernel
+    (:func:`._phase_kernel.integrate`), which steps the field
     ``omega_t - sum over edges (s, t) of w_e sin(theta_t - theta_s)`` for
-    every sample over one chunk of steps.  A vibrated run tabulates its
-    vibrated edges' carriers on the chunk's half-step grid with one
-    ``np.sin`` call, in chunks whose table, ``(2k + 1) x nv`` doubles for
-    ``nv`` vibrated edges, stays within ``_table_budget``; an unvibrated run
-    is one chunk.  The state is checked for finiteness after every chunk (a
-    non-finite phase stays non-finite).  The kernel takes one sine per
-    coupled pair (``_edge_pairs``): an edge running against its pair's
-    first edge gets its base weight and carrier negated, so reciprocal
-    edges share one sine.
+    every sample, evaluates the vibrated edges' carriers on the half-step
+    grid itself, and returns the first step whose state is not finite,
+    raised here as NonFiniteState.  The kernel takes one sine per coupled
+    pair (``_edge_pairs``): an edge running against its pair's first edge
+    gets its base weight and carrier amplitude negated, so reciprocal edges
+    share one sine.
     """
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
@@ -236,36 +227,15 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     pair, ends, sign = _edge_pairs(inc.edges)
     items = schedule.sorted_items() if schedule is not None else []
     cols = np.array([inc.edge_column(e) for e, _ in items], dtype=np.intc)
-    nv = len(cols)
-    if nv:
-        amps = sign[cols] * (np.array([entry.amplitude for _, entry in items])
-                             / schedule.epsilon)
-        freqs = np.array([entry.frequency for _, entry in items]) / schedule.epsilon
-        phases = np.array([entry.phase for _, entry in items])
-    chunk_steps = max(1, (_table_budget // nv - 1) // 2) if nv else max(1, steps)
-
+    vib = np.array([(v.amplitude, v.frequency, v.phase) for _, v in items]).reshape(-1, 3)
+    epsilon = schedule.epsilon if items else 1.0
     dst = np.array([t for _, t in inc.edges], dtype=np.intc)
-    th = np.array(th0, dtype=float, order="C")
-    run = _phase_kernel.Run(dst, pair, ends, np.asarray(omega, dtype=float),
-                            sign * inc.W_diag, cols, h, stride, th, recs,
-                            _phase_kernel.alloc_scratch(ns, n, len(ends), len(dst)))
-    rec_i = 1
-    for start in range(0, steps, chunk_steps):
-        k = min(chunk_steps, steps - start)
-        table = None
-        if nv:  # carriers on the half-step grid t0 + i h/2 of this chunk, in place
-            table = np.multiply.outer(h * (start + 0.5 * np.arange(2 * k + 1)), freqs)
-            table += phases
-            np.sin(table, out=table)
-            table *= amps
-        chunk_rec = rec_i
-        rec_i = run.chunk(start, k, table)
-        if not np.all(np.isfinite(th)):
-            # name the first record of this chunk that broke, or the chunk end
-            bad = ~np.isfinite(recs[:, chunk_rec:rec_i, :]).all(axis=(0, 2))
-            step = (chunk_rec + int(np.argmax(bad))) * stride if bad.any() else start + k
-            raise NonFiniteState(f"state became non-finite near t={step * h:g}")
-    return (np.arange(rec_i) * stride) * h, recs[:, :rec_i, :]
+    step = _phase_kernel.integrate(dst, pair, ends, np.asarray(omega, dtype=float),
+                                   sign * inc.W_diag, cols, sign[cols] * (vib[:, 0] / epsilon),
+                                   vib[:, 1] / epsilon, vib[:, 2], h, steps, stride, recs)
+    if step:
+        raise NonFiniteState(f"state became non-finite near t={step * h:g}")
+    return (np.arange(n_rec) * stride) * h, recs
 
 
 def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSchedule],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vibrosync.cli as cli
-from vibrosync import graph_core, kuramoto_dynamics, linalg, stability_cert
+from vibrosync import _phase_kernel, graph_core, kuramoto_dynamics, linalg, stability_cert
 from vibrosync.kuramoto_dynamics import Trajectory, sync_error
 from vibrosync.linalg import HorizonTooShort
 
@@ -38,14 +38,14 @@ def tiny_path(tmp_path_factory):
 
 
 def count_stage_calls(monkeypatch) -> Counter:
-    """Count the calls of the pipeline stages from every vibrosync module
-    that binds them; ``conjugated_average`` counts the averages of a
-    vibration flow, not its calls without a vibration matrix, which return
-    a copy of the block."""
+    """Count the calls of the pipeline stages and of the phase-network
+    kernel from every vibrosync module that binds them;
+    ``conjugated_average`` counts the averages of a vibration flow, not its
+    calls without a vibration matrix, which return a copy of the block."""
     counts: Counter = Counter()
     stages = (kuramoto_dynamics.linearize, graph_core.check_invariance,
               stability_cert.certify, kuramoto_dynamics.perturbation_bounds,
-              linalg.conjugated_average)
+              linalg.conjugated_average, _phase_kernel.integrate)
     modules = [module for name, module in sys.modules.items()
                if name == "vibrosync" or name.startswith("vibrosync.")]
     for stage in stages:
@@ -513,9 +513,11 @@ def test_reproduce_flagship(flagship_reproduce):
     assert code == 0
     # one linearization; one certificate each for the uncontrolled and the
     # controlled network; one average of the vibrated cluster, which the
-    # design verifies and the controlled certificate reuses
+    # design verifies and the controlled certificate reuses; one kernel call
+    # for each of the seven phase-network runs: the two certificates'
+    # ensembles, the sweep's three and the two documented trajectories
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 2,
-                      "perturbation_bounds": 2, "conjugated_average": 1}
+                      "perturbation_bounds": 2, "conjugated_average": 1, "integrate": 7}
     for name in ("analysis.json", "schedule.json", "certificate.json",
                  "controlled.csv", "err_controlled.csv", "uncontrolled.csv",
                  "err_uncontrolled.csv", "plot.gp", "report.json",

@@ -503,25 +503,17 @@ def assert_matches_reference(kn, inc, schedule, th0, t_end, dt, rel=1e-10):
     return got
 
 
-def count_chunks(monkeypatch):
-    """The (start, k) of every kernel call from here on."""
+def count_kernel_calls(monkeypatch):
+    """The step count of every kernel call from here on."""
     calls = []
-    chunk = pk.Run.chunk
+    integrate = pk.integrate
 
-    def counting(self, start, k, table=None):
-        calls.append((start, k))
-        return chunk(self, start, k, table)
+    def counting(*args):
+        calls.append(args[10])  # steps
+        return integrate(*args)
 
-    monkeypatch.setattr(pk.Run, "chunk", counting)
+    monkeypatch.setattr(pk, "integrate", counting)
     return calls
-
-
-def chunks_of(monkeypatch, chunk_steps, schedule):
-    """Set the table budget so that a vibrated run of ``schedule`` takes
-    chunks of ``chunk_steps`` steps; returns the kernel calls."""
-    nv = len(schedule.entries) if schedule is not None else 1
-    monkeypatch.setattr(kd, "_table_budget", (2 * chunk_steps + 1) * nv)
-    return count_chunks(monkeypatch)
 
 
 @pytest.mark.parametrize("batch", [3, 1])
@@ -531,26 +523,25 @@ def test_integrator_matches_dense_loop(flip_kn, flip_inc, flip_design, batch, vi
     schedule = phased(flip_design.schedule) if vibrated else None
     if vibrated:
         assert all(entry.phase != 0.0 for entry in schedule.entries.values())
-    calls = chunks_of(monkeypatch, 256, schedule)
+    calls = count_kernel_calls(monkeypatch)
     dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
-    steps = 2 * 256 + 37  # two full chunks and a remainder
+    steps = 549
     th0 = vs.perturbed_initial_states(flip_inc, batch, 0.2, seed=5)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
     assert len(got[0].times) == steps + 1
-    # an unvibrated run needs no table: one kernel call
-    assert calls == ([(0, 256), (256, 256), (512, 37)] if vibrated else [(0, steps)])
+    assert calls == [steps]  # the whole run is one kernel call
 
 
 def test_integrator_decimation_matches_dense_loop(flip_kn, flip_inc, flip_design,
                                                   monkeypatch):
     monkeypatch.setattr(kd, "max_recorded_samples", 7)
     schedule = phased(flip_design.schedule)
-    calls = chunks_of(monkeypatch, 256, schedule)
+    calls = count_kernel_calls(monkeypatch)
     dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
-    steps = 2 * 256 + 37
+    steps = 549
     th0 = vs.perturbed_initial_states(flip_inc, 2, 0.2, seed=6)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
-    assert calls == [(0, 256), (256, 256), (512, 37)]
+    assert calls == [steps]
     stride = math.ceil((steps + 1) / 7)
     assert len(got[0].times) == steps // stride + 1 <= 7
     assert got[0].times[1:] == pytest.approx(stride * dt * np.arange(1, 7), rel=1e-12)
@@ -614,34 +605,34 @@ def test_mixed_network_matches_dense_loop(batch, vibrated, monkeypatch):
     if vibrated:
         _, _, sign = kd._edge_pairs(inc.edges)
         assert {sign[inc.edges.index(e)] for e in schedule.entries} == {1.0, -1.0}
-    calls = chunks_of(monkeypatch, 128, schedule)
+    calls = count_kernel_calls(monkeypatch)
     dt = kd._fastest_period(kn, schedule) / default_oversampling
-    steps = 2 * 128 + 37  # two full chunks and a remainder
+    steps = 293
     th0 = np.random.default_rng(7).normal(0.0, 1.0, (batch, 5))
     got = assert_matches_reference(kn, inc, schedule, th0, steps * dt, dt)
     assert len(got[0].times) == steps + 1
-    assert calls == ([(0, 128), (128, 128), (256, 37)] if vibrated else [(0, steps)])
+    assert calls == [steps]
 
 
 def test_vibrated_run_going_non_finite_names_the_break(monkeypatch):
     # a carrier of amplitude 1e308 overflows the RK4 update only once it has
-    # grown, past the first chunk of 512 steps; power-of-two steps make the
-    # shorter reruns below repeat the same grid exactly
+    # grown, partway through the run; power-of-two steps make the shorter
+    # reruns below repeat the same grid exactly
     net = two_node_kn().net
     kn = vs.KuramotoNetwork(net=net, omega=np.zeros(2),
                             partition=vs.ClusterPartition(net, ((0, 1),)))
     sched = vs.VibrationSchedule({(0, 1): vs.VibrationEntry(1e308, 0.01)}, epsilon=1.0)
     dt = 2.0 ** -4
     th0 = np.array([0.0, 0.5])
-    calls = chunks_of(monkeypatch, 512, sched)
+    calls = count_kernel_calls(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState) as info:
             vs.simulate(kn, sched, th0, 4096 * dt, inc=incidence(kn), dt=dt)
         t_bad = float(re.search(r"near t=(\S+)", str(info.value)).group(1))
         step = round(t_bad / dt)
         assert step * dt == pytest.approx(t_bad, abs=1e-3)  # "%g" keeps 6 digits
-        assert calls[:2] == [(0, 512), (512, 512)]
-        assert 512 < step < 4096  # partway, past the first chunk
+        assert calls == [4096]
+        assert 512 < step < 4096  # partway
         before = vs.simulate(kn, sched, th0, (step - 1) * dt, inc=incidence(kn), dt=dt)
         assert np.all(np.isfinite(before.theta))
         with pytest.raises(NonFiniteState, match=f"near t={t_bad:g}"):
@@ -661,44 +652,34 @@ def test_incidence_of_another_network_rejected(flip_kn, flip_inc):
 
 
 def test_run_is_set_up_once(flip_kn, flip_inc, flip_design, monkeypatch):
-    """A vibrated run of many chunks binds the kernel and checks its index
-    ranges once; an unvibrated run is a single kernel call."""
-    bounds, binds = [], []
-    within, bind = pk._within, pk.Run.__init__
+    """A run, vibrated or not, is one kernel call, which checks the index
+    ranges once."""
+    bounds = []
+    within = pk._within
 
     def counting_within(index, bound):
         bounds.append(bound)
         return within(index, bound)
 
-    def counting_bind(self, *args, **kwargs):
-        binds.append(args)
-        bind(self, *args, **kwargs)
-
     monkeypatch.setattr(pk, "_within", counting_within)
-    monkeypatch.setattr(pk.Run, "__init__", counting_bind)
-    calls = chunks_of(monkeypatch, 4, flip_design.schedule)
-    trajs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, flip_design.schedule,
-                                             n_samples=3, kick=0.1, seed=1, t_end=0.5)
-    steps = len(trajs[0].times) - 1
-    assert len(calls) == math.ceil(steps / 4) > 20
-    # dst, pair, ends and the vibrated columns, each checked once
+    calls = count_kernel_calls(monkeypatch)
     n, m = flip_kn.net.n, len(flip_inc.edges)
-    assert len(binds) == 1 and bounds == [n, len(flip_inc.edges) // 2, n, m]
-    for counted in (calls, binds, bounds):
-        counted.clear()
-    plain = vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=3,
-                                             kick=0.1, seed=1, t_end=5.0)
-    assert calls == [(0, len(plain[0].times) - 1)] and len(binds) == 1 and len(bounds) == 4
+    for schedule, t_end in ((flip_design.schedule, 0.5), (None, 5.0)):
+        trajs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, schedule, n_samples=3,
+                                                 kick=0.1, seed=1, t_end=t_end)
+        # dst, pair, ends and the vibrated columns, each checked once
+        assert calls == [len(trajs[0].times) - 1] and bounds == [n, m // 2, n, m]
+        calls.clear()
+        bounds.clear()
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=40, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9), steps=st.integers(1, 80),
        data=st.data())
-def test_trajectories_do_not_depend_on_the_chunking(seed, batch, steps, data):
+def test_random_vibrated_networks_match_dense_loop(seed, batch, steps, data):
     """Random networks of reciprocal and one-way edges, vibrated on a random
     subset of edges (possibly none, possibly edges running against their
-    pair): any table budget, from one chunk to one step per chunk, gives
-    the same trajectories bit for bit."""
+    pair), against the dense-field loop."""
     rng = np.random.default_rng(seed)
     net, part = random_clustered_network(rng, n_max=7)
     kn = vs.KuramotoNetwork(net=net, omega=rng.normal(size=net.n), partition=part)
@@ -713,13 +694,10 @@ def test_trajectories_do_not_depend_on_the_chunking(seed, batch, steps, data):
          f"{[e for e in vibrated if sign[inc.edges.index(e)] < 0]}")
     dt = kd._fastest_period(kn, schedule) / default_oversampling
     th0 = rng.normal(size=(batch, net.n))
-    chunk_steps = data.draw(st.integers(1, steps))
-    with pytest.MonkeyPatch.context() as mp:
-        calls = count_chunks(mp)
-        one = kd._integrate_batch(inc, kn.omega, schedule, th0, steps * dt, dt)
-        assert len(calls) == 1  # the default budget holds these runs in one chunk
-        calls.clear()
-        mp.setattr(kd, "_table_budget", (2 * chunk_steps + 1) * len(vibrated))
-        chunked = kd._integrate_batch(inc, kn.omega, schedule, th0, steps * dt, dt)
-    assert len(calls) == (math.ceil(steps / chunk_steps) if vibrated else 1)
-    assert np.array_equal(one[0], chunked[0]) and np.array_equal(one[1], chunked[1])
+    times, recs = kd._integrate_batch(inc, kn.omega, schedule, th0, steps * dt, dt)
+    ref_times, ref = reference_integrate_batch(kn.net.weight_matrix(), kn.omega,
+                                               reference_schedule_arrays(schedule),
+                                               th0, steps * dt, dt)
+    assert times.shape == ref_times.shape
+    assert np.abs(times - ref_times).max() <= 1e-10 * ref_times.max()
+    assert np.abs(recs - ref).max() <= 1e-10 * np.abs(ref).max()

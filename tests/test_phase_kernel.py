@@ -104,108 +104,73 @@ def test_compiler_failure_shows_its_stderr(fresh_cache, monkeypatch):
         pk.load()
 
 
-def test_chunk_rejects_inconsistent_arrays():
+def test_integrate_rejects_inconsistent_arrays():
     args = dict(dst=np.array([1, 0], dtype=np.intc),
                 pair=np.array([0, 0], dtype=np.intc),  # two reciprocal edges, one pair
                 ends=np.array([[1, 0]], dtype=np.intc), omega=np.zeros(2),
-                base=np.array([1.0, -1.0]), vcol=np.array([1], dtype=np.intc), h=0.1,
-                stride=1, th=np.zeros((1, 2)), recs=np.zeros((1, 3, 2)),
-                scratch=pk.alloc_scratch(1, 2, 1, 2))
-    table = np.ones((5, 1))
+                base=np.array([1.0, -1.0]), vcol=np.array([1], dtype=np.intc),
+                amp=np.ones(1), freq=np.ones(1), phase=np.zeros(1), h=0.1, steps=2,
+                stride=1, recs=np.zeros((1, 3, 2)))
 
-    def bind(**changes):
-        return pk.Run(**{**args, **changes})
+    def integrate(**changes):
+        return pk.integrate(**{**args, **changes})
 
-    dst = args["dst"].copy()
-    run = bind(dst=dst)
-    dst[0] = 10**6  # the run keeps the copy it checked
-    assert run.chunk(0, 2, table) == 3
-    # the run is checked once, when it is bound
-    with pytest.raises(ValueError):
-        bind(dst=np.array([1, 2], dtype=np.intc))
-    with pytest.raises(ValueError):  # a pair end outside the network
-        bind(ends=np.array([[1, 2]], dtype=np.intc))
-    with pytest.raises(ValueError):  # a pair index past the pair table
-        bind(pair=np.array([0, 1], dtype=np.intc))
-    with pytest.raises(ValueError):  # a negative pair index
-        bind(pair=np.array([0, -1], dtype=np.intc))
-    with pytest.raises(ValueError):  # one pair index for two edges
-        bind(pair=np.array([0], dtype=np.intc))
-    with pytest.raises(ValueError):  # pair ends that are not (a, b) rows
-        bind(ends=np.array([[1, 0, 1]], dtype=np.intc))
-    with pytest.raises(ValueError):  # records before the start of recs
-        bind(stride=-1)
-    with pytest.raises(ValueError):
-        bind(stride=0)
-    with pytest.raises(ValueError):  # one double short
-        bind(scratch=np.zeros(len(args["scratch"]) - 1))
-    with pytest.raises(ValueError):  # one base weight for two edges
-        bind(base=np.ones(1))
-    with pytest.raises(ValueError):  # a vibrated column past the edges
-        bind(vcol=np.array([2], dtype=np.intc))
-    with pytest.raises(ValueError):
-        bind(vcol=np.array([-1], dtype=np.intc))
-    with pytest.raises(ValueError):  # one edge vibrated twice
-        bind(vcol=np.array([1, 1], dtype=np.intc))
-    with pytest.raises(ValueError):
-        bind(recs=np.zeros((1, 3, 3)))
-    with pytest.raises(ctypes.ArgumentError, match="data type"):
-        bind(dst=args["dst"].astype(np.int64))
-    with pytest.raises(ctypes.ArgumentError, match="data type"):
-        bind(ends=args["ends"].astype(np.int64))
-    with pytest.raises(ctypes.ArgumentError, match="data type"):
-        bind(vcol=args["vcol"].astype(np.int64))
-    frozen = np.zeros((1, 2))
+    assert integrate() == 0
+    assert integrate(vcol=np.zeros(0, dtype=np.intc), amp=np.zeros(0), freq=np.zeros(0),
+                     phase=np.zeros(0)) == 0
+    assert integrate(steps=5, stride=2) == 0  # records at steps 2 and 4
+    for bad in (dict(dst=np.array([1, 2], dtype=np.intc)),
+                dict(ends=np.array([[1, 2]], dtype=np.intc)),  # a pair end outside the network
+                dict(pair=np.array([0, 1], dtype=np.intc)),  # a pair index past the pair table
+                dict(pair=np.array([0, -1], dtype=np.intc)),
+                dict(pair=np.array([0], dtype=np.intc)),  # one pair index for two edges
+                dict(ends=np.array([[1, 0, 1]], dtype=np.intc)),  # pair ends not (a, b) rows
+                dict(stride=-1), dict(stride=0), dict(steps=-1),
+                dict(steps=3),  # records past the end of recs
+                dict(steps=1),  # records left over at the end of recs
+                dict(base=np.ones(1)),  # one base weight for two edges
+                dict(vcol=np.array([2], dtype=np.intc)),  # a vibrated column past the edges
+                dict(vcol=np.array([-1], dtype=np.intc)),
+                dict(vcol=np.array([1, 1], dtype=np.intc), amp=np.ones(2), freq=np.ones(2),
+                     phase=np.ones(2)),  # one edge vibrated twice
+                dict(amp=np.ones(2)), dict(freq=np.ones(0)),  # a carrier per vibrated edge
+                dict(phase=np.ones((1, 1))),
+                dict(recs=np.zeros((1, 3, 3))), dict(recs=np.zeros((3, 2)))):
+        with pytest.raises(ValueError):
+            integrate(**bad)
+    for name in ("dst", "ends", "vcol"):
+        with pytest.raises(ctypes.ArgumentError, match="data type"):
+            integrate(**{name: args[name].astype(np.int64)})
+    frozen = np.zeros((1, 3, 2))
     frozen.flags.writeable = False
     with pytest.raises(ctypes.ArgumentError, match="WRITEABLE"):
-        bind(th=frozen)
-    # each chunk checks its table, start and stride
-    with pytest.raises(ValueError):  # records past the end of recs
-        run.chunk(1, 2, table)
-    with pytest.raises(ValueError):
-        run.chunk(-2, 2, table)
-    with pytest.raises(ValueError):  # two rows short for two steps
-        run.chunk(0, 2, np.ones((3, 1)))
-    with pytest.raises(ValueError):  # an offset for an edge not vibrated
-        run.chunk(0, 2, np.ones((5, 2)))
-    with pytest.raises(ValueError):
-        run.chunk(0, 2, np.ones((5, 1), dtype=np.float32))
-    with pytest.raises(ValueError):  # not in C order
-        run.chunk(0, 2, np.ones((5, 2))[:, 1:])
-    with pytest.raises(ValueError):  # a vibrated run needs its table
-        run.chunk(0, 2)
-    with pytest.raises(ValueError):  # an unvibrated one takes none
-        bind(vcol=np.zeros(0, dtype=np.intc)).chunk(0, 2, table)
-    assert bind(vcol=np.zeros(0, dtype=np.intc)).chunk(0, 2) == 3
+        integrate(recs=frozen)
+    with pytest.raises(ctypes.ArgumentError):  # not in C order
+        integrate(recs=np.zeros((1, 2, 3)).transpose(0, 2, 1))
 
 
-def random_run(ns, k, rng):
+def random_run(ns, rng):
     """A run's arrays on a 5-node network with two reciprocal pairs and two
     one-way edges, three of its edges vibrated (edge 1 runs against its
-    pair), and a table of offsets for k steps: every argument of ``Run``
-    apart from the step, stride, records and scratch, then the table."""
+    pair): every argument of ``integrate`` apart from the step, step count,
+    stride and records, then the initial states."""
     dst = np.array([1, 0, 3, 2, 4, 0], dtype=np.intc)
     pair = np.array([0, 0, 1, 1, 2, 3], dtype=np.intc)
     ends = np.array([[1, 0], [3, 2], [4, 1], [0, 4]], dtype=np.intc)
     vcol = np.array([5, 1, 4], dtype=np.intc)
     arrays = dict(dst=dst, pair=pair, ends=ends, omega=rng.normal(size=5),
-                  base=rng.normal(size=6), vcol=vcol, th=rng.normal(size=(ns, 5)))
-    return arrays, rng.normal(size=(2 * k + 1, 3))
+                  base=rng.normal(size=6), vcol=vcol, amp=rng.normal(size=3),
+                  freq=rng.uniform(1.0, 3.0, 3), phase=rng.uniform(0.0, 6.0, 3))
+    return arrays, rng.normal(size=(ns, 5))
 
 
-def run_chunks(arrays, bounds, table, stride, n_rec, h=0.05):
-    """The run of ``arrays`` in chunks between ``bounds``, each with its
-    rows of ``table`` (row 0 at step ``bounds[0]``): its final state and
-    records."""
-    th = arrays["th"].copy()
-    recs = np.zeros((len(th), n_rec, 5))
-    run = pk.Run(**{**arrays, "th": th}, h=h, stride=stride, recs=recs,
-                 scratch=pk.alloc_scratch(len(th), 5, 4, 6))
-    for start, end in zip(bounds, bounds[1:]):
-        first, last = 2 * (start - bounds[0]), 2 * (end - bounds[0])
-        rows = None if table is None else table[first:last + 1]
-        assert run.chunk(start, end - start, rows) == end // stride + 1
-    return th, recs
+def run(arrays, th0, steps, stride, h=0.05):
+    """The run of ``arrays`` from ``th0``: its records and the step the
+    kernel returned."""
+    recs = np.zeros((len(th0), steps // stride + 1, th0.shape[1]))
+    recs[:, 0] = th0
+    bad = pk.integrate(**arrays, h=h, steps=steps, stride=stride, recs=recs)
+    return recs, bad
 
 
 @pytest.mark.parametrize("ns", [1, 2, 3, 4, 5, 7, 8, 9, 10])
@@ -214,46 +179,54 @@ def test_split_batch_matches_single_sample_calls(ns, monkeypatch):
     (even on one CPU), across whole lockstep blocks and the samples left
     over."""
     rng = np.random.default_rng(ns)
-    k, start, stride = 200, 5, 3  # records at steps 6, 9, ..., 204
-    arrays, table = random_run(ns, k, rng)
-    n_rec = (start + k) // stride + 1
-    singles = [run_chunks({**arrays, "th": arrays["th"][s:s + 1]}, [start, start + k], table,
-                          stride, n_rec) for s in range(ns)]
+    steps, stride = 205, 3  # records at steps 3, 6, ..., 204
+    arrays, th0 = random_run(ns, rng)
+    singles = [run(arrays, th0[s:s + 1], steps, stride) for s in range(ns)]
     for cpus in (1, 2):
         monkeypatch.setattr(pk, "_cpus", lambda: cpus)
-        th, recs = run_chunks(arrays, [start, start + k], table, stride, n_rec)
-        for s, (th1, recs1) in enumerate(singles):
-            assert np.array_equal(th[s], th1[0])
-            assert np.array_equal(recs[s], recs1[0])
-        assert np.all(recs[:, 2:] != 0.0) and np.all(recs[:, :2] == 0.0)
+        recs, bad = run(arrays, th0, steps, stride)
+        assert bad == 0
+        for s, (recs1, bad1) in enumerate(singles):
+            assert bad1 == 0 and np.array_equal(recs[s], recs1[0])
+        assert np.all(recs[:, 1:] != 0.0)
 
 
-def test_chunked_run_equals_one_chunk():
-    """A run continued across chunks of any length, each with its rows of
-    the table, is bit for bit the run in one chunk."""
-    rng = np.random.default_rng(11)
-    k = 60
-    arrays, table = random_run(6, k, rng)
-    th, recs = run_chunks(arrays, [0, k], table, 1, k + 1)
-    for bounds in ([0, 1, k], [0, 17, 34, 51, k], [0, *range(2, k, 2), k]):
-        th1, recs1 = run_chunks(arrays, bounds, table, 1, k + 1)
-        assert np.array_equal(th1, th) and np.array_equal(recs1, recs)
-
-
-def test_table_offsets_add_to_the_base_weights():
-    """A vibrated edge reads its base weight plus the row's offset, the same
-    IEEE sum as a base weight that already holds the offset: zero offsets
-    give the unvibrated run, constant ones the run on shifted weights."""
+def test_carriers_add_to_the_base_weights():
+    """A vibrated edge reads its base weight plus its carrier, the same IEEE
+    sum as a base weight that already holds it: zero amplitudes give the
+    unvibrated run, zero frequencies the run on weights shifted by
+    sin(phase) amp."""
     rng = np.random.default_rng(12)
-    k = 40
-    arrays, _ = random_run(5, k, rng)
-    still = {**arrays, "vcol": np.zeros(0, dtype=np.intc)}
-    for offset in (np.zeros(3), np.array([0.3, -1.7, 2.5])):
+    arrays, th0 = random_run(5, rng)
+    still = {**arrays, **{key: arrays[key][:0] for key in ("vcol", "amp", "freq", "phase")}}
+    for changes in (dict(amp=np.zeros(3)), dict(freq=np.zeros(3))):
+        vibrated = {**arrays, **changes}
         shifted = arrays["base"].copy()
-        shifted[arrays["vcol"]] += offset
-        expect = run_chunks({**still, "base": shifted}, [0, k], None, 2, k // 2 + 1)
-        got = run_chunks(arrays, [0, 15, k], np.tile(offset, (2 * k + 1, 1)), 2, k // 2 + 1)
-        assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+        shifted[arrays["vcol"]] += np.sin(vibrated["phase"]) * vibrated["amp"]
+        expect = run({**still, "base": shifted}, th0, 40, 2)
+        got = run(vibrated, th0, 40, 2)
+        assert np.array_equal(got[0], expect[0]) and got[1] == expect[1] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_integrate_returns_the_first_non_finite_step(cpus, monkeypatch):
+    """Samples that overflow at different steps, one in each thread's part:
+    the kernel names the earliest.  A lockstep block stops at its first
+    non-finite step, and a sample alone in its block runs to the end."""
+    monkeypatch.setattr(pk, "_cpus", lambda: cpus)
+    big = np.finfo(float).max
+    arrays = dict(dst=np.array([1, 0], dtype=np.intc), pair=np.array([0, 0], dtype=np.intc),
+                  ends=np.array([[1, 0]], dtype=np.intc), omega=np.full(2, 1e300),
+                  base=np.ones(2), vcol=np.zeros(0, dtype=np.intc), amp=np.zeros(0),
+                  freq=np.zeros(0), phase=np.zeros(0))
+    # both nodes of a sample move by 1e300 a step: a sample starting k + 1/2
+    # steps below the largest double overflows at step k + 1
+    starts = np.array([0.0, big - 9.5e300, 0.0, 0.0, big - 4.5e300, 0.0])
+    recs, bad = run(arrays, np.repeat(starts[:, None], 2, axis=1), 20, 1, h=1.0)
+    assert bad == 5
+    assert np.all(np.isfinite(recs[5])) and recs[5, -1, 0] == pytest.approx(2e301)
+    for s in (0, 2, 3):  # finite samples, recorded at least up to the break
+        assert np.array_equal(recs[s, :5], recs[5, :5])
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
@@ -269,33 +242,6 @@ def test_cpus_follow_the_affinity_mask():
         assert pk._cpus() == len(os.sched_getaffinity(0))
     else:
         assert pk._cpus() == (os.cpu_count() or 1)
-
-
-def test_scratch_too_short_for_the_threads_is_rejected_before_the_call(monkeypatch):
-    rng = np.random.default_rng(0)
-    arrays, table = random_run(10, 2, rng)
-    recs, per_thread = np.zeros((10, 3, 5)), len(pk.alloc_scratch(1, 5, 4, 6))
-    scratch = pk.alloc_scratch(10, 5, 4, 6)
-    assert len(scratch) == 2 * per_thread == 2 * pk._slice_len(5, 4, 6)
-    # each thread's slice starts on its own 64-byte line
-    assert per_thread % 8 == 0 and scratch.ctypes.data % 64 == 0
-    assert f"#define W {pk._block_width} " in pk._SOURCE
-
-    def bind(scratch):
-        return pk.Run(**arrays, h=0.05, stride=1, recs=recs, scratch=scratch)
-
-    def no_kernel():
-        raise AssertionError("the kernel was loaded")
-
-    monkeypatch.setattr(pk, "_cpus", lambda: 2)
-    monkeypatch.setattr(pk, "load", no_kernel)
-    with pytest.raises(ValueError):  # room for one thread's slice only
-        bind(np.zeros(2 * per_thread - 1))
-    with pytest.raises(ValueError):
-        bind(np.zeros((2, per_thread)))
-    monkeypatch.undo()
-    monkeypatch.setattr(pk, "_cpus", lambda: 1)
-    assert bind(np.zeros(per_thread)).chunk(0, 2, table) == 3  # one thread needs one slice
 
 
 # ---------------------------------------------------------------------------
