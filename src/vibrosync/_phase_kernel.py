@@ -156,8 +156,8 @@ field(int width, int n, int m, int npair, const int *restrict dst,
 /* One integration run: ns samples of n nodes, m edges in npair coupled
    pairs with base weights base, and nv vibrated edges vcol; steps RK4 steps
    of size h from the initial states recs[s, 0], the state after every
-   stride-th step going to recs (ns, n_rec, n) at record index
-   step / stride. */
+   stride-th step and after the last going to recs (ns, n_rec, n) at record
+   index ceil(step / stride). */
 struct run {
     int ns, n, m, npair, nv;
     const int *dst, *pair, *ends, *vcol;
@@ -239,12 +239,14 @@ advance(int width, const struct part *p, int s0)
         for (int j = 0; j < nw; j++)
             if (!isfinite(x[j]))
                 return step;
-        if (step % r->stride == 0)
+        if (step % r->stride == 0 || step == r->steps) {
+            int64_t i = (step + r->stride - 1) / r->stride;
             for (int s = 0; s < width; s++) {
-                double *rec = r->recs + ((int64_t)(s0 + s) * r->n_rec + step / r->stride) * n;
+                double *rec = r->recs + ((int64_t)(s0 + s) * r->n_rec + i) * n;
                 for (int j = 0; j < n; j++)
                     rec[j] = x[j * width + s];
             }
+        }
     }
     return 0;
 }
@@ -931,8 +933,9 @@ def integrate(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
               phase: np.ndarray, h: float, steps: int, stride: int, recs: np.ndarray) -> int:
     """RK4 steps ``1 .. steps`` of size ``h`` of the samples whose initial
     states are ``recs[:, 0]``, in one kernel call; the state after every
-    ``stride``-th step goes into ``recs`` (ns, steps // stride + 1, n) at
-    index ``step // stride``.  Returns 0, or the first step after which some
+    ``stride``-th step and after the last goes into ``recs``
+    (ns, ceil(steps / stride) + 1, n) at index ``ceil(step / stride)``.
+    Returns 0, or the first step after which some
     sample is not finite, from which step on records may be left unwritten.
 
     Edge ``e`` ends at node ``dst[e]`` and reads the sine ``sin(x_a - x_b)``
@@ -958,7 +961,7 @@ def integrate(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
     if (dst.shape != (m,) or pair.shape != (m,) or ends.shape != (npair, 2)
             or omega.shape != (n,) or base.shape != (m,) or vcol.shape != (nv,)
             or {amp.shape, freq.shape, phase.shape} != {(nv,)}
-            or steps < 0 or stride < 1 or n_rec != steps // stride + 1
+            or steps < 0 or stride < 1 or n_rec != -(-steps // stride) + 1
             or not (_within(dst, n) and _within(pair, npair) and _within(ends, n)
                     and _within(vcol, m)) or len(set(vcol.tolist())) != nv):
         raise ValueError("inconsistent phase-kernel array shapes or indices")

@@ -202,7 +202,10 @@ def _edge_pairs(edges: Sequence[Edge]) -> Tuple[np.ndarray, np.ndarray, np.ndarr
 def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
                      schedule: Optional[VibrationSchedule], th0: np.ndarray,
                      t_end: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 for a batch of phase vectors; returns decimated records.
+    """Fixed-step RK4 for a batch of phase vectors; returns the record times
+    and the records: the initial state, every ``stride``-th state and the
+    final state at ``t_end``, with the stride chosen so that there are at
+    most ``max_recorded_samples`` of them.
 
     The whole run is one call of the compiled kernel
     (:func:`._phase_kernel.integrate`), which steps the field
@@ -217,8 +220,9 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
     h = t_end / steps if steps else 0.0
-    stride = max(1, int(np.ceil((steps + 1) / max_recorded_samples)))
-    n_rec = steps // stride + 1
+    # every stride-th state and the last: at most max_recorded_samples
+    stride = max(1, -(-steps // (max_recorded_samples - 1)))
+    n_rec = -(-steps // stride) + 1
     recs = np.empty((ns, n_rec, n))
     recs[:, 0, :] = th0
     if not np.all(np.isfinite(th0)):
@@ -235,7 +239,10 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
                                    vib[:, 1] / epsilon, vib[:, 2], h, steps, stride, recs)
     if step:
         raise NonFiniteState(f"state became non-finite near t={step * h:g}")
-    return (np.arange(n_rec) * stride) * h, recs
+    times = (np.arange(n_rec) * stride) * h
+    if steps % stride:
+        times[-1] = t_end
+    return times, recs
 
 
 def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSchedule],

@@ -440,8 +440,8 @@ def reference_integrate_batch(w, omega, sched, th0, t_end, dt):
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
     h = t_end / steps if steps else 0.0
-    stride = max(1, int(np.ceil((steps + 1) / kd.max_recorded_samples)))
-    n_rec = steps // stride + 1
+    stride = max(1, math.ceil(steps / (kd.max_recorded_samples - 1)))
+    n_rec = math.ceil(steps / stride) + 1
     times = np.empty(n_rec)
     recs = np.empty((ns, n_rec, n))
     times[0] = 0.0
@@ -472,7 +472,7 @@ def reference_integrate_batch(w, omega, sched, th0, t_end, dt):
         k4 = field(t + h, th + h * k3)
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        if step % stride == 0:
+        if step % stride == 0 or step == steps:
             if not np.all(np.isfinite(th)):
                 raise NonFiniteState(f"state became non-finite near t={t:g}")
             times[rec_i] = t
@@ -542,9 +542,29 @@ def test_integrator_decimation_matches_dense_loop(flip_kn, flip_inc, flip_design
     th0 = vs.perturbed_initial_states(flip_inc, 2, 0.2, seed=6)
     got = assert_matches_reference(flip_kn, flip_inc, schedule, th0, steps * dt, dt)
     assert calls == [steps]
-    stride = math.ceil((steps + 1) / 7)
-    assert len(got[0].times) == steps // stride + 1 <= 7
-    assert got[0].times[1:] == pytest.approx(stride * dt * np.arange(1, 7), rel=1e-12)
+    stride = math.ceil(steps / 6)  # records at steps 92, 184, ..., 460 and 549
+    assert len(got[0].times) == math.ceil(steps / stride) + 1 == 7
+    assert got[0].times[1:-1] == pytest.approx(stride * dt * np.arange(1, 6), rel=1e-12)
+    assert got[0].times[-1] == steps * dt
+
+
+def test_decimated_run_records_the_end_state(flip_kn, flip_inc, flip_design, monkeypatch):
+    """A strided vibrated run whose step count is not a multiple of the
+    stride keeps every stride-th state of the undecimated run and its final
+    state, recorded at t_end, bit for bit."""
+    schedule = phased(flip_design.schedule)
+    dt = kd._fastest_period(flip_kn, schedule) / default_oversampling
+    th0 = vs.perturbed_initial_states(flip_inc, 2, 0.2, seed=6)
+    t_end = 549 * dt
+    full = kd._run(flip_kn, flip_inc, schedule, th0, t_end, dt)
+    monkeypatch.setattr(kd, "max_recorded_samples", 7)
+    strided = kd._run(flip_kn, flip_inc, schedule, th0, t_end, dt)
+    for tr, ref in zip(strided, full):
+        assert len(tr.times) == 7 and tr.times[-1] == t_end
+        assert np.array_equal(tr.times[:-1], ref.times[::92])
+        assert np.array_equal(tr.theta[:-1], ref.theta[::92])
+        assert np.array_equal(tr.theta[-1], ref.theta[-1])
+        assert np.array_equal(tr.x[-1], ref.x[-1])
 
 
 def assert_pair_table_reproduces_edges(edges, pair, ends, sign):

@@ -118,7 +118,7 @@ def test_integrate_rejects_inconsistent_arrays():
     assert integrate() == 0
     assert integrate(vcol=np.zeros(0, dtype=np.intc), amp=np.zeros(0), freq=np.zeros(0),
                      phase=np.zeros(0)) == 0
-    assert integrate(steps=5, stride=2) == 0  # records at steps 2 and 4
+    assert integrate(steps=3, stride=2) == 0  # records at step 2 and the last, 3
     for bad in (dict(dst=np.array([1, 2], dtype=np.intc)),
                 dict(ends=np.array([[1, 2]], dtype=np.intc)),  # a pair end outside the network
                 dict(pair=np.array([0, 1], dtype=np.intc)),  # a pair index past the pair table
@@ -167,7 +167,7 @@ def random_run(ns, rng):
 def run(arrays, th0, steps, stride, h=0.05):
     """The run of ``arrays`` from ``th0``: its records and the step the
     kernel returned."""
-    recs = np.zeros((len(th0), steps // stride + 1, th0.shape[1]))
+    recs = np.zeros((len(th0), -(-steps // stride) + 1, th0.shape[1]))
     recs[:, 0] = th0
     bad = pk.integrate(**arrays, h=h, steps=steps, stride=stride, recs=recs)
     return recs, bad
@@ -179,7 +179,7 @@ def test_split_batch_matches_single_sample_calls(ns, monkeypatch):
     (even on one CPU), across whole lockstep blocks and the samples left
     over."""
     rng = np.random.default_rng(ns)
-    steps, stride = 205, 3  # records at steps 3, 6, ..., 204
+    steps, stride = 205, 3  # records at steps 3, 6, ..., 204 and 205
     arrays, th0 = random_run(ns, rng)
     singles = [run(arrays, th0[s:s + 1], steps, stride) for s in range(ns)]
     for cpus in (1, 2):
