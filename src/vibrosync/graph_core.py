@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 weight_tolerance = 1e-12
-identity_tolerance = 1e-9
 invariance_tolerance = 1e-9
 
 Edge = Tuple[int, int]
@@ -412,17 +411,14 @@ def build_incidence(net: DirectedNetwork, partition: ClusterPartition,
     W_diag = np.array([net.weight(*e) for e in edges])
     n_intra = len(tree_intra)
 
-    # exact transfer matrix: the unique R with B.T = R Bhat.T
+    # exact transfer matrix: the unique R with B.T = R Bhat.T, whose entries
+    # are the -1, 0, 1 of the tree paths; rounding removes the solve's
+    # round-off (+ 0.0 its negative zeros), and both identities hold exactly
     gram = Bhat.T @ Bhat
-    R = np.linalg.solve(gram, Bhat.T @ B).T
-    residual = np.abs(R @ Bhat.T - B.T).max()
-    if residual > identity_tolerance:
-        raise NotSpanningTree(
-            f"edge differences are not expressible through the tree (residual {residual:.2e})"
-        )
-
-    leak = R[:m_intra, n_intra:]
-    if leak.size and np.abs(leak).max() > identity_tolerance:
+    R = np.rint(np.linalg.solve(gram, Bhat.T @ B).T) + 0.0
+    if not np.array_equal(R @ Bhat.T, B.T):
+        raise NotSpanningTree("edge differences are not expressible through the tree")
+    if R[:m_intra, n_intra:].any():
         raise NotSpanningTree("intra-cluster differences leaked into inter coordinates")
 
     return IncidenceSet(

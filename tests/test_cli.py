@@ -228,9 +228,10 @@ def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, capsys):
-    # the flagship's designed schedule at amplitude 1e3 and phase 1: the
-    # averaging stepper meets a singular Psi
+def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, monkeypatch, capsys):
+    # the flagship's designed schedule at amplitude 1e3 and phase 1 on every
+    # entry: the diagonal terms no longer cancel, Psi overflows, and the
+    # NaN averages fail the horizon-doubling check
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
     for key in ("modifications", "references"):
@@ -242,7 +243,17 @@ def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, capsys):
     code = cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.splitlines() == ["verification failed: Singular matrix"]
+    assert err.splitlines() == [
+        "verification failed: average moved by nan (rel) when doubling the horizon 1005.31"]
+
+    # a singular Psi in the averaging stepper exits 4 the same way
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(kuramoto_dynamics, "conjugated_average", singular)
+    code = cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == ["verification failed: Singular matrix"]
 
 
 def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
