@@ -150,13 +150,16 @@ class Scenario:
 def load_scenario(source: str) -> Scenario:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(source)
-    if path.exists():
-        text = path.read_text()
-    else:
-        bundle = resources.files("vibrosync") / "scenarios" / f"{source}.json"
-        if not bundle.is_file():
-            raise ScenarioError(f"scenario {source!r} is neither a file nor a bundled name")
-        text = bundle.read_text()
+    try:
+        if path.exists():
+            text = path.read_text(encoding="utf-8")
+        else:
+            bundle = resources.files("vibrosync") / "scenarios" / f"{source}.json"
+            if not bundle.is_file():
+                raise ScenarioError(f"scenario {source!r} is neither a file nor a bundled name")
+            text = bundle.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {source!r}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

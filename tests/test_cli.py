@@ -308,6 +308,18 @@ def test_malformed_json(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_scenario_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(TINY).encode().replace(b"tiny", b"t\xefny"))
+    assert cli.main(["analyze", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read scenario" in err and "Traceback" not in err
+
+
 def test_duplicate_edge_rejected(tmp_path):
     data = dict(TINY, edges=TINY["edges"] + [[0, 1, 2.0]])
     path = write_scenario(tmp_path, data)
