@@ -264,7 +264,7 @@ static void *run_part(void *arg)
     return NULL;
 }
 
-/* Every RK4 step of the run of struct run.  The samples are split into
+/* Every RK4 step of one integration run (struct run).  The samples are split into
    nthreads contiguous parts, each with its own slice of scratch from one
    64-byte-aligned allocation; the calling thread runs the first part and
    one POSIX thread each of the others, and a part whose thread does not
