@@ -153,13 +153,13 @@ field(int width, int n, int m, int npair, const int *restrict dst,
     }
 }
 
-/* One integration run: ns samples of n nodes, m edges in npair coupled
-   pairs with base weights base, and nv vibrated edges vcol; steps RK4 steps
-   of size h from the initial states recs[s, 0], the state after every
+/* One integration run: n nodes, m edges in npair coupled pairs with base
+   weights base, and nv vibrated edges vcol; steps RK4 steps of size h from
+   the initial states recs[s, 0] of each sample s, the state after every
    stride-th step and after the last going to recs (ns, n_rec, n) at record
    index ceil(step / stride). */
 struct run {
-    int ns, n, m, npair, nv;
+    int n, m, npair, nv;
     const int *dst, *pair, *ends, *vcol;
     const double *omega, *base, *amp, *freq, *phase;
     double h;
@@ -264,12 +264,12 @@ static void *run_part(void *arg)
     return NULL;
 }
 
-/* Every RK4 step of one integration run (struct run).  The samples are split into
-   nthreads contiguous parts, each with its own slice of scratch from one
-   64-byte-aligned allocation; the calling thread runs the first part and
-   one POSIX thread each of the others, and a part whose thread does not
-   start runs on the calling thread after its own.  Returns 0, the first
-   step after which some sample is not finite, or -1 when the scratch
+/* Every RK4 step of one integration run (struct run).  The samples are
+   split into nthreads contiguous parts, each with its own slice of scratch
+   from one 64-byte-aligned allocation; the calling thread runs the first
+   part and one POSIX thread each of the others, and a part whose thread
+   does not start runs on the calling thread after its own.  Returns 0, the
+   first step after which some sample is not finite, or -1 when the scratch
    cannot be allocated. */
 int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const int *pair,
                   const int *ends, const double *omega, const double *base, const int *vcol,
@@ -278,8 +278,8 @@ int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const
 {
     if (nthreads < 1)  /* no samples */
         return 0;
-    struct run r = {ns, n, m, npair, nv, dst, pair, ends, vcol, omega, base, amp, freq,
-                    phase, h, steps, stride, n_rec, recs};
+    struct run r = {n, m, npair, nv, dst, pair, ends, vcol, omega, base, amp, freq, phase,
+                    h, steps, stride, n_rec, recs};
     int64_t len = slice_len(&r);
     void *scratch;
     if (posix_memalign(&scratch, 64, (size_t)(nthreads * len) * sizeof(double)))
@@ -935,8 +935,8 @@ def integrate(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
     states are ``recs[:, 0]``, in one kernel call; the state after every
     ``stride``-th step and after the last goes into ``recs``
     (ns, ceil(steps / stride) + 1, n) at index ``ceil(step / stride)``.
-    Returns 0, or the first step after which some
-    sample is not finite, from which step on records may be left unwritten.
+    Returns 0, or the first step after which some sample is not finite;
+    records from that step on may be left unwritten.
 
     Edge ``e`` ends at node ``dst[e]`` and reads the sine ``sin(x_a - x_b)``
     of its pair ``pair[e]``, whose ends ``(a, b)`` are a row of ``ends``
