@@ -50,8 +50,7 @@ def comparison(blocks: Sequence[np.ndarray], gamma_bar: np.ndarray
     """Robustness margins, comparison matrix and its M-matrix verdict; a
     block that is not Hurwitz has no margin (None), hence no matrix."""
     # robustness raises NotHurwitz exactly when is_hurwitz is false
-    r_values = tuple(float(robustness(b).value) if is_hurwitz(b) else None
-                     for b in blocks)
+    r_values = tuple(robustness(b) if is_hurwitz(b) else None for b in blocks)
     if any(v is None for v in r_values):
         return r_values, None, False
     s_matrix = build_S(r_values, gamma_bar)

@@ -3,13 +3,12 @@
 Two layers: a generic designer for linear systems whose state matrix has a
 directed-acyclic modification pattern, and the oscillator-network layer that
 maps designed reduced-coordinate vibrations onto actual network edges
-through exact cancellation pairs.
+through exact edge recipes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -26,7 +25,6 @@ from .linalg import SinusoidSum, conjugated_average
 pattern_tolerance = 1e-12
 relative_residual_tolerance = 1e-2
 residual_floor = 0.01
-combo_residual_tolerance = 1e-10
 feasibility_tolerance = 1e-12
 
 
@@ -281,106 +279,73 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
 class InfluenceMap:
     """How intra-cluster edge vibrations act on one cluster's coordinates.
 
-    ``matrices[e]`` is the reduced influence of a unit vibration on edge
-    ``e``; ``combos[(p, q)]`` lists exact cancellation recipes — tuples of
-    (edge, coefficient) whose weighted influence sum equals the elementary
-    matrix at slot (p, q).  ``realizable`` is the signed graph of slots
+    ``combos[(p, q)]`` lists the slot's cancellation recipes: tuples of
+    (edge, coefficient) whose weighted reduced influences
+    (``edge_influence``) sum exactly to the elementary matrix at slot
+    (p, q).  A recipe is one edge, or one edge plus the partner that
+    cancels its diagonal entry; unpaired recipes come first, then paired
+    ones, each in edge order.  ``realizable`` is the signed graph of slots
     that both have a recipe and a nonzero carrier in the reduced Jacobian.
     """
 
-    edges: Tuple[Edge, ...]
-    matrices: Dict[Edge, np.ndarray] = field(compare=False)
     combos: Dict[Tuple[int, int], Tuple[Tuple[Tuple[Edge, float], ...], ...]] = field(
-        compare=False, default=None)
-    realizable: SignedGraph = None
+        compare=False)
+    realizable: SignedGraph
 
 
-def _match_elementary(mats: Sequence[np.ndarray], coeff_target: np.ndarray):
-    """Solve sum_i c_i mats_i = coeff_target exactly (least squares + check)."""
-    stack = np.stack([m.reshape(-1) for m in mats], axis=1)
-    sol, *_ = np.linalg.lstsq(stack, coeff_target.reshape(-1), rcond=None)
-    residual = np.abs(stack @ sol - coeff_target.reshape(-1)).max()
-    return (sol, residual)
+def _cluster_recipes(mats: Dict[Edge, np.ndarray]
+                     ) -> Dict[Tuple[int, int], Tuple[Tuple[Tuple[Edge, float], ...], ...]]:
+    """Cancellation recipes of one cluster's slots from its edges' reduced
+    influences, given in edge order (see ``InfluenceMap``).
 
-
-def _slot_combos(edges: Sequence[Edge], mats: Dict[Edge, np.ndarray],
-                 p: int, q: int):
-    """Enumerate cancellation recipes for slot (p, q), preferred first.
-
-    Preference order: fewest edges, diagonal-only partners before others,
-    smaller total coefficient magnitude.
+    Each influence is an integer rank-one matrix.  One whose only
+    off-diagonal entry is (p, q) has its support in rows and columns
+    {p, q}, so besides (p, q) it has at most one diagonal entry (d, d).
+    Without one it realizes slot (p, q) alone with coefficient 1 / m[p, q];
+    with one it is paired with the first edge whose only entry is (d, d).
+    The entries are -1, 0 or 1, so every coefficient is exactly +-1.
     """
-    d = next(iter(mats.values())).shape[0]
-    target = np.zeros((d, d))
-    target[p, q] = 1.0
-
-    def offdiag_support(m: np.ndarray):
-        fills = np.argwhere(np.abs(m) > pattern_tolerance)
-        return {(int(i), int(j)) for i, j in fills if i != j}
-
-    primaries = [e for e in edges if abs(mats[e][p, q]) > pattern_tolerance]
-    primaries.sort(key=lambda e: (len(offdiag_support(mats[e])), -abs(mats[e][p, q]), e))
-    diag_only = [e for e in edges if not offdiag_support(mats[e])
-                 and np.abs(mats[e]).max() > pattern_tolerance]
-
-    found = []
-    for e in primaries:
-        # alone
-        sol, res = _match_elementary([mats[e]], target)
-        if res <= combo_residual_tolerance:
-            found.append(((0, abs(float(sol[0]))), ((e, float(sol[0])),)))
-            continue
-        # with diagonal-only partners
-        for n_partners in (1, 2):
-            done = False
-            for partners in itertools.combinations([f for f in diag_only if f != e],
-                                                   n_partners):
-                group = [e, *partners]
-                sol, res = _match_elementary([mats[f] for f in group], target)
-                if res <= combo_residual_tolerance:
-                    cost = float(np.abs(sol).sum())
-                    found.append(((n_partners, cost),
-                                  tuple((f, float(c)) for f, c in zip(group, sol))))
-                    done = True
-                    break
-            if done:
-                break
-    found.sort(key=lambda item: item[0])
-    return tuple(recipe for _, recipe in found)
+    diagonal: Dict[int, Edge] = {}  # d -> first edge whose only entry is (d, d)
+    primaries = []
+    for e, m in mats.items():
+        support = [(int(i), int(j)) for i, j in np.argwhere(m)]
+        off = [(i, j) for i, j in support if i != j]
+        if not off and support:
+            diagonal.setdefault(support[0][0], e)
+        elif len(off) == 1:
+            primaries.append((e, off[0], [i for i, j in support if i == j]))
+    alone: Dict[Tuple[int, int], list] = {}
+    paired: Dict[Tuple[int, int], list] = {}
+    for e, (p, q), diag in primaries:
+        c = float(1.0 / mats[e][p, q])
+        if not diag:
+            alone.setdefault((p, q), []).append(((e, c),))
+        elif diag[0] in diagonal:
+            d = diag[0]
+            f = diagonal[d]
+            paired.setdefault((p, q), []).append(
+                ((e, c), (f, float(-c * mats[e][d, d] / mats[f][d, d]))))
+    return {slot: tuple(alone.get(slot, []) + paired.get(slot, []))
+            for slot in sorted(alone.keys() | paired.keys())}
 
 
 def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
-    """Influence maps and realizable modification graphs, cluster by cluster.
+    """Cancellation recipes and realizable modification graphs, cluster by
+    cluster, in one pass over each cluster's edge influences.
 
     Raises NoRealizableEdges when no cluster offers any realizable slot.
     """
     inc = lin.inc
     label = inc.partition.node_to_cluster()
     maps: List[InfluenceMap] = []
-    any_realizable = False
-    for k, sl in enumerate(inc.coord_slices):
-        edges_k = tuple(e for e in inc.edges[: inc.m_intra]
-                        if label[e[0]] == k)
-        mats = {e: edge_influence(inc, e)[sl, sl].copy() for e in edges_k}
-        d = sl.stop - sl.start
-        combos: Dict[Tuple[int, int], tuple] = {}
-        jk = lin.J_blocks[k]
-        signs: Dict[Edge, int] = {}
-        for p in range(d):
-            for q in range(d):
-                if p == q:
-                    continue
-                recipes = _slot_combos(edges_k, mats, p, q)
-                if recipes:
-                    combos[(p, q)] = recipes
-                    if abs(jk[q, p]) > pattern_tolerance:
-                        signs[(p, q)] = -int(np.sign(jk[q, p]))
-        realizable = SignedGraph(n=d, signs=signs)
-        if signs:
-            any_realizable = True
-        maps.append(InfluenceMap(edges=edges_k, matrices=mats,
-                                 combos=combos, realizable=realizable))
-    if not any_realizable:
+    for k, (sl, jk) in enumerate(zip(inc.coord_slices, lin.J_blocks)):
+        combos = _cluster_recipes({e: edge_influence(inc, e)[sl, sl]
+                                   for e in inc.edges[: inc.m_intra] if label[e[0]] == k})
+        signs = {(p, q): -int(np.sign(jk[q, p])) for p, q in combos
+                 if abs(jk[q, p]) > pattern_tolerance}
+        maps.append(InfluenceMap(combos=combos,
+                                 realizable=SignedGraph(n=sl.stop - sl.start, signs=signs)))
+    if not any(m.realizable.signs for m in maps):
         raise NoRealizableEdges("no cluster has a realizable modification slot")
     return tuple(maps)
 
@@ -406,10 +371,10 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                    epsilon: float = 0.01) -> ClusterDesign:
     """Design edge vibrations shifting each cluster's reduced Jacobian.
 
-    Reduced-coordinate slots are realized by exact cancellation pairs of
-    network edges sharing one carrier wave; frequencies are drawn from a
-    single pool so the merged schedule stays incommensurable across
-    clusters.  The closing verification averages the realized schedule
+    Reduced-coordinate slots are realized by exact edge recipes (one edge,
+    or an edge plus its diagonal partner) sharing one carrier wave;
+    frequencies are drawn from a single pool so the merged schedule stays
+    incommensurable across clusters.  The closing verification averages the realized schedule
     once, so it also checks that the edge recipes realize the designed
     slots; a cluster whose average misses its target by more than its
     spec's tolerance is still emitted, flagged through ``residuals`` and

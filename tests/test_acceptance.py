@@ -26,9 +26,9 @@ DELTA1 = np.array([[0.0, 0.05, 0.0],
 def test_criterion_1_robustness_margins(flip_kn, flip_inc):
     t0 = time.perf_counter()
     lin = vs.linearize(flip_kn, flip_inc)
-    r1 = vs.robustness(lin.J_blocks[0]).value
-    r2 = vs.robustness(lin.J_blocks[1]).value
-    r1_shifted = vs.robustness(lin.J_blocks[0] + DELTA1).value
+    r1 = vs.robustness(lin.J_blocks[0])
+    r2 = vs.robustness(lin.J_blocks[1])
+    r1_shifted = vs.robustness(lin.J_blocks[0] + DELTA1)
     elapsed = time.perf_counter() - t0
     assert abs(r1 - 0.30588) <= 0.005
     assert abs(r2 - 3.61584) <= 0.01

@@ -228,23 +228,28 @@ def test_design_with_unsettled_average_exits_4(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, monkeypatch, capsys):
-    # the flagship's designed schedule at amplitude 1e3 and phase 1 on every
-    # entry: the diagonal terms no longer cancel, Psi overflows, and the
-    # NaN averages fail the horizon-doubling check
+def vibrated_flagship(directory, schedule, amplitude):
+    """The flagship scenario without modifications or references, vibrated
+    on ``schedule``'s edges and frequencies at ``amplitude`` and phase 1."""
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
     for key in ("modifications", "references"):
         del data[key]
-    data["schedule"] = {"epsilon": flip_design.schedule.epsilon, "entries": [
-        {"edge": list(e), "amplitude": 1e3, "frequency": entry.frequency, "phase": 1.0}
-        for e, entry in flip_design.schedule.sorted_items()]}
-    path = write_scenario(tmp_path, data)
+    data["schedule"] = {"epsilon": schedule.epsilon, "entries": [
+        {"edge": list(e), "amplitude": amplitude, "frequency": entry.frequency, "phase": 1.0}
+        for e, entry in schedule.sorted_items()]}
+    return write_scenario(directory, data)
+
+
+def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, monkeypatch, capsys):
+    # the flagship's designed schedule at amplitude 1e3 and phase 1 on every
+    # entry: the diagonal terms no longer cancel, Psi overflows, and the
+    # first averaging pass reports it
+    path = vibrated_flagship(tmp_path, flip_design.schedule, 1e3)
     code = cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.splitlines() == [
-        "verification failed: average moved by nan (rel) when doubling the horizon 1005.31"]
+    assert err.splitlines() == ["verification failed: the flow overflowed on [0, 251.327]"]
 
     # a singular Psi in the averaging stepper exits 4 the same way
     def singular(*args, **kwargs):
@@ -254,6 +259,17 @@ def test_analyze_of_an_overflowing_flow_exits_4(tmp_path, flip_design, monkeypat
     code = cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")])
     assert code == 4
     assert capsys.readouterr().err.splitlines() == ["verification failed: Singular matrix"]
+
+
+def test_analyze_with_an_inaccurate_lyapunov_solve_exits_4(tmp_path, flip_design, capsys):
+    # at amplitude 3 the averaged first block is so ill-conditioned that its
+    # Lyapunov solve misses the equation: a numerical failure, not a crash
+    path = vibrated_flagship(tmp_path, flip_design.schedule, 3.0)
+    code = cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1
+    assert err.startswith("verification failed: Lyapunov solve left residual ")
 
 
 def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):

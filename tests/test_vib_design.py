@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vibrosync as vs
+from conftest import random_clustered_network
 from vibrosync import vib_design
 
 SQ2 = math.sqrt(2.0)
@@ -188,25 +190,95 @@ def test_kuramoto_modifiable_flagship(flip_lin):
     def recipe_dict(recipe):
         return {e: c for e, c in recipe}
 
-    r01 = recipe_dict(m0.combos[(0, 1)][0])
-    assert set(r01) == {(1, 0), (2, 0)}
-    assert r01[(1, 0)] == pytest.approx(1.0, abs=1e-9)
-    assert r01[(2, 0)] == pytest.approx(-1.0, abs=1e-9)
-    r20 = recipe_dict(m0.combos[(2, 0)][0])
-    assert set(r20) == {(0, 3), (2, 3)}
-    assert r20[(0, 3)] == pytest.approx(1.0, abs=1e-9)
-    assert r20[(2, 3)] == pytest.approx(-1.0, abs=1e-9)
+    assert recipe_dict(m0.combos[(0, 1)][0]) == {(1, 0): 1.0, (2, 0): -1.0}
+    assert recipe_dict(m0.combos[(2, 0)][0]) == {(0, 3): 1.0, (2, 3): -1.0}
 
     # the complete second cluster realizes more slots
     m1 = maps[1]
     assert set(m1.realizable.signs) >= {(0, 1), (2, 0)}
     # every recipe reproduces its elementary matrix exactly
+    sl = flip_lin.inc.coord_slices[1]
     for (p, q), recipes in m1.combos.items():
-        for recipe in recipes[:1]:
-            acc = sum(c * m1.matrices[e] for e, c in recipe)
+        for recipe in recipes:
+            acc = sum(c * vs.edge_influence(flip_lin.inc, e)[sl, sl] for e, c in recipe)
             target = np.zeros_like(acc)
             target[p, q] = 1.0
-            assert np.abs(acc - target).max() < 1e-9
+            assert np.array_equal(acc, target)
+
+
+def cluster_influences(inc):
+    """Per cluster, its intra edges in edge order mapped to their reduced
+    influences on the cluster's coordinates."""
+    label = inc.partition.node_to_cluster()
+    return [{e: vs.edge_influence(inc, e)[sl, sl] for e in inc.edges[: inc.m_intra]
+             if label[e[0]] == k} for k, sl in enumerate(inc.coord_slices)]
+
+
+def lstsq_recipes(mats, p, q):
+    """Brute-force oracle for slot (p, q): each edge whose influence alone,
+    or with the first diagonal-only partner that works, matches the
+    elementary matrix by least squares, as {edges: coefficients}."""
+    target = np.zeros_like(next(iter(mats.values())))
+    target[p, q] = 1.0
+    diag_only = [f for f, m in mats.items() if m.any() and not (m - np.diag(np.diag(m))).any()]
+    found = {}
+    for e in mats:
+        for group in [(e,)] + [(e, f) for f in diag_only if f != e]:
+            stack = np.stack([mats[f].ravel() for f in group], axis=1)
+            sol = np.linalg.lstsq(stack, target.ravel(), rcond=None)[0]
+            if np.abs(stack @ sol - target.ravel()).max() <= 1e-10:
+                found[group] = sol
+                break
+    return found
+
+
+def check_exact_recipes(inc):
+    """Every recipe of every cluster of ``inc`` sums exactly to its
+    elementary matrix with coefficients +-1, and each slot's recipes are
+    the oracle's; returns the number of slots checked."""
+    slots = 0
+    for mats in cluster_influences(inc):
+        combos = vib_design._cluster_recipes(mats)
+        d = next(iter(mats.values())).shape[0] if mats else 0
+        assert set(combos) <= {(p, q) for p in range(d) for q in range(d) if p != q}
+        for p in range(d):
+            for q in range(d):
+                if p == q:
+                    continue
+                slots += 1
+                oracle = lstsq_recipes(mats, p, q)
+                recipes = combos.get((p, q), ())
+                assert {tuple(e for e, _ in r) for r in recipes} == set(oracle)
+                for recipe in recipes:
+                    coeffs = np.array([c for _, c in recipe])
+                    assert np.isin(coeffs, (-1.0, 1.0)).all()
+                    assert np.allclose(coeffs, oracle[tuple(e for e, _ in recipe)],
+                                       rtol=0.0, atol=1e-9)
+                    target = np.zeros((d, d))
+                    target[p, q] = 1.0
+                    assert np.array_equal(sum(c * mats[e] for e, c in recipe), target)
+    return slots
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_recipes_are_exact_and_match_the_lstsq_oracle(seed):
+    net, part = random_clustered_network(np.random.default_rng(seed))
+    for strategy in ("min_depth", "first_found"):
+        check_exact_recipes(
+            vs.build_incidence(net, part, vs.select_spanning_tree(net, part, strategy)))
+
+
+def test_flagship_recipes_realize_the_designed_vibration(flip_inc, flip_design):
+    # coefficients of exactly +-1: each partner's amplitude is the exact
+    # negation of its primary's, the diagonal terms cancel to zero, and the
+    # realized P(t) of the first cluster is the designed slot P(t)
+    entries = flip_design.schedule.entries
+    assert entries[(2, 0)].amplitude == -entries[(1, 0)].amplitude
+    assert entries[(2, 3)].amplitude == -entries[(0, 3)].amplitude
+    ts = np.linspace(0.0, 100.0, 4001)
+    realized = vs.cluster_vibration_matrices(flip_inc, flip_design.schedule)[0]
+    assert np.array_equal(realized(ts), flip_design.designs[0].vibration_matrix()(ts))
 
 
 def test_no_realizable_edges():
@@ -258,8 +330,7 @@ def test_design_cluster_flagship_schedule(flip_design, flip_lin):
     assert not (s_is_m and flip_design.all_verified)
     assert gamma_bar.shape == (2, 2)
     assert s_matrix.shape == (2, 2)
-    assert target_robustness == tuple(
-        vs.robustness(t).value for t in flip_design.targets)
+    assert target_robustness == tuple(vs.robustness(t) for t in flip_design.targets)
     assert np.allclose(np.diag(s_matrix),
                        np.array(target_robustness) - np.diag(gamma_bar))
 
@@ -273,14 +344,12 @@ def test_design_cluster_slot_matrices_merge(flip_kn, flip_inc, flip_design):
         m = vs.edge_influence(flip_inc, e)[sl, sl]
         key = round(entry.frequency, 12)
         by_freq[key] = by_freq.get(key, 0.0) + entry.amplitude * m
-    drive_1 = by_freq[round(1.0, 12)]
-    drive_sq2 = by_freq[round(SQ2, 12)]
-    e01 = np.zeros((3, 3))
-    e01[0, 1] = SQ2
-    e20 = np.zeros((3, 3))
-    e20[2, 0] = SQ2
-    assert np.abs(drive_1 - e01).max() < 1e-9
-    assert np.abs(drive_sq2 - e20).max() < 1e-9
+    slots = {(s.row, s.col): s for s in flip_design.designs[0].slots}
+    assert set(slots) == {(0, 1), (2, 0)}
+    for (row, col), slot in slots.items():
+        drive = np.zeros((3, 3))
+        drive[row, col] = slot.amplitude
+        assert np.array_equal(by_freq[round(slot.frequency, 12)], drive)
 
 
 def test_design_cluster_verifies_the_realized_schedule(flip_kn, flip_inc, monkeypatch):
@@ -295,13 +364,14 @@ def test_design_cluster_verifies_the_realized_schedule(flip_kn, flip_inc, monkey
     assert good.all_verified
     assert good.residuals[0] <= specs[0].tolerance
 
-    slot_combos = vib_design._slot_combos
+    cluster_recipes = vib_design._cluster_recipes
 
-    def corrupted(*args):
-        return tuple(recipe[:-1] + ((recipe[-1][0], 1.1 * recipe[-1][1]),)
-                     for recipe in slot_combos(*args))
+    def corrupted(mats):
+        return {slot: tuple(recipe[:-1] + ((recipe[-1][0], 1.1 * recipe[-1][1]),)
+                            for recipe in recipes)
+                for slot, recipes in cluster_recipes(mats).items()}
 
-    monkeypatch.setattr(vib_design, "_slot_combos", corrupted)
+    monkeypatch.setattr(vib_design, "_cluster_recipes", corrupted)
     bad = vs.design_cluster(flip_kn, flip_inc, specs)
     assert bad.designs[0].slots == good.designs[0].slots
     assert bad.schedule.entries != good.schedule.entries
