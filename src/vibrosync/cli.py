@@ -6,8 +6,9 @@ byte-identical across reruns with the same inputs.
 
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
 numbers, integers too large for a float, a non-positive epsilon, a negative
-seed, and cluster-synchronized states that are not invariant where a
-command needs them), 3 design not realizable (including a cyclic change
+seed, a simulation dt too coarse for the fastest period, and
+cluster-synchronized states that are not invariant where a command needs
+them), 3 design not realizable (including a cyclic change
 pattern), 4 a verification or reproduction check failed (artifacts are
 still written), or an average did not settle within the longest averaging
 horizon (the command stops there).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -37,7 +39,7 @@ from .kuramoto_dynamics import (InvarianceViolated, KuramotoNetwork, Trajectory,
                                 averaged_jacobians, linearize,
                                 perturbation_bounds, perturbed_initial_states,
                                 simulate, sync_error)
-from .linalg import HorizonTooShort
+from .linalg import HorizonTooShort, StepTooCoarse
 from .stability_cert import StabilityReport, certify, comparison
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
                          design_cluster)
@@ -622,7 +624,10 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
     return 0 if all(r.ok for r in rows) else 4
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="vibrosync",
         description="Cluster-synchronization analysis and vibration design "
@@ -658,7 +663,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_re.add_argument("--epsilon", type=float, default=None)
     p_re.add_argument("--seed", type=int, default=None)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "epsilon", None) is not None:
             _require_epsilon(args.epsilon, "--epsilon")
@@ -675,7 +684,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(scenario, args.out, args.epsilon, args.seed)
         raise AssertionError(args.command)
-    except ScenarioError as exc:
+    except (ScenarioError, StepTooCoarse) as exc:
+        # the step floor follows the schedule's epsilon, which --epsilon can change
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (NotRealizable, CycleDetected) as exc:

@@ -13,8 +13,13 @@ from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, check_invariance, Edge)
 from .linalg import (SinusoidSum, _linear_flow, _resolve_step, conjugated_average,
-                     horizon_periods)
+                     default_oversampling, horizon_periods)
 
+# RK4 steps per fastest period of the phase network: the coarsest count whose
+# classifier slopes, final ratios and end-of-run sync errors on the flagship's
+# sweep ensembles stay within 1e-3 relative of a run at four times the steps
+# (16 misses it); the linear flows keep linalg.default_oversampling
+phase_oversampling = 24
 max_recorded_samples = 100_000
 rational_ratio_tolerance = 1e-9
 max_rational_denominator = 32
@@ -254,7 +259,7 @@ def _run(kn: KuramotoNetwork, inc: IncidenceSet, schedule: Optional[VibrationSch
         raise GraphError("incidence set was built for a different network")
     if schedule is not None:
         schedule.check_edges(kn.net, kn.partition)
-    dt = _resolve_step(t_end, dt, _fastest_period(kn, schedule))
+    dt = _resolve_step(t_end, dt, _fastest_period(kn, schedule), phase_oversampling)
     times, recs = _integrate_batch(inc, kn.omega, schedule, th0, t_end, dt)
     used_dt = dt if t_end > 0 else 0.0
     return [Trajectory(times=times, theta=theta, x=theta @ inc.Bhat_intra, dt=used_dt)
@@ -266,10 +271,10 @@ def simulate(kn: KuramotoNetwork, schedule: Optional[VibrationSchedule],
              dt: Optional[float] = None) -> Trajectory:
     """Integrate the (optionally vibrated) network from ``theta0``.
 
-    The default step keeps at least 48 steps per fastest period present
-    (natural drift, coupling, or vibration carrier); an explicit ``dt``
-    coarser than 1/40 of that period raises StepTooCoarse, a non-positive
-    ``dt`` or a negative ``t_end`` ValueError.
+    The default step takes ``phase_oversampling`` (24) steps per fastest
+    period present (natural drift, coupling, or vibration carrier); an
+    explicit ``dt`` coarser than 1/20 of that period raises StepTooCoarse, a
+    non-positive ``dt`` or a negative ``t_end`` ValueError.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (kn.net.n,):
@@ -385,7 +390,7 @@ def _conjugation_growth(p: SinusoidSum) -> Tuple[float, float]:
     stack (``_phase_kernel.singular_extremes``); a Psi that is not all
     finite raises ``numpy.linalg.LinAlgError``."""
     t_max = horizon_periods * 2.0 * np.pi / p.freqs.min()
-    dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max())
+    dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max(), default_oversampling)
     steps = max(1, int(np.ceil(t_max / dt - 1e-12)))
     ext = np.ones(2)
     for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(p.mats.shape[1])):

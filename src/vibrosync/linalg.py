@@ -11,8 +11,14 @@ from . import _phase_kernel
 
 hurwitz_margin = 1e-12
 lyapunov_residual_tolerance = 1e-9
-steps_per_period = 40
+# RK4 steps per fastest period of the linear flows (state_transition, the
+# averaging and the sampled conjugation growth): at 24 the averaged
+# Jacobians miss the exact engine.  The phase network takes its own count,
+# kuramoto_dynamics.phase_oversampling.
 default_oversampling = 48
+# fewest steps per period an explicit dt may give a flow at
+# default_oversampling; every flow's floor keeps this ratio to its own count
+steps_per_period = 40
 horizon_periods = 20
 horizon_doublings = 3
 horizon_rel_tolerance = 1e-3
@@ -186,7 +192,13 @@ def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
         yield stack[:k]
 
 
-def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float]) -> float:
+def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float],
+                  oversampling: int) -> float:
+    """The RK4 step of a flow over ``t_span`` whose fastest period is
+    ``min_period``: ``dt`` if given, else ``oversampling`` steps per period.
+    An explicit ``dt`` that gives fewer than ``oversampling * steps_per_period
+    / default_oversampling`` steps per period (40 for the linear flows, 20
+    for the phase network) raises StepTooCoarse."""
     for name, value in (("t_span", t_span), ("dt", dt), ("min_period", min_period)):
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -195,10 +207,11 @@ def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float
     if dt is None:
         if min_period is None:
             raise ValueError("need dt or min_period to choose a step size")
-        dt = min_period / default_oversampling
-    if min_period is not None and dt > min_period / steps_per_period * (1 + 1e-12):
+        dt = min_period / oversampling
+    floor = oversampling * steps_per_period / default_oversampling
+    if min_period is not None and dt > min_period / floor * (1 + 1e-12):
         raise StepTooCoarse(
-            f"dt={dt:g} gives fewer than {steps_per_period} steps per period {min_period:g}"
+            f"dt={dt:g} gives fewer than {floor:g} steps per period {min_period:g}"
         )
     if dt <= 0 or t_span < 0:
         raise ValueError("need positive dt and nonnegative span")
@@ -209,7 +222,7 @@ def state_transition(p: Callable[[float], np.ndarray], t0: float, t1: float,
                      dt: Optional[float] = None,
                      min_period: Optional[float] = None) -> np.ndarray:
     """Transition matrix of dv/dt = P(t) v from t0 to t1 (fixed-step RK4)."""
-    dt = _resolve_step(t1 - t0, dt, min_period)
+    dt = _resolve_step(t1 - t0, dt, min_period, default_oversampling)
     n = np.asarray(p(t0)).shape[0]
     phi = np.eye(n)
     if t1 == t0:
@@ -280,7 +293,7 @@ def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
     normalized here; the compiled stepper solves Psi^-1 J Psi after each
     step and adds the weighted sums of Psi and of Psi^-1 J Psi for both
     windows, and only the closing conjugation by the mean Psi uses numpy."""
-    dt = _resolve_step(T, dt, min_period)
+    dt = _resolve_step(T, dt, min_period, default_oversampling)
 
     n = j.shape[0]
     steps = max(1, int(np.ceil(T / dt - 1e-12)))

@@ -423,6 +423,36 @@ def test_nonpositive_epsilon_override_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dt, args", [(0.5, []), (0.01, []), (0.002, ["--epsilon", "0.001"])],
+                         ids=["dt_0.5", "dt_0.01", "fine_until_epsilon_override"])
+def test_too_coarse_simulation_dt_exits_2(tmp_path, capsys, dt, args):
+    # the floor is 20 steps per fastest period, and the carrier's period
+    # scales with epsilon: dt 0.002 meets it at the scenario's 0.01 only
+    data = json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+    data["simulation"].update(dt=dt, t_end=0.1)
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["simulate", "--scenario", path, *args,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: dt={dt:g} gives fewer than 20 steps per period")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parser_is_built_once_and_reused(tiny_path, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        for command in ("analyze", "simulate"):
+            assert cli.main([command, "--scenario", tiny_path, "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--out", str(out)])
+        assert exc.value.code == 2
+    assert cli._parser() is cli._parser()
+    for name in ("report.json", "trajectory.csv", "err.csv", "plot.gp"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_non_invariant_scenario_exits_2(tmp_path, capsys):
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
