@@ -4,14 +4,19 @@ Scenarios are JSON documents; unknown fields are rejected so typos fail
 loudly.  All outputs are written atomically (temp file + rename) and are
 byte-identical across reruns with the same inputs.
 
+``reproduce`` ends in a summary with one pass/fail row per check; its rows
+against the scenario's ``references`` come from one table,
+``_reference_checks``, which also names the references a scenario must hold.
+
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
-numbers, integers too large for a float, a non-positive epsilon, a negative
-seed, a simulation dt too coarse for the fastest period, and
-cluster-synchronized states that are not invariant where a command needs
-them), 3 design not realizable (including a cyclic change
-pattern), 4 a verification or reproduction check failed (artifacts are
-still written), or an average did not settle within the longest averaging
-horizon (the command stops there).
+numbers, integers too large for a float, a non-positive epsilon or sync
+tolerance, a negative seed or reference tolerance, missing references or
+modifications that a command needs, a simulation dt too coarse for the
+fastest period, and cluster-synchronized states that are not invariant
+where a command needs them), 3 design not realizable (including a cyclic
+change pattern), 4 a verification or reproduction check failed (artifacts
+are still written), or an average did not settle within the longest
+averaging horizon (the command stops there).
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,11 +73,13 @@ def _require_list(value, where: str) -> list:
 
 
 def _require_finite(values: Sequence[float], where: str) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ScenarioError(f"{where} must be finite")
+    """Every value a number but not a bool, neither NaN nor beyond the floats."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in values):
+        raise ScenarioError(f"{where} must be finite numbers")
 
 
-def _require_epsilon(value: float, where: str) -> None:
+def _require_positive(value: float, where: str) -> None:
     if not 0 < value < math.inf:
         raise ScenarioError(f"{where} must be positive and finite, got {value!r}")
 
@@ -109,11 +117,8 @@ class Scenario:
     sync_tolerance: float
     references: dict
 
-    def network(self) -> DirectedNetwork:
-        return DirectedNetwork.from_edges(self.n, self.edges)
-
     def kuramoto(self) -> KuramotoNetwork:
-        net = self.network()
+        net = DirectedNetwork.from_edges(self.n, self.edges)
         part = ClusterPartition(net, self.clusters)
         return KuramotoNetwork(net=net, omega=np.array(self.omega), partition=part)
 
@@ -136,6 +141,8 @@ class Scenario:
         return VibrationSchedule(entries=entries, epsilon=eps)
 
     def modification_specs(self) -> Dict[int, ModificationSpec]:
+        if not self.modifications:
+            raise ScenarioError("scenario has no modifications to design for")
         specs: Dict[int, ModificationSpec] = {}
         for item in self.modifications:
             k = item["cluster"]
@@ -247,11 +254,11 @@ def parse_scenario(data: dict) -> Scenario:
         perturb_clusters=perturb_clusters, t_end=t_end, dt=dt, epsilon=epsilon,
         sync_tolerance=sync_tolerance, references=references,
     )
-    _require_finite([scenario.perturbation, scenario.t_end, scenario.sync_tolerance],
-                    "simulation settings")
+    _require_finite([scenario.perturbation, scenario.t_end], "simulation settings")
+    _require_positive(scenario.sync_tolerance, "tolerances sync")
     if scenario.t_end < 0 or not (scenario.dt is None or 0 < scenario.dt < math.inf):
         raise ScenarioError("simulation t_end must be nonnegative and dt positive and finite")
-    _require_epsilon(scenario.epsilon, "simulation epsilon")
+    _require_positive(scenario.epsilon, "simulation epsilon")
     try:
         scenario.vibration_schedule()
     except (TypeError, ValueError, OverflowError) as exc:
@@ -378,8 +385,6 @@ def cmd_analyze(scenario: Scenario, out: Path) -> int:
 
 
 def cmd_design(scenario: Scenario, out: Path, epsilon: Optional[float]) -> int:
-    if not scenario.modifications:
-        raise ScenarioError("scenario has no modifications to design for")
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn)
     eps = scenario.epsilon if epsilon is None else epsilon
@@ -440,69 +445,101 @@ class SummaryRow:
 
 
 def _fmt_table(rows: List[SummaryRow]) -> str:
-    w_name = max(len(r.name) for r in rows)
-    w_comp = max(len(r.computed) for r in rows)
-    w_ref = max(len(r.reference) for r in rows)
-    lines = [
-        f"{'check'.ljust(w_name)}  {'computed'.ljust(w_comp)}  "
-        f"{'reference'.ljust(w_ref)}  result"
+    cells = [(r.name, r.computed, r.reference, "pass" if r.ok else "FAIL") for r in rows]
+    # the first three columns as wide as their widest row, the header aside
+    widths = [max(len(row[i]) for row in cells) for i in range(3)] + [0]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths))
+             for row in [("check", "computed", "reference", "result")] + cells]
+    return "\n".join([lines[0], "-" * len(lines[0])] + lines[1:]) + "\n"
+
+
+class _Run(NamedTuple):
+    """What ``reproduce`` measured, as its reference checks read it."""
+    baseline: StabilityReport  # the uncontrolled network's certificate
+    target_margins: Sequence[Optional[float]]
+    slots: Sequence  # of the cluster-1 design
+
+
+def _nth(values: Sequence, k: int):
+    """``values[k]``: "missing" past the end, "not Hurwitz" for a margin of None."""
+    if k >= len(values):
+        return "missing"
+    return "not Hurwitz" if values[k] is None else values[k]
+
+
+def _matrix(got, expected) -> Tuple[str, str, bool]:
+    """Entry for entry within 1e-9 of the reference, in its shape."""
+    ok = (not isinstance(got, str) and got.shape == np.shape(expected)
+          and bool(np.abs(got - np.array(expected)).max() <= 1e-9))
+    return got if isinstance(got, str) else "matrix", "matrix (exact)", ok
+
+
+def _within(shown: str, ref_shown: str, value, ref, tol) -> Tuple[str, str, bool]:
+    """Within the reference's tolerance: the value in format ``shown``, the
+    reference in ``ref_shown`` ("" writes it as the scenario does)."""
+    reference = f"{ref:{ref_shown}} +/- {tol}"
+    if isinstance(value, str):
+        return value, reference, False
+    return f"{value:{shown}}", reference, bool(abs(value - ref) <= tol)
+
+
+def _reference_checks(scenario: Scenario) -> List[tuple]:
+    """The summary rows against the scenario's references, in row order.
+    Each is (name, the references it reads: value, then tolerance, how the
+    value is taken from a ``_Run``, comparator); a comparator maps the value
+    and references to computed text, reference text and verdict, and a str
+    value (why the run has none) fails.  Jacobian and robustness rows cover
+    every cluster, and every further one a per-cluster reference names."""
+    named = {int(m[1]) - 1 for m in (re.fullmatch(r"(?:j|robust)_cluster([1-9][0-9]{0,8})", key)
+                                     for key in scenario.references) if m}
+    clusters = sorted(named.union(range(len(scenario.clusters))))
+    margin, number = (functools.partial(_within, shown, "") for shown in (".5f", ".8f"))
+    return [
+        *((f"jacobian_cluster{k + 1}", (f"j_cluster{k + 1}",),
+           lambda run, k=k: _nth(run.baseline.j_blocks, k), _matrix) for k in clusters),
+        *((f"robustness_cluster{k + 1}", (f"robust_cluster{k + 1}", f"robust_cluster{k + 1}_tol"),
+           lambda run, k=k: _nth(run.baseline.r_values, k), margin) for k in clusters),
+        ("robustness_cluster1_shifted", ("robust_cluster1_shifted", "robust_cluster1_shifted_tol"),
+         lambda run: _nth(run.target_margins, 0), margin),
+        ("normalized_gain_1", ("normalized_gain_1", "gain_tol"),
+         lambda run: _nth([slot.normalized_gain for slot in run.slots], 0), number),
+        ("normalized_gain_2", ("normalized_gain_2", "gain_tol"),
+         lambda run: _nth([slot.normalized_gain for slot in run.slots], 1), number),
+        ("frequency_ratio", ("frequency_ratio", "frequency_ratio_tol"),
+         lambda run: (run.slots[1].frequency / run.slots[0].frequency
+                      if len(run.slots) > 1 else "missing"),
+         functools.partial(_within, ".8f", ".8f")),
     ]
-    lines.append("-" * len(lines[0]))
-    for r in rows:
-        verdict = "pass" if r.ok else "FAIL"
-        lines.append(f"{r.name.ljust(w_name)}  {r.computed.ljust(w_comp)}  "
-                     f"{r.reference.ljust(w_ref)}  {verdict}")
-    return "\n".join(lines) + "\n"
 
 
-# the scenario references every reproduce summary row is checked against
-_reproduce_references = (
-    "j_cluster1", "j_cluster2", "robust_cluster1", "robust_cluster1_tol",
-    "robust_cluster2", "robust_cluster2_tol", "robust_cluster1_shifted",
-    "robust_cluster1_shifted_tol", "normalized_gain_1", "normalized_gain_2",
-    "gain_tol", "frequency_ratio", "frequency_ratio_tol")
-
-
-def _finite_number(x) -> bool:
-    """``x`` is a JSON number, not a bool, that converts to a finite float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _require_references(ref: dict) -> None:
-    """Check that ``ref`` holds every reference ``reproduce`` reads: the two
-    Jacobians as rectangular arrays of finite numbers, every other key as a
-    finite number."""
-    missing = [key for key in _reproduce_references if key not in ref]
+def _require_references(ref: dict, checks: Sequence) -> None:
+    """Check that ``ref`` holds every reference ``checks`` read: each exact
+    matrix as a rectangular array of finite numbers, every other reference
+    as a finite number, and every tolerance as a non-negative one."""
+    missing = [key for key in dict.fromkeys(key for _, keys, _, _ in checks for key in keys)
+               if key not in ref]
     if missing:
         raise ScenarioError(f"references lack {', '.join(missing)}")
-    for key in _reproduce_references:
-        value = ref[key]
-        if key.startswith("j_cluster"):
-            if not (isinstance(value, list) and value and all(
-                    isinstance(row, list) and row and len(row) == len(value[0])
-                    for row in value)):
+    for _, keys, _, compare in checks:
+        for key in keys:
+            cells = ref[key] if compare is _matrix else [[ref[key]]]
+            if not (isinstance(cells, list) and cells and all(
+                    isinstance(row, list) and row and len(row) == len(cells[0])
+                    for row in cells)):
                 raise ScenarioError(f"reference {key} must be a rectangular array")
-            value = [x for row in value for x in row]
-        else:
-            value = [value]
-        if not all(map(_finite_number, value)):
-            raise ScenarioError(f"reference {key} must hold finite numbers")
+            _require_finite([x for row in cells for x in row], f"reference {key}")
+        if len(keys) == 2 and ref[keys[1]] < 0:
+            raise ScenarioError(f"reference {keys[1]} must be non-negative, got {ref[keys[1]]!r}")
 
 
 def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
                   seed: Optional[int]) -> int:
-    _require_references(scenario.references)
-    ref = scenario.references
+    checks = _reference_checks(scenario)
+    _require_references(scenario.references, checks)
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn)
     eps = scenario.epsilon if epsilon is None else epsilon
     use_seed = scenario.seed if seed is None else seed
-    rows: List[SummaryRow] = []
 
     # --- design: the one linearization every later stage works on ---------
     try:
@@ -520,57 +557,16 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
               _analysis(scenario, kn, dataclasses.replace(baseline, empirical=None)))
     print(f"wrote {out / 'analysis.json'}")
 
-    def close(value: Optional[float], key: str, tol_key: str) -> bool:
-        return value is not None and abs(value - float(ref[key])) <= float(ref[tol_key])
-
-    def margin(value: Optional[float]) -> str:
-        return "not Hurwitz" if value is None else f"{value:.5f}"
-
-    def number(value: Optional[float]) -> str:
-        return "missing" if value is None else f"{value:.8f}"
-
-    # the Jacobians and margins of clusters 1 and 2; a missing one fails its rows
-    n_blocks = len(baseline.j_blocks)
-    for blk in (0, 1):
-        expected = np.array(ref[f"j_cluster{blk + 1}"])
-        got = baseline.j_blocks[blk] if blk < n_blocks else None
-        ok = (got is not None and got.shape == expected.shape
-              and bool(np.abs(got - expected).max() <= 1e-9))
-        rows.append(SummaryRow(f"jacobian_cluster{blk + 1}",
-                               "missing" if got is None else "matrix",
-                               "matrix (exact)", ok))
-    for blk in (0, 1):
-        key = f"robust_cluster{blk + 1}"
-        r = baseline.r_values[blk] if blk < n_blocks else None
-        rows.append(SummaryRow(f"robustness_cluster{blk + 1}",
-                               margin(r) if blk < n_blocks else "missing",
-                               f"{ref[key]} +/- {ref[key + '_tol']}",
-                               close(r, key, key + "_tol")))
-
     # --- the controlled certificate -------------------------------------
     report = certify(design.lin, design.schedule, design.averaged,
                      kick=scenario.perturbation, seed=use_seed)
     certificate = _certificate_dict(design, report.gamma_bar)
     dump_json(out / "schedule.json", _schedule_dict(design))
     dump_json(out / "certificate.json", certificate)
-    r1_shift = certificate["target_robustness"][0]
-    rows.append(SummaryRow(
-        "robustness_cluster1_shifted", margin(r1_shift),
-        f"{ref['robust_cluster1_shifted']} +/- {ref['robust_cluster1_shifted_tol']}",
-        close(r1_shift, "robust_cluster1_shifted", "robust_cluster1_shifted_tol")))
-
-    # the cluster-1 design's first two slots; a missing one fails its rows
-    slots = design.designs[0].slots if 0 in design.designs else ()
-    g1, g2 = (slots[i].normalized_gain if i < len(slots) else None for i in (0, 1))
-    ratio = slots[1].frequency / slots[0].frequency if len(slots) > 1 else None
-    gain_tol = float(ref["gain_tol"])
-    for key, gain in (("normalized_gain_1", g1), ("normalized_gain_2", g2)):
-        rows.append(SummaryRow(key, number(gain), f"{ref[key]} +/- {gain_tol:g}",
-                               close(gain, key, "gain_tol")))
-    rows.append(SummaryRow(
-        "frequency_ratio", number(ratio),
-        f"{float(ref['frequency_ratio']):.8f} +/- {float(ref['frequency_ratio_tol']):g}",
-        close(ratio, "frequency_ratio", "frequency_ratio_tol")))
+    run = _Run(baseline, certificate["target_robustness"],
+               design.designs[0].slots if 0 in design.designs else ())
+    rows = [SummaryRow(name, *compare(value(run), *(scenario.references[k] for k in keys)))
+            for name, keys, value, compare in checks]
 
     # --- the documented perturbation run --------------------------------
     theta0 = _initial_state(scenario, inc, seed)
@@ -589,11 +585,13 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
     ]))
 
     tol = scenario.sync_tolerance
-    ok_c = bool(err_c.min() < tol)
-    # a run that starts synchronized has no error to keep large: it fails
+    # a run that starts below tol shows no drop, one that starts synchronized
+    # has no error to keep large: each fails its row
+    started_above = not err_c[0] < tol
     started_off = bool(err_u[0] > 0)
     rows.append(SummaryRow("controlled_error_drops_below_tol",
-                           f"min {err_c.min():.2e}", f"< {tol:g}", ok_c))
+                           f"min {err_c.min():.2e}" if started_above else "starts below tol",
+                           f"< {tol:g}", started_above and bool(err_c.min() < tol)))
     rows.append(SummaryRow("uncontrolled_error_stays_large",
                            f"min ratio {err_u.min() / err_u[0]:.3f}" if started_off
                            else "starts synchronized", ">= 0.5",
@@ -611,10 +609,10 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
     rows.append(SummaryRow("classifier_uncontrolled",
                            "stable" if baseline.empirical.stable else "unstable",
                            "unstable", not baseline.empirical.stable))
-    sweep_desc = "monotone" if report.sweep_monotone else \
-        f"{len(report.sweep_deviations)} deviation(s) reported"
+    sweep_desc = "not run" if report.sweep is None else "monotone" \
+        if report.sweep_monotone else f"{len(report.sweep_deviations)} deviation(s) reported"
     rows.append(SummaryRow("epsilon_sweep", sweep_desc,
-                           "monotone or deviations reported", True))
+                           "monotone or deviations reported", report.sweep is not None))
 
     table = _fmt_table(rows)
     atomic_write_text(out / "summary.txt", table)
@@ -670,7 +668,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if getattr(args, "epsilon", None) is not None:
-            _require_epsilon(args.epsilon, "--epsilon")
+            _require_positive(args.epsilon, "--epsilon")
         if getattr(args, "seed", None) is not None:
             _require_seed(args.seed, "--seed")
         scenario = load_scenario(args.scenario)

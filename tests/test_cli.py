@@ -704,3 +704,120 @@ def test_reproduce_one_slot_design_fails_its_rows(tmp_path, capsys):
         assert rows[name]["computed"] == "missing"
         assert rows[name]["ok"] is False
     assert "Traceback" not in capsys.readouterr().err
+
+
+def flagship_data() -> dict:
+    return json.loads(ir.files("vibrosync")
+                      .joinpath("scenarios/cluster_flip.json").read_text())
+
+
+def three_cluster_flagship() -> dict:
+    """The flagship with a third cluster: nodes 8-10 at natural frequency 20,
+    coupled among themselves, whose node 8 gives every node of cluster 2 the
+    same in-weight 0.5; with frozen references for its Jacobian and margin."""
+    data = flagship_data()
+    data.update(name="cluster_flip_three", n=11, clusters=data["clusters"] + [[8, 9, 10]],
+                omega=data["omega"] + [20.0] * 3)
+    data["edges"] += [[8, 9, 1.0], [9, 10, 1.0], [10, 8, 1.0],
+                      [9, 8, 0.5], [10, 9, 0.5], [8, 10, 0.5]]
+    data["edges"] += [[8, t, 0.5] for t in (4, 5, 6, 7)]
+    data["references"].update(j_cluster3=[[-2.0, -0.5], [0.5, -2.5]],
+                              robust_cluster3=4.01, robust_cluster3_tol=0.01)
+    return data
+
+
+def reproduce_rows(out) -> dict:
+    return {row["name"]: row for row in json.loads((out / "summary.json").read_text())}
+
+
+def assert_stopped_before_writing(data, tmp_path, capsys, *named) -> None:
+    """``reproduce`` of ``data`` exits 2 with a message naming ``named``,
+    and writes nothing."""
+    out = tmp_path / "repro"
+    out.mkdir()
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_reproduce_checks_every_cluster(tmp_path):
+    # one Jacobian and one robustness row per cluster, then today's rows
+    out = tmp_path / "repro"
+    code = cli.main(["reproduce", "--scenario",
+                     write_scenario(tmp_path, three_cluster_flagship()), "--out", str(out)])
+    rows = json.loads((out / "summary.json").read_text())
+    assert code == (0 if all(row["ok"] for row in rows) else 4)
+    assert [row["name"] for row in rows] == [
+        "jacobian_cluster1", "jacobian_cluster2", "jacobian_cluster3",
+        "robustness_cluster1", "robustness_cluster2", "robustness_cluster3",
+        "robustness_cluster1_shifted", "normalized_gain_1", "normalized_gain_2",
+        "frequency_ratio", "controlled_error_drops_below_tol",
+        "uncontrolled_error_stays_large", "certificate_not_granted",
+        "classifier_controlled", "classifier_uncontrolled", "epsilon_sweep"]
+    assert all(row["ok"] for row in rows[:7])
+    assert rows[5]["reference"] == "4.01 +/- 0.01"
+    assert (out / "summary.txt").read_text().count("\n") == 2 + len(rows)
+
+
+def test_reproduce_requires_the_references_of_every_cluster(tmp_path, capsys):
+    data = three_cluster_flagship()
+    del data["references"]["j_cluster3"]
+    assert_stopped_before_writing(data, tmp_path, capsys, "j_cluster3")
+
+
+def test_reproduce_reference_of_a_further_cluster_needs_its_margin(tmp_path, capsys):
+    # a Jacobian reference for a cluster the flagship lacks adds that
+    # cluster's rows, whose margin references are then required too
+    data = flagship_data()
+    data["references"]["j_cluster3"] = [[-1.0]]
+    assert_stopped_before_writing(data, tmp_path, capsys,
+                                  "robust_cluster3", "robust_cluster3_tol")
+
+
+def test_reproduce_requires_modifications(tmp_path, capsys):
+    data = flagship_data()
+    del data["modifications"]
+    assert_stopped_before_writing(data, tmp_path, capsys, "no modifications")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("robust_cluster1_tol", -0.005), ("robust_cluster2_tol", -1),
+    ("robust_cluster1_shifted_tol", -0.005), ("gain_tol", -1e-6),
+    ("frequency_ratio_tol", -1e-6), ("sync", 0.0), ("sync", -0.01)])
+def test_reproduce_rejects_tolerances_that_cannot_pass(tmp_path, capsys, key, value):
+    data = flagship_data()
+    if key == "sync":
+        data["tolerances"]["sync"] = value
+    else:
+        data["references"][key] = value
+    assert_stopped_before_writing(data, tmp_path, capsys, key)
+
+
+def test_reproduce_start_below_tol_fails_controlled_row(tmp_path, capsys):
+    # a controlled run that starts below the sync tolerance shows no drop:
+    # its row fails instead of passing on the starting error
+    data = flagship_data()
+    data["simulation"].update(perturbation=0.002, t_end=2.0)
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 4
+    row = reproduce_rows(out)["controlled_error_drops_below_tol"]
+    assert (row["computed"], row["ok"]) == ("starts below tol", False)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reproduce_without_a_sweep_fails_its_row(tmp_path, capsys):
+    # an all-zero change designs no slots, so no sweep runs
+    data = flagship_data()
+    data["modifications"][0]["delta"] = [[0.0] * 3] * 3
+    data["simulation"]["t_end"] = 1.0
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 4
+    assert json.loads((out / "report.json").read_text())["sweep"] is None
+    row = reproduce_rows(out)["epsilon_sweep"]
+    assert (row["computed"], row["ok"]) == ("not run", False)
+    assert "Traceback" not in capsys.readouterr().err
