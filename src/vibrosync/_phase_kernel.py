@@ -53,24 +53,23 @@ to chunk.  It multiplies P by Psi and by each stage argument through the
 pattern: for finite values a skipped product is an exact zero that leaves
 its sum unchanged, so the result is the full product bit for bit, and a
 multiplicand that is not all finite takes the full product, so that
-0 inf stays NaN.  It writes Psi after every step to a stack.  For an average it also
-solves M = Psi^-1 J Psi after every step, by Gaussian elimination with
-partial pivoting on [Psi | J Psi] as LAPACK's ``gesv`` does, and adds the
-two window-weighted sums of Psi and of M in step order.  So neither Psi
-nor the sums depend on where the chunks end.
-
-The same library takes the extreme singular values of such a Psi stack
-(:func:`singular_extremes`), for the sampled conjugation growth of the
-perturbation bounds.  Cyclic one-sided Jacobi (Hestenes 1958) rotates the
-pairs of columns of a copy of each matrix, scaled by a power of two, to
+0 inf stays NaN.  For an average it also solves M = Psi^-1 J Psi after
+every step, by Gaussian elimination with partial pivoting on [Psi | J Psi]
+as LAPACK's ``gesv`` does, and adds the two window-weighted sums of Psi
+and of M in step order.  For the sampled conjugation growth of the
+perturbation bounds it takes the extreme singular values of Psi after each
+of a flow's first g steps, with no Psi stored, and raises a running
+maximum of the largest and of the reciprocal of the smallest (1/0 = inf
+for a singular Psi).  Cyclic one-sided Jacobi (Hestenes 1958) rotates the
+pairs of columns of a copy of Psi, scaled by a power of two, to
 orthogonality while their cosine exceeds n eps (Demmel and Veselic, SIAM
 J. Matrix Anal. Appl. 13(4), 1992), and stops after a sweep that rotates
-no pair; the singular values are then the column norms, with high
-relative accuracy.  The call raises a running maximum of the largest
-singular value and of the reciprocal of the smallest, which for a
-singular matrix is 1/0 = inf; a stack that is not all finite is refused
-before the maximum changes.  The results do not depend on where the
-chunks end.
+no pair; the singular values are then the column norms, with high relative
+accuracy (:func:`singular_extremes` runs it on a stack).  A Psi that is
+not all finite stays so and leaves the maxima unchanged, which ends the
+sampling without an error of its own; a finite Psi that Jacobi does not
+orthogonalize ends it with both maxima NaN, which the perturbation bounds
+raise.  Neither Psi, the sums nor the maxima depend on where chunks end.
 
 The same library writes CSV numbers (:func:`format_csv`) exactly as
 Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
@@ -310,6 +309,7 @@ int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const
 
 /* ---- linear flows --------------------------------------------------------- */
 
+int sv_extremes(int n, int64_t k, const double *a, double *ext, double *g);  /* below */
 /* c = a b for row-major n x n matrices, each entry summed in index order */
 static void matmul(int n, const double *restrict a, const double *restrict b,
                    double *restrict c)
@@ -399,16 +399,17 @@ static void pattern_mul(int n, int nz, const int *restrict pat, const double *re
 /* k RK4 steps of dPsi/dt = P(t) Psi for the row-major n x n Psi in psi,
    advanced in place; P has the nz entries of the row-major pattern pat
    ((row, col) pairs) and is zero elsewhere, and table holds those entries
-   on the chunk's half-step grid, 2k+1 rows of nz.  Psi after step i goes
-   to stack + i n n.  Unless j is NULL, M = Psi^-1 J Psi is formed after
-   every step from J Psi by lu_solve, and with the step's row (w0, w1) of
-   w (k rows of 2) the products w0 Psi, w1 Psi, w0 M, w1 M are added to the
-   four n x n blocks of sums.  scratch holds 8 n n doubles.  Returns 0, or
-   i + 1 when Psi after step i is singular; the sums then stop before that
-   step. */
+   on the chunk's half-step grid, 2k+1 rows of nz.  After each of the first
+   g steps, sv_extremes raises ext to the extreme singular values of a
+   finite Psi; one that Jacobi fails on sets ext to NaN, ending the sampling.
+   Unless j is NULL, M = Psi^-1 J Psi is formed after every step from
+   J Psi by lu_solve, and with the step's row (w0, w1) of w (k rows of 2)
+   the products w0 Psi, w1 Psi, w0 M, w1 M are added to the four n x n
+   blocks of sums.  scratch holds 8 n n doubles.  Returns 0, or i + 1 when
+   Psi after step i is singular; the sums then stop before that step. */
 int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const double *table,
-                   double *psi, double *stack, const double *j, const double *w,
-                   double *sums, double *scratch)
+                   double *psi, const double *j, const double *w, double *sums, int64_t g,
+                   double *ext, double *scratch)
 {
     int nn = n * n;
     double *k1 = scratch, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn, *y = k4 + nn;
@@ -427,7 +428,8 @@ int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const dou
         pattern_mul(n, nz, pat, p1, y, full, k4);
         for (int e = 0; e < nn; e++)
             psi[e] = psi[e] + h / 6.0 * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]);
-        memcpy(stack + i * nn, psi, (size_t)nn * sizeof(double));
+        if (i < g && !isnan(ext[0]) && sv_extremes(n, 1, psi, ext, y) == 2)  /* y as scratch */
+            ext[0] = ext[1] = NAN;
         if (!j)
             continue;
         matmul(n, j, psi, m);
@@ -458,9 +460,9 @@ int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const dou
    each pair (p, q) in turn is rotated to orthogonality while
    |g_p . g_q| > n eps |g_p| |g_q| (Demmel and Veselic 1992).  When a sweep
    rotates no pair, the singular values are the norms of the rows.  A
-   singular matrix gives 1 / 0 = inf.  Returns 0, or 1, with ext
-   unchanged, when a matrix is not all finite or not orthogonalized after
-   SWEEPS sweeps. */
+   singular matrix gives 1 / 0 = inf.  Returns 0; or, with ext unchanged,
+   1 when a matrix is not all finite and 2 when one is not orthogonalized
+   after SWEEPS sweeps. */
 int sv_extremes(int n, int64_t k, const double *a, double *ext, double *g)
 {
     int nn = n * n;
@@ -483,7 +485,7 @@ int sv_extremes(int n, int64_t k, const double *a, double *ext, double *g)
                 g[i * n + r] = am[r * n + i] * scale;
         for (int sweep = 0;; sweep++) {
             if (sweep == SWEEPS)
-                return 1;
+                return 2;
             int rotated = 0;
             for (int p = 0; p < n - 1; p++)
                 for (int q = p + 1; q < n; q++) {
@@ -768,7 +770,8 @@ def _load_library():
                               ctypes.c_int64, out, ctypes.c_int64, ctypes.c_int]
     lib.integrate.restype = ctypes.c_int64
     lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
-                               ctypes.c_double, *[ctypes.c_void_p] * 7]
+                               ctypes.c_double, *[ctypes.c_void_p] * 5, ctypes.c_int64,
+                               ctypes.c_void_p, ctypes.c_void_p]
     lib.flow_chunk.restype = ctypes.c_int64
     lib.sv_extremes.argtypes = [ctypes.c_int, ctypes.c_int64, doubles,
                                 np.ctypeslib.ndpointer(np.float64, shape=(2,),
@@ -800,12 +803,12 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
 
 def singular_extremes(stack: np.ndarray, ext: np.ndarray) -> None:
     """Raise ``ext`` (2,) in place to the running maxima of the largest
-    singular value and of the reciprocal of the smallest singular value of
-    the C-ordered float64 (k, n, n) ``stack``, n >= 1, by one-sided Jacobi
-    in the kernel; a singular matrix gives ``inf``.  A stack that is not all
-    finite raises ``numpy.linalg.LinAlgError`` and leaves ``ext`` unchanged;
-    so does a matrix Jacobi does not orthogonalize within its sweep limit.
-    A wrong dtype, order or ``ext`` shape raises ``ctypes.ArgumentError``."""
+    singular value and of the reciprocal of the smallest over the C-ordered
+    float64 (k, n, n) ``stack``, n >= 1, by the kernel's one-sided Jacobi;
+    a singular matrix gives ``inf``.  A matrix that is not all finite, or
+    that Jacobi does not orthogonalize, raises ``numpy.linalg.LinAlgError``
+    with ``ext`` unchanged; a wrong dtype, order or ``ext`` shape,
+    ``ctypes.ArgumentError``."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError("singular_extremes takes a (k, n, n) stack with n >= 1")
     k, n, _ = stack.shape
@@ -815,8 +818,8 @@ def singular_extremes(stack: np.ndarray, ext: np.ndarray) -> None:
 
 def flow_scratch_len(n: int) -> int:
     """Doubles of scratch a :class:`LinearFlow` of n x n matrices uses: the
-    four RK4 stages, the stage argument, the LU factor, M and the expanded
-    P of a non-finite product, ``8 n n``."""
+    four RK4 stages, the stage argument (also the Jacobi's copy of Psi), the
+    LU factor, M and the expanded P of a non-finite product, ``8 n n``."""
     return 8 * n * n
 
 
@@ -856,28 +859,29 @@ class LinearFlow:
     full product bit for bit; a multiplicand that is not all finite takes
     the full product, so 0 inf stays NaN.  A dense P is the full pattern.
 
-    A chunk of k <= kmax steps writes Psi after its i-th step to
-    ``stack[i]`` of ``stack`` (kmax, n, n).  Unless ``j`` (n, n) is None,
-    ``weights`` (steps, 2) holds two window weights for each step of the
-    whole flow, and after each step M = Psi^-1 J Psi is solved by LU with
-    partial pivoting in the kernel and ``sums`` (2, 2, n, n) gains
-    ``w0 Psi, w1 Psi`` in ``sums[0]`` and ``w0 M, w1 M`` in ``sums[1]``; a
-    singular Psi raises ``numpy.linalg.LinAlgError``.  Each sum is added to
-    in step order, so it does not depend on how the steps are chunked.
+    Unless ``j`` (n, n) is None, ``weights`` (steps, 2) holds two window
+    weights for each step of the whole flow, and after each step the kernel
+    solves M = Psi^-1 J Psi by LU with partial pivoting and adds
+    ``w0 Psi, w1 Psi`` to ``sums[0]`` and ``w0 M, w1 M`` to ``sums[1]`` of
+    ``sums`` (2, 2, n, n), in step order; a singular Psi raises
+    ``numpy.linalg.LinAlgError``.  Unless ``growth`` (2,) is None, the kernel
+    raises it to the extreme singular values of Psi after each of the
+    flow's first ``growth_steps`` steps, as the module docstring says.
 
     Every array is checked here, once: float64, C order, shape, writeable,
     the pattern's type, range and order, and the ``flow_scratch_len(n)``
     doubles of ``scratch`` (ValueError).  ``pattern``, ``j`` and ``weights``
-    are copied; ``psi``, ``stack``, ``sums`` and ``scratch`` are written in
+    are copied; ``psi``, ``sums``, ``growth`` and ``scratch`` are written in
     place and kept alive with the flow."""
 
-    def __init__(self, h: float, psi: np.ndarray, stack: np.ndarray, scratch: np.ndarray,
-                 pattern: np.ndarray, j: Optional[np.ndarray] = None,
-                 weights: Optional[np.ndarray] = None, sums: Optional[np.ndarray] = None):
+    def __init__(self, h: float, psi: np.ndarray, scratch: np.ndarray, pattern: np.ndarray,
+                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
+                 sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
+                 growth_steps: int = 0):
         n = psi.shape[0] if psi.ndim == 2 else 0
         self._psi = _address(psi, (n, n))
-        self._kmax = len(stack) if stack.ndim else 0
-        self._stack = _address(stack, (self._kmax, n, n))
+        self._growth = None if growth is None else _address(growth, (2,))
+        self._growth_steps = 0 if growth is None else growth_steps
         if scratch.ndim != 1 or len(scratch) < flow_scratch_len(n):
             raise ValueError("linear-flow scratch too short")
         self._scratch = _address(scratch, scratch.shape)
@@ -893,7 +897,7 @@ class LinearFlow:
         self._n, self._nz, self._h = n, len(pattern), h
         self._pattern = pattern.ctypes.data
         # the flow passes their addresses on every chunk
-        self._arrays = (psi, stack, pattern, j, weights, sums, scratch)
+        self._arrays = (psi, pattern, j, weights, sums, growth, scratch)
 
     def chunk(self, start: int, k: int, table: np.ndarray) -> None:
         """RK4 steps ``start + 1 .. start + k``; ``table`` (2k + 1, nz)
@@ -902,11 +906,12 @@ class LinearFlow:
         if not (table.shape == (2 * k + 1, nz) and table.dtype == np.float64
                 and table.flags.c_contiguous) or start < 0 or k < 0:
             raise ValueError("inconsistent linear-flow chunk: table shape, start or k")
-        if k > self._kmax or (self._j is not None and start + k > self._steps):
-            raise ValueError("linear-flow chunk past its stack or weights")
+        if self._j is not None and start + k > self._steps:
+            raise ValueError("linear-flow chunk past its weights")
         w = None if self._w is None else self._w + 16 * start  # two doubles a step
+        g = min(k, max(0, self._growth_steps - start))  # the chunk's steps in the window
         if self._call(n, nz, self._pattern, k, self._h, table.ctypes.data, self._psi,
-                      self._stack, self._j, w, self._sums, self._scratch):
+                      self._j, w, self._sums, g, self._growth, self._scratch):
             raise np.linalg.LinAlgError("Singular matrix")
 
 

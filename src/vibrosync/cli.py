@@ -376,8 +376,7 @@ def cmd_analyze(scenario: Scenario, out: Path) -> int:
         report = _analysis(scenario, kn, None, exc.violations)
     else:
         schedule = scenario.vibration_schedule()
-        cert = certify(lin, schedule, averaged_jacobians(lin, schedule),
-                       empirical=False)
+        cert = certify(lin, schedule, *averaged_jacobians(lin, schedule), empirical=False)
         report = _analysis(scenario, kn, cert)
     dump_json(out / "report.json", report)
     print(f"wrote {out / 'report.json'}")
@@ -389,7 +388,7 @@ def cmd_design(scenario: Scenario, out: Path, epsilon: Optional[float]) -> int:
     inc = scenario.incidence(kn)
     eps = scenario.epsilon if epsilon is None else epsilon
     design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
-    gamma_bar = perturbation_bounds(design.lin, design.schedule)
+    gamma_bar = perturbation_bounds(design.lin, design.growth)
     dump_json(out / "schedule.json", _schedule_dict(design))
     dump_json(out / "certificate.json", _certificate_dict(design, gamma_bar))
     print(f"wrote {out / 'schedule.json'} and {out / 'certificate.json'}")
@@ -456,7 +455,7 @@ def _fmt_table(rows: List[SummaryRow]) -> str:
 class _Run(NamedTuple):
     """What ``reproduce`` measured, as its reference checks read it."""
     baseline: StabilityReport  # the uncontrolled network's certificate
-    target_margins: Sequence[Optional[float]]
+    shifted_margins: Sequence[Optional[float]]  # cluster 1's target's, if designed
     slots: Sequence  # of the cluster-1 design
 
 
@@ -500,7 +499,7 @@ def _reference_checks(scenario: Scenario) -> List[tuple]:
         *((f"robustness_cluster{k + 1}", (f"robust_cluster{k + 1}", f"robust_cluster{k + 1}_tol"),
            lambda run, k=k: _nth(run.baseline.r_values, k), margin) for k in clusters),
         ("robustness_cluster1_shifted", ("robust_cluster1_shifted", "robust_cluster1_shifted_tol"),
-         lambda run: _nth(run.target_margins, 0), margin),
+         lambda run: _nth(run.shifted_margins, 0), margin),
         ("normalized_gain_1", ("normalized_gain_1", "gain_tol"),
          lambda run: _nth([slot.normalized_gain for slot in run.slots], 0), number),
         ("normalized_gain_2", ("normalized_gain_2", "gain_tol"),
@@ -558,13 +557,14 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
     print(f"wrote {out / 'analysis.json'}")
 
     # --- the controlled certificate -------------------------------------
-    report = certify(design.lin, design.schedule, design.averaged,
+    report = certify(design.lin, design.schedule, design.averaged, design.growth,
                      kick=scenario.perturbation, seed=use_seed)
     certificate = _certificate_dict(design, report.gamma_bar)
     dump_json(out / "schedule.json", _schedule_dict(design))
     dump_json(out / "certificate.json", certificate)
-    run = _Run(baseline, certificate["target_robustness"],
-               design.designs[0].slots if 0 in design.designs else ())
+    designed = 0 in design.designs
+    run = _Run(baseline, certificate["target_robustness"][:1] if designed else (),
+               design.designs[0].slots if designed else ())
     rows = [SummaryRow(name, *compare(value(run), *(scenario.references[k] for k in keys)))
             for name, keys, value, compare in checks]
 

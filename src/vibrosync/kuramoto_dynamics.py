@@ -12,8 +12,7 @@ import numpy as np
 from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, check_invariance, Edge)
-from .linalg import (SinusoidSum, _linear_flow, _resolve_step, conjugated_average,
-                     default_oversampling, horizon_periods)
+from .linalg import SinusoidSum, _resolve_step, conjugated_average
 
 # RK4 steps per fastest period of the phase network: the coarsest count whose
 # classifier slopes, final ratios and end-of-run sync errors on the flagship's
@@ -363,51 +362,42 @@ def cluster_vibration_matrices(inc: IncidenceSet, schedule: Optional[VibrationSc
 # averaged Jacobians and perturbation bounds
 
 
-def averaged_jacobians(lin: Linearization,
-                       schedule: Optional[VibrationSchedule]) -> Tuple[np.ndarray, ...]:
-    """Per-cluster averaged Jacobians under a vibration schedule.
+def averaged_jacobians(lin: Linearization, schedule: Optional[VibrationSchedule]
+                       ) -> Tuple[Tuple[np.ndarray, ...], Optional[np.ndarray]]:
+    """Per-cluster averaged Jacobians under a vibration schedule, and the
+    sampled conjugation growth of their vibration flows.
 
-    Each block is conjugate-averaged along the flow of its cluster's
-    vibration matrix; a cluster without one keeps (a copy of) its Jacobian.
+    Each block is conjugate-averaged along the flow dPsi/dt = P_k(t) Psi,
+    Psi(0) = I, of its cluster's vibration matrix, whose pass also samples
+    row k of ``growth`` (r, 2), ``(sup |Psi|, sup |Psi^-1|)`` over the first
+    window (see ``conjugated_average``).  A cluster without vibration keeps
+    (a copy of) its Jacobian and growth (1, 1); ``growth`` is None when no
+    cluster vibrates.
     """
-    out: List[np.ndarray] = []
-    for blk, p in zip(lin.J_blocks, cluster_vibration_matrices(lin.inc, schedule)):
+    ps = cluster_vibration_matrices(lin.inc, schedule)
+    growth = np.ones((len(ps), 2))
+    blocks = []
+    for k, (blk, p) in enumerate(zip(lin.J_blocks, ps)):
         base_period = min_period = None
         if p is not None:
             base_period = 2.0 * math.pi / p.freqs.min()
             min_period = 2.0 * math.pi / p.freqs.max()
-        out.append(conjugated_average(blk, p, base_period=base_period,
-                                      min_period=min_period))
-    return tuple(out)
-
-
-def _conjugation_growth(p: SinusoidSum) -> Tuple[float, float]:
-    """The sampled conjugation growth of the flow dPsi/dt = P(t) Psi from
-    Psi(0) = I: ``(sup |Psi|, sup |Psi^-1|)`` in the spectral norm, each at
-    least 1, over Psi after every RK4 step of ``horizon_periods`` base
-    periods, at the step ``_resolve_step`` gives the fastest period.  The
-    compiled kernel takes the extreme singular values of each chunk's Psi
-    stack (``_phase_kernel.singular_extremes``); a Psi that is not all
-    finite raises ``numpy.linalg.LinAlgError``."""
-    t_max = horizon_periods * 2.0 * np.pi / p.freqs.min()
-    dt = _resolve_step(t_max, None, 2.0 * np.pi / p.freqs.max(), default_oversampling)
-    steps = max(1, int(np.ceil(t_max / dt - 1e-12)))
-    ext = np.ones(2)
-    for phis in _linear_flow(p, 0.0, t_max / steps, steps, np.eye(p.mats.shape[1])):
-        _phase_kernel.singular_extremes(phis, ext)
-    return float(ext[0]), float(ext[1])
+        blocks.append(conjugated_average(blk, p, base_period=base_period,
+                                         min_period=min_period, growth=growth[k]))
+    return tuple(blocks), growth if any(p is not None for p in ps) else None
 
 
 def perturbation_bounds(lin: Linearization,
-                        schedule: Optional[VibrationSchedule] = None) -> np.ndarray:
+                        growth: Optional[np.ndarray] = None) -> np.ndarray:
     """Entrywise bound gamma[k, l] on the inter-cluster forcing gains.
 
     Combines the static envelope of the inter-edge rows (the largest
     singular value of each cluster block of ``|M1| |R2|``) with the worst
     sampled conjugation growth ``sup |Psi^-1|_k sup |Psi|_l`` of the
-    per-cluster vibration flows (``_conjugation_growth``, 1 for a cluster
-    without vibration), times ``envelope_safety``.  A vibration flow that
-    overflows raises ``numpy.linalg.LinAlgError``.
+    per-cluster vibration flows, times ``envelope_safety``: ``growth`` is
+    the growth ``averaged_jacobians`` returns, None (the envelope alone)
+    when no cluster vibrates.  A growth that Jacobi could not sample (NaN)
+    raises ``numpy.linalg.LinAlgError``.
     """
     inc = lin.inc
     r = inc.partition.r
@@ -418,15 +408,11 @@ def perturbation_bounds(lin: Linearization,
             block = envelope[sk, sl_]
             if block.size:
                 gains[k, l] = np.linalg.svd(block, compute_uv=False)[0]
-
-    if schedule is None or not schedule.entries:
+    if growth is None:
         return gains
-    growth = np.ones(r)
-    shrink = np.ones(r)
-    for k, p in enumerate(cluster_vibration_matrices(inc, schedule)):
-        if p is not None:
-            growth[k], shrink[k] = _conjugation_growth(p)
-    return np.outer(shrink, growth) * envelope_safety * gains
+    if np.isnan(growth).any():
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return np.outer(growth[:, 1], growth[:, 0]) * envelope_safety * gains
 
 
 # ---------------------------------------------------------------------------

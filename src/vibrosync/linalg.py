@@ -11,10 +11,10 @@ from . import _phase_kernel
 
 hurwitz_margin = 1e-12
 lyapunov_residual_tolerance = 1e-9
-# RK4 steps per fastest period of the linear flows (state_transition, the
-# averaging and the sampled conjugation growth): at 24 the averaged
-# Jacobians miss the exact engine.  The phase network takes its own count,
-# kuramoto_dynamics.phase_oversampling.
+# RK4 steps per fastest period of the linear flows (state_transition and
+# the averaging, which also samples the conjugation growth): at 24 the
+# averaged Jacobians miss the exact engine.  The phase network takes its own
+# count, kuramoto_dynamics.phase_oversampling.
 default_oversampling = 48
 # fewest steps per period an explicit dt may give a flow at
 # default_oversampling; every flow's floor keeps this ratio to its own count
@@ -93,10 +93,10 @@ def is_m_matrix(a: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # transition matrices and averaged conjugations
 
-# RK4 steps per chunk of the linear-flow engine: bounds the tabulated P(t)
-# and the Psi stack (memory grows linearly with it) while keeping the
+# RK4 steps per chunk of the linear-flow engine: bounds the (2k + 1, nz)
+# table of P(t) (memory grows linearly with it) while keeping the
 # per-chunk numpy calls few.  The results do not depend on it.
-_chunk_steps = 256
+_chunk_steps = 1024
 
 
 class SinusoidSum:
@@ -158,29 +158,27 @@ def _full_pattern(n: int) -> np.ndarray:
 
 def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
                  j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
-                 sums: Optional[np.ndarray] = None):
+                 sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
+                 growth_steps: int = 0) -> None:
     """Fixed-step RK4 for dPsi/dt = P(t) Psi from Psi(t0) = psi, advanced in
-    place by the compiled stepper (``_phase_kernel.LinearFlow``).
-
-    Yields, one chunk of at most ``_chunk_steps`` steps at a time, the stack
-    of Psi after each step of the chunk, in a buffer the next chunk
-    overwrites.  The stepper is bound to P's structural pattern: for a
-    SinusoidSum the entries where a term matrix is nonzero, for any other
-    callable every entry.  Per chunk, only those entries are tabulated
-    here on the half-step grid (one broadcast ``at_pattern`` call for a
-    SinusoidSum, one call per grid time for any other callable) into a
-    (2k + 1, nz) table, and the stepper takes the steps one after the
-    other, in C.  Given ``j``, ``weights`` (steps, 2) and ``sums``
-    (2, 2, n, n), the stepper also solves Psi^-1 J Psi after each step by
-    LU with partial pivoting and adds both window-weighted sums of Psi and
-    of Psi^-1 J Psi to ``sums`` (see ``LinearFlow``).
+    place by the compiled stepper (``_phase_kernel.LinearFlow``) in chunks
+    of at most ``_chunk_steps`` steps.  The stepper is bound to P's
+    structural pattern: for a SinusoidSum the entries where a term matrix
+    is nonzero, for any other callable every entry.  Per chunk, only those
+    entries are tabulated here on the half-step grid (one broadcast
+    ``at_pattern`` call for a SinusoidSum, one call per grid time for any
+    other callable) into a (2k + 1, nz) table, and the stepper takes the
+    steps one after the other, in C.  Given ``j``, ``weights`` (steps, 2)
+    and ``sums`` (2, 2, n, n) it also adds both window-weighted sums of Psi
+    and of Psi^-1 J Psi, and given ``growth`` (2,) it raises it to the
+    extreme singular values of Psi over the first ``growth_steps`` steps,
+    as ``LinearFlow`` describes.
     """
     n = psi.shape[0]
     sinusoids = isinstance(p, SinusoidSum)
-    stack = np.empty((min(steps, _chunk_steps), n, n))
-    flow = _phase_kernel.LinearFlow(h, psi, stack, np.empty(_phase_kernel.flow_scratch_len(n)),
+    flow = _phase_kernel.LinearFlow(h, psi, np.empty(_phase_kernel.flow_scratch_len(n)),
                                     p.pattern if sinusoids else _full_pattern(n),
-                                    j, weights, sums)
+                                    j, weights, sums, growth, growth_steps)
     for start in range(0, steps, _chunk_steps):
         k = min(_chunk_steps, steps - start)
         ts = t0 + h * (start + 0.5 * np.arange(2 * k + 1))
@@ -189,7 +187,6 @@ def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
         else:
             pt = np.array([p(float(t)) for t in ts], dtype=float).reshape(len(ts), n * n)
         flow.chunk(start, k, pt)
-        yield stack[:k]
 
 
 def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float],
@@ -228,8 +225,7 @@ def state_transition(p: Callable[[float], np.ndarray], t0: float, t1: float,
     if t1 == t0:
         return phi
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    for _ in _linear_flow(p, t0, (t1 - t0) / steps, steps, phi):
-        pass
+    _linear_flow(p, t0, (t1 - t0) / steps, steps, phi)
     return phi
 
 
@@ -245,7 +241,8 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
                        T: Optional[float] = None, dt: Optional[float] = None,
                        base_period: Optional[float] = None,
                        min_period: Optional[float] = None,
-                       rel_tol: float = horizon_rel_tolerance) -> np.ndarray:
+                       rel_tol: float = horizon_rel_tolerance,
+                       growth: Optional[np.ndarray] = None) -> np.ndarray:
     """Time average of Phi(t)^-1 J Phi(t) for the flow of dPhi/dt = P(t) Phi.
 
     The average uses the mean-one normalization of the raw fundamental
@@ -264,6 +261,10 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
     ``base_period`` (``T=None``) starts at ``horizon_periods`` base periods
     and is doubled up to ``horizon_doublings`` times before that error is
     raised: carriers can combine to frequencies far below the slowest one.
+    Given ``growth`` (2,), the first pass raises it in place to the sampled
+    conjugation growth ``(sup |Phi|, sup |Phi^-1|)``, spectral norms over
+    Phi after every step of its window [0, T], even when a longer horizon
+    follows (NaN where Jacobi fails; see ``_phase_kernel``).
     With ``p=None`` the input is returned unchanged.
     """
     j = np.asarray(j, dtype=float)
@@ -273,13 +274,13 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
         # single-frequency convenience: the base period also bounds the step
         min_period = base_period
     if T is not None:
-        return _windowed_average(j, p, T, dt, min_period, rel_tol)
+        return _windowed_average(j, p, T, dt, min_period, rel_tol, growth)
     if base_period is None:
         raise ValueError("need T or base_period for the averaging horizon")
     for doubling in range(horizon_doublings + 1):
         try:
             return _windowed_average(j, p, horizon_periods * 2 ** doubling * base_period,
-                                     dt, min_period, rel_tol)
+                                     dt, min_period, rel_tol, None if doubling else growth)
         except HorizonTooShort:
             if doubling == horizon_doublings:
                 raise
@@ -287,12 +288,12 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
 
 def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
                       dt: Optional[float], min_period: Optional[float],
-                      rel_tol: float) -> np.ndarray:
+                      rel_tol: float, growth: Optional[np.ndarray]) -> np.ndarray:
     """The weighted estimate over [0, 2T], checked against the one over
     [0, T] (see ``conjugated_average``).  The window weights are built and
     normalized here; the compiled stepper solves Psi^-1 J Psi after each
     step and adds the weighted sums of Psi and of Psi^-1 J Psi for both
-    windows, and only the closing conjugation by the mean Psi uses numpy."""
+    windows (and the growth over [0, T]); only the closing conjugation uses numpy."""
     dt = _resolve_step(T, dt, min_period, default_oversampling)
 
     n = j.shape[0]
@@ -307,9 +308,7 @@ def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
     weights /= totals
 
     sums = np.zeros((2, 2, n, n))
-    for _ in _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j=j, weights=weights.T,
-                          sums=sums):
-        pass
+    _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, weights.T, sums, growth, steps)
     if not np.isfinite(sums).all():
         raise np.linalg.LinAlgError(f"the flow overflowed on [0, {2 * T:g}]")
     mean_psi, mean_m = sums

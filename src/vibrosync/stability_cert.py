@@ -20,7 +20,7 @@ from .kuramoto_dynamics import (Classification, Linearization,
                                 classification_horizon,
                                 classify_partial_stability, perturbation_bounds,
                                 sample_perturbed_trajectories)
-from .linalg import is_hurwitz, is_m_matrix, robustness
+from .linalg import NotHurwitz, is_m_matrix, robustness
 
 # averaged_jacobians lives in kuramoto_dynamics; it stays importable from here
 # because the benchmark's tracer resolves it as stability_cert.averaged_jacobians
@@ -49,8 +49,13 @@ def comparison(blocks: Sequence[np.ndarray], gamma_bar: np.ndarray
                ) -> Tuple[Tuple[Optional[float], ...], Optional[np.ndarray], bool]:
     """Robustness margins, comparison matrix and its M-matrix verdict; a
     block that is not Hurwitz has no margin (None), hence no matrix."""
-    # robustness raises NotHurwitz exactly when is_hurwitz is false
-    r_values = tuple(robustness(b) if is_hurwitz(b) else None for b in blocks)
+    def margin(block):
+        try:
+            return robustness(block)
+        except NotHurwitz:
+            return None
+
+    r_values = tuple(map(margin, blocks))
     if any(v is None for v in r_values):
         return r_values, None, False
     s_matrix = build_S(r_values, gamma_bar)
@@ -161,20 +166,24 @@ def _sweep(lin: Linearization, schedule: VibrationSchedule,
 
 
 def certify(lin: Linearization, schedule: Optional[VibrationSchedule],
-            averaged: Sequence[np.ndarray], *, empirical: bool = True,
-            kick: float = 0.1, seed: int = 0) -> StabilityReport:
+            averaged: Sequence[np.ndarray], growth: Optional[np.ndarray] = None, *,
+            empirical: bool = True, kick: float = 0.1, seed: int = 0) -> StabilityReport:
     """Run the full certification pipeline on a (possibly vibrated) network,
     linearized as ``lin``, whose per-cluster averaged Jacobians under
-    ``schedule`` are ``averaged`` (``averaged_jacobians(lin, schedule)``;
-    ``lin.J_blocks`` without a schedule).
+    ``schedule`` and their flows' conjugation growth are ``averaged`` and
+    ``growth`` (both from ``averaged_jacobians(lin, schedule)``; without a
+    schedule ``lin.J_blocks`` and None).  A schedule with entries needs its
+    growth (ValueError).
 
     The certificate (M-matrix test on the comparison matrix) and the
     empirical classification are reported independently: a schedule can be
     empirically stabilizing while remaining uncertified.  The empirical
     evidence for a schedule with entries includes the epsilon sweep.
     """
+    if growth is None and schedule is not None and schedule.entries:
+        raise ValueError("a vibrated schedule needs the growth averaged_jacobians returns")
     averaged = tuple(averaged)
-    gamma = perturbation_bounds(lin, schedule)
+    gamma = perturbation_bounds(lin, growth)
     r_values, s_matrix, certified = comparison(averaged, gamma)
 
     classification: Optional[Classification] = None

@@ -353,15 +353,16 @@ def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
 @dataclass(frozen=True)
 class ClusterDesign:
     """A designed schedule with its per-cluster symbolic designs, target
-    blocks and the averaged Jacobians the schedule realizes, and the
-    linearization they were designed against.  ``residuals[k]`` is how far
-    the realized average of designed cluster k misses its target."""
+    blocks, the averaged Jacobians and growth ``averaged_jacobians`` gives
+    for it, and the linearization they were designed against.
+    ``residuals[k]`` is how far designed cluster k's average misses its target."""
 
     lin: Linearization
     schedule: VibrationSchedule
     designs: Dict[int, LinearDesign] = field(compare=False)
     targets: Tuple[np.ndarray, ...]
     averaged: Tuple[np.ndarray, ...]
+    growth: Optional[np.ndarray]
     residuals: Dict[int, float] = field(compare=False)
     all_verified: bool
 
@@ -437,10 +438,10 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
                 used_edges.add(e)
 
     schedule = VibrationSchedule(entries=entries, epsilon=epsilon)
-    averaged = averaged_jacobians(lin, schedule)
+    averaged, growth = averaged_jacobians(lin, schedule)
     residuals = {k: float(np.abs(averaged[k] - targets[k]).max()) for k in designs}
     return ClusterDesign(lin=lin, schedule=schedule, designs=designs,
-                         targets=tuple(targets), averaged=averaged,
+                         targets=tuple(targets), averaged=averaged, growth=growth,
                          residuals=residuals,
                          all_verified=all(residuals[k] <= specs[k].tolerance
                                           for k in designs))

@@ -230,7 +230,7 @@ def test_criterion_8_manifold_invariance(flip_kn, flip_inc, flip_design):
 
 def test_criterion_9_uncertified_but_stable(flip_scenario, flip_lin, flip_design):
     report = vs.certify(flip_lin, flip_design.schedule, flip_design.averaged,
-                        empirical=True, kick=0.1, seed=flip_scenario.seed)
+                        flip_design.growth, empirical=True, kick=0.1, seed=flip_scenario.seed)
     assert not report.certified
     assert report.label == "stable_uncertified"
     assert report.empirical is not None and report.empirical.stable

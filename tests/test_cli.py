@@ -38,14 +38,15 @@ def tiny_path(tmp_path_factory):
 
 
 def count_stage_calls(monkeypatch) -> Counter:
-    """Count the calls of the pipeline stages and of the phase-network
-    kernel from every vibrosync module that binds them;
-    ``conjugated_average`` counts the averages of a vibration flow, not its
-    calls without a vibration matrix, which return a copy of the block."""
+    """Count the calls of the pipeline stages, of the linear-flow passes
+    (``_linear_flow``) and of the phase-network kernel from every vibrosync
+    module that binds them; ``conjugated_average`` counts the averages of a
+    vibration flow, not its calls without a vibration matrix, which return a
+    copy of the block."""
     counts: Counter = Counter()
     stages = (kuramoto_dynamics.linearize, graph_core.check_invariance,
               stability_cert.certify, kuramoto_dynamics.perturbation_bounds,
-              linalg.conjugated_average, _phase_kernel.integrate)
+              linalg.conjugated_average, linalg._linear_flow, _phase_kernel.integrate)
     modules = [module for name, module in sys.modules.items()
                if name == "vibrosync" or name.startswith("vibrosync.")]
     for stage in stages:
@@ -283,9 +284,31 @@ def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
     counts.clear()
     assert cli.main(["design", "--scenario", "cluster_flip",
                      "--out", str(tmp_path / "design")]) == 4
-    # one average of the vibrated cluster, of the realized schedule
+    # one average of the vibrated cluster, of the realized schedule, whose
+    # linear-flow pass also samples the growth perturbation_bounds reads
     assert counts == {"linearize": 1, "check_invariance": 1,
-                      "perturbation_bounds": 1, "conjugated_average": 1}
+                      "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1}
+
+
+def test_analyze_of_a_vibrated_network_makes_one_flow_pass_per_vibrated_cluster(
+        tmp_path, flip_design, monkeypatch):
+    # the flagship with its designed schedule, as the cli benchmark runs it:
+    # one vibrated cluster, one linear-flow pass for its average and growth
+    data = flagship_data()
+    for key in ("modifications", "references"):
+        del data[key]
+    data["schedule"] = {"epsilon": flip_design.schedule.epsilon, "entries": [
+        {"edge": list(e), "amplitude": entry.amplitude, "frequency": entry.frequency}
+        for e, entry in flip_design.schedule.sorted_items()]}
+    path = write_scenario(tmp_path, data)
+    counts = count_stage_calls(monkeypatch)
+    assert cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"linearize": 1, "check_invariance": 1, "certify": 1,
+                      "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1}
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert np.array(report["gamma_bar"]) == pytest.approx(np.array(
+        [[207.2127059571014, 19.68200517406362], [59.006681214733504, 4.7250000000000005]]),
+        rel=1e-12)
 
 
 def test_design_requires_modifications(tiny_path, tmp_path):
@@ -582,11 +605,13 @@ def test_reproduce_flagship(flagship_reproduce):
     assert code == 0
     # one linearization; one certificate each for the uncontrolled and the
     # controlled network; one average of the vibrated cluster, which the
-    # design verifies and the controlled certificate reuses; one kernel call
-    # for each of the seven phase-network runs: the two certificates'
-    # ensembles, the sweep's three and the two documented trajectories
+    # design verifies and the controlled certificate reuses, in one
+    # linear-flow pass that also samples its growth; one kernel call for each
+    # of the seven phase-network runs: the two certificates' ensembles, the
+    # sweep's three and the two documented trajectories
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 2,
-                      "perturbation_bounds": 2, "conjugated_average": 1, "integrate": 7}
+                      "perturbation_bounds": 2, "conjugated_average": 1, "_linear_flow": 1,
+                      "integrate": 7}
     for name in ("analysis.json", "schedule.json", "certificate.json",
                  "controlled.csv", "err_controlled.csv", "uncontrolled.csv",
                  "err_uncontrolled.csv", "plot.gp", "report.json",
@@ -806,6 +831,23 @@ def test_reproduce_start_below_tol_fails_controlled_row(tmp_path, capsys):
                      "--out", str(out)]) == 4
     row = reproduce_rows(out)["controlled_error_drops_below_tol"]
     assert (row["computed"], row["ok"]) == ("starts below tol", False)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reproduce_shifted_margin_is_missing_without_a_cluster_1_design(tmp_path, capsys):
+    # the flagship's change moved to cluster 2: cluster 1 keeps its Jacobian,
+    # whose unshifted margin 0.30588 must not be compared with the shifted
+    # reference, so the row reads missing, as the gain and ratio rows do
+    data = flagship_data()
+    data["modifications"][0]["cluster"] = 1
+    data["simulation"]["t_end"] = 1.0
+    out = tmp_path / "repro"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 4
+    rows = reproduce_rows(out)
+    for name in ("robustness_cluster1_shifted", "normalized_gain_1", "normalized_gain_2",
+                 "frequency_ratio"):
+        assert (rows[name]["computed"], rows[name]["ok"]) == ("missing", False), name
     assert "Traceback" not in capsys.readouterr().err
 
 

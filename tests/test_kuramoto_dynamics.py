@@ -195,11 +195,10 @@ def test_linear_flows_keep_48_steps_per_period(flip_lin, flip_design, monkeypatc
         return real(p_, t0, h, steps, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_linear_flow", recording)
-    monkeypatch.setattr(kd, "_linear_flow", recording)
     vs.state_transition(p, 0.0, 10.0, min_period=min_period)
+    # one pass averages the vibrated cluster and samples its growth
     vs.averaged_jacobians(flip_lin, flip_design.schedule)
-    kd._conjugation_growth(p)
-    assert per_period == [48, 48, 48]
+    assert per_period == [48, 48]
 
 
 @pytest.mark.parametrize("flow, floor", [("phase_network", 20), ("linear", 40)])

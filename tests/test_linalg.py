@@ -175,7 +175,7 @@ def test_conjugated_average_matches_exact_engine():
 
 
 def test_averaged_jacobians_flagship_match_exact_engine(flip_lin, flip_design):
-    avg = vs.averaged_jacobians(flip_lin, flip_design.schedule)
+    avg, _ = vs.averaged_jacobians(flip_lin, flip_design.schedule)
     exact = flip_design.designs[0].predicted
     assert_rel_close(avg[0], exact, rel=1e-6)
 
@@ -339,6 +339,8 @@ def test_state_transition_matches_per_step_loop():
 
 
 def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, flip_design):
+    # the growth the averaging pass samples, over its first window of 20
+    # base periods, against an SVD after every step of a separate loop
     schedule = flip_design.schedule
     growth, shrink = np.ones(flip_inc.partition.r), np.ones(flip_inc.partition.r)
     for k, p in enumerate(vs.cluster_vibration_matrices(flip_inc, schedule)):
@@ -348,20 +350,62 @@ def test_perturbation_bounds_growth_matches_per_step_loop(flip_inc, flip_lin, fl
             p, p.mats.shape[1], 20.0 * 2.0 * np.pi / p.freqs.min(),
             2.0 * np.pi / p.freqs.max() / linalg.default_oversampling)
     assert growth.max() > 1.0
+    _, sampled = vs.averaged_jacobians(flip_lin, schedule)
+    assert_rel_close(sampled, np.column_stack([growth, shrink]))
     expected = (np.outer(shrink, growth) * kuramoto_dynamics.envelope_safety
                 * vs.perturbation_bounds(flip_lin))
-    assert_rel_close(vs.perturbation_bounds(flip_lin, schedule), expected)
+    assert_rel_close(vs.perturbation_bounds(flip_lin, sampled), expected)
+    # the flagship's gamma_bar, as a separate growth pass read it
+    assert_rel_close(vs.perturbation_bounds(flip_lin, sampled),
+                     np.array([[207.2127059571014, 19.68200517406362],
+                               [59.006681214733504, 4.7250000000000005]]), rel=1e-12)
+    assert vs.averaged_jacobians(flip_lin, None)[1] is None
 
 
 def test_perturbation_bounds_of_an_overflowing_flow_raise(flip_lin, flip_design):
     # the flagship's designed schedule at amplitude 1e3 and phase 1: the
-    # vibration flow overflows to a Psi that is not finite
+    # vibration flow overflows to a Psi that is not finite, which the
+    # averaging pass reports; its growth sampling ends there without an
+    # error of its own, the same with P's pattern as with every entry
     schedule = kuramoto_dynamics.VibrationSchedule(
         {e: kuramoto_dynamics.VibrationEntry(1e3, entry.frequency, 1.0)
          for e, entry in flip_design.schedule.entries.items()},
         epsilon=flip_design.schedule.epsilon)
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        vs.perturbation_bounds(flip_lin, schedule)
+    with pytest.raises(np.linalg.LinAlgError, match=r"the flow overflowed on \[0, 251.327\]"):
+        vs.averaged_jacobians(flip_lin, schedule)
+    p = vs.cluster_vibration_matrices(flip_lin.inc, schedule)[0]
+    periods = dict(base_period=2 * np.pi / p.freqs.min(), min_period=2 * np.pi / p.freqs.max())
+    growths = []
+    for flow in (p, lambda t: p(t)):
+        growths.append(np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+            vs.conjugated_average(flip_lin.J_blocks[0], flow, growth=growths[-1], **periods)
+    assert 1e300 < growths[0][0] < np.inf  # the last finite Psi's
+    assert np.array_equal(*growths)
+
+
+@pytest.mark.parametrize("design_like", [False, True], ids=["dense", "design_like"])
+def test_averaging_pass_growth_matches_per_step_loop(design_like):
+    # the growth over the first window [0, T] of the averaging pass, against
+    # an SVD after every step of a separate loop over [0, T]; with a base
+    # period every doubled horizon fails here, and the growth stays the
+    # first pass's
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        p = (design_like_sinusoid_sum if design_like else random_sinusoid_sum)(rng, n, 2)
+        j = rng.normal(size=(n, n))
+        T, dt = float(rng.uniform(1.0, 8.0)), 2 * np.pi / p.freqs.max() / 48
+        growth = np.ones(2)
+        vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf, growth=growth)
+        assert_rel_close(growth, reference_growth(p, n, T, dt))
+    base, fastest = 2 * np.pi / p.freqs.min(), 2 * np.pi / p.freqs.max()
+    growth = np.ones(2)
+    with pytest.raises(HorizonTooShort):
+        vs.conjugated_average(j, p, base_period=base, min_period=fastest, rel_tol=0.0,
+                              growth=growth)
+    assert_rel_close(growth, reference_growth(p, n, linalg.horizon_periods * base,
+                                              fastest / linalg.default_oversampling))
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +432,12 @@ def design_like_sinusoid_sum(rng, n, terms):
 
 
 def flow_outputs(p, j, T, dt):
-    """state_transition, the averages and the Psi stacks perturbation_bounds
-    reads, for the current chunk length."""
-    n = j.shape[0]
+    """state_transition, the average and the conjugation growth its pass
+    samples for perturbation_bounds, for the current chunk length."""
     phi = vs.state_transition(p, 0.3, 0.3 + T, dt=dt)
-    average = vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf)
-    steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    stacks = [phis.copy() for phis in linalg._linear_flow(p, 0.0, T / steps, steps, np.eye(n))]
-    return phi, average, np.concatenate(stacks)
+    growth = np.ones(2)
+    average = vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf, growth=growth)
+    return phi, average, growth
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -424,8 +466,8 @@ def sparse_sinusoid_sum(rng, n, terms):
 
 def flow_results(p, j, T, dt):
     """state_transition, the average (or the error of an overflowing flow),
-    both windows' raw sums of Psi and of Psi^-1 J Psi, and the Psi stacks
-    perturbation_bounds reads."""
+    both windows' raw sums of Psi and of Psi^-1 J Psi, and the conjugation
+    growth the same pass samples for perturbation_bounds."""
     n = j.shape[0]
     steps = max(1, int(np.ceil(T / dt - 1e-12)))
     out = [vs.state_transition(p, 0.3, 0.3 + T, dt=dt)]
@@ -433,14 +475,10 @@ def flow_results(p, j, T, dt):
         out.append(vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf))
     except np.linalg.LinAlgError as exc:
         out.append(str(exc))
-    sums = np.zeros((2, 2, n, n))
-    for _ in linalg._linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j=j,
-                                 weights=np.full((2 * steps, 2), 0.5), sums=sums):
-        pass
-    out.append(sums)
-    out.append(np.concatenate([phis.copy() for phis in
-                               linalg._linear_flow(p, 0.0, T / steps, steps, np.eye(n))]))
-    return out
+    sums, growth = np.zeros((2, 2, n, n)), np.ones(2)
+    linalg._linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j,
+                        np.full((2 * steps, 2), 0.5), sums, growth, steps)
+    return out + [sums, growth]
 
 
 def assert_same_results(a, b):
@@ -480,7 +518,15 @@ def test_overflowing_pattern_flow_has_the_full_flows_nans():
         full = flow_results(lambda t: p(t), j, 6.0, 0.01)
     phi = sparse[0]
     assert np.isnan(phi).any() and not np.isnan(phi).all()
+    # before Psi overflows, Jacobi fails on a finite Psi whose entries span
+    # the whole float range: the sampled growth reads NaN
+    assert np.isnan(sparse[-1]).all()
     assert_same_results(sparse, full)
+
+
+def test_perturbation_bounds_refuse_a_growth_jacobi_could_not_sample(flip_lin):
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        vs.perturbation_bounds(flip_lin, np.array([[np.nan, np.nan], [1.0, 1.0]]))
 
 
 @pytest.mark.parametrize("args, match", [

@@ -252,12 +252,13 @@ def full_pattern(n):
     return np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
 
 
-def bind_flow(n=2, kmax=4, steps=8, **changes):
-    """A LinearFlow of n x n matrices with a full pattern, a stack of kmax and
-    the weights of steps steps; ``changes`` replace its arguments."""
+def bind_flow(n=2, steps=8, **changes):
+    """A LinearFlow of n x n matrices with a full pattern, the weights of
+    steps steps and a growth window of 4 steps; ``changes`` replace its
+    arguments."""
     args = dict(h=0.1, psi=np.eye(n), scratch=np.zeros(pk.flow_scratch_len(n)),
-                stack=np.zeros((kmax, n, n)), pattern=full_pattern(n), j=-np.eye(n),
-                weights=np.ones((steps, 2)), sums=np.zeros((2, 2, n, n)))
+                pattern=full_pattern(n), j=-np.eye(n), weights=np.ones((steps, 2)),
+                sums=np.zeros((2, 2, n, n)), growth=np.ones(2), growth_steps=4)
     return pk.LinearFlow(**{**args, **changes})
 
 
@@ -279,8 +280,10 @@ def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
         frozen.flags.writeable = False
         with pytest.raises(ValueError):
             bind_flow(psi=frozen)
-        with pytest.raises(ValueError):  # a stack of 3 x 3 matrices
-            bind_flow(stack=np.zeros((4, 3, 3)))
+        with pytest.raises(ValueError):  # a growth of three values
+            bind_flow(growth=np.ones(3))
+        with pytest.raises(ValueError):
+            bind_flow(growth=np.ones(2, dtype=np.float32))
         with pytest.raises(ValueError):  # J of another size
             bind_flow(j=np.eye(3))
         with pytest.raises(ValueError):  # three weights per step
@@ -305,9 +308,9 @@ def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
         flow.chunk(0, 2, table.astype(np.float32))
     with pytest.raises(ValueError):  # not in C order
         flow.chunk(0, 2, np.ones((5, 8))[:, ::2])
-    with pytest.raises(ValueError):  # past the stack
-        flow.chunk(0, 5, np.ones((11, 4)))
     with pytest.raises(ValueError):  # past the weights
+        flow.chunk(0, 9, np.ones((19, 4)))
+    with pytest.raises(ValueError):
         flow.chunk(7, 2, table)
     with pytest.raises(ValueError):
         flow.chunk(-1, 2, table)
@@ -346,14 +349,15 @@ def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
     # a constant P = -I: every step multiplies Psi by R(-h), the RK4
     # polynomial of exp(-h)
     h, r = 0.1, 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
-    psi, stack, sums = np.eye(2), np.zeros((4, 2, 2)), np.zeros((2, 2, 2, 2))
-    flow = bind_flow(psi=psi, stack=stack, sums=sums,
+    psi, sums, growth = np.eye(2), np.zeros((2, 2, 2, 2)), np.ones(2)
+    flow = bind_flow(psi=psi, sums=sums, growth=growth,
                      pattern=np.array([[0, 0], [1, 1]], dtype=np.intc))
     for start in (0, 3):
         flow.chunk(start, 3, np.full((7, 2), -1.0))
     assert psi == pytest.approx(r ** 6 * np.eye(2), rel=1e-14)
-    assert stack[:3] == pytest.approx(r ** np.arange(4, 7)[:, None, None] * np.eye(2),
-                                      rel=1e-14)
+    # the growth window of 4 steps ends inside the second chunk: Psi shrinks,
+    # so sup |Psi| stays 1 and sup |Psi^-1| is that of Psi after step 4
+    assert growth == pytest.approx([1.0, r ** -4], rel=1e-14)
     # Psi^-1 J Psi = -I whatever Psi is; the weights are all one
     assert sums[0, 0] == pytest.approx(sum(r ** np.arange(1, 7)) * np.eye(2), rel=1e-14)
     assert np.array_equal(sums[1], np.tile(-6.0 * np.eye(2), (2, 1, 1)))

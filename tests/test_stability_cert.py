@@ -27,7 +27,7 @@ J2 = np.array([[-3.0, 0.0, 1.0],
 @pytest.fixture(scope="module")
 def flip_report(flip_lin, flip_design):
     return vs.certify(flip_lin, flip_design.schedule,
-                      vs.averaged_jacobians(flip_lin, flip_design.schedule),
+                      *vs.averaged_jacobians(flip_lin, flip_design.schedule),
                       empirical=False)
 
 
@@ -52,8 +52,15 @@ def weak_pair():
 # averaged Jacobians
 
 
+def test_certify_needs_the_growth_of_a_vibrated_schedule(flip_lin, flip_design):
+    # the growth comes from the averaging pass; certify takes no second one
+    with pytest.raises(ValueError, match="growth"):
+        vs.certify(flip_lin, flip_design.schedule, flip_design.averaged, empirical=False)
+
+
 def test_averaged_jacobians_without_schedule(flip_lin):
-    out = vs.averaged_jacobians(flip_lin, None)
+    out, growth = vs.averaged_jacobians(flip_lin, None)
+    assert growth is None
     for got, blk in zip(out, flip_lin.J_blocks):
         assert np.abs(got - blk).max() == 0.0
         assert got is not blk  # defensive copies

@@ -324,7 +324,7 @@ def test_design_cluster_flagship_schedule(flip_design, flip_lin):
     assert np.abs(flip_design.targets[1] - j2).max() < 1e-9
 
     # the certificate of the targets: ingredients have the right shapes
-    gamma_bar = vs.perturbation_bounds(flip_lin, flip_design.schedule)
+    gamma_bar = vs.perturbation_bounds(flip_lin, flip_design.growth)
     target_robustness, s_matrix, s_is_m = vs.comparison(flip_design.targets,
                                                         gamma_bar)
     assert not (s_is_m and flip_design.all_verified)
