@@ -57,19 +57,17 @@ multiplicand that is not all finite takes the full product, so that
 every step, by Gaussian elimination with partial pivoting on [Psi | J Psi]
 as LAPACK's ``gesv`` does, and adds the two window-weighted sums of Psi
 and of M in step order.  For the sampled conjugation growth of the
-perturbation bounds it takes the extreme singular values of Psi after each
-of a flow's first g steps, with no Psi stored, and raises a running
-maximum of the largest and of the reciprocal of the smallest (1/0 = inf
-for a singular Psi).  Cyclic one-sided Jacobi (Hestenes 1958) rotates the
-pairs of columns of a copy of Psi, scaled by a power of two, to
-orthogonality while their cosine exceeds n eps (Demmel and Veselic, SIAM
-J. Matrix Anal. Appl. 13(4), 1992), and stops after a sweep that rotates
-no pair; the singular values are then the column norms, with high relative
-accuracy (:func:`singular_extremes` runs it on a stack).  A Psi that is
-not all finite stays so and leaves the maxima unchanged, which ends the
-sampling without an error of its own; a finite Psi that Jacobi does not
-orthogonalize ends it with both maxima NaN, which the perturbation bounds
-raise.  Neither Psi, the sums nor the maxima depend on where chunks end.
+perturbation bounds it also steps the inverse flow dPsi^-1/dt = -Psi^-1 P
+over a flow's first g steps, with the same table rows and the same RK4:
+it carries the transpose, which it multiplies by P^T through the swapped
+pattern, so each entry sums in the order of the product Psi^-1 P.  It
+raises a running maximum of the Frobenius norms of Psi and of Psi^-1,
+each an upper bound on the spectral norm, with no Psi stored.  The sum of
+squares is taken after a power-of-two scaling of the largest entry, so a
+finite Psi reads a finite norm up to the float range.  A Psi or Psi^-1
+that is not all finite leaves its maximum unchanged, which ends its
+sampling without an error of its own.  Neither Psi, the sums nor the
+maxima depend on where chunks end.
 
 The same library writes CSV numbers (:func:`format_csv`) exactly as
 Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
@@ -106,7 +104,6 @@ _field_bytes = 24  # bytes one "%.10g" value and its separator fit in: FIELD
 
 _SOURCE = r"""
 #define _POSIX_C_SOURCE 200809L  /* newlocale and uselocale, also under -std=c99 */
-#include <float.h>
 #include <locale.h>
 #include <math.h>
 #include <pthread.h>
@@ -309,7 +306,6 @@ int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const
 
 /* ---- linear flows --------------------------------------------------------- */
 
-int sv_extremes(int n, int64_t k, const double *a, double *ext, double *g);  /* below */
 /* c = a b for row-major n x n matrices, each entry summed in index order */
 static void matmul(int n, const double *restrict a, const double *restrict b,
                    double *restrict c)
@@ -367,7 +363,8 @@ static int lu_solve(int n, double *restrict a, double *restrict b)
 }
 
 /* c = P y for the row-major n x n y, P given by its nz values v at the
-   row-major pattern pat of (row, col) pairs and zero elsewhere.  Each
+   pattern pat of (row, col) pairs, each row's in increasing column order
+   (a row-major pattern or its pairs swapped), and zero elsewhere.  Each
    entry of c adds its products in column order, as matmul does, but only
    those of the pattern: for a finite y the others are exact zeros, which
    leave a sum that starts at +0 unchanged.  A y that is not all finite
@@ -396,40 +393,86 @@ static void pattern_mul(int n, int nz, const int *restrict pat, const double *re
     }
 }
 
+/* One RK4 step of dX/dt = P(t) X for the row-major n x n x, advanced in
+   place, with P's nz entries at pat: p0 holds them at the step's start,
+   p0 + nz at its midpoint and p0 + 2 nz at its end.  k holds the four
+   stages (4 n n doubles), y the stage argument (n n). */
+static void rk4_step(int n, int nz, const int *restrict pat, const double *restrict p0,
+                     double h, double *restrict x, double *restrict k,
+                     double *restrict y, double *restrict full)
+{
+    int nn = n * n;
+    const double *pm = p0 + nz, *p1 = pm + nz;
+    double *k1 = k, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn;
+    pattern_mul(n, nz, pat, p0, x, full, k1);
+    for (int e = 0; e < nn; e++)
+        y[e] = x[e] + 0.5 * h * k1[e];
+    pattern_mul(n, nz, pat, pm, y, full, k2);
+    for (int e = 0; e < nn; e++)
+        y[e] = x[e] + 0.5 * h * k2[e];
+    pattern_mul(n, nz, pat, pm, y, full, k3);
+    for (int e = 0; e < nn; e++)
+        y[e] = x[e] + h * k3[e];
+    pattern_mul(n, nz, pat, p1, y, full, k4);
+    for (int e = 0; e < nn; e++)
+        x[e] = x[e] + h / 6.0 * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]);
+}
+
+/* *m = max(*m, |a|_F) for the nn entries of a, summed in squares after
+   scaling by the power of two that brings the largest entry into
+   [1/2, 1) (exact, so the squares neither overflow nor underflow early);
+   an a that is not all finite leaves *m unchanged. */
+static void raise_frobenius(int nn, const double *a, double *m)
+{
+    double amax = 0.0;
+    for (int e = 0; e < nn; e++) {
+        if (!isfinite(a[e]))
+            return;
+        amax = fmax(amax, fabs(a[e]));
+    }
+    int ex;
+    frexp(amax, &ex);
+    if (ex < -1021)  /* 2^-ex stays finite */
+        ex = -1021;
+    double scale = ldexp(1.0, -ex), ss = 0.0;
+    for (int e = 0; e < nn; e++) {
+        double s = a[e] * scale;
+        ss += s * s;
+    }
+    *m = fmax(*m, ldexp(sqrt(ss), ex));
+}
+
 /* k RK4 steps of dPsi/dt = P(t) Psi for the row-major n x n Psi in psi,
    advanced in place; P has the nz entries of the row-major pattern pat
    ((row, col) pairs) and is zero elsewhere, and table holds those entries
-   on the chunk's half-step grid, 2k+1 rows of nz.  After each of the first
-   g steps, sv_extremes raises ext to the extreme singular values of a
-   finite Psi; one that Jacobi fails on sets ext to NaN, ending the sampling.
+   on the chunk's half-step grid, 2k+1 rows of nz.  pat + 2 nz holds the
+   same pairs swapped, the pattern of P^T.  In each of the first g steps
+   the transposed inverse flow Z = (Psi^-1)^T, dZ/dt = -P(t)^T Z, carried
+   in the last n n doubles of scratch, takes the same step through P^T
+   with -h: negating h negates each stage's increment exactly, and each
+   entry of P^T Z adds its products in the order matmul(Psi^-1, P) would,
+   so Z is RK4 on dPsi^-1/dt = -Psi^-1 P transposed, bit for bit.  Then
+   ext[0] and ext[1] are raised to the Frobenius norms of Psi and of Z.
    Unless j is NULL, M = Psi^-1 J Psi is formed after every step from
    J Psi by lu_solve, and with the step's row (w0, w1) of w (k rows of 2)
    the products w0 Psi, w1 Psi, w0 M, w1 M are added to the four n x n
-   blocks of sums.  scratch holds 8 n n doubles.  Returns 0, or i + 1 when
+   blocks of sums.  scratch holds 9 n n doubles.  Returns 0, or i + 1 when
    Psi after step i is singular; the sums then stop before that step. */
 int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const double *table,
                    double *psi, const double *j, const double *w, double *sums, int64_t g,
                    double *ext, double *scratch)
 {
     int nn = n * n;
-    double *k1 = scratch, *k2 = k1 + nn, *k3 = k2 + nn, *k4 = k3 + nn, *y = k4 + nn;
-    double *lu = y + nn, *m = lu + nn, *full = m + nn;
+    double *stages = scratch, *y = stages + 4 * nn, *lu = y + nn, *m = lu + nn;
+    double *full = m + nn, *z = full + nn;
     for (int64_t i = 0; i < k; i++) {
-        const double *p0 = table + 2 * i * nz, *pm = p0 + nz, *p1 = pm + nz;
-        pattern_mul(n, nz, pat, p0, psi, full, k1);
-        for (int e = 0; e < nn; e++)
-            y[e] = psi[e] + 0.5 * h * k1[e];
-        pattern_mul(n, nz, pat, pm, y, full, k2);
-        for (int e = 0; e < nn; e++)
-            y[e] = psi[e] + 0.5 * h * k2[e];
-        pattern_mul(n, nz, pat, pm, y, full, k3);
-        for (int e = 0; e < nn; e++)
-            y[e] = psi[e] + h * k3[e];
-        pattern_mul(n, nz, pat, p1, y, full, k4);
-        for (int e = 0; e < nn; e++)
-            psi[e] = psi[e] + h / 6.0 * (k1[e] + 2.0 * k2[e] + 2.0 * k3[e] + k4[e]);
-        if (i < g && !isnan(ext[0]) && sv_extremes(n, 1, psi, ext, y) == 2)  /* y as scratch */
-            ext[0] = ext[1] = NAN;
+        const double *p0 = table + 2 * i * nz;
+        rk4_step(n, nz, pat, p0, h, psi, stages, y, full);
+        if (i < g) {
+            rk4_step(n, nz, pat + 2 * nz, p0, -h, z, stages, y, full);
+            raise_frobenius(nn, psi, ext);
+            raise_frobenius(nn, z, ext + 1);
+        }
         if (!j)
             continue;
         matmul(n, j, psi, m);
@@ -444,90 +487,6 @@ int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const dou
             sums[3 * nn + e] += w1 * m[e];
         }
     }
-    return 0;
-}
-
-/* ---- extreme singular values ---------------------------------------------- */
-
-#define SWEEPS 60  /* Jacobi sweeps after which a matrix counts as not converging */
-
-/* ext[0] = max(ext[0], s_max) and ext[1] = max(ext[1], 1 / s_min) over the
-   k row-major n x n matrices of a, with s_max and s_min the largest and
-   smallest singular values of each.  Cyclic one-sided Jacobi (Hestenes):
-   the columns of a copy, scaled by the power of two that brings the
-   largest entry into [1/2, 1) (exact, so the squared norms neither
-   overflow nor underflow), are stored as the rows of g (n n doubles), and
-   each pair (p, q) in turn is rotated to orthogonality while
-   |g_p . g_q| > n eps |g_p| |g_q| (Demmel and Veselic 1992).  When a sweep
-   rotates no pair, the singular values are the norms of the rows.  A
-   singular matrix gives 1 / 0 = inf.  Returns 0; or, with ext unchanged,
-   1 when a matrix is not all finite and 2 when one is not orthogonalized
-   after SWEEPS sweeps. */
-int sv_extremes(int n, int64_t k, const double *a, double *ext, double *g)
-{
-    int nn = n * n;
-    double tol = n * DBL_EPSILON, top = ext[0], inv = ext[1];
-    for (int64_t m = 0; m < k; m++) {
-        const double *am = a + m * nn;
-        double amax = 0.0;
-        for (int e = 0; e < nn; e++) {
-            if (!isfinite(am[e]))
-                return 1;
-            amax = fmax(amax, fabs(am[e]));
-        }
-        int ex;
-        frexp(amax, &ex);
-        if (ex < -1021)  /* 2^-ex stays finite */
-            ex = -1021;
-        double scale = ldexp(1.0, -ex);
-        for (int i = 0; i < n; i++)
-            for (int r = 0; r < n; r++)
-                g[i * n + r] = am[r * n + i] * scale;
-        for (int sweep = 0;; sweep++) {
-            if (sweep == SWEEPS)
-                return 2;
-            int rotated = 0;
-            for (int p = 0; p < n - 1; p++)
-                for (int q = p + 1; q < n; q++) {
-                    double *gp = g + p * n, *gq = g + q * n;
-                    double alpha = 0.0, beta = 0.0, gamma = 0.0;
-                    for (int r = 0; r < n; r++) {
-                        alpha += gp[r] * gp[r];
-                        beta += gq[r] * gq[r];
-                        gamma += gp[r] * gq[r];
-                    }
-                    if (!(fabs(gamma) > tol * sqrt(alpha) * sqrt(beta)))
-                        continue;
-                    rotated = 1;
-                    /* t = tan of the angle that zeroes the pair's dot product,
-                       the smaller root of t^2 + 2 zeta t - 1 */
-                    double zeta = (beta - alpha) / (2.0 * gamma), az = fabs(zeta);
-                    double t = 1.0 / (az + (az < 1e150 ? sqrt(1.0 + az * az) : az));
-                    if (zeta < 0.0)
-                        t = -t;
-                    double c = 1.0 / sqrt(1.0 + t * t), s = c * t;
-                    for (int r = 0; r < n; r++) {
-                        double x = gp[r], y = gq[r];
-                        gp[r] = c * x - s * y;
-                        gq[r] = s * x + c * y;
-                    }
-                }
-            if (!rotated)
-                break;
-        }
-        double hi = 0.0, lo = INFINITY;
-        for (int i = 0; i < n; i++) {
-            double ss = 0.0;
-            for (int r = 0; r < n; r++)
-                ss += g[i * n + r] * g[i * n + r];
-            hi = fmax(hi, ss);
-            lo = fmin(lo, ss);
-        }
-        top = fmax(top, ldexp(sqrt(hi), ex));
-        inv = fmax(inv, 1.0 / ldexp(sqrt(lo), ex));
-    }
-    ext[0] = top;
-    ext[1] = inv;
     return 0;
 }
 
@@ -773,11 +732,6 @@ def _load_library():
                                ctypes.c_double, *[ctypes.c_void_p] * 5, ctypes.c_int64,
                                ctypes.c_void_p, ctypes.c_void_p]
     lib.flow_chunk.restype = ctypes.c_int64
-    lib.sv_extremes.argtypes = [ctypes.c_int, ctypes.c_int64, doubles,
-                                np.ctypeslib.ndpointer(np.float64, shape=(2,),
-                                                       flags=("C_CONTIGUOUS", "WRITEABLE")),
-                                out]
-    lib.sv_extremes.restype = ctypes.c_int
     chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.format_csv.argtypes = [doubles, ctypes.c_int64, ctypes.c_int64, chars, chars, lens]
@@ -801,26 +755,12 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
     return str(out[:lens[0]].data, "ascii"), str(outer[:lens[1]].data, "ascii")
 
 
-def singular_extremes(stack: np.ndarray, ext: np.ndarray) -> None:
-    """Raise ``ext`` (2,) in place to the running maxima of the largest
-    singular value and of the reciprocal of the smallest over the C-ordered
-    float64 (k, n, n) ``stack``, n >= 1, by the kernel's one-sided Jacobi;
-    a singular matrix gives ``inf``.  A matrix that is not all finite, or
-    that Jacobi does not orthogonalize, raises ``numpy.linalg.LinAlgError``
-    with ``ext`` unchanged; a wrong dtype, order or ``ext`` shape,
-    ``ctypes.ArgumentError``."""
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise ValueError("singular_extremes takes a (k, n, n) stack with n >= 1")
-    k, n, _ = stack.shape
-    if load().sv_extremes(n, k, stack, ext, np.empty(n * n)):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-
 def flow_scratch_len(n: int) -> int:
     """Doubles of scratch a :class:`LinearFlow` of n x n matrices uses: the
-    four RK4 stages, the stage argument (also the Jacobi's copy of Psi), the
-    LU factor, M and the expanded P of a non-finite product, ``8 n n``."""
-    return 8 * n * n
+    four RK4 stages, the stage argument, the LU factor, M, the expanded P of
+    a non-finite product and the inverse flow's transposed Psi^-1,
+    ``9 n n``."""
+    return 9 * n * n
 
 
 def _address(a: np.ndarray, shape: Tuple[int, ...]) -> int:
@@ -833,10 +773,11 @@ def _address(a: np.ndarray, shape: Tuple[int, ...]) -> int:
     return a.ctypes.data
 
 
-def _check_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
-    """A copy of ``pattern``, which must be an (nz, 2) ``intc`` array of
-    (row, col) entries of an n x n matrix in strictly increasing row-major
-    order (ValueError otherwise)."""
+def _bound_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
+    """``pattern``, which must be an (nz, 2) ``intc`` array of (row, col)
+    entries of an n x n matrix in strictly increasing row-major order
+    (ValueError otherwise), followed by the same pairs swapped, the pattern
+    of P^T the inverse flow multiplies through: a new (2 nz, 2) array."""
     if not (isinstance(pattern, np.ndarray) and pattern.dtype == np.intc
             and pattern.ndim == 2 and pattern.shape[1] == 2):
         raise ValueError("a linear-flow pattern is an (nz, 2) intc array of (row, col)")
@@ -844,7 +785,7 @@ def _check_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
     if (pattern < 0).any() or (pattern >= n).any() or (np.diff(flat) <= 0).any():
         raise ValueError("a linear-flow pattern needs distinct in-range entries in "
                          "row-major order")
-    return np.array(pattern, order="C")
+    return np.ascontiguousarray(np.concatenate([pattern, pattern[:, ::-1]]))
 
 
 class LinearFlow:
@@ -865,14 +806,18 @@ class LinearFlow:
     ``w0 Psi, w1 Psi`` to ``sums[0]`` and ``w0 M, w1 M`` to ``sums[1]`` of
     ``sums`` (2, 2, n, n), in step order; a singular Psi raises
     ``numpy.linalg.LinAlgError``.  Unless ``growth`` (2,) is None, the kernel
-    raises it to the extreme singular values of Psi after each of the
-    flow's first ``growth_steps`` steps, as the module docstring says.
+    steps the inverse flow dPsi^-1/dt = -Psi^-1 P(t) from I alongside Psi
+    over the flow's first ``growth_steps`` steps and raises ``growth`` to
+    the Frobenius norms of Psi and of that inverse after each of them, as
+    the module docstring says; for a flow started at Psi = I it is Psi^-1.
 
     Every array is checked here, once: float64, C order, shape, writeable,
     the pattern's type, range and order, and the ``flow_scratch_len(n)``
     doubles of ``scratch`` (ValueError).  ``pattern``, ``j`` and ``weights``
     are copied; ``psi``, ``sums``, ``growth`` and ``scratch`` are written in
-    place and kept alive with the flow."""
+    place and kept alive with the flow.  The inverse flow is carried,
+    transposed, from chunk to chunk in the last n n doubles of the scratch,
+    set to I here."""
 
     def __init__(self, h: float, psi: np.ndarray, scratch: np.ndarray, pattern: np.ndarray,
                  j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
@@ -885,7 +830,8 @@ class LinearFlow:
         if scratch.ndim != 1 or len(scratch) < flow_scratch_len(n):
             raise ValueError("linear-flow scratch too short")
         self._scratch = _address(scratch, scratch.shape)
-        pattern = _check_pattern(pattern, n)
+        scratch[8 * n * n:9 * n * n] = np.eye(n).ravel()  # the inverse flow starts at I
+        pattern = _bound_pattern(pattern, n)
         self._steps, self._j, self._w, self._sums = 0, None, None, None
         if j is not None:
             j, weights = (np.array(a, dtype=np.float64, order="C") for a in (j, weights))
@@ -894,7 +840,7 @@ class LinearFlow:
             self._w = _address(weights, (self._steps, 2))
             self._sums = _address(sums, (2, 2, n, n))
         self._call = load().flow_chunk
-        self._n, self._nz, self._h = n, len(pattern), h
+        self._n, self._nz, self._h = n, len(pattern) // 2, h
         self._pattern = pattern.ctypes.data
         # the flow passes their addresses on every chunk
         self._arrays = (psi, pattern, j, weights, sums, growth, scratch)

@@ -369,10 +369,10 @@ def averaged_jacobians(lin: Linearization, schedule: Optional[VibrationSchedule]
 
     Each block is conjugate-averaged along the flow dPsi/dt = P_k(t) Psi,
     Psi(0) = I, of its cluster's vibration matrix, whose pass also samples
-    row k of ``growth`` (r, 2), ``(sup |Psi|, sup |Psi^-1|)`` over the first
-    window (see ``conjugated_average``).  A cluster without vibration keeps
-    (a copy of) its Jacobian and growth (1, 1); ``growth`` is None when no
-    cluster vibrates.
+    row k of ``growth`` (r, 2), ``(sup |Psi|_F, sup |Psi^-1|_F)`` over the
+    first window (see ``conjugated_average``).  A cluster without vibration
+    keeps (a copy of) its Jacobian and growth (1, 1); ``growth`` is None when
+    no cluster vibrates.
     """
     ps = cluster_vibration_matrices(lin.inc, schedule)
     growth = np.ones((len(ps), 2))
@@ -396,8 +396,9 @@ def perturbation_bounds(lin: Linearization,
     sampled conjugation growth ``sup |Psi^-1|_k sup |Psi|_l`` of the
     per-cluster vibration flows, times ``envelope_safety``: ``growth`` is
     the growth ``averaged_jacobians`` returns, None (the envelope alone)
-    when no cluster vibrates.  A growth that Jacobi could not sample (NaN)
-    raises ``numpy.linalg.LinAlgError``.
+    when no cluster vibrates.  Each growth is the largest Frobenius norm
+    sampled after a step of the flow, an upper bound on the spectral norm
+    at every sample.
     """
     inc = lin.inc
     r = inc.partition.r
@@ -410,8 +411,6 @@ def perturbation_bounds(lin: Linearization,
                 gains[k, l] = np.linalg.svd(block, compute_uv=False)[0]
     if growth is None:
         return gains
-    if np.isnan(growth).any():
-        raise np.linalg.LinAlgError("SVD did not converge")
     return np.outer(growth[:, 1], growth[:, 0]) * envelope_safety * gains
 
 

@@ -170,9 +170,10 @@ def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
     other callable) into a (2k + 1, nz) table, and the stepper takes the
     steps one after the other, in C.  Given ``j``, ``weights`` (steps, 2)
     and ``sums`` (2, 2, n, n) it also adds both window-weighted sums of Psi
-    and of Psi^-1 J Psi, and given ``growth`` (2,) it raises it to the
-    extreme singular values of Psi over the first ``growth_steps`` steps,
-    as ``LinearFlow`` describes.
+    and of Psi^-1 J Psi, and given ``growth`` (2,) it steps the inverse
+    flow alongside over the first ``growth_steps`` steps and raises
+    ``growth`` to the Frobenius norms of Psi and of Psi^-1, as
+    ``LinearFlow`` describes.
     """
     n = psi.shape[0]
     sinusoids = isinstance(p, SinusoidSum)
@@ -262,9 +263,9 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
     and is doubled up to ``horizon_doublings`` times before that error is
     raised: carriers can combine to frequencies far below the slowest one.
     Given ``growth`` (2,), the first pass raises it in place to the sampled
-    conjugation growth ``(sup |Phi|, sup |Phi^-1|)``, spectral norms over
-    Phi after every step of its window [0, T], even when a longer horizon
-    follows (NaN where Jacobi fails; see ``_phase_kernel``).
+    conjugation growth ``(sup |Phi|_F, sup |Phi^-1|_F)``, Frobenius norms of
+    Phi and of an inverse flow stepped alongside it, after every step of its
+    window [0, T], even when a longer horizon follows (see ``_phase_kernel``).
     With ``p=None`` the input is returned unchanged.
     """
     j = np.asarray(j, dtype=float)

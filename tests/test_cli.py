@@ -307,7 +307,7 @@ def test_analyze_of_a_vibrated_network_makes_one_flow_pass_per_vibrated_cluster(
                       "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert np.array(report["gamma_bar"]) == pytest.approx(np.array(
-        [[207.2127059571014, 19.68200517406362], [59.006681214733504, 4.7250000000000005]]),
+        [[212.27502602715205, 19.920235881902403], [59.72533224074949, 4.7250000000000005]]),
         rel=1e-12)
 
 

@@ -346,9 +346,10 @@ def test_flow_rejects_a_bad_pattern_or_table_width(monkeypatch):
 
 
 def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
-    # a constant P = -I: every step multiplies Psi by R(-h), the RK4
-    # polynomial of exp(-h)
+    # a constant P = -I: every step multiplies Psi by r = R(-h), the RK4
+    # polynomial of exp(-h), and the inverse flow dY/dt = Y by R(h)
     h, r = 0.1, 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
+    big_r = 1.0 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6 + 0.1 ** 4 / 24
     psi, sums, growth = np.eye(2), np.zeros((2, 2, 2, 2)), np.ones(2)
     flow = bind_flow(psi=psi, sums=sums, growth=growth,
                      pattern=np.array([[0, 0], [1, 1]], dtype=np.intc))
@@ -356,8 +357,10 @@ def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
         flow.chunk(start, 3, np.full((7, 2), -1.0))
     assert psi == pytest.approx(r ** 6 * np.eye(2), rel=1e-14)
     # the growth window of 4 steps ends inside the second chunk: Psi shrinks,
-    # so sup |Psi| stays 1 and sup |Psi^-1| is that of Psi after step 4
-    assert growth == pytest.approx([1.0, r ** -4], rel=1e-14)
+    # so sup |Psi|_F is that of Psi after step 1, and sup |Psi^-1|_F that of
+    # the inverse flow after step 4
+    assert growth == pytest.approx([np.sqrt(2.0) * r, np.sqrt(2.0) * big_r ** 4],
+                                   rel=1e-14)
     # Psi^-1 J Psi = -I whatever Psi is; the weights are all one
     assert sums[0, 0] == pytest.approx(sum(r ** np.arange(1, 7)) * np.eye(2), rel=1e-14)
     assert np.array_equal(sums[1], np.tile(-6.0 * np.eye(2), (2, 1, 1)))
@@ -366,91 +369,6 @@ def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
     table[2, 0] = -6.0 / h
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         bind_flow(pattern=np.array([[0, 0]], dtype=np.intc)).chunk(0, 1, table)
-
-
-# ---------------------------------------------------------------------------
-# extreme singular values
-
-
-def lapack_extremes(stack, ext):
-    """The running maxima singular_extremes raises, from numpy's SVD."""
-    s = np.linalg.svd(stack, compute_uv=False)
-    return np.array([max(ext[0], s[:, 0].max()), max(ext[1], (1.0 / s[:, -1]).max())])
-
-
-def conditioned_matrix(rng, n, cond):
-    """U diag(s) V^T with orthogonal U, V and singular values from 1 to cond."""
-    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    s = np.exp(rng.uniform(0.0, np.log(cond), n))
-    s[0], s[-1] = 1.0, cond
-    return (u * s) @ v.T
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(n=st.integers(1, 6), k=st.integers(1, 5), psi_like=st.booleans(),
-       cond=st.floats(1.0, 1e4), scale=st.floats(-200.0, 200.0),
-       start=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_singular_extremes_match_lapack(n, k, psi_like, cond, scale, start, seed):
-    rng = np.random.default_rng(seed)
-    if psi_like:  # a flow's Psi: the identity plus a drift of norm below 1
-        stack = np.eye(n) + rng.normal(size=(k, n, n)) * rng.uniform(0.0, 0.3) / np.sqrt(n)
-    else:
-        stack = np.stack([conditioned_matrix(rng, n, cond) for _ in range(k)])
-        stack *= 10.0 ** scale
-    ext = np.full(2, start)
-    expected = lapack_extremes(stack, ext)
-    pk.singular_extremes(stack, ext)
-    assert np.all(np.abs(ext - expected) <= 1e-10 * expected)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_singular_extremes_of_a_singular_matrix_is_inf(n, recwarn):
-    rng = np.random.default_rng(n)
-    rank_deficient = rng.normal(size=(n, n))
-    rank_deficient[:, n // 2] = 0.0
-    stack = np.stack([np.eye(n), rank_deficient, np.zeros((n, n))])
-    for cut in (1, 2, 3):
-        ext = np.ones(2)
-        pk.singular_extremes(stack[:cut], ext)
-        if cut == 1:
-            assert np.array_equal(ext, [1.0, 1.0])
-        else:
-            assert ext[1] == np.inf
-            expected = np.linalg.svd(rank_deficient, compute_uv=False)[0]
-            assert ext[0] == pytest.approx(max(1.0, expected), rel=1e-12)
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_singular_extremes_refuse_a_non_finite_stack(bad):
-    stack = np.stack([2.0 * np.eye(3), np.eye(3)])
-    stack[1, 2, 0] = bad
-    ext = np.array([1.5, 0.25])
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        pk.singular_extremes(stack, ext)
-    assert np.array_equal(ext, [1.5, 0.25])  # not even the finite first matrix
-
-
-def test_singular_extremes_check_their_arrays():
-    ext = np.ones(2)
-    for bad in (np.eye(2), np.zeros((1, 2, 3)), np.zeros((1, 0, 0)), np.zeros(4)):
-        with pytest.raises(ValueError, match="stack"):
-            pk.singular_extremes(bad, ext)
-    with pytest.raises(ctypes.ArgumentError):
-        pk.singular_extremes(np.eye(2, dtype=np.float32)[None], ext)
-    with pytest.raises(ctypes.ArgumentError):  # not in C order
-        pk.singular_extremes(np.zeros((1, 2, 4))[:, :, ::2], ext)
-    for bad_ext in (np.ones(3), np.ones(2, dtype=np.float32), np.ones((2, 1))):
-        with pytest.raises(ctypes.ArgumentError):
-            pk.singular_extremes(np.eye(2)[None], bad_ext)
-    frozen = np.ones(2)
-    frozen.flags.writeable = False
-    with pytest.raises(ctypes.ArgumentError):
-        pk.singular_extremes(np.eye(2)[None], frozen)
-    empty = np.ones(2)
-    pk.singular_extremes(np.zeros((0, 2, 2)), empty)
-    assert np.array_equal(empty, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
