@@ -44,30 +44,35 @@ the same order in any block and on any thread, so the results are
 bit-identical to one sample on one thread.
 
 The same library steps the linear flows dPsi/dt = P(t) Psi of
-:mod:`vibrosync.linalg` (:class:`LinearFlow`).  A flow is bound once to
-P's structural pattern, the row-major list of entries where P may be
-nonzero (every entry for a dense P); the caller tabulates only those
-entries on a chunk's half-step grid, and the kernel takes the chunk's RK4
-steps one after the other on the calling thread, carrying Psi from chunk
-to chunk.  It multiplies P by Psi and by each stage argument through the
-pattern: for finite values a skipped product is an exact zero that leaves
-its sum unchanged, so the result is the full product bit for bit, and a
-multiplicand that is not all finite takes the full product, so that
-0 inf stays NaN.  For an average it also solves M = Psi^-1 J Psi after
-every step, by Gaussian elimination with partial pivoting on [Psi | J Psi]
-as LAPACK's ``gesv`` does, and adds the two window-weighted sums of Psi
-and of M in step order.  For the sampled conjugation growth of the
+:mod:`vibrosync.linalg`, one kernel call per pass (:func:`linear_flow`).
+A flow is bound to P's structural pattern, the row-major list of entries
+where P may be nonzero (every entry for a dense P), and the kernel takes
+the pass's RK4 steps one after the other on the calling thread.  P's
+pattern entries come either from the carriers of a sum of sinusoids, which
+the kernel evaluates itself on the half-step grid, two new rows per step,
+in the operation order of ``linalg.SinusoidSum``'s numpy call (``amp *
+sin(t * freq + phase)`` per term, the terms summed in order), or from a
+table of every half-step row.  The carriers equal numpy's table of the
+same sum bit for bit where numpy's float64 ``sin`` is the C library's
+(numpy 2.4 on glibc 2.36: no mismatch in 2e5 arguments up to 1e4).  It
+multiplies P by Psi and by each stage argument through the pattern: for
+finite values a skipped product is an exact zero that leaves its sum
+unchanged, so the result is the full product bit for bit, and a
+multiplicand that is not all finite takes the full product, so that 0 inf
+stays NaN.  For an average it also solves M = Psi^-1 J Psi after every
+step, by Gaussian elimination with partial pivoting on [Psi | J Psi] as
+LAPACK's ``gesv`` does, and adds the two window-weighted sums of Psi and
+of M in step order.  For the sampled conjugation growth of the
 perturbation bounds it also steps the inverse flow dPsi^-1/dt = -Psi^-1 P
-over a flow's first g steps, with the same table rows and the same RK4:
-it carries the transpose, which it multiplies by P^T through the swapped
+over a flow's first g steps, with the same rows of P and the same RK4: it
+carries the transpose, which it multiplies by P^T through the swapped
 pattern, so each entry sums in the order of the product Psi^-1 P.  It
-raises a running maximum of the Frobenius norms of Psi and of Psi^-1,
-each an upper bound on the spectral norm, with no Psi stored.  The sum of
+raises a running maximum of the Frobenius norms of Psi and of Psi^-1, each
+an upper bound on the spectral norm, with no Psi stored.  The sum of
 squares is taken after a power-of-two scaling of the largest entry, so a
 finite Psi reads a finite norm up to the float range.  A Psi or Psi^-1
 that is not all finite leaves its maximum unchanged, which ends its
-sampling without an error of its own.  Neither Psi, the sums nor the
-maxima depend on where chunks end.
+sampling without an error of its own.
 
 The same library writes CSV numbers (:func:`format_csv`) exactly as
 Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
@@ -442,31 +447,65 @@ static void raise_frobenius(int nn, const double *a, double *m)
     *m = fmax(*m, ldexp(sqrt(ss), ex));
 }
 
-/* k RK4 steps of dPsi/dt = P(t) Psi for the row-major n x n Psi in psi,
-   advanced in place; P has the nz entries of the row-major pattern pat
-   ((row, col) pairs) and is zero elsewhere, and table holds those entries
-   on the chunk's half-step grid, 2k+1 rows of nz.  pat + 2 nz holds the
-   same pairs swapped, the pattern of P^T.  In each of the first g steps
-   the transposed inverse flow Z = (Psi^-1)^T, dZ/dt = -P(t)^T Z, carried
-   in the last n n doubles of scratch, takes the same step through P^T
-   with -h: negating h negates each stage's increment exactly, and each
-   entry of P^T Z adds its products in the order matmul(Psi^-1, P) would,
-   so Z is RK4 on dPsi^-1/dt = -Psi^-1 P transposed, bit for bit.  Then
-   ext[0] and ext[1] are raised to the Frobenius norms of Psi and of Z.
-   Unless j is NULL, M = Psi^-1 J Psi is formed after every step from
-   J Psi by lu_solve, and with the step's row (w0, w1) of w (k rows of 2)
-   the products w0 Psi, w1 Psi, w0 M, w1 M are added to the four n x n
-   blocks of sums.  scratch holds 9 n n doubles.  Returns 0, or i + 1 when
-   Psi after step i is singular; the sums then stop before that step. */
-int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const double *table,
-                   double *psi, const double *j, const double *w, double *sums, int64_t g,
-                   double *ext, double *scratch)
+/* P's nz pattern entries at half-step g of a flow from t0 with step h,
+   from nterm carriers with term matrices pm (nterm rows of nz): at
+   t = t0 + h (g / 2), w_e = amp_e sin(t freq_e + phase_e) and the row is
+   w_0 pm_0 + w_1 pm_1 + ..., summed in term order. */
+static void carrier_row(int nterm, int nz, const double *amp, const double *freq,
+                        const double *phase, const double *pm, double t0, double h,
+                        int64_t g, double *restrict row)
+{
+    double t = t0 + h * (0.5 * (double)g);
+    for (int e = 0; e < nterm; e++) {
+        double we = amp[e] * sin(t * freq[e] + phase[e]);
+        const double *pe = pm + (int64_t)e * nz;
+        for (int q = 0; q < nz; q++)
+            row[q] = e ? row[q] + we * pe[q] : we * pe[q];
+    }
+}
+
+/* steps RK4 steps of size h of dPsi/dt = P(t) Psi from t0 for the row-major
+   n x n Psi in psi, advanced in place.  P has the nz entries of the
+   row-major pattern pat ((row, col) pairs) and is zero elsewhere; pat + 2 nz
+   holds the same pairs swapped, the pattern of P^T.  Its half-step rows
+   come from nterm >= 1 carriers (carrier_row), two new ones per step after
+   the last step's end row, or for nterm = 0 from table (2 steps + 1 rows).
+   In each of the first g steps the transposed inverse flow
+   Z = (Psi^-1)^T, dZ/dt = -P(t)^T Z, started at I, takes the same step
+   through P^T with -h: negating h negates each stage's increment exactly,
+   and each entry of P^T Z adds its products in the order matmul(Psi^-1, P)
+   would, so Z is RK4 on dPsi^-1/dt = -Psi^-1 P transposed, bit for bit.
+   Then ext[0] and ext[1] are raised to the Frobenius norms of Psi and of Z.
+   Unless j is NULL, M = Psi^-1 J Psi is formed after every step from J Psi
+   by lu_solve, and with the step's row (w0, w1) of w (steps rows of 2) the
+   products w0 Psi, w1 Psi, w0 M, w1 M are added to the four n x n blocks of
+   sums.  Returns 0, i + 1 when Psi after step i is singular (the sums then
+   stop before that step), or -1 when the scratch cannot be allocated. */
+int64_t linear_flow(int n, int nz, const int *pat, int64_t steps, double t0, double h,
+                    int nterm, const double *amp, const double *freq, const double *phase,
+                    const double *pm, const double *table, double *psi, const double *j,
+                    const double *w, double *sums, int64_t g, double *ext)
 {
     int nn = n * n;
+    /* stages, stage argument, LU factor, M, the expanded P of a non-finite
+       product, Z, three carrier rows, and a double so that none is empty */
+    double *scratch = malloc((size_t)(9 * nn + 3 * nz + 1) * sizeof(double));
+    if (!scratch)
+        return -1;
     double *stages = scratch, *y = stages + 4 * nn, *lu = y + nn, *m = lu + nn;
-    double *full = m + nn, *z = full + nn;
-    for (int64_t i = 0; i < k; i++) {
-        const double *p0 = table + 2 * i * nz;
+    double *full = m + nn, *z = full + nn, *rows = z + nn;
+    for (int e = 0; e < nn; e++)
+        z[e] = e % (n + 1) ? 0.0 : 1.0;
+    if (nterm)
+        carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 0, rows + 2 * nz);
+    int64_t bad = 0;
+    for (int64_t i = 0; i < steps; i++) {
+        const double *p0 = nterm ? rows : table + 2 * i * nz;
+        if (nterm) {
+            memcpy(rows, rows + 2 * nz, (size_t)nz * sizeof(double));
+            carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 2 * i + 1, rows + nz);
+            carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 2 * i + 2, rows + 2 * nz);
+        }
         rk4_step(n, nz, pat, p0, h, psi, stages, y, full);
         if (i < g) {
             rk4_step(n, nz, pat + 2 * nz, p0, -h, z, stages, y, full);
@@ -477,8 +516,10 @@ int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const dou
             continue;
         matmul(n, j, psi, m);
         memcpy(lu, psi, (size_t)nn * sizeof(double));
-        if (lu_solve(n, lu, m))
-            return i + 1;
+        if (lu_solve(n, lu, m)) {
+            bad = i + 1;
+            break;
+        }
         double w0 = w[2 * i], w1 = w[2 * i + 1];
         for (int e = 0; e < nn; e++) {
             sums[e] += w0 * psi[e];
@@ -487,7 +528,8 @@ int64_t flow_chunk(int n, int nz, const int *pat, int64_t k, double h, const dou
             sums[3 * nn + e] += w1 * m[e];
         }
     }
-    return 0;
+    free(scratch);
+    return bad;
 }
 
 /* ---- CSV numbers ---------------------------------------------------------- */
@@ -728,10 +770,12 @@ def _load_library():
                               doubles, doubles, doubles, ctypes.c_double, ctypes.c_int64,
                               ctypes.c_int64, out, ctypes.c_int64, ctypes.c_int]
     lib.integrate.restype = ctypes.c_int64
-    lib.flow_chunk.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_int64,
-                               ctypes.c_double, *[ctypes.c_void_p] * 5, ctypes.c_int64,
-                               ctypes.c_void_p, ctypes.c_void_p]
-    lib.flow_chunk.restype = ctypes.c_int64
+    doubles_or_null, out_or_null = _or_null(doubles), _or_null(out)
+    lib.linear_flow.argtypes = [ctypes.c_int, ctypes.c_int, ints, ctypes.c_int64, ctypes.c_double,
+                                ctypes.c_double, ctypes.c_int, *[doubles_or_null] * 5, out,
+                                doubles_or_null, doubles_or_null, out_or_null, ctypes.c_int64,
+                                out_or_null]
+    lib.linear_flow.restype = ctypes.c_int64
     chars = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lens = np.ctypeslib.ndpointer(np.int64, shape=(2,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.format_csv.argtypes = [doubles, ctypes.c_int64, ctypes.c_int64, chars, chars, lens]
@@ -755,22 +799,10 @@ def format_csv(a: np.ndarray) -> Tuple[str, str]:
     return str(out[:lens[0]].data, "ascii"), str(outer[:lens[1]].data, "ascii")
 
 
-def flow_scratch_len(n: int) -> int:
-    """Doubles of scratch a :class:`LinearFlow` of n x n matrices uses: the
-    four RK4 stages, the stage argument, the LU factor, M, the expanded P of
-    a non-finite product and the inverse flow's transposed Psi^-1,
-    ``9 n n``."""
-    return 9 * n * n
-
-
-def _address(a: np.ndarray, shape: Tuple[int, ...]) -> int:
-    """The address of ``a``, which must be a writeable C-ordered float64
-    array of shape ``shape`` (ValueError otherwise)."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
-            and a.flags.c_contiguous and a.flags.writeable):
-        raise ValueError(f"a linear flow needs a writeable C-ordered float64 array of "
-                         f"shape {shape}")
-    return a.ctypes.data
+def _or_null(ptr):
+    """The ``ndpointer`` type ``ptr``, which also passes None, as NULL."""
+    return type(ptr.__name__, (ptr,), {
+        "from_param": classmethod(lambda cls, a: None if a is None else ptr.from_param(a))})
 
 
 def _bound_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
@@ -788,77 +820,60 @@ def _bound_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([pattern, pattern[:, ::-1]]))
 
 
-class LinearFlow:
-    """RK4 for dPsi/dt = P(t) Psi with step ``h``, bound to the kernel once:
-    ``psi`` (n, n) is advanced in place chunk by chunk (:meth:`chunk`), one
-    step after the other, on one thread.
+def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.ndarray, p,
+                j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
+                sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
+                growth_steps: int = 0) -> None:
+    """RK4 steps ``1 .. steps`` of dPsi/dt = P(t) Psi from ``t0`` with step
+    ``h``, ``psi`` (n, n) advanced in place in one kernel call, as the
+    module docstring describes.
 
-    ``pattern`` (nz, 2), ``intc``, lists the (row, col) entries where P may
-    be nonzero, in row-major order; P is zero elsewhere, and a chunk's table
-    holds only those entries.  The kernel multiplies P by Psi and by each
-    stage argument through the pattern, which for finite values gives the
-    full product bit for bit; a multiplicand that is not all finite takes
-    the full product, so 0 inf stays NaN.  A dense P is the full pattern.
+    P is zero outside ``pattern`` (nz, 2), ``intc``, the (row, col) entries
+    where it may be nonzero in row-major order; a dense P is the full
+    pattern.  ``p`` gives those entries: the carriers ``(amps, freqs,
+    phases, mats)`` of a sum of sinusoids, amps, freqs and phases (E,),
+    E >= 1, and mats (E, nz), at half-step g the sum over e of
+    ``amps[e] * sin(t * freqs[e] + phases[e])`` times ``mats[e]``, with
+    ``t = t0 + h * (0.5 * g)``; or a table (2 steps + 1, nz) of them.
 
-    Unless ``j`` (n, n) is None, ``weights`` (steps, 2) holds two window
-    weights for each step of the whole flow, and after each step the kernel
-    solves M = Psi^-1 J Psi by LU with partial pivoting and adds
-    ``w0 Psi, w1 Psi`` to ``sums[0]`` and ``w0 M, w1 M`` to ``sums[1]`` of
-    ``sums`` (2, 2, n, n), in step order; a singular Psi raises
-    ``numpy.linalg.LinAlgError``.  Unless ``growth`` (2,) is None, the kernel
-    steps the inverse flow dPsi^-1/dt = -Psi^-1 P(t) from I alongside Psi
-    over the flow's first ``growth_steps`` steps and raises ``growth`` to
-    the Frobenius norms of Psi and of that inverse after each of them, as
-    the module docstring says; for a flow started at Psi = I it is Psi^-1.
+    Given ``j`` (n, n), ``weights`` (steps, 2) and ``sums`` (2, 2, n, n),
+    the kernel adds ``w0 Psi, w1 Psi`` to ``sums[0]`` and ``w0 M, w1 M``,
+    M = Psi^-1 J Psi, to ``sums[1]`` after every step; a singular Psi
+    raises ``numpy.linalg.LinAlgError``, which names its time.  Given
+    ``growth`` (2,), it raises ``growth`` to the Frobenius norms of Psi and
+    of the inverse flow, started at I, after each of the first
+    ``growth_steps`` steps.
 
-    Every array is checked here, once: float64, C order, shape, writeable,
-    the pattern's type, range and order, and the ``flow_scratch_len(n)``
-    doubles of ``scratch`` (ValueError).  ``pattern``, ``j`` and ``weights``
-    are copied; ``psi``, ``sums``, ``growth`` and ``scratch`` are written in
-    place and kept alive with the flow.  The inverse flow is carried,
-    transposed, from chunk to chunk in the last n n doubles of the scratch,
-    set to I here."""
-
-    def __init__(self, h: float, psi: np.ndarray, scratch: np.ndarray, pattern: np.ndarray,
-                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
-                 sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
-                 growth_steps: int = 0):
-        n = psi.shape[0] if psi.ndim == 2 else 0
-        self._psi = _address(psi, (n, n))
-        self._growth = None if growth is None else _address(growth, (2,))
-        self._growth_steps = 0 if growth is None else growth_steps
-        if scratch.ndim != 1 or len(scratch) < flow_scratch_len(n):
-            raise ValueError("linear-flow scratch too short")
-        self._scratch = _address(scratch, scratch.shape)
-        scratch[8 * n * n:9 * n * n] = np.eye(n).ravel()  # the inverse flow starts at I
-        pattern = _bound_pattern(pattern, n)
-        self._steps, self._j, self._w, self._sums = 0, None, None, None
-        if j is not None:
-            j, weights = (np.array(a, dtype=np.float64, order="C") for a in (j, weights))
-            self._steps = len(weights)
-            self._j = _address(j, (n, n))
-            self._w = _address(weights, (self._steps, 2))
-            self._sums = _address(sums, (2, 2, n, n))
-        self._call = load().flow_chunk
-        self._n, self._nz, self._h = n, len(pattern) // 2, h
-        self._pattern = pattern.ctypes.data
-        # the flow passes their addresses on every chunk
-        self._arrays = (psi, pattern, j, weights, sums, growth, scratch)
-
-    def chunk(self, start: int, k: int, table: np.ndarray) -> None:
-        """RK4 steps ``start + 1 .. start + k``; ``table`` (2k + 1, nz)
-        holds P's pattern entries on the chunk's half-step grid."""
-        n, nz = self._n, self._nz
-        if not (table.shape == (2 * k + 1, nz) and table.dtype == np.float64
-                and table.flags.c_contiguous) or start < 0 or k < 0:
-            raise ValueError("inconsistent linear-flow chunk: table shape, start or k")
-        if self._j is not None and start + k > self._steps:
-            raise ValueError("linear-flow chunk past its weights")
-        w = None if self._w is None else self._w + 16 * start  # two doubles a step
-        g = min(k, max(0, self._growth_steps - start))  # the chunk's steps in the window
-        if self._call(n, nz, self._pattern, k, self._h, table.ctypes.data, self._psi,
-                      self._j, w, self._sums, g, self._growth, self._scratch):
-            raise np.linalg.LinAlgError("Singular matrix")
+    Shapes and the pattern are checked before the call (``ValueError``);
+    dtype, C order and the writeability of ``psi``, ``sums`` and ``growth``
+    by ctypes (``ctypes.ArgumentError``).  A failed allocation of the
+    kernel's scratch raises ``MemoryError``."""
+    n = len(psi) if np.ndim(psi) == 2 else 0
+    pattern = _bound_pattern(pattern, n)
+    nz = len(pattern) // 2
+    if isinstance(p, tuple):
+        (amps, freqs, phases, mats), table = p, None
+        nterm = len(amps) if np.ndim(amps) == 1 else 0
+        shapes = ({np.shape(amps), np.shape(freqs), np.shape(phases)} == {(nterm,)}
+                  and nterm >= 1 and np.shape(mats) == (nterm, nz))
+    else:
+        amps = freqs = phases = mats = None
+        nterm, table = 0, p
+        shapes = np.shape(table) == (2 * steps + 1, nz)
+    if j is not None:
+        shapes &= (np.shape(j) == (n, n) and np.shape(weights) == (steps, 2)
+                   and np.shape(sums) == (2, 2, n, n))
+    if growth is not None:
+        shapes &= np.shape(growth) == (2,)
+    if not shapes or np.shape(psi) != (n, n) or steps < 0:
+        raise ValueError("inconsistent linear-flow array shapes")
+    bad = load().linear_flow(n, nz, pattern, steps, t0, h, nterm, amps, freqs, phases, mats, table,
+                             psi, j, weights, sums, 0 if growth is None else growth_steps, growth)
+    if bad < 0:
+        raise MemoryError("the linear-flow kernel cannot allocate its scratch")
+    if bad:
+        raise np.linalg.LinAlgError(
+            f"Psi is singular to working precision at t = {t0 + h * bad:g}")
 
 
 def _cpus() -> int:

@@ -371,19 +371,19 @@ def averaged_jacobians(lin: Linearization, schedule: Optional[VibrationSchedule]
     Psi(0) = I, of its cluster's vibration matrix, whose pass also samples
     row k of ``growth`` (r, 2), ``(sup |Psi|_F, sup |Psi^-1|_F)`` over the
     first window (see ``conjugated_average``).  A cluster without vibration
-    keeps (a copy of) its Jacobian and growth (1, 1); ``growth`` is None when
+    keeps a copy of its Jacobian and growth (1, 1); ``growth`` is None when
     no cluster vibrates.
     """
     ps = cluster_vibration_matrices(lin.inc, schedule)
     growth = np.ones((len(ps), 2))
     blocks = []
     for k, (blk, p) in enumerate(zip(lin.J_blocks, ps)):
-        base_period = min_period = None
-        if p is not None:
-            base_period = 2.0 * math.pi / p.freqs.min()
-            min_period = 2.0 * math.pi / p.freqs.max()
-        blocks.append(conjugated_average(blk, p, base_period=base_period,
-                                         min_period=min_period, growth=growth[k]))
+        if p is None:
+            blocks.append(blk.copy())
+            continue
+        blocks.append(conjugated_average(blk, p, base_period=2.0 * math.pi / p.freqs.min(),
+                                         min_period=2.0 * math.pi / p.freqs.max(),
+                                         growth=growth[k]))
     return tuple(blocks), growth if any(p is not None for p in ps) else None
 
 

@@ -93,11 +93,6 @@ def is_m_matrix(a: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # transition matrices and averaged conjugations
 
-# RK4 steps per chunk of the linear-flow engine: bounds the (2k + 1, nz)
-# table of P(t) (memory grows linearly with it) while keeping the
-# per-chunk numpy calls few.  The results do not depend on it.
-_chunk_steps = 1024
-
 
 class SinusoidSum:
     """P(t) = sum_e amps[e] * sin(freqs[e] * t + phases[e]) * mats[e].
@@ -106,15 +101,17 @@ class SinusoidSum:
     times of shape (N,) it returns the (N, n, n) stack, entry for entry equal
     to the scalar calls.  ``pattern`` (nz, 2), ``intc``, lists in row-major
     order the (row, col) entries where some term matrix is nonzero: P is
-    exactly zero elsewhere, and :meth:`at_pattern` evaluates only those
-    entries.  amps, freqs and phases must be 1-D of one length E >= 1,
-    mats (E, n, n), and every value finite (ValueError otherwise).
+    exactly zero elsewhere, and the linear-flow kernel evaluates only those
+    entries, from the carriers and the term matrices' pattern entries, in
+    the operation order of :meth:`__call__`.  amps, freqs and phases must be
+    1-D of one length E >= 1, mats (E, n, n), and every value finite
+    (ValueError otherwise).
     """
 
     def __init__(self, amps, freqs, phases, mats):
-        self.amps = np.asarray(amps, dtype=float)
-        self.freqs = np.asarray(freqs, dtype=float)
-        self.phases = np.asarray(phases, dtype=float)
+        self.amps = np.asarray(amps, dtype=float, order="C")
+        self.freqs = np.asarray(freqs, dtype=float, order="C")
+        self.phases = np.asarray(phases, dtype=float, order="C")
         self.mats = np.asarray(mats, dtype=float)
         terms = len(self.amps) if self.amps.ndim == 1 else 0
         if not (terms >= 1 and self.freqs.shape == self.phases.shape == (terms,)):
@@ -125,29 +122,17 @@ class SinusoidSum:
         if not all(np.isfinite(a).all() for a in (self.amps, self.freqs, self.phases, self.mats)):
             raise ValueError("a SinusoidSum needs finite amps, freqs, phases and mats")
         self.pattern = np.argwhere((self.mats != 0.0).any(axis=0)).astype(np.intc)
-        self._pattern_mats = self.mats[:, self.pattern[:, 0], self.pattern[:, 1]]
-
-    def _weights(self, t) -> np.ndarray:
-        return self.amps * np.sin(np.multiply.outer(np.asarray(t, dtype=float), self.freqs)
-                                  + self.phases)
+        rows, cols = self.pattern.T
+        self._pattern_mats = np.ascontiguousarray(self.mats[:, rows, cols])
 
     def __call__(self, t) -> np.ndarray:
-        w = self._weights(t)
+        w = self.amps * np.sin(np.multiply.outer(np.asarray(t, dtype=float), self.freqs)
+                               + self.phases)
         # elementwise sum in a fixed term order, so every time gets the same
         # rounding whatever the batch shape
         out = w[..., 0, None, None] * self.mats[0]
         for e in range(1, len(self.mats)):
             out += w[..., e, None, None] * self.mats[e]
-        return out
-
-    def at_pattern(self, t) -> np.ndarray:
-        """P(t) at the ``pattern`` entries, shape ``t.shape + (nz,)``: each
-        entry the same sum in the same term order as :meth:`__call__`, so
-        equal to ``self(t)[..., row, col]`` bit for bit."""
-        w = self._weights(t)
-        out = w[..., 0, None] * self._pattern_mats[0]
-        for e in range(1, len(self._pattern_mats)):
-            out += w[..., e, None] * self._pattern_mats[e]
         return out
 
 
@@ -161,33 +146,27 @@ def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
                  sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
                  growth_steps: int = 0) -> None:
     """Fixed-step RK4 for dPsi/dt = P(t) Psi from Psi(t0) = psi, advanced in
-    place by the compiled stepper (``_phase_kernel.LinearFlow``) in chunks
-    of at most ``_chunk_steps`` steps.  The stepper is bound to P's
-    structural pattern: for a SinusoidSum the entries where a term matrix
-    is nonzero, for any other callable every entry.  Per chunk, only those
-    entries are tabulated here on the half-step grid (one broadcast
-    ``at_pattern`` call for a SinusoidSum, one call per grid time for any
-    other callable) into a (2k + 1, nz) table, and the stepper takes the
-    steps one after the other, in C.  Given ``j``, ``weights`` (steps, 2)
-    and ``sums`` (2, 2, n, n) it also adds both window-weighted sums of Psi
-    and of Psi^-1 J Psi, and given ``growth`` (2,) it steps the inverse
-    flow alongside over the first ``growth_steps`` steps and raises
-    ``growth`` to the Frobenius norms of Psi and of Psi^-1, as
-    ``LinearFlow`` describes.
+    place by the compiled stepper (``_phase_kernel.linear_flow``) in one
+    call.  The stepper is bound to P's structural pattern: for a
+    SinusoidSum the entries where a term matrix is nonzero, which it
+    evaluates itself from the carriers on the half-step grid; for any
+    other callable every entry, tabulated here with one call per grid time
+    into a (2 steps + 1, n n) table of 8 (2 steps + 1) n^2 bytes.  Given
+    ``j``, ``weights`` (steps, 2) and ``sums`` (2, 2, n, n) it also adds
+    both window-weighted sums of Psi and of Psi^-1 J Psi, and given
+    ``growth`` (2,) it steps the inverse flow alongside over the first
+    ``growth_steps`` steps and raises ``growth`` to the Frobenius norms of
+    Psi and of Psi^-1, as ``_phase_kernel.linear_flow`` describes.
     """
-    n = psi.shape[0]
-    sinusoids = isinstance(p, SinusoidSum)
-    flow = _phase_kernel.LinearFlow(h, psi, np.empty(_phase_kernel.flow_scratch_len(n)),
-                                    p.pattern if sinusoids else _full_pattern(n),
-                                    j, weights, sums, growth, growth_steps)
-    for start in range(0, steps, _chunk_steps):
-        k = min(_chunk_steps, steps - start)
-        ts = t0 + h * (start + 0.5 * np.arange(2 * k + 1))
-        if sinusoids:
-            pt = p.at_pattern(ts)
-        else:
-            pt = np.array([p(float(t)) for t in ts], dtype=float).reshape(len(ts), n * n)
-        flow.chunk(start, k, pt)
+    if isinstance(p, SinusoidSum):
+        pattern, form = p.pattern, (p.amps, p.freqs, p.phases, p._pattern_mats)
+    else:
+        n = psi.shape[0]
+        ts = t0 + h * (0.5 * np.arange(2 * steps + 1))
+        pattern = _full_pattern(n)
+        form = np.array([p(float(t)) for t in ts], dtype=float).reshape(len(ts), n * n)
+    _phase_kernel.linear_flow(t0, h, steps, psi, pattern, form, j, weights, sums, growth,
+                              growth_steps)
 
 
 def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float],
@@ -238,7 +217,7 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]],
+def conjugated_average(j: np.ndarray, p: Callable[[float], np.ndarray],
                        T: Optional[float] = None, dt: Optional[float] = None,
                        base_period: Optional[float] = None,
                        min_period: Optional[float] = None,
@@ -254,11 +233,12 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
     Phi this converges faster than any power of W (Das & Yorke, Nonlinearity
     31, 2018).  One RK4 pass over [0, 2T] gives the estimates for W = T and
     W = 2T; a drift between them above ``rel_tol`` (relative), or a window
-    without weight, raises HorizonTooShort.  The pass runs step by step in
-    the compiled stepper of ``_linear_flow``, which solves Phi^-1 J Phi after
+    without weight, raises HorizonTooShort.  The pass is one call of the
+    compiled stepper of ``_linear_flow``, which solves Phi^-1 J Phi after
     every step by LU with partial pivoting and adds both weighted sums; a
-    singular Phi, or one that overflows (non-finite sums), raises
-    ``numpy.linalg.LinAlgError`` at once.  A horizon derived from
+    Phi singular to working precision (the error names the time), or one
+    that overflows (non-finite sums), raises ``numpy.linalg.LinAlgError`` at
+    once.  A horizon derived from
     ``base_period`` (``T=None``) starts at ``horizon_periods`` base periods
     and is doubled up to ``horizon_doublings`` times before that error is
     raised: carriers can combine to frequencies far below the slowest one.
@@ -266,11 +246,8 @@ def conjugated_average(j: np.ndarray, p: Optional[Callable[[float], np.ndarray]]
     conjugation growth ``(sup |Phi|_F, sup |Phi^-1|_F)``, Frobenius norms of
     Phi and of an inverse flow stepped alongside it, after every step of its
     window [0, T], even when a longer horizon follows (see ``_phase_kernel``).
-    With ``p=None`` the input is returned unchanged.
     """
     j = np.asarray(j, dtype=float)
-    if p is None:
-        return j.copy()
     if dt is None and min_period is None:
         # single-frequency convenience: the base period also bounds the step
         min_period = base_period
@@ -309,7 +286,8 @@ def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
     weights /= totals
 
     sums = np.zeros((2, 2, n, n))
-    _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, weights.T, sums, growth, steps)
+    _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, np.ascontiguousarray(weights.T),
+                 sums, growth, steps)
     if not np.isfinite(sums).all():
         raise np.linalg.LinAlgError(f"the flow overflowed on [0, {2 * T:g}]")
     mean_psi, mean_m = sums

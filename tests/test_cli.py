@@ -39,20 +39,18 @@ def tiny_path(tmp_path_factory):
 
 def count_stage_calls(monkeypatch) -> Counter:
     """Count the calls of the pipeline stages, of the linear-flow passes
-    (``_linear_flow``) and of the phase-network kernel from every vibrosync
-    module that binds them; ``conjugated_average`` counts the averages of a
-    vibration flow, not its calls without a vibration matrix, which return a
-    copy of the block."""
+    (``_linear_flow``), of the linear-flow kernel (``linear_flow``) and of
+    the phase-network kernel from every vibrosync module that binds them."""
     counts: Counter = Counter()
     stages = (kuramoto_dynamics.linearize, graph_core.check_invariance,
               stability_cert.certify, kuramoto_dynamics.perturbation_bounds,
-              linalg.conjugated_average, linalg._linear_flow, _phase_kernel.integrate)
+              linalg.conjugated_average, linalg._linear_flow, _phase_kernel.linear_flow,
+              _phase_kernel.integrate)
     modules = [module for name, module in sys.modules.items()
                if name == "vibrosync" or name.startswith("vibrosync.")]
     for stage in stages:
         def counted(*args, _stage=stage, **kwargs):
-            if _stage.__name__ != "conjugated_average" or args[1] is not None:
-                counts[_stage.__name__] += 1
+            counts[_stage.__name__] += 1
             return _stage(*args, **kwargs)
 
         for module in modules:
@@ -285,15 +283,17 @@ def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
     assert cli.main(["design", "--scenario", "cluster_flip",
                      "--out", str(tmp_path / "design")]) == 4
     # one average of the vibrated cluster, of the realized schedule, whose
-    # linear-flow pass also samples the growth perturbation_bounds reads
-    assert counts == {"linearize": 1, "check_invariance": 1,
-                      "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1}
+    # linear-flow pass, one kernel call, also samples the growth
+    # perturbation_bounds reads
+    assert counts == {"linearize": 1, "check_invariance": 1, "perturbation_bounds": 1,
+                      "conjugated_average": 1, "_linear_flow": 1, "linear_flow": 1}
 
 
 def test_analyze_of_a_vibrated_network_makes_one_flow_pass_per_vibrated_cluster(
         tmp_path, flip_design, monkeypatch):
     # the flagship with its designed schedule, as the cli benchmark runs it:
-    # one vibrated cluster, one linear-flow pass for its average and growth
+    # one vibrated cluster, one linear-flow pass, one kernel call, for its
+    # average and growth
     data = flagship_data()
     for key in ("modifications", "references"):
         del data[key]
@@ -304,7 +304,8 @@ def test_analyze_of_a_vibrated_network_makes_one_flow_pass_per_vibrated_cluster(
     counts = count_stage_calls(monkeypatch)
     assert cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 1,
-                      "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1}
+                      "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1,
+                      "linear_flow": 1}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert np.array(report["gamma_bar"]) == pytest.approx(np.array(
         [[212.27502602715205, 19.920235881902403], [59.72533224074949, 4.7250000000000005]]),
@@ -606,12 +607,13 @@ def test_reproduce_flagship(flagship_reproduce):
     # one linearization; one certificate each for the uncontrolled and the
     # controlled network; one average of the vibrated cluster, which the
     # design verifies and the controlled certificate reuses, in one
-    # linear-flow pass that also samples its growth; one kernel call for each
-    # of the seven phase-network runs: the two certificates' ensembles, the
-    # sweep's three and the two documented trajectories
+    # linear-flow pass, one kernel call, that also samples its growth; one
+    # kernel call for each of the seven phase-network runs: the two
+    # certificates' ensembles, the sweep's three and the two documented
+    # trajectories
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 2,
                       "perturbation_bounds": 2, "conjugated_average": 1, "_linear_flow": 1,
-                      "integrate": 7}
+                      "linear_flow": 1, "integrate": 7}
     for name in ("analysis.json", "schedule.json", "certificate.json",
                  "controlled.csv", "err_controlled.csv", "uncontrolled.csv",
                  "err_uncontrolled.csv", "plot.gp", "report.json",

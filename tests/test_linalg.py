@@ -84,11 +84,19 @@ def test_state_transition_step_too_coarse():
         vs.state_transition(p, 0.0, 1.0, dt=0.1, min_period=2 * math.pi / 50.0)
 
 
-def test_conjugated_average_no_vibration_returns_input():
-    j = np.array([[-1.0, 2.0], [0.5, -3.0]])
-    out = vs.conjugated_average(j, None)
-    assert out == pytest.approx(j)
-    assert out is not j
+def test_averaged_jacobians_copy_unvibrated_blocks(flip_lin, flip_design):
+    # the flagship's designed schedule vibrates one of its two clusters
+    vibrated = [p is not None
+                for p in vs.cluster_vibration_matrices(flip_lin.inc, flip_design.schedule)]
+    assert sorted(vibrated) == [False, True]
+    for schedule, unvibrated in ((None, [True, True]),
+                                 (flip_design.schedule, np.logical_not(vibrated))):
+        blocks, _ = vs.averaged_jacobians(flip_lin, schedule)
+        for blk, jac, copy in zip(blocks, flip_lin.J_blocks, unvibrated, strict=True):
+            if copy:
+                assert np.array_equal(blk, jac) and blk is not jac
+            else:
+                assert not np.array_equal(blk, jac)
 
 
 def test_conjugated_average_matches_exact_shift():
@@ -208,7 +216,7 @@ def test_bad_step_is_rejected(name, kwargs):
 
 
 # ---------------------------------------------------------------------------
-# parity of the chunked linear-flow engine with the per-step RK4 loop it
+# parity of the compiled linear-flow engine with the per-step RK4 loop it
 # replaced (kept verbatim below as the reference)
 
 
@@ -322,7 +330,7 @@ def test_conjugated_average_matches_per_step_loop(tabulated):
     vib = three_slot_vibration()
     p = vib if tabulated else (lambda t: vib(t))
     T = 10 * 2 * math.pi
-    steps = 3 * linalg._chunk_steps + 37  # several chunks, the last one partial
+    steps = 3109
     dt = T / steps
     assert max(1, int(np.ceil(T / dt - 1e-12))) == steps
     got = vs.conjugated_average(a, p, T=T, dt=dt, rel_tol=1.0)
@@ -416,7 +424,7 @@ def test_averaging_pass_growth_matches_per_step_loop(design_like):
 
 
 # ---------------------------------------------------------------------------
-# the compiled stepper: chunking and failures
+# the compiled stepper: patterns, carriers and failures
 
 
 def random_sinusoid_sum(rng, n, terms):
@@ -438,31 +446,6 @@ def design_like_sinusoid_sum(rng, n, terms):
                        rng.uniform(-math.pi, math.pi, terms), mats)
 
 
-def flow_outputs(p, j, T, dt):
-    """state_transition, the average and the conjugation growth its pass
-    samples for perturbation_bounds, for the current chunk length."""
-    phi = vs.state_transition(p, 0.3, 0.3 + T, dt=dt)
-    growth = np.ones(2)
-    average = vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf, growth=growth)
-    return phi, average, growth
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(n=st.integers(1, 6), terms=st.integers(1, 3), chunk=st.integers(1, 700),
-       seed=st.integers(0, 2**32 - 1))
-def test_compiled_flow_does_not_depend_on_the_chunk_length(n, terms, chunk, seed):
-    rng = np.random.default_rng(seed)
-    p = random_sinusoid_sum(rng, n, terms)
-    j = rng.normal(size=(n, n))
-    T, dt = 2.0 * math.pi, 2.0 * math.pi / 3.0 / 48  # 144 steps per window
-    whole = flow_outputs(p, j, T, dt)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_chunk_steps", chunk)
-        chunked = flow_outputs(p, j, T, dt)
-    for a, b in zip(whole, chunked):
-        assert np.array_equal(a, b)
-
-
 def sparse_sinusoid_sum(rng, n, terms):
     """Terms on matrices with about a third of their entries nonzero (some
     may be all zero)."""
@@ -471,13 +454,13 @@ def sparse_sinusoid_sum(rng, n, terms):
                        rng.uniform(-math.pi, math.pi, terms), mats * 0.5)
 
 
-def flow_results(p, j, T, dt):
-    """state_transition, the average (or the error of an overflowing flow),
-    both windows' raw sums of Psi and of Psi^-1 J Psi, and the conjugation
-    growth the same pass samples for perturbation_bounds."""
+def flow_results(p, j, T, dt, t0=0.3):
+    """state_transition from t0, the average (or the error of an overflowing
+    flow), both windows' raw sums of Psi and of Psi^-1 J Psi, and the
+    conjugation growth the same pass samples for perturbation_bounds."""
     n = j.shape[0]
     steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    out = [vs.state_transition(p, 0.3, 0.3 + T, dt=dt)]
+    out = [vs.state_transition(p, t0, t0 + T, dt=dt)]
     try:
         out.append(vs.conjugated_average(j, p, T=T, dt=dt, rel_tol=np.inf))
     except np.linalg.LinAlgError as exc:
@@ -497,19 +480,25 @@ def assert_same_results(a, b):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(n=st.integers(1, 6), terms=st.integers(1, 3), design_like=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_pattern_flow_equals_the_full_flow_bit_for_bit(n, terms, design_like, seed):
+@given(n=st.integers(1, 6), terms=st.integers(1, 3),
+       kind=st.sampled_from(["sparse", "design_like", "dense"]),
+       seed=st.integers(0, 2**32 - 1), t0=st.floats(-1e3, 1e3))
+def test_pattern_flow_equals_the_full_flow_bit_for_bit(n, terms, kind, seed, t0):
+    # the kernel's carriers on P's pattern against numpy's table of every
+    # entry, also at large arguments of sin; dense terms overlap on every
+    # entry, so their sum's order shows
     rng = np.random.default_rng(seed)
-    if design_like and n >= 2:
+    if kind == "design_like" and n >= 2:
         p = design_like_sinusoid_sum(rng, n, terms)
         assert len(p.pattern) <= terms
+    elif kind == "dense":
+        p = random_sinusoid_sum(rng, n, terms)
     else:
         p = sparse_sinusoid_sum(rng, n, terms)
     j = rng.normal(size=(n, n))
     T, dt = 2.0 * math.pi, 2.0 * math.pi / 3.0 / 48
     assert np.array_equal(p.pattern, np.argwhere(np.abs(p.mats).sum(axis=0) > 0.0))
-    assert_same_results(flow_results(p, j, T, dt), flow_results(lambda t: p(t), j, T, dt))
+    assert_same_results(flow_results(p, j, T, dt, t0), flow_results(lambda t: p(t), j, T, dt, t0))
 
 
 def test_overflowing_pattern_flow_has_the_full_flows_nans():
@@ -574,6 +563,6 @@ def test_singular_flow_raises_linalg_error():
     def p(t):
         return np.diag([-6.0, 0.0]) if t == 1.0 else np.zeros((2, 2))
 
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+    with pytest.raises(np.linalg.LinAlgError, match="singular to working precision at t = 1$"):
         vs.conjugated_average(np.eye(2), p, T=4.0, dt=1.0)
     assert np.array_equal(vs.state_transition(p, 0.0, 4.0, dt=1.0), np.diag([0.0, 1.0]))

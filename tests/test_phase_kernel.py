@@ -252,68 +252,61 @@ def full_pattern(n):
     return np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
 
 
-def bind_flow(n=2, steps=8, **changes):
-    """A LinearFlow of n x n matrices with a full pattern, the weights of
-    steps steps and a growth window of 4 steps; ``changes`` replace its
-    arguments."""
-    args = dict(h=0.1, psi=np.eye(n), scratch=np.zeros(pk.flow_scratch_len(n)),
-                pattern=full_pattern(n), j=-np.eye(n), weights=np.ones((steps, 2)),
+def run_flow(n=2, steps=8, **changes):
+    """One linear_flow call of ``steps`` steps on n x n matrices with a full
+    pattern, P = 0 tabulated, the weights of every step and a growth window
+    of 4 steps; ``changes`` replace its arguments."""
+    args = dict(t0=0.0, h=0.1, steps=steps, psi=np.eye(n), pattern=full_pattern(n),
+                p=np.zeros((2 * steps + 1, n * n)), j=-np.eye(n), weights=np.ones((steps, 2)),
                 sums=np.zeros((2, 2, n, n)), growth=np.ones(2), growth_steps=4)
-    return pk.LinearFlow(**{**args, **changes})
+    return pk.linear_flow(**{**args, **changes})
+
+
+def carriers(terms=2, nz=4):
+    """The carriers of ``terms`` sinusoids on ``nz`` pattern entries."""
+    return (np.ones(terms), np.ones(terms), np.zeros(terms), np.ones((terms, nz)))
 
 
 def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
     def no_kernel():
         raise AssertionError("the kernel was loaded")
 
+    amps, freqs, phases, mats = carriers()
     with monkeypatch.context() as m:
         m.setattr(pk, "load", no_kernel)
-        with pytest.raises(ValueError, match="scratch"):  # one double short
-            bind_flow(scratch=np.zeros(pk.flow_scratch_len(2) - 1))
-        with pytest.raises(ValueError):
-            bind_flow(scratch=np.zeros((2, pk.flow_scratch_len(2))))
-        with pytest.raises(ValueError):  # Psi is not square
-            bind_flow(psi=np.eye(2)[:, :1].copy())
-        with pytest.raises(ValueError):
-            bind_flow(psi=np.eye(2, dtype=np.float32))
-        frozen = np.eye(2)
-        frozen.flags.writeable = False
-        with pytest.raises(ValueError):
-            bind_flow(psi=frozen)
-        with pytest.raises(ValueError):  # a growth of three values
-            bind_flow(growth=np.ones(3))
-        with pytest.raises(ValueError):
-            bind_flow(growth=np.ones(2, dtype=np.float32))
-        with pytest.raises(ValueError):  # J of another size
-            bind_flow(j=np.eye(3))
-        with pytest.raises(ValueError):  # three weights per step
-            bind_flow(weights=np.ones((8, 3)))
-        with pytest.raises(ValueError):
-            bind_flow(sums=np.zeros((2, 2, 2, 2))[:, :, :, :1])
-
-    flow = bind_flow()
-
-    def no_call(*args):
-        raise AssertionError("the kernel was called")
-
-    monkeypatch.setattr(flow, "_call", no_call)
-    table = np.ones((5, 4))  # the four entries of the full 2 x 2 pattern
-    with pytest.raises(ValueError):  # two rows short for two steps
-        flow.chunk(0, 2, table[:3])
-    with pytest.raises(ValueError):  # full matrices instead of pattern entries
-        flow.chunk(0, 2, np.ones((5, 2, 2)))
-    with pytest.raises(ValueError):  # a table wider than the pattern
-        flow.chunk(0, 2, np.ones((5, 9)))
-    with pytest.raises(ValueError):
-        flow.chunk(0, 2, table.astype(np.float32))
-    with pytest.raises(ValueError):  # not in C order
-        flow.chunk(0, 2, np.ones((5, 8))[:, ::2])
-    with pytest.raises(ValueError):  # past the weights
-        flow.chunk(0, 9, np.ones((19, 4)))
-    with pytest.raises(ValueError):
-        flow.chunk(7, 2, table)
-    with pytest.raises(ValueError):
-        flow.chunk(-1, 2, table)
+        for changes in (dict(psi=np.eye(2)[:, :1].copy()),  # Psi is not square
+                        dict(psi=np.ones(4)),
+                        dict(growth=np.ones(3)),  # a growth of three values
+                        dict(j=np.eye(3)),  # J of another size
+                        dict(weights=np.ones((8, 3))),  # three weights per step
+                        dict(weights=np.ones((7, 2))),  # a step without weights
+                        dict(sums=np.zeros((2, 2, 2, 2))[:, :, :, :1]),
+                        dict(j=-np.eye(2), weights=None),
+                        dict(steps=-1, p=carriers(), j=None),
+                        dict(p=np.zeros((15, 4))),  # a table two rows short
+                        dict(p=np.zeros((17, 2, 2))),  # full matrices, not pattern entries
+                        dict(p=np.zeros((17, 9))),  # a table wider than the pattern
+                        dict(p=(amps, freqs, phases, mats[:1])),  # a term without entries
+                        dict(p=(amps[:1], freqs, phases, mats)),
+                        dict(p=(amps, freqs, phases[:, None], mats)),
+                        dict(p=(amps[:0], freqs[:0], phases[:0], mats[:0])),  # no term
+                        dict(p=(amps, freqs, phases, np.ones((2, 2, 2)))),  # full matrices
+                        dict(p=(amps, freqs, phases))):
+            with pytest.raises(ValueError):
+                run_flow(**changes)
+    # dtype, C order and writeability: ctypes checks them at the call
+    frozen = np.eye(2)
+    frozen.flags.writeable = False
+    for changes in (dict(psi=np.eye(2, dtype=np.float32)), dict(psi=frozen),
+                    dict(psi=np.eye(4)[::2, ::2]), dict(growth=np.ones(2, dtype=np.float32)),
+                    dict(sums=np.zeros((2, 2, 2, 4))[..., ::2]),
+                    dict(p=np.zeros((17, 8))[:, ::2]), dict(p=np.zeros((17, 4), np.float32)),
+                    dict(p=(amps.astype(np.float32), freqs, phases, mats)),
+                    dict(p=(amps, freqs, phases, np.ones((2, 8))[:, ::2]))):
+        psi = changes.get("psi", np.eye(2))
+        with pytest.raises(ctypes.ArgumentError):
+            run_flow(**{"psi": psi, **changes})
+        assert np.array_equal(psi, np.eye(2))
 
 
 def test_flow_rejects_a_bad_pattern_or_table_width(monkeypatch):
@@ -328,47 +321,57 @@ def test_flow_rejects_a_bad_pattern_or_table_width(monkeypatch):
                     [[0, 1], [0, 1]],  # an entry twice
                     [0, 1]):  # not (nz, 2)
             with pytest.raises(ValueError, match="pattern"):
-                bind_flow(pattern=np.array(bad, dtype=np.intc))
+                run_flow(pattern=np.array(bad, dtype=np.intc))
         with pytest.raises(ValueError, match="pattern"):
-            bind_flow(pattern=np.array([[0, 0]], dtype=np.int64))
+            run_flow(pattern=np.array([[0, 0]], dtype=np.int64))
         with pytest.raises(ValueError, match="pattern"):
-            bind_flow(pattern=[[0, 0]])
-
-    flow = bind_flow(pattern=np.array([[0, 1], [1, 0]], dtype=np.intc))
-
-    def no_call(*args):
-        raise AssertionError("the kernel was called")
-
-    monkeypatch.setattr(flow, "_call", no_call)
-    for width in (1, 3, 4):
-        with pytest.raises(ValueError):
-            flow.chunk(0, 2, np.ones((5, width)))
+            run_flow(pattern=[[0, 0]])
+        # a table or term matrices of another width than the pattern's two entries
+        pattern = np.array([[0, 1], [1, 0]], dtype=np.intc)
+        for width in (1, 3, 4):
+            with pytest.raises(ValueError, match="shapes"):
+                run_flow(pattern=pattern, p=np.ones((17, width)))
+            with pytest.raises(ValueError, match="shapes"):
+                run_flow(pattern=pattern, p=carriers(nz=width))
 
 
-def test_flow_steps_chunks_in_sequence_and_stops_at_a_singular_psi():
+def test_flow_steps_in_sequence_and_stops_at_a_singular_psi():
     # a constant P = -I: every step multiplies Psi by r = R(-h), the RK4
-    # polynomial of exp(-h), and the inverse flow dY/dt = Y by R(h)
+    # polynomial of exp(-h), and the inverse flow dY/dt = Y by R(h); as a
+    # table and as one carrier -sin(0 t + pi / 2) on the diagonal
     h, r = 0.1, 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
     big_r = 1.0 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6 + 0.1 ** 4 / 24
-    psi, sums, growth = np.eye(2), np.zeros((2, 2, 2, 2)), np.ones(2)
-    flow = bind_flow(psi=psi, sums=sums, growth=growth,
-                     pattern=np.array([[0, 0], [1, 1]], dtype=np.intc))
-    for start in (0, 3):
-        flow.chunk(start, 3, np.full((7, 2), -1.0))
+    diagonal = np.array([[0, 0], [1, 1]], dtype=np.intc)
+    results = []
+    for p in (np.full((13, 2), -1.0), ([-1.0], [0.0], [np.pi / 2], [[1.0, 1.0]])):
+        if isinstance(p, tuple):
+            p = tuple(np.array(a) for a in p)
+        psi, sums, growth = np.eye(2), np.zeros((2, 2, 2, 2)), np.ones(2)
+        run_flow(steps=6, psi=psi, sums=sums, growth=growth, pattern=diagonal, p=p,
+                 weights=np.ones((6, 2)))
+        results.append((psi, sums, growth))
+    psi, sums, growth = results[0]
     assert psi == pytest.approx(r ** 6 * np.eye(2), rel=1e-14)
-    # the growth window of 4 steps ends inside the second chunk: Psi shrinks,
-    # so sup |Psi|_F is that of Psi after step 1, and sup |Psi^-1|_F that of
-    # the inverse flow after step 4
-    assert growth == pytest.approx([np.sqrt(2.0) * r, np.sqrt(2.0) * big_r ** 4],
-                                   rel=1e-14)
+    # the growth window of 4 steps: Psi shrinks, so sup |Psi|_F is that of
+    # Psi after step 1, and sup |Psi^-1|_F that of the inverse flow after
+    # step 4
+    assert growth == pytest.approx([np.sqrt(2.0) * r, np.sqrt(2.0) * big_r ** 4], rel=1e-14)
     # Psi^-1 J Psi = -I whatever Psi is; the weights are all one
     assert sums[0, 0] == pytest.approx(sum(r ** np.arange(1, 7)) * np.eye(2), rel=1e-14)
     assert np.array_equal(sums[1], np.tile(-6.0 * np.eye(2), (2, 1, 1)))
-    # P(h) = -(6/h) e0 e0^T zeroes the first row of the next step's Psi
-    table = np.zeros((3, 1))
-    table[2, 0] = -6.0 / h
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        bind_flow(pattern=np.array([[0, 0]], dtype=np.intc)).chunk(0, 1, table)
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
+    # P = 0 but at the end of step 3, where P(2.3) = -(6/h) e0 e0^T zeroes
+    # the first row of Psi: the sums hold the two steps before it
+    table = np.zeros((11, 1))
+    table[6, 0] = -6.0 / h
+    sums = np.zeros((2, 2, 2, 2))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^Psi is singular to working precision at t = 2.3$"):
+        run_flow(t0=2.0, steps=5, pattern=np.array([[0, 0]], dtype=np.intc), p=table,
+                 weights=np.ones((5, 2)), sums=sums)
+    assert np.array_equal(sums, np.array([[2.0, 2.0], [-2.0, -2.0]])[:, :, None, None]
+                          * np.eye(2))
 
 
 # ---------------------------------------------------------------------------
