@@ -238,16 +238,16 @@ def conjugated_average(j: np.ndarray, p: Callable[[float], np.ndarray],
     every step by LU with partial pivoting and adds both weighted sums; a
     Phi singular to working precision (the error names the time), or one
     that overflows (non-finite sums), raises ``numpy.linalg.LinAlgError`` at
-    once.  A horizon derived from
-    ``base_period`` (``T=None``) starts at ``horizon_periods`` base periods
-    and is doubled up to ``horizon_doublings`` times before that error is
-    raised: carriers can combine to frequencies far below the slowest one.
+    once.  A horizon derived from ``base_period`` (``T=None``) starts at
+    ``horizon_periods`` base periods and is doubled up to
+    ``horizon_doublings`` times before that error is raised: carriers can
+    combine to frequencies far below the slowest one.
     Given ``growth`` (2,), the first pass raises it in place to the sampled
     conjugation growth ``(sup |Phi|_F, sup |Phi^-1|_F)``, Frobenius norms of
     Phi and of an inverse flow stepped alongside it, after every step of its
     window [0, T], even when a longer horizon follows (see ``_phase_kernel``).
     """
-    j = np.asarray(j, dtype=float)
+    j = np.asarray(j, dtype=float, order="C")
     if dt is None and min_period is None:
         # single-frequency convenience: the base period also bounds the step
         min_period = base_period

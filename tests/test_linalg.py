@@ -335,6 +335,9 @@ def test_conjugated_average_matches_per_step_loop(tabulated):
     assert max(1, int(np.ceil(T / dt - 1e-12))) == steps
     got = vs.conjugated_average(a, p, T=T, dt=dt, rel_tol=1.0)
     assert_rel_close(got, reference_conjugated_average(a, p, T, dt))
+    # a J in Fortran order is the same J
+    assert np.array_equal(vs.conjugated_average(np.asfortranarray(a), p, T=T, dt=dt, rel_tol=1.0),
+                          got)
 
 
 def test_state_transition_matches_per_step_loop():
