@@ -5,7 +5,9 @@ The C source below is compiled on first use into a shared library cached
 in this package's ``__pycache__/`` (or, when that directory is not
 writable, in a fresh private temporary directory) under a name carrying
 the SHA-256 of the source, the flags and the platform, and loaded with
-:mod:`ctypes`; a cached file that does not load is rebuilt once.
+:mod:`ctypes`; a cached file that does not load is rebuilt once.  A build
+into the package's cache removes the libraries of every other source,
+flags and platform from it.
 ``-ffp-contract=off`` keeps the compiler from fusing multiply-adds, so the
 results do not depend on whether the host has FMA.
 
@@ -47,22 +49,20 @@ The same library steps the linear flows dPsi/dt = P(t) Psi of
 :mod:`vibrosync.linalg`, one kernel call per pass (:func:`linear_flow`).
 A flow is bound to P's structural pattern, the row-major list of entries
 where P may be nonzero (every entry for a dense P), and the kernel takes
-the pass's RK4 steps one after the other on the calling thread.  P's
-pattern entries come either from the carriers of a sum of sinusoids, which
-the kernel evaluates itself on the half-step grid, two new rows per step,
-in the operation order of ``linalg.SinusoidSum``'s numpy call (``amp *
-sin(t * freq + phase)`` per term, the terms summed in order), or from a
-table of every half-step row.  The carriers equal numpy's table of the
-same sum bit for bit where numpy's float64 ``sin`` is the C library's
-(numpy 2.4 on glibc 2.36: no mismatch in 2e5 arguments up to 1e4).  It
-multiplies P by Psi and by each stage argument through the pattern: for
-finite values a skipped product is an exact zero that leaves its sum
-unchanged, so the result is the full product bit for bit, and a
-multiplicand that is not all finite takes the full product, so that 0 inf
-stays NaN.  For an average it also solves M = Psi^-1 J Psi after every
-step, by Gaussian elimination with partial pivoting on [Psi | J Psi] as
-LAPACK's ``gesv`` does, and adds the two window-weighted sums of Psi and
-of M in step order.  For the sampled conjugation growth of the
+the pass's RK4 steps one after the other on the calling thread.  P is a
+sum of sinusoids, whose carriers the kernel evaluates itself on the
+half-step grid, two new rows of pattern entries per step, in the operation
+order of ``linalg.SinusoidSum``'s numpy call (``amp * sin(t * freq +
+phase)`` per term, the terms summed in order): the same values bit for bit
+where numpy's float64 ``sin`` is the C library's (numpy 2.4 on glibc 2.36:
+no mismatch in 2e5 arguments up to 1e4).  It multiplies P by Psi and by
+each stage argument through the pattern: for finite values a skipped
+product is an exact zero that leaves its sum unchanged, so the result is
+the full product bit for bit, and a multiplicand that is not all finite
+takes the full product, so that 0 inf stays NaN.  For an average it also
+solves M = Psi^-1 J Psi after every step, by Gaussian elimination with
+partial pivoting on [Psi | J Psi] as LAPACK's ``gesv`` does, and adds the
+two window-weighted sums of Psi and of M in step order.  For the sampled conjugation growth of the
 perturbation bounds it also steps the inverse flow dPsi^-1/dt = -Psi^-1 P
 over a flow's first g steps, with the same rows of P and the same RK4: it
 carries the transpose, which it multiplies by P^T through the swapped
@@ -95,6 +95,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -469,7 +470,7 @@ static void carrier_row(int nterm, int nz, const double *amp, const double *freq
    row-major pattern pat ((row, col) pairs) and is zero elsewhere; pat + 2 nz
    holds the same pairs swapped, the pattern of P^T.  Its half-step rows
    come from nterm >= 1 carriers (carrier_row), two new ones per step after
-   the last step's end row, or for nterm = 0 from table (2 steps + 1 rows).
+   the last step's end row.
    In each of the first g steps the transposed inverse flow
    Z = (Psi^-1)^T, dZ/dt = -P(t)^T Z, started at I, takes the same step
    through P^T with -h: negating h negates each stage's increment exactly,
@@ -483,8 +484,8 @@ static void carrier_row(int nterm, int nz, const double *amp, const double *freq
    stop before that step), or -1 when the scratch cannot be allocated. */
 int64_t linear_flow(int n, int nz, const int *pat, int64_t steps, double t0, double h,
                     int nterm, const double *amp, const double *freq, const double *phase,
-                    const double *pm, const double *table, double *psi, const double *j,
-                    const double *w, double *sums, int64_t g, double *ext)
+                    const double *pm, double *psi, const double *j, const double *w,
+                    double *sums, int64_t g, double *ext)
 {
     int nn = n * n;
     /* stages, stage argument, LU factor, M, the expanded P of a non-finite
@@ -496,19 +497,15 @@ int64_t linear_flow(int n, int nz, const int *pat, int64_t steps, double t0, dou
     double *full = m + nn, *z = full + nn, *rows = z + nn;
     for (int e = 0; e < nn; e++)
         z[e] = e % (n + 1) ? 0.0 : 1.0;
-    if (nterm)
-        carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 0, rows + 2 * nz);
+    carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 0, rows + 2 * nz);
     int64_t bad = 0;
     for (int64_t i = 0; i < steps; i++) {
-        const double *p0 = nterm ? rows : table + 2 * i * nz;
-        if (nterm) {
-            memcpy(rows, rows + 2 * nz, (size_t)nz * sizeof(double));
-            carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 2 * i + 1, rows + nz);
-            carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 2 * i + 2, rows + 2 * nz);
-        }
-        rk4_step(n, nz, pat, p0, h, psi, stages, y, full);
+        memcpy(rows, rows + 2 * nz, (size_t)nz * sizeof(double));
+        carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 2 * i + 1, rows + nz);
+        carrier_row(nterm, nz, amp, freq, phase, pm, t0, h, 2 * i + 2, rows + 2 * nz);
+        rk4_step(n, nz, pat, rows, h, psi, stages, y, full);
         if (i < g) {
-            rk4_step(n, nz, pat + 2 * nz, p0, -h, z, stages, y, full);
+            rk4_step(n, nz, pat + 2 * nz, rows, -h, z, stages, y, full);
             raise_frobenius(nn, psi, ext);
             raise_frobenius(nn, z, ext + 1);
         }
@@ -696,6 +693,14 @@ def _library_name() -> str:
     return f"phase_kernel-{digest}.so"
 
 
+def _prune_stale_libraries(keep: str) -> None:
+    """Remove from the cache every library but ``keep``: the names
+    ``phase_kernel-<64 hex digits>.so`` only, never a build's temporaries."""
+    for stale in _cache_dir.iterdir():
+        if stale.name != keep and re.fullmatch(r"phase_kernel-[0-9a-f]{64}\.so", stale.name):
+            stale.unlink(missing_ok=True)
+
+
 def _writable_dir() -> Path:
     try:
         _cache_dir.mkdir(exist_ok=True)
@@ -763,6 +768,8 @@ def _load_library():
         finally:
             if directory != _cache_dir:  # a loaded library needs no file
                 shutil.rmtree(directory, ignore_errors=True)
+        if directory == _cache_dir:
+            _prune_stale_libraries(path.name)
     ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
@@ -772,7 +779,7 @@ def _load_library():
     lib.integrate.restype = ctypes.c_int64
     doubles_or_null, out_or_null = _or_null(doubles), _or_null(out)
     lib.linear_flow.argtypes = [ctypes.c_int, ctypes.c_int, ints, ctypes.c_int64, ctypes.c_double,
-                                ctypes.c_double, ctypes.c_int, *[doubles_or_null] * 5, out,
+                                ctypes.c_double, ctypes.c_int, *[doubles] * 4, out,
                                 doubles_or_null, doubles_or_null, out_or_null, ctypes.c_int64,
                                 out_or_null]
     lib.linear_flow.restype = ctypes.c_int64
@@ -830,11 +837,11 @@ def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.nd
 
     P is zero outside ``pattern`` (nz, 2), ``intc``, the (row, col) entries
     where it may be nonzero in row-major order; a dense P is the full
-    pattern.  ``p`` gives those entries: the carriers ``(amps, freqs,
+    pattern.  ``p`` gives those entries as the carriers ``(amps, freqs,
     phases, mats)`` of a sum of sinusoids, amps, freqs and phases (E,),
-    E >= 1, and mats (E, nz), at half-step g the sum over e of
+    E >= 1, and mats (E, nz): at half-step g the sum over e of
     ``amps[e] * sin(t * freqs[e] + phases[e])`` times ``mats[e]``, with
-    ``t = t0 + h * (0.5 * g)``; or a table (2 steps + 1, nz) of them.
+    ``t = t0 + h * (0.5 * g)``.
 
     Given ``j`` (n, n), ``weights`` (steps, 2) and ``sums`` (2, 2, n, n),
     the kernel adds ``w0 Psi, w1 Psi`` to ``sums[0]`` and ``w0 M, w1 M``,
@@ -851,15 +858,10 @@ def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.nd
     n = len(psi) if np.ndim(psi) == 2 else 0
     pattern = _bound_pattern(pattern, n)
     nz = len(pattern) // 2
-    if isinstance(p, tuple):
-        (amps, freqs, phases, mats), table = p, None
-        nterm = len(amps) if np.ndim(amps) == 1 else 0
-        shapes = ({np.shape(amps), np.shape(freqs), np.shape(phases)} == {(nterm,)}
-                  and nterm >= 1 and np.shape(mats) == (nterm, nz))
-    else:
-        amps = freqs = phases = mats = None
-        nterm, table = 0, p
-        shapes = np.shape(table) == (2 * steps + 1, nz)
+    amps, freqs, phases, mats = p
+    nterm = len(amps) if np.ndim(amps) == 1 else 0
+    shapes = ({np.shape(amps), np.shape(freqs), np.shape(phases)} == {(nterm,)}
+              and nterm >= 1 and np.shape(mats) == (nterm, nz))
     if j is not None:
         shapes &= (np.shape(j) == (n, n) and np.shape(weights) == (steps, 2)
                    and np.shape(sums) == (2, 2, n, n))
@@ -867,8 +869,8 @@ def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.nd
         shapes &= np.shape(growth) == (2,)
     if not shapes or np.shape(psi) != (n, n) or steps < 0:
         raise ValueError("inconsistent linear-flow array shapes")
-    bad = load().linear_flow(n, nz, pattern, steps, t0, h, nterm, amps, freqs, phases, mats, table,
-                             psi, j, weights, sums, 0 if growth is None else growth_steps, growth)
+    bad = load().linear_flow(n, nz, pattern, steps, t0, h, nterm, amps, freqs, phases, mats, psi,
+                             j, weights, sums, 0 if growth is None else growth_steps, growth)
     if bad < 0:
         raise MemoryError("the linear-flow kernel cannot allocate its scratch")
     if bad:

@@ -381,9 +381,7 @@ def averaged_jacobians(lin: Linearization, schedule: Optional[VibrationSchedule]
         if p is None:
             blocks.append(blk.copy())
             continue
-        blocks.append(conjugated_average(blk, p, base_period=2.0 * math.pi / p.freqs.min(),
-                                         min_period=2.0 * math.pi / p.freqs.max(),
-                                         growth=growth[k]))
+        blocks.append(conjugated_average(blk, p, growth=growth[k]))
     return tuple(blocks), growth if any(p is not None for p in ps) else None
 
 

@@ -3,7 +3,8 @@ M-matrix tests and transition matrices of time-varying linear systems."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -104,8 +105,9 @@ class SinusoidSum:
     exactly zero elsewhere, and the linear-flow kernel evaluates only those
     entries, from the carriers and the term matrices' pattern entries, in
     the operation order of :meth:`__call__`.  amps, freqs and phases must be
-    1-D of one length E >= 1, mats (E, n, n), and every value finite
-    (ValueError otherwise).
+    1-D of one length E >= 1, mats (E, n, n), every value finite and every
+    frequency positive (ValueError otherwise): the carriers' periods set the
+    linear flows' step and averaging horizon (``_periods``).
     """
 
     def __init__(self, amps, freqs, phases, mats):
@@ -121,6 +123,8 @@ class SinusoidSum:
             raise ValueError(f"a SinusoidSum of {terms} terms needs mats of shape ({terms}, n, n)")
         if not all(np.isfinite(a).all() for a in (self.amps, self.freqs, self.phases, self.mats)):
             raise ValueError("a SinusoidSum needs finite amps, freqs, phases and mats")
+        if not (self.freqs > 0.0).all():
+            raise ValueError("a SinusoidSum needs positive freqs")
         self.pattern = np.argwhere((self.mats != 0.0).any(axis=0)).astype(np.intc)
         rows, cols = self.pattern.T
         self._pattern_mats = np.ascontiguousarray(self.mats[:, rows, cols])
@@ -136,40 +140,36 @@ class SinusoidSum:
         return out
 
 
-def _full_pattern(n: int) -> np.ndarray:
-    """Every entry of an n x n matrix, in row-major order."""
-    return np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
+def _periods(p: SinusoidSum) -> Tuple[float, float]:
+    """The slowest and the fastest carrier period of ``p``."""
+    return 2.0 * math.pi / p.freqs.min(), 2.0 * math.pi / p.freqs.max()
 
 
-def _linear_flow(p: Callable, t0: float, h: float, steps: int, psi: np.ndarray,
+def _linear_flow(p: SinusoidSum, t0: float, h: float, steps: int, psi: np.ndarray,
                  j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
                  sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
                  growth_steps: int = 0) -> None:
     """Fixed-step RK4 for dPsi/dt = P(t) Psi from Psi(t0) = psi, advanced in
     place by the compiled stepper (``_phase_kernel.linear_flow``) in one
-    call.  The stepper is bound to P's structural pattern: for a
-    SinusoidSum the entries where a term matrix is nonzero, which it
-    evaluates itself from the carriers on the half-step grid; for any
-    other callable every entry, tabulated here with one call per grid time
-    into a (2 steps + 1, n n) table of 8 (2 steps + 1) n^2 bytes.  Given
-    ``j``, ``weights`` (steps, 2) and ``sums`` (2, 2, n, n) it also adds
-    both window-weighted sums of Psi and of Psi^-1 J Psi, and given
-    ``growth`` (2,) it steps the inverse flow alongside over the first
-    ``growth_steps`` steps and raises ``growth`` to the Frobenius norms of
-    Psi and of Psi^-1, as ``_phase_kernel.linear_flow`` describes.
+    call.  The stepper is bound to P's structural pattern, the entries where
+    a term matrix is nonzero, which it evaluates itself from the carriers on
+    the half-step grid.  Given ``j``, ``weights`` (steps, 2) and ``sums``
+    (2, 2, n, n) it also adds both window-weighted sums of Psi and of
+    Psi^-1 J Psi, and given ``growth`` (2,) it steps the inverse flow
+    alongside over the first ``growth_steps`` steps and raises ``growth`` to
+    the Frobenius norms of Psi and of Psi^-1, as
+    ``_phase_kernel.linear_flow`` describes.  A Psi (and so a J) of
+    another size than P raises ValueError.
     """
-    if isinstance(p, SinusoidSum):
-        pattern, form = p.pattern, (p.amps, p.freqs, p.phases, p._pattern_mats)
-    else:
-        n = psi.shape[0]
-        ts = t0 + h * (0.5 * np.arange(2 * steps + 1))
-        pattern = _full_pattern(n)
-        form = np.array([p(float(t)) for t in ts], dtype=float).reshape(len(ts), n * n)
-    _phase_kernel.linear_flow(t0, h, steps, psi, pattern, form, j, weights, sums, growth,
-                              growth_steps)
+    n = p.mats.shape[1]
+    if np.shape(psi) != (n, n):
+        raise ValueError(f"P is {n} x {n}, but Psi and J are {len(psi)} x {len(psi)}")
+    _phase_kernel.linear_flow(t0, h, steps, psi, p.pattern,
+                              (p.amps, p.freqs, p.phases, p._pattern_mats), j, weights, sums,
+                              growth, growth_steps)
 
 
-def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float],
+def _resolve_step(t_span: float, dt: Optional[float], min_period: float,
                   oversampling: int) -> float:
     """The RK4 step of a flow over ``t_span`` whose fastest period is
     ``min_period``: ``dt`` if given, else ``oversampling`` steps per period.
@@ -179,14 +179,12 @@ def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float
     for name, value in (("t_span", t_span), ("dt", dt), ("min_period", min_period)):
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if min_period is not None and min_period <= 0:
+    if min_period <= 0:
         raise ValueError(f"min_period must be positive, got {min_period!r}")
     if dt is None:
-        if min_period is None:
-            raise ValueError("need dt or min_period to choose a step size")
         dt = min_period / oversampling
     floor = oversampling * steps_per_period / default_oversampling
-    if min_period is not None and dt > min_period / floor * (1 + 1e-12):
+    if dt > min_period / floor * (1 + 1e-12):
         raise StepTooCoarse(
             f"dt={dt:g} gives fewer than {floor:g} steps per period {min_period:g}"
         )
@@ -195,13 +193,13 @@ def _resolve_step(t_span: float, dt: Optional[float], min_period: Optional[float
     return dt
 
 
-def state_transition(p: Callable[[float], np.ndarray], t0: float, t1: float,
-                     dt: Optional[float] = None,
-                     min_period: Optional[float] = None) -> np.ndarray:
-    """Transition matrix of dv/dt = P(t) v from t0 to t1 (fixed-step RK4)."""
-    dt = _resolve_step(t1 - t0, dt, min_period, default_oversampling)
-    n = np.asarray(p(t0)).shape[0]
-    phi = np.eye(n)
+def state_transition(p: SinusoidSum, t0: float, t1: float,
+                     dt: Optional[float] = None) -> np.ndarray:
+    """Transition matrix of dv/dt = P(t) v from t0 to t1 (fixed-step RK4),
+    by default at ``default_oversampling`` steps per fastest carrier period;
+    an explicit ``dt`` too coarse for that period raises StepTooCoarse."""
+    dt = _resolve_step(t1 - t0, dt, _periods(p)[1], default_oversampling)
+    phi = np.eye(p.mats.shape[1])
     if t1 == t0:
         return phi
     steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
@@ -217,10 +215,8 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjugated_average(j: np.ndarray, p: Callable[[float], np.ndarray],
+def conjugated_average(j: np.ndarray, p: SinusoidSum,
                        T: Optional[float] = None, dt: Optional[float] = None,
-                       base_period: Optional[float] = None,
-                       min_period: Optional[float] = None,
                        rel_tol: float = horizon_rel_tolerance,
                        growth: Optional[np.ndarray] = None) -> np.ndarray:
     """Time average of Phi(t)^-1 J Phi(t) for the flow of dPhi/dt = P(t) Phi.
@@ -238,23 +234,21 @@ def conjugated_average(j: np.ndarray, p: Callable[[float], np.ndarray],
     every step by LU with partial pivoting and adds both weighted sums; a
     Phi singular to working precision (the error names the time), or one
     that overflows (non-finite sums), raises ``numpy.linalg.LinAlgError`` at
-    once.  A horizon derived from ``base_period`` (``T=None``) starts at
-    ``horizon_periods`` base periods and is doubled up to
-    ``horizon_doublings`` times before that error is raised: carriers can
-    combine to frequencies far below the slowest one.
+    once.  The step defaults to ``default_oversampling`` steps per fastest
+    carrier period, and an explicit ``dt`` too coarse for that period
+    raises StepTooCoarse.  Without ``T`` the horizon starts at
+    ``horizon_periods`` slowest carrier periods and is doubled up to
+    ``horizon_doublings`` times before HorizonTooShort is raised: carriers
+    can combine to frequencies far below the slowest one.
     Given ``growth`` (2,), the first pass raises it in place to the sampled
     conjugation growth ``(sup |Phi|_F, sup |Phi^-1|_F)``, Frobenius norms of
     Phi and of an inverse flow stepped alongside it, after every step of its
     window [0, T], even when a longer horizon follows (see ``_phase_kernel``).
     """
     j = np.asarray(j, dtype=float, order="C")
-    if dt is None and min_period is None:
-        # single-frequency convenience: the base period also bounds the step
-        min_period = base_period
+    base_period, min_period = _periods(p)
     if T is not None:
         return _windowed_average(j, p, T, dt, min_period, rel_tol, growth)
-    if base_period is None:
-        raise ValueError("need T or base_period for the averaging horizon")
     for doubling in range(horizon_doublings + 1):
         try:
             return _windowed_average(j, p, horizon_periods * 2 ** doubling * base_period,
@@ -264,8 +258,8 @@ def conjugated_average(j: np.ndarray, p: Callable[[float], np.ndarray],
                 raise
 
 
-def _windowed_average(j: np.ndarray, p: Callable[[float], np.ndarray], T: float,
-                      dt: Optional[float], min_period: Optional[float],
+def _windowed_average(j: np.ndarray, p: SinusoidSum, T: float,
+                      dt: Optional[float], min_period: float,
                       rel_tol: float, growth: Optional[np.ndarray]) -> np.ndarray:
     """The weighted estimate over [0, 2T], checked against the one over
     [0, T] (see ``conjugated_average``).  The window weights are built and

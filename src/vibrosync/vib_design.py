@@ -155,7 +155,7 @@ class LinearDesign:
     infeasible_slots: Tuple[Tuple[int, int, float], ...] = field(default_factory=tuple)
 
     def vibration_matrix(self) -> Optional[SinusoidSum]:
-        """Callable t -> additive matrix of all designed sinusoids."""
+        """The sum of all designed sinusoids, None without slots."""
         if not self.slots:
             return None
         n = self.a.shape[0]
@@ -253,13 +253,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
 
     tol = spec.tolerance
     if slots:
-        freqs = [s.frequency for s in design.slots]
-        p_func = design.vibration_matrix()
-        averaged = conjugated_average(
-            a, p_func,
-            base_period=2.0 * math.pi / min(freqs),
-            min_period=2.0 * math.pi / max(freqs),
-        )
+        averaged = conjugated_average(a, design.vibration_matrix())
     else:
         averaged = a.copy()
     residual = float(np.abs(averaged - (a + spec.delta)).max())

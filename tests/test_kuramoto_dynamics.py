@@ -195,7 +195,7 @@ def test_linear_flows_keep_48_steps_per_period(flip_lin, flip_design, monkeypatc
         return real(p_, t0, h, steps, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_linear_flow", recording)
-    vs.state_transition(p, 0.0, 10.0, min_period=min_period)
+    vs.state_transition(p, 0.0, 10.0)
     # one pass averages the vibrated cluster and samples its growth
     vs.averaged_jacobians(flip_lin, flip_design.schedule)
     assert per_period == [48, 48]
@@ -216,7 +216,7 @@ def test_explicit_step_floor(flip_kn, flip_inc, flip_design, flow, floor):
         period = 2.0 * math.pi / p.freqs.max()
 
         def run(dt):
-            return vs.state_transition(p, 0.0, 2 * period, dt=dt, min_period=period)
+            return vs.state_transition(p, 0.0, 2 * period, dt=dt)
     run(period / floor)
     with pytest.raises(StepTooCoarse, match=f"fewer than {floor} steps"):
         run(period / floor * (1 + 1e-9))

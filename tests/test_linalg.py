@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -51,37 +52,39 @@ def test_is_m_matrix_basics():
     assert not vs.is_m_matrix(np.array([[1.0, -2.0], [-2.0, 1.0]]))  # det < 0
 
 
+def slot_vibration(u=1.0, beta=1.0):
+    """P(t) = u sin(beta t) on the slot (1, 0) of a 2 x 2 matrix."""
+    return SinusoidSum([u], [beta], [0.0], [[[0.0, 0.0], [1.0, 0.0]]])
+
+
 def test_state_transition_closed_form_and_cocycle():
     u, beta = 0.8, 2.0
-
-    def p(t):
-        return np.array([[0.0, 0.0], [u * math.sin(beta * t), 0.0]])
-
+    p = slot_vibration(u, beta)
     period = 2 * math.pi / beta
-    phi = vs.state_transition(p, 0.0, 1.3, dt=period / 2000, min_period=period)
+    phi = vs.state_transition(p, 0.0, 1.3, dt=period / 2000)
     assert phi[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert phi[1, 0] == pytest.approx(u / beta * (1 - math.cos(beta * 1.3)), abs=1e-9)
 
-    a = vs.state_transition(p, 0.0, 0.7, dt=period / 2000, min_period=period)
-    b = vs.state_transition(p, 0.7, 1.3, dt=period / 2000, min_period=period)
+    a = vs.state_transition(p, 0.0, 0.7, dt=period / 2000)
+    b = vs.state_transition(p, 0.7, 1.3, dt=period / 2000)
     assert np.abs(b @ a - phi).max() < 1e-7
 
 
 def test_state_transition_determinant_matches_trace_integral():
-    def p(t):
-        return np.array([[math.cos(t), 1.0], [0.3, -0.5]])
-
-    phi = vs.state_transition(p, 0.0, 2.0, dt=1e-3, min_period=2 * math.pi)
-    expected = math.exp(math.sin(2.0) - 0.5 * 2.0)
+    # P(t) = cos(t) [[1, 1], [0, 0]] + 0.5 sin(3 t + 0.4) [[0, 0], [0.3, -1]]:
+    # by Liouville's formula det Phi is exp of the integral of the trace
+    # cos(t) - 0.5 sin(3 t + 0.4)
+    p = SinusoidSum([1.0, 0.5], [1.0, 3.0], [math.pi / 2, 0.4],
+                    [[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, -1.0]]])
+    phi = vs.state_transition(p, 0.0, 2.0, dt=1e-3)
+    expected = math.exp(math.sin(2.0) - 0.5 * (math.cos(0.4) - math.cos(6.4)) / 3.0)
     assert np.linalg.det(phi) == pytest.approx(expected, rel=1e-7)
 
 
 def test_state_transition_step_too_coarse():
-    def p(t):
-        return np.array([[0.0, math.sin(50.0 * t)], [0.0, 0.0]])
-
+    p = SinusoidSum([1.0], [50.0], [0.0], [[[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(StepTooCoarse):
-        vs.state_transition(p, 0.0, 1.0, dt=0.1, min_period=2 * math.pi / 50.0)
+        vs.state_transition(p, 0.0, 1.0, dt=0.1)
 
 
 def test_averaged_jacobians_copy_unvibrated_blocks(flip_lin, flip_design):
@@ -104,11 +107,7 @@ def test_conjugated_average_matches_exact_shift():
     # -a01 u^2/(2 beta^2); all other entries stay put
     a = np.array([[-1.0, 1.0], [-1.0, -1.0]])
     u, beta = 1.0, 1.0
-
-    def p(t):
-        return np.array([[0.0, 0.0], [u * math.sin(beta * t), 0.0]])
-
-    avg = vs.conjugated_average(a, p, base_period=2 * math.pi)
+    avg = vs.conjugated_average(a, slot_vibration(u, beta))
     expected = a + np.array([[0.0, 0.0], [-u ** 2 / (2 * beta ** 2), 0.0]])
     # exact closed form carries weight a01 = 1
     assert avg == pytest.approx(expected, abs=2e-3)
@@ -116,24 +115,16 @@ def test_conjugated_average_matches_exact_shift():
 
 def test_conjugated_average_horizon_guard():
     a = np.array([[-1.0, 1.0], [-1.0, -1.0]])
-
-    def p(t):
-        return np.array([[0.0, 0.0], [math.sin(t), 0.0]])
-
     # a horizon cut mid-period leaves an O(1/T) bias that doubling exposes
     with pytest.raises(HorizonTooShort):
-        vs.conjugated_average(a, p, T=0.718 * 2 * math.pi,
-                              base_period=2 * math.pi, rel_tol=1e-6)
+        vs.conjugated_average(a, slot_vibration(), T=0.718 * 2 * math.pi, rel_tol=1e-6)
 
 
 def test_conjugated_average_window_without_weight():
     # one step per horizon: the [0, T] window sees only its zero-weight end
     # point, so no estimate exists to check the average against
-    def p(t):
-        return np.array([[0.0, 0.0], [math.sin(t), 0.0]])
-
     with pytest.raises(HorizonTooShort, match="without weight"):
-        vs.conjugated_average(np.eye(2), p, T=0.05, dt=0.05)
+        vs.conjugated_average(np.eye(2), slot_vibration(), T=0.05, dt=0.05)
 
 
 def test_derived_horizon_doubles_before_giving_up(monkeypatch):
@@ -144,13 +135,13 @@ def test_derived_horizon_doubles_before_giving_up(monkeypatch):
         raise HorizonTooShort(f"horizon {T:g}")
 
     monkeypatch.setattr(linalg, "_windowed_average", always_short)
-    p = lambda t: np.zeros((2, 2))  # never called: the window is replaced
-    with pytest.raises(HorizonTooShort, match="horizon 1600"):
-        vs.conjugated_average(np.eye(2), p, base_period=10.0)
-    assert tried == [200.0, 400.0, 800.0, 1600.0]
+    p = slot_vibration(beta=math.pi / 4)  # a base period of exactly 8
+    with pytest.raises(HorizonTooShort, match="horizon 1280"):
+        vs.conjugated_average(np.eye(2), p)
+    assert tried == [160.0, 320.0, 640.0, 1280.0]
     tried.clear()
     with pytest.raises(HorizonTooShort):  # an explicit horizon is not doubled
-        vs.conjugated_average(np.eye(2), p, T=200.0, base_period=10.0)
+        vs.conjugated_average(np.eye(2), p, T=200.0)
     assert tried == [200.0]
 
 
@@ -173,7 +164,6 @@ def test_conjugated_average_matches_exact_engine():
         freqs = [s.frequency for s in design.slots]
         numeric = vs.conjugated_average(
             a, design.vibration_matrix(),
-            base_period=2.0 * math.pi / min(freqs),
             dt=2.0 * math.pi / max(freqs) / linalg.default_oversampling)
         checked += 1
         scale = max(np.abs(design.predicted).max(), 1e-9)
@@ -189,30 +179,40 @@ def test_averaged_jacobians_flagship_match_exact_engine(flip_lin, flip_design):
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: vs.conjugated_average(np.eye(2), p, T=float("nan"), dt=0.01),
-    lambda p: vs.conjugated_average(np.eye(2), p, base_period=float("inf"), dt=0.01),
-    lambda p: vs.state_transition(p, 0.0, float("inf"), dt=0.01),
-    lambda p: vs.state_transition(p, float("nan"), 1.0, dt=0.01),
+    lambda: vs.conjugated_average(np.eye(2), slot_vibration(), T=float("nan"), dt=0.01),
+    # a frequency whose base period overflows
+    lambda: vs.conjugated_average(np.eye(2), slot_vibration(beta=1e-320), dt=0.01),
+    lambda: vs.state_transition(slot_vibration(), 0.0, float("inf"), dt=0.01),
+    lambda: vs.state_transition(slot_vibration(), float("nan"), 1.0, dt=0.01),
 ], ids=["average-T", "average-base_period", "transition-t1", "transition-t0"])
 def test_nonfinite_span_is_rejected(call):
-    with pytest.raises(ValueError, match="t_span must be finite"):
-        call(lambda t: np.array([[0.0, 0.0], [math.sin(t), 0.0]]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="t_span must be finite"):
+        call()
 
 
 @pytest.mark.parametrize("name, kwargs", [
     ("dt", {"dt": float("nan")}),
-    ("dt", {"dt": float("inf"), "min_period": 1.0}),
-    ("min_period", {"min_period": float("nan")}),
-    ("min_period", {"dt": 0.01, "min_period": -1.0}),
+    ("dt", {"dt": float("inf")}),
+    ("min_period", {"p": slot_vibration(beta=1e-320)}),  # its period overflows
 ])
 def test_bad_step_is_rejected(name, kwargs):
-    def p(t):
-        return np.array([[0.0, 0.0], [math.sin(t), 0.0]])
+    kwargs = {"p": slot_vibration(), **kwargs}
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            vs.conjugated_average(np.eye(2), T=10.0, **kwargs)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            vs.state_transition(t0=0.0, t1=1.0, **kwargs)
 
-    with pytest.raises(ValueError, match=f"{name} must be"):
-        vs.conjugated_average(np.eye(2), p, T=10.0, **kwargs)
-    with pytest.raises(ValueError, match=f"{name} must be"):
-        vs.state_transition(p, 0.0, 1.0, **kwargs)
+
+def test_flow_of_another_size_than_p_is_rejected(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(linalg._phase_kernel, "linear_flow", no_kernel)
+    for j in (np.eye(3), np.eye(1)):
+        size = f"{len(j)} x {len(j)}"
+        with pytest.raises(ValueError, match=f"^P is 2 x 2, but Psi and J are {size}$"):
+            vs.conjugated_average(j, slot_vibration(), T=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +324,9 @@ def test_sinusoid_sum_broadcasts_exactly():
         assert np.abs(stack[i] - direct).max() < 1e-12
 
 
-@pytest.mark.parametrize("tabulated", [True, False], ids=["broadcast", "pointwise"])
-def test_conjugated_average_matches_per_step_loop(tabulated):
+def test_conjugated_average_matches_per_step_loop():
     a = np.array([[-1.0, 1.0, 0.5], [-1.0, -1.0, 0.8], [0.3, -0.6, -2.0]])
-    vib = three_slot_vibration()
-    p = vib if tabulated else (lambda t: vib(t))
+    p = three_slot_vibration()
     T = 10 * 2 * math.pi
     steps = 3109
     dt = T / steps
@@ -341,17 +339,12 @@ def test_conjugated_average_matches_per_step_loop(tabulated):
 
 
 def test_state_transition_matches_per_step_loop():
-    u, beta = 0.8, 2.0
-
-    def p(t):
-        return np.array([[0.0, 0.0], [u * math.sin(beta * t), 0.0]])
-
-    period = 2 * math.pi / beta
-    dt = period / 2000
-    assert_rel_close(vs.state_transition(p, 0.7, 4.0, dt=dt, min_period=period),
+    p = slot_vibration(0.8, 2.0)
+    dt = math.pi / 2000
+    assert_rel_close(vs.state_transition(p, 0.7, 4.0, dt=dt),
                      reference_state_transition(p, 0.7, 4.0, dt))
     vib = three_slot_vibration()
-    assert_rel_close(vs.state_transition(vib, 0.7, 9.0, dt=0.01, min_period=2.0),
+    assert_rel_close(vs.state_transition(vib, 0.7, 9.0, dt=0.01),
                      reference_state_transition(vib, 0.7, 9.0, 0.01))
 
 
@@ -384,7 +377,7 @@ def test_perturbation_bounds_of_an_overflowing_flow_raise(flip_lin, flip_design)
     # the flagship's designed schedule at amplitude 1e3 and phase 1: the
     # vibration flow overflows to a Psi that is not finite, which the
     # averaging pass reports; its growth sampling ends there without an
-    # error of its own, the same with P's pattern as with every entry
+    # error of its own
     schedule = kuramoto_dynamics.VibrationSchedule(
         {e: kuramoto_dynamics.VibrationEntry(1e3, entry.frequency, 1.0)
          for e, entry in flip_design.schedule.entries.items()},
@@ -392,14 +385,10 @@ def test_perturbation_bounds_of_an_overflowing_flow_raise(flip_lin, flip_design)
     with pytest.raises(np.linalg.LinAlgError, match=r"the flow overflowed on \[0, 251.327\]"):
         vs.averaged_jacobians(flip_lin, schedule)
     p = vs.cluster_vibration_matrices(flip_lin.inc, schedule)[0]
-    periods = dict(base_period=2 * np.pi / p.freqs.min(), min_period=2 * np.pi / p.freqs.max())
-    growths = []
-    for flow in (p, lambda t: p(t)):
-        growths.append(np.ones(2))
-        with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-            vs.conjugated_average(flip_lin.J_blocks[0], flow, growth=growths[-1], **periods)
-    assert 1e300 < growths[0][0] < np.inf  # the last finite Psi's
-    assert np.array_equal(*growths)
+    growth = np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
+        vs.conjugated_average(flip_lin.J_blocks[0], p, growth=growth)
+    assert 1e300 < growth[0] < np.inf  # the last finite Psi's
 
 
 @pytest.mark.parametrize("design_like", [False, True], ids=["dense", "design_like"])
@@ -420,8 +409,7 @@ def test_averaging_pass_growth_matches_per_step_loop(design_like):
     base, fastest = 2 * np.pi / p.freqs.min(), 2 * np.pi / p.freqs.max()
     growth = np.ones(2)
     with pytest.raises(HorizonTooShort):
-        vs.conjugated_average(j, p, base_period=base, min_period=fastest, rel_tol=0.0,
-                              growth=growth)
+        vs.conjugated_average(j, p, rel_tol=0.0, growth=growth)
     assert_rel_close(growth, reference_growth(p, n, linalg.horizon_periods * base,
                                               fastest / linalg.default_oversampling))
 
@@ -457,6 +445,16 @@ def sparse_sinusoid_sum(rng, n, terms):
                        rng.uniform(-math.pi, math.pi, terms), mats * 0.5)
 
 
+def dense_twin(p):
+    """``p`` bound to every entry: the full pattern, with the carriers'
+    dense term matrices, for the stepper's full product."""
+    n = p.mats.shape[1]
+    twin = copy.copy(p)
+    twin.pattern = np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
+    twin._pattern_mats = np.ascontiguousarray(p.mats.reshape(len(p.mats), n * n))
+    return twin
+
+
 def flow_results(p, j, T, dt, t0=0.3):
     """state_transition from t0, the average (or the error of an overflowing
     flow), both windows' raw sums of Psi and of Psi^-1 J Psi, and the
@@ -487,9 +485,9 @@ def assert_same_results(a, b):
        kind=st.sampled_from(["sparse", "design_like", "dense"]),
        seed=st.integers(0, 2**32 - 1), t0=st.floats(-1e3, 1e3))
 def test_pattern_flow_equals_the_full_flow_bit_for_bit(n, terms, kind, seed, t0):
-    # the kernel's carriers on P's pattern against numpy's table of every
-    # entry, also at large arguments of sin; dense terms overlap on every
-    # entry, so their sum's order shows
+    # the stepper on P's pattern against the same carriers on every entry,
+    # also at large arguments of sin; dense terms overlap on every entry, so
+    # their sum's order shows
     rng = np.random.default_rng(seed)
     if kind == "design_like" and n >= 2:
         p = design_like_sinusoid_sum(rng, n, terms)
@@ -501,7 +499,7 @@ def test_pattern_flow_equals_the_full_flow_bit_for_bit(n, terms, kind, seed, t0)
     j = rng.normal(size=(n, n))
     T, dt = 2.0 * math.pi, 2.0 * math.pi / 3.0 / 48
     assert np.array_equal(p.pattern, np.argwhere(np.abs(p.mats).sum(axis=0) > 0.0))
-    assert_same_results(flow_results(p, j, T, dt, t0), flow_results(lambda t: p(t), j, T, dt, t0))
+    assert_same_results(flow_results(p, j, T, dt, t0), flow_results(dense_twin(p), j, T, dt, t0))
 
 
 def test_overflowing_pattern_flow_has_the_full_flows_nans():
@@ -514,7 +512,7 @@ def test_overflowing_pattern_flow_has_the_full_flows_nans():
     j = np.arange(9.0).reshape(3, 3)
     with np.errstate(all="ignore"):
         sparse = flow_results(p, j, 6.0, 0.01)
-        full = flow_results(lambda t: p(t), j, 6.0, 0.01)
+        full = flow_results(dense_twin(p), j, 6.0, 0.01)
     phi = sparse[0]
     assert np.isnan(phi).any() and not np.isnan(phi).all()
     # the sampled growth keeps the norms of the last finite Psi and Psi^-1
@@ -532,6 +530,8 @@ def test_overflowing_pattern_flow_has_the_full_flows_nans():
     (([1.0], [np.nan], [0.0], [np.eye(2)]), "finite"),
     (([np.inf], [1.0], [0.0], [np.eye(2)]), "finite"),
     (([1.0], [1.0], [0.0], [np.diag([1.0, np.nan])]), "finite"),
+    (([1.0], [0.0], [0.0], [np.eye(2)]), "positive"),
+    (([1.0, 1.0], [1.0, -1.0], [0.0, 0.0], [np.eye(2)] * 2), "positive"),
 ])
 def test_sinusoid_sum_rejects_inconsistent_terms(args, match):
     with pytest.raises(ValueError, match=match):
@@ -539,8 +539,9 @@ def test_sinusoid_sum_rejects_inconsistent_terms(args, match):
 
 
 def test_overflowing_flow_raises_after_one_pass(monkeypatch):
-    # Psi = exp(50 t) overflows near t = 14, then inf - inf makes it NaN: the
-    # first windowed pass names the overflow, and no doubled horizon follows
+    # Psi = exp(1e3 sin t) overflows near t = 0.8, then inf - inf makes it
+    # NaN: the first windowed pass names the overflow, and no doubled horizon
+    # follows
     passes = []
     windowed = linalg._windowed_average
 
@@ -549,23 +550,23 @@ def test_overflowing_flow_raises_after_one_pass(monkeypatch):
         return windowed(*args)
 
     monkeypatch.setattr(linalg, "_windowed_average", counted)
-    grow = lambda t: 50.0 * np.eye(2)
+    grow = SinusoidSum([1e3], [1.0], [math.pi / 2], [np.eye(2)])
     with np.errstate(all="ignore"):
         with pytest.raises(np.linalg.LinAlgError, match=r"overflowed on \[0, 40\]"):
             vs.conjugated_average(np.eye(2), grow, T=20.0, dt=0.01)
-        vib = SinusoidSum([1e3], [1.0], [math.pi / 2], [np.eye(2)])
         with pytest.raises(np.linalg.LinAlgError, match="overflowed"):
-            vs.conjugated_average(np.eye(2), vib, base_period=2 * math.pi)
+            vs.conjugated_average(np.eye(2), grow)
         assert passes == [20.0, linalg.horizon_periods * 2 * math.pi]
         assert np.isnan(vs.state_transition(grow, 0.0, 40.0, dt=0.01)).all()
 
 
 def test_singular_flow_raises_linalg_error():
-    # P vanishes except at t = 1, where the first step's propagator becomes
-    # I + h/6 P(1) = diag(0, 1): Psi(1) is exactly singular
-    def p(t):
-        return np.diag([-6.0, 0.0]) if t == 1.0 else np.zeros((2, 2))
-
+    # P = 0 keeps the singular Psi(0) = diag(0, 1): the average stops at the
+    # first step's Psi, and a flow without J steps through it
+    p = SinusoidSum([0.0], [0.1], [0.0], [np.eye(2)])
     with pytest.raises(np.linalg.LinAlgError, match="singular to working precision at t = 1$"):
-        vs.conjugated_average(np.eye(2), p, T=4.0, dt=1.0)
-    assert np.array_equal(vs.state_transition(p, 0.0, 4.0, dt=1.0), np.diag([0.0, 1.0]))
+        linalg._linear_flow(p, 0.0, 1.0, 4, np.diag([0.0, 1.0]), np.eye(2), np.ones((4, 2)),
+                            np.zeros((2, 2, 2, 2)))
+    psi = np.diag([0.0, 1.0])
+    linalg._linear_flow(p, 0.0, 1.0, 4, psi)
+    assert np.array_equal(psi, np.diag([0.0, 1.0]))

@@ -57,8 +57,20 @@ def test_changed_source_gets_another_library(fresh_cache, monkeypatch):
     monkeypatch.setattr(pk, "_kernel", None)
     pk.load()
     after = libraries(fresh_cache)
-    assert len(before) == 1 and len(after) == 2
-    assert pk._library_name() in after and pk._library_name() not in before
+    # the new library replaces the stale one
+    assert len(before) == 1 and after == [pk._library_name()]
+    assert pk._library_name() not in before
+
+
+def test_pruning_keeps_temporaries_and_other_files(fresh_cache, monkeypatch):
+    # a concurrent build's mkstemp names and unrelated files stay; libraries
+    # of other sources, flags or platforms go
+    kept = ["phase_kernel-k2j4x_8q.c", "phase_kernel-k2j4x_8q.so", "notes.txt",
+            f"phase_kernel-{'0' * 63}.so", f"phase_kernel-{'0' * 64}.so.bak"]
+    for name in kept + [f"phase_kernel-{'0' * 64}.so", f"phase_kernel-{'ab' * 32}.so"]:
+        (fresh_cache / name).write_text("")
+    pk.load()
+    assert libraries(fresh_cache) == sorted(kept + [pk._library_name()])
 
 
 def test_library_name_carries_the_platform(monkeypatch):
@@ -252,19 +264,20 @@ def full_pattern(n):
     return np.argwhere(np.ones((n, n), dtype=bool)).astype(np.intc)
 
 
+def carriers(terms=2, nz=4, amp=1.0):
+    """The carriers of ``terms`` sinusoids of amplitude ``amp`` on ``nz``
+    pattern entries."""
+    return (np.full(terms, amp), np.ones(terms), np.zeros(terms), np.ones((terms, nz)))
+
+
 def run_flow(n=2, steps=8, **changes):
     """One linear_flow call of ``steps`` steps on n x n matrices with a full
-    pattern, P = 0 tabulated, the weights of every step and a growth window
-    of 4 steps; ``changes`` replace its arguments."""
+    pattern, P = 0 as one carrier of amplitude zero, the weights of every
+    step and a growth window of 4 steps; ``changes`` replace its arguments."""
     args = dict(t0=0.0, h=0.1, steps=steps, psi=np.eye(n), pattern=full_pattern(n),
-                p=np.zeros((2 * steps + 1, n * n)), j=-np.eye(n), weights=np.ones((steps, 2)),
+                p=carriers(1, n * n, 0.0), j=-np.eye(n), weights=np.ones((steps, 2)),
                 sums=np.zeros((2, 2, n, n)), growth=np.ones(2), growth_steps=4)
     return pk.linear_flow(**{**args, **changes})
-
-
-def carriers(terms=2, nz=4):
-    """The carriers of ``terms`` sinusoids on ``nz`` pattern entries."""
-    return (np.ones(terms), np.ones(terms), np.zeros(terms), np.ones((terms, nz)))
 
 
 def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
@@ -283,9 +296,6 @@ def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
                         dict(sums=np.zeros((2, 2, 2, 2))[:, :, :, :1]),
                         dict(j=-np.eye(2), weights=None),
                         dict(steps=-1, p=carriers(), j=None),
-                        dict(p=np.zeros((15, 4))),  # a table two rows short
-                        dict(p=np.zeros((17, 2, 2))),  # full matrices, not pattern entries
-                        dict(p=np.zeros((17, 9))),  # a table wider than the pattern
                         dict(p=(amps, freqs, phases, mats[:1])),  # a term without entries
                         dict(p=(amps[:1], freqs, phases, mats)),
                         dict(p=(amps, freqs, phases[:, None], mats)),
@@ -300,7 +310,6 @@ def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
     for changes in (dict(psi=np.eye(2, dtype=np.float32)), dict(psi=frozen),
                     dict(psi=np.eye(4)[::2, ::2]), dict(growth=np.ones(2, dtype=np.float32)),
                     dict(sums=np.zeros((2, 2, 2, 4))[..., ::2]),
-                    dict(p=np.zeros((17, 8))[:, ::2]), dict(p=np.zeros((17, 4), np.float32)),
                     dict(p=(amps.astype(np.float32), freqs, phases, mats)),
                     dict(p=(amps, freqs, phases, np.ones((2, 8))[:, ::2]))):
         psi = changes.get("psi", np.eye(2))
@@ -326,31 +335,24 @@ def test_flow_rejects_a_bad_pattern_or_table_width(monkeypatch):
             run_flow(pattern=np.array([[0, 0]], dtype=np.int64))
         with pytest.raises(ValueError, match="pattern"):
             run_flow(pattern=[[0, 0]])
-        # a table or term matrices of another width than the pattern's two entries
+        # term matrices of another width than the pattern's two entries
         pattern = np.array([[0, 1], [1, 0]], dtype=np.intc)
         for width in (1, 3, 4):
-            with pytest.raises(ValueError, match="shapes"):
-                run_flow(pattern=pattern, p=np.ones((17, width)))
             with pytest.raises(ValueError, match="shapes"):
                 run_flow(pattern=pattern, p=carriers(nz=width))
 
 
 def test_flow_steps_in_sequence_and_stops_at_a_singular_psi():
-    # a constant P = -I: every step multiplies Psi by r = R(-h), the RK4
-    # polynomial of exp(-h), and the inverse flow dY/dt = Y by R(h); as a
-    # table and as one carrier -sin(0 t + pi / 2) on the diagonal
-    h, r = 0.1, 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
+    # a constant P = -I, one carrier -sin(0 t + pi / 2) on the diagonal:
+    # every step multiplies Psi by r = R(-h), the RK4 polynomial of exp(-h),
+    # and the inverse flow dY/dt = Y by R(h)
+    r = 1.0 - 0.1 + 0.1 ** 2 / 2 - 0.1 ** 3 / 6 + 0.1 ** 4 / 24
     big_r = 1.0 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6 + 0.1 ** 4 / 24
     diagonal = np.array([[0, 0], [1, 1]], dtype=np.intc)
-    results = []
-    for p in (np.full((13, 2), -1.0), ([-1.0], [0.0], [np.pi / 2], [[1.0, 1.0]])):
-        if isinstance(p, tuple):
-            p = tuple(np.array(a) for a in p)
-        psi, sums, growth = np.eye(2), np.zeros((2, 2, 2, 2)), np.ones(2)
-        run_flow(steps=6, psi=psi, sums=sums, growth=growth, pattern=diagonal, p=p,
-                 weights=np.ones((6, 2)))
-        results.append((psi, sums, growth))
-    psi, sums, growth = results[0]
+    p = tuple(np.array(a) for a in ([-1.0], [0.0], [np.pi / 2], [[1.0, 1.0]]))
+    psi, sums, growth = np.eye(2), np.zeros((2, 2, 2, 2)), np.ones(2)
+    run_flow(steps=6, psi=psi, sums=sums, growth=growth, pattern=diagonal, p=p,
+             weights=np.ones((6, 2)))
     assert psi == pytest.approx(r ** 6 * np.eye(2), rel=1e-14)
     # the growth window of 4 steps: Psi shrinks, so sup |Psi|_F is that of
     # Psi after step 1, and sup |Psi^-1|_F that of the inverse flow after
@@ -359,19 +361,13 @@ def test_flow_steps_in_sequence_and_stops_at_a_singular_psi():
     # Psi^-1 J Psi = -I whatever Psi is; the weights are all one
     assert sums[0, 0] == pytest.approx(sum(r ** np.arange(1, 7)) * np.eye(2), rel=1e-14)
     assert np.array_equal(sums[1], np.tile(-6.0 * np.eye(2), (2, 1, 1)))
-    for a, b in zip(*results):
-        assert np.array_equal(a, b)
-    # P = 0 but at the end of step 3, where P(2.3) = -(6/h) e0 e0^T zeroes
-    # the first row of Psi: the sums hold the two steps before it
-    table = np.zeros((11, 1))
-    table[6, 0] = -6.0 / h
+    # P = 0 from the singular Psi = diag(0, 1): the pass stops after its
+    # first step, before that step's sums
     sums = np.zeros((2, 2, 2, 2))
     with pytest.raises(np.linalg.LinAlgError,
-                       match=r"^Psi is singular to working precision at t = 2.3$"):
-        run_flow(t0=2.0, steps=5, pattern=np.array([[0, 0]], dtype=np.intc), p=table,
-                 weights=np.ones((5, 2)), sums=sums)
-    assert np.array_equal(sums, np.array([[2.0, 2.0], [-2.0, -2.0]])[:, :, None, None]
-                          * np.eye(2))
+                       match=r"^Psi is singular to working precision at t = 2.1$"):
+        run_flow(t0=2.0, steps=5, psi=np.diag([0.0, 1.0]), weights=np.ones((5, 2)), sums=sums)
+    assert not sums.any()
 
 
 # ---------------------------------------------------------------------------
