@@ -1,7 +1,9 @@
 """Tests for the vibration designers: modifiable patterns, the triangular
 linear-system synthesis, and the oscillator-network layer on top of it."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import vibrosync as vs
 from conftest import random_clustered_network
+from test_acceptance import _random_design_case
 from vibrosync import vib_design
 
 SQ2 = math.sqrt(2.0)
@@ -162,6 +165,40 @@ def test_design_linear_three_by_three_feasible():
     assert np.abs(d.predicted - (a + delta)).max() < 1e-10
     freqs = sorted(s.frequency for s in d.slots)
     assert len(set(freqs)) == len(freqs)  # one fresh carrier wave per slot
+
+
+def pinned_cases():
+    """Seeded criterion-5 cases for the exact-engine pin: 24 with chain-free
+    strictly lower change patterns and 8 with chains, sizes 2-6, 1-3 slots."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for i in range(32):
+        n = 2 + i % 5
+        n_slots = int(rng.integers(1, min(3, n * (n - 1) // 2) + 1))
+        cases.append(_random_design_case(rng, n, n_slots, chain_free=i < 24))
+    return cases
+
+
+def design_pin(design):
+    """A design's slots, infeasible slots and exact average, floats as
+    ``float.hex``, so that a pin compares them bit for bit."""
+    return {"slots": [[s.row, s.col, s.radicand, s.amplitude.hex()] for s in design.slots],
+            "infeasible": [[p, q, miss.hex()] for p, q, miss in design.infeasible_slots],
+            "predicted": [v.hex() for v in design.predicted.ravel().tolist()]}
+
+
+PIN_PATH = Path(__file__).with_name("design_pin.json")
+
+
+def test_exact_engine_outputs_are_pinned(flip_design):
+    # the symbolic designer's slots and exact averages, bit for bit, on the
+    # seeded cases and the flagship's cluster-0 design (recorded values)
+    pins = json.loads(PIN_PATH.read_text())
+    got = [design_pin(vs.design_linear(a, spec, verify=False)) for a, spec in pinned_cases()]
+    got.append(design_pin(flip_design.designs[0]))
+    assert len(got) == len(pins)
+    for case, (g, want) in enumerate(zip(got, pins)):
+        assert g == want, f"case {case} moved"
 
 
 # ---------------------------------------------------------------------------
