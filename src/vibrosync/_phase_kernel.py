@@ -92,12 +92,9 @@ switches its thread to the C locale for the call, so a comma-decimal
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import platform
 import re
-import shutil
-import subprocess
 import sys
 import tempfile
 import threading
@@ -688,6 +685,8 @@ class KernelBuildError(RuntimeError):
 
 
 def _library_name() -> str:
+    import hashlib  # here, not at import: a start-up that loads no kernel needs none
+
     key = (_SOURCE, *_FLAGS, sys.platform, platform.machine())
     digest = hashlib.sha256("\0".join(key).encode()).hexdigest()
     return f"phase_kernel-{digest}.so"
@@ -716,6 +715,8 @@ def _build(path: Path) -> None:
     """Compile the source into ``path``: build to a temporary name in the
     same directory and publish with ``os.replace``, so concurrent builds
     never expose a partly written library."""
+    import subprocess  # only a build needs it, not a cached library
+
     fd, c_file = tempfile.mkstemp(suffix=".c", prefix="phase_kernel-", dir=path.parent)
     so_file = c_file[:-2] + ".so"
     try:
@@ -767,6 +768,8 @@ def _load_library():
                     f"the freshly built vibrosync kernel does not load: {exc}") from exc
         finally:
             if directory != _cache_dir:  # a loaded library needs no file
+                import shutil
+
                 shutil.rmtree(directory, ignore_errors=True)
         if directory == _cache_dir:
             _prune_stale_libraries(path.name)

@@ -13,10 +13,18 @@ residue.
 Products are expanded via the product-to-sum identities and antiderivatives
 are taken with the zero-mean convention (the constant of integration is
 chosen so the primitive has zero time average).
+
+A polynomial is never changed once an operation has returned it: only a
+polynomial still being built, fresh from its constructor, is accumulated
+into.  So results may share operands: ``ZERO`` and ``ONE`` fill every zero
+and identity entry of the dense matrices, ``a + ZERO`` is ``a`` itself, and
+an operation on ``ZERO`` allocates nothing.  The two shared constants hold
+read-only terms, so a breach of the contract raises instead of spreading.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterator, Tuple
 
 secular_tolerance = 1e-12
@@ -99,10 +107,6 @@ class TrigPoly:
 
     # ---- constructors -------------------------------------------------
     @staticmethod
-    def zero() -> "TrigPoly":
-        return TrigPoly()
-
-    @staticmethod
     def constant(c: float) -> "TrigPoly":
         p = TrigPoly()
         if c != 0.0:
@@ -122,21 +126,30 @@ class TrigPoly:
         return p
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         p = self.copy()
         for (kind, freq), coeff in other.terms.items():
             p._accumulate(kind, freq, coeff)
         return p
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other.scaled(-1.0)
         p = self.copy()
         for (kind, freq), coeff in other.terms.items():
             p._accumulate(kind, freq, -coeff)
         return p
 
     def scaled(self, s: float) -> "TrigPoly":
+        if s == 0.0 or not self.terms:
+            return ZERO
         p = TrigPoly()
-        if s != 0.0:
-            p.terms = {k: v * s for k, v in self.terms.items()}
+        p.terms = {k: v * s for k, v in self.terms.items()}
         return p
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
@@ -188,15 +201,14 @@ class TrigPoly:
                 total += c
         return total
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def antiderivative_zero_mean(self) -> "TrigPoly":
         """Primitive with zero time average.
 
         Raises ValueError when the integrand has a non-negligible DC
         component (a secular term would appear).
         """
+        if not self.terms:
+            return ZERO
         out = TrigPoly()
         for (kind, freq), coeff in self.terms.items():
             if not freq:
@@ -237,19 +249,25 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(bits) + ")"
 
 
+ZERO = TrigPoly()
+ZERO.terms = MappingProxyType({})
+ONE = TrigPoly()
+ONE.terms = MappingProxyType({("cos", ()): 1.0})
+
+
 # ---- matrices of TrigPoly --------------------------------------------------
 
 TrigMatrix = list  # list[list[TrigPoly]]
 
 
 def zeros_matrix(n: int) -> TrigMatrix:
-    return [[TrigPoly.zero() for _ in range(n)] for _ in range(n)]
+    return [[ZERO] * n for _ in range(n)]
 
 
 def identity_matrix(n: int) -> TrigMatrix:
     m = zeros_matrix(n)
     for i in range(n):
-        m[i][i] = TrigPoly.constant(1.0)
+        m[i][i] = ONE
     return m
 
 
@@ -264,17 +282,16 @@ def mat_mul(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     for i in range(n):
         for k in range(n):
             aik = a[i][k]
-            if aik.is_zero():
+            if not aik.terms:
                 continue
             for j in range(n):
-                if b[k][j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + aik * b[k][j]
+                if b[k][j].terms:
+                    out[i][j] = out[i][j] + aik * b[k][j]
     return out
 
 
 def mat_is_zero(a: TrigMatrix) -> bool:
-    return all(e.is_zero() for row in a for e in row)
+    return not any(e.terms for row in a for e in row)
 
 
 def mat_antiderivative(a: TrigMatrix) -> TrigMatrix:
@@ -321,20 +338,32 @@ def inverse_of_unitriangular(phi: TrigMatrix) -> TrigMatrix:
     return inv
 
 
+def flow(p: TrigMatrix) -> Tuple[TrigMatrix, TrigMatrix]:
+    """Phi of ``transition_series(p)`` and its inverse."""
+    phi = transition_series(p)
+    return phi, inverse_of_unitriangular(phi)
+
+
 def conjugated_mean(a, p: TrigMatrix):
     """Exact time average of Phi(t)^-1 A Phi(t) for nilpotent periodic P.
 
-    ``a`` is a plain numeric matrix; returns a numeric matrix.  A Phi is
-    formed by scaled sums of the entries of Phi, and of Phi^-1 (A Phi) only
-    the DC of each entry is read (``TrigPoly.mean_product``), summed over
-    the inner index in the order ``mat_mul`` adds its products, so the
-    result equals the mean of the fully expanded product bit for bit.
+    ``a`` is a plain numeric matrix; returns a numeric matrix (see
+    ``mean_from_flow``).
+    """
+    return mean_from_flow(a, *flow(p))
+
+
+def mean_from_flow(a, phi: TrigMatrix, phi_inv: TrigMatrix):
+    """Exact time average of Phi(t)^-1 A Phi(t) given ``flow(p)``.
+
+    A Phi is formed by scaled sums of the entries of Phi, and of Phi^-1
+    (A Phi) only the DC of each entry is read (``TrigPoly.mean_product``),
+    summed over the inner index in the order ``mat_mul`` adds its products,
+    so the result equals the mean of the fully expanded product bit for bit.
     """
     import numpy as np
 
-    n = len(p)
-    phi = transition_series(p)
-    phi_inv = inverse_of_unitriangular(phi)
+    n = len(phi)
     a_phi = zeros_matrix(n)
     for i in range(n):
         for k in range(n):
@@ -342,7 +371,7 @@ def conjugated_mean(a, p: TrigMatrix):
             if aik == 0.0:
                 continue
             for j in range(n):
-                if not phi[k][j].is_zero():
+                if phi[k][j].terms:
                     a_phi[i][j] = a_phi[i][j] + phi[k][j].scaled(aik)
     out = np.zeros((n, n))
     for i in range(n):

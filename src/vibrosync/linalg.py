@@ -3,6 +3,7 @@ M-matrix tests and transition matrices of time-varying linear systems."""
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Tuple
 
@@ -215,6 +216,22 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _window_weights(steps: int) -> Optional[np.ndarray]:
+    """The normalized bump weights of the 2 * steps grid points after t = 0,
+    (2 * steps, 2) read-only, one column per window ([0, T] over ``steps``
+    steps, [0, 2T] over all); None when a window has no weight.  The point
+    t = 0 has weight zero in both."""
+    idx = np.arange(1, 2 * steps + 1, dtype=float)
+    weights = np.stack([_bump(idx / steps), _bump(idx / (2 * steps))])
+    totals = weights.sum(axis=1, keepdims=True)
+    if not np.all(totals > 0.0):
+        return None
+    weights = np.ascontiguousarray((weights / totals).T)
+    weights.flags.writeable = False
+    return weights
+
+
 def conjugated_average(j: np.ndarray, p: SinusoidSum,
                        T: Optional[float] = None, dt: Optional[float] = None,
                        rel_tol: float = horizon_rel_tolerance,
@@ -262,26 +279,21 @@ def _windowed_average(j: np.ndarray, p: SinusoidSum, T: float,
                       dt: Optional[float], min_period: float,
                       rel_tol: float, growth: Optional[np.ndarray]) -> np.ndarray:
     """The weighted estimate over [0, 2T], checked against the one over
-    [0, T] (see ``conjugated_average``).  The window weights are built and
-    normalized here; the compiled stepper solves Psi^-1 J Psi after each
-    step and adds the weighted sums of Psi and of Psi^-1 J Psi for both
-    windows (and the growth over [0, T]); only the closing conjugation uses numpy."""
+    [0, T] (see ``conjugated_average``).  The window weights depend on the
+    step count alone and are cached (``_window_weights``); the compiled
+    stepper solves Psi^-1 J Psi after each step and adds the weighted sums
+    of Psi and of Psi^-1 J Psi for both windows (and the growth over
+    [0, T]); only the closing conjugation uses numpy."""
     dt = _resolve_step(T, dt, min_period, default_oversampling)
 
     n = j.shape[0]
     steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    # normalized window weights of the grid points after t = 0, one row per
-    # window; the point t = 0 has weight zero in both
-    idx = np.arange(1, 2 * steps + 1, dtype=float)
-    weights = np.stack([_bump(idx / steps), _bump(idx / (2 * steps))])
-    totals = weights.sum(axis=1, keepdims=True)
-    if not np.all(totals > 0.0):
+    weights = _window_weights(steps)
+    if weights is None:
         raise HorizonTooShort(f"horizon {T:g} leaves an averaging window without weight")
-    weights /= totals
 
     sums = np.zeros((2, 2, n, n))
-    _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, np.ascontiguousarray(weights.T),
-                 sums, growth, steps)
+    _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, weights, sums, growth, steps)
     if not np.isfinite(sums).all():
         raise np.linalg.LinAlgError(f"the flow overflowed on [0, {2 * T:g}]")
     mean_psi, mean_m = sums

@@ -195,11 +195,17 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
     d_p = q_perm @ spec.delta @ q_perm.T
 
     u_sym = _trig.zeros_matrix(n)
-    phi = phi_inv = None  # flow of u_sym and its inverse; rebuilt once a slot is placed
+    # Phi and Phi^-1 of u_sym, rebuilt at the first carrier slot of a gap
+    # when a slot was placed since the last build: entry (p, q) of either
+    # sums products along paths whose gaps add up to p - q, so a slot of
+    # gap g leaves every other entry of gap <= g as it was
+    flow = None
+    placed = True  # a slot was placed since ``flow`` was built
     slots_p: List[Tuple[int, int, float, int]] = []  # row, col, amplitude, radicand
     infeasible: List[Tuple[int, int, float]] = []
 
     for gap in range(1, n):
+        phi = None  # the flow every slot of this gap reads
         for p in range(gap, n):
             q = p - gap
             carrier = a_p[q, p]
@@ -211,8 +217,9 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
                     )
                 continue
             if phi is None:
-                phi = _trig.transition_series(u_sym)
-                phi_inv = _trig.inverse_of_unitriangular(phi)
+                if placed:
+                    flow, placed = _trig.flow(u_sym), False
+                phi, phi_inv = flow
             c0 = phi_inv[p][q].mean_product(phi[p][q])  # exact DC of the shallower slots
             needed = c0 - want / carrier
             if abs(needed) <= feasibility_tolerance:
@@ -227,10 +234,12 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
             u_sym[p][q] = u_sym[p][q] + _trig.TrigPoly.sin_line(
                 ((radicand, 1),), amplitude)
             slots_p.append((p, q, amplitude, radicand))
-            phi = None
+            placed = True
 
     # exact averaged matrix of the final design (permuted frame)
-    predicted_p = _trig.conjugated_mean(a_p, u_sym)
+    if placed:
+        flow = _trig.flow(u_sym)
+    predicted_p = _trig.mean_from_flow(a_p, *flow)
     predicted = q_perm.T @ predicted_p @ q_perm
 
     # translate slots back to the original frame and physical frequencies

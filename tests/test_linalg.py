@@ -123,8 +123,21 @@ def test_conjugated_average_horizon_guard():
 def test_conjugated_average_window_without_weight():
     # one step per horizon: the [0, T] window sees only its zero-weight end
     # point, so no estimate exists to check the average against
-    with pytest.raises(HorizonTooShort, match="without weight"):
-        vs.conjugated_average(np.eye(2), slot_vibration(), T=0.05, dt=0.05)
+    for T in (0.05, 0.07):  # the weightless window is not cached as weights
+        with pytest.raises(HorizonTooShort, match=f"horizon {T:g} leaves an averaging "
+                                                  "window without weight"):
+            vs.conjugated_average(np.eye(2), slot_vibration(), T=T, dt=T)
+
+
+def test_window_weights_are_cached_per_step_count_and_read_only():
+    w = linalg._window_weights(10)
+    assert linalg._window_weights(10) is w
+    idx = np.arange(1, 21, dtype=float)
+    want = np.stack([linalg._bump(idx / 10), linalg._bump(idx / 20)])
+    want /= want.sum(axis=1, keepdims=True)
+    assert np.array_equal(w, want.T) and w.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 1.0
 
 
 def test_derived_horizon_doubles_before_giving_up(monkeypatch):

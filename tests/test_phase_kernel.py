@@ -3,6 +3,8 @@ import locale
 import os
 import struct
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,23 @@ def test_library_name_carries_the_platform(monkeypatch):
     name = pk._library_name()
     monkeypatch.setattr(pk.platform, "machine", lambda: "some-other-machine")
     assert pk._library_name() != name
+
+
+def test_start_up_loads_neither_subprocess_nor_hashlib():
+    # only a kernel build runs the compiler and only the library's cache
+    # name hashes: importing the CLI in a fresh interpreter needs neither
+    src = str(Path(pk.__file__).resolve().parents[1])
+
+    def loaded_after(module):
+        probe = (f"import sys, {module}; "
+                 "print(*(m for m in ('subprocess', 'hashlib') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        return out.stdout.split()
+
+    if loaded_after("numpy"):
+        pytest.skip("numpy alone loads subprocess or hashlib here")
+    assert loaded_after("vibrosync.cli") == []
 
 
 def test_unloadable_cached_library_is_rebuilt(fresh_cache, monkeypatch):

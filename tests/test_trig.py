@@ -19,7 +19,7 @@ def test_constant_and_eval():
     p = _trig.TrigPoly.constant(2.5)
     assert p.mean() == 2.5
     assert p(0.7) == 2.5
-    assert _trig.TrigPoly.zero().is_zero()
+    assert not _trig.ZERO.terms
 
 
 def test_sin_cos_product_to_sum():
@@ -55,6 +55,24 @@ def test_antiderivative_zero_mean():
         assert F(t) == pytest.approx(-2 / beta * math.cos(beta * t))
     with pytest.raises(ValueError):
         _trig.TrigPoly.constant(1.0).antiderivative_zero_mean()
+
+
+def test_zero_and_one_are_shared_and_read_only():
+    # results share operands: no operation on ZERO allocates, and the shared
+    # constants refuse the accumulation only a fresh polynomial may take
+    a = sin_line(2.0, radicand=2)
+    zero = _trig.ZERO
+    assert a + zero is a and zero + a is a and a - zero is a
+    assert (zero - a).terms == {("sin", ((2, 1),)): -2.0}
+    assert zero.scaled(3.0) is zero and a.scaled(0.0) is zero
+    assert zero.antiderivative_zero_mean() is zero
+    assert all(e is zero for row in _trig.zeros_matrix(3) for e in row)
+    ident = _trig.identity_matrix(2)
+    assert ident[0][0] is ident[1][1] is _trig.ONE and ident[0][1] is zero
+    for shared in (zero, _trig.ONE):
+        with pytest.raises(TypeError):
+            shared._accumulate("cos", (), 1.0)
+    assert zero.terms == {} and _trig.ONE.terms == {("cos", ()): 1.0}
 
 
 def test_squarefree_radicands_sequence():
@@ -126,7 +144,7 @@ lines = st.tuples(st.sampled_from(["cos", "sin"]), freqs,
 
 
 def trig_poly(terms):
-    p = _trig.TrigPoly.zero()
+    p = _trig.ZERO
     for kind, freq, coeff in terms:
         p = p + _trig.TrigPoly({(kind, freq): coeff})
     return p
