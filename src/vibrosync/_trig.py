@@ -18,7 +18,7 @@ A polynomial is never changed once an operation has returned it: only a
 polynomial still being built, fresh from its constructor, is accumulated
 into.  So results may share operands: ``ZERO`` and ``ONE`` fill every zero
 and identity entry of the dense matrices, ``a + ZERO`` is ``a`` itself, and
-an operation on ``ZERO`` allocates nothing.  The two shared constants hold
+scaling or integrating ``ZERO`` gives ``ZERO``.  The two shared constants hold
 read-only terms, so a breach of the contract raises instead of spreading.
 """
 

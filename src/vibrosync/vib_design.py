@@ -200,7 +200,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
     # sums products along paths whose gaps add up to p - q, so a slot of
     # gap g leaves every other entry of gap <= g as it was
     flow = None
-    placed = True  # a slot was placed since ``flow`` was built
+    placed = True  # ``flow`` misses a placed slot, or was never built
     slots_p: List[Tuple[int, int, float, int]] = []  # row, col, amplitude, radicand
     infeasible: List[Tuple[int, int, float]] = []
 

@@ -58,8 +58,9 @@ def test_antiderivative_zero_mean():
 
 
 def test_zero_and_one_are_shared_and_read_only():
-    # results share operands: no operation on ZERO allocates, and the shared
-    # constants refuse the accumulation only a fresh polynomial may take
+    # results share operands: a sum with ZERO, and ZERO scaled or integrated,
+    # allocate nothing, and the shared constants refuse the accumulation
+    # only a fresh polynomial may take
     a = sin_line(2.0, radicand=2)
     zero = _trig.ZERO
     assert a + zero is a and zero + a is a and a - zero is a
