@@ -298,20 +298,18 @@ def mat_antiderivative(a: TrigMatrix) -> TrigMatrix:
     return [[e.antiderivative_zero_mean() for e in row] for row in a]
 
 
-def transition_series(p: TrigMatrix, max_depth: int | None = None) -> TrigMatrix:
+def transition_series(p: TrigMatrix) -> TrigMatrix:
     """Fundamental solution of dPhi/dt = P(t) Phi built term by term.
 
     Each Picard term uses the zero-mean primitive, so the whole series has
     time average equal to the identity.  For a strictly lower triangular
-    P the series terminates after at most n-1 terms; ``max_depth`` guards
-    against non-nilpotent input.
+    P the series terminates after at most n-1 terms; after n + 1 terms
+    non-nilpotent input raises ValueError.
     """
     n = len(p)
-    if max_depth is None:
-        max_depth = n + 1
     phi = identity_matrix(n)
     term = identity_matrix(n)
-    for _ in range(max_depth):
+    for _ in range(n + 1):
         term = mat_antiderivative(mat_mul(p, term))
         if mat_is_zero(term):
             return phi

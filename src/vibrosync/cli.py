@@ -10,9 +10,10 @@ against the scenario's ``references`` come from one table,
 
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
 numbers, integers too large for a float, a non-positive epsilon or sync
-tolerance, a negative seed or reference tolerance, missing references or
-modifications that a command needs, a simulation dt too coarse for the
-fastest period, and cluster-synchronized states that are not invariant
+tolerance, a negative seed, perturbation or reference tolerance, missing
+references or modifications that a command needs, a simulation dt too
+coarse for the fastest period, a vibrated edge missing from the network or
+crossing clusters, and cluster-synchronized states that are not invariant
 where a command needs them), 3 design not realizable (including a cyclic
 change pattern), 4 a verification or reproduction check failed (artifacts
 are still written), or an average did not settle within the longest
@@ -147,8 +148,7 @@ class Scenario:
         for item in self.modifications:
             k = item["cluster"]
             try:
-                specs[k] = ModificationSpec(delta=np.array(item["delta"], dtype=float),
-                                            target=k)
+                specs[k] = ModificationSpec(delta=np.array(item["delta"], dtype=float))
             except CycleDetected:
                 raise
             except (ValueError, OverflowError) as exc:
@@ -255,6 +255,9 @@ def parse_scenario(data: dict) -> Scenario:
         sync_tolerance=sync_tolerance, references=references,
     )
     _require_finite([scenario.perturbation, scenario.t_end], "simulation settings")
+    if scenario.perturbation < 0:
+        raise ScenarioError(f"simulation perturbation must be non-negative, "
+                            f"got {scenario.perturbation!r}")
     _require_positive(scenario.sync_tolerance, "tolerances sync")
     if scenario.t_end < 0 or not (scenario.dt is None or 0 < scenario.dt < math.inf):
         raise ScenarioError("simulation t_end must be nonnegative and dt positive and finite")

@@ -171,23 +171,6 @@ class ClusterPartition:
         return out
 
 
-@dataclass(frozen=True)
-class SignedGraph:
-    """A digraph without self-loops whose edges carry a sign in {-1, +1}."""
-
-    n: int
-    signs: Dict[Edge, int] = field(compare=False)
-
-    def __post_init__(self):
-        for (i, j), s in self.signs.items():
-            if s not in (-1, 1):
-                raise GraphError(f"edge ({i},{j}) sign must be -1 or +1")
-            if i == j:
-                raise GraphError(f"self-loop ({i},{j}) not allowed here")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphError(f"edge ({i},{j}) out of range")
-
-
 # ---------------------------------------------------------------------------
 # spanning trees
 

@@ -344,17 +344,17 @@ def cluster_vibration_matrices(inc: IncidenceSet, schedule: Optional[VibrationSc
     ``schedule.sorted_items()``, each term carrying the edge's reduced
     influence restricted to the cluster's coordinate block; a cluster
     without vibrated edges (every cluster when ``schedule`` is None) gets
-    None.
+    None.  A vibrated edge missing from the network, or crossing clusters,
+    raises GraphError.
     """
     label = inc.partition.node_to_cluster()
     terms: List[list] = [[] for _ in inc.partition.clusters]
-    for (s, t), entry in schedule.sorted_items() if schedule is not None else ():
-        k = int(label[t])
-        if label[s] != k:
-            raise GraphError(f"vibrated edge ({s},{t}) crosses clusters")
-        sl = inc.coord_slices[k]
-        terms[k].append((entry.amplitude, entry.frequency, entry.phase,
-                         edge_influence(inc, (s, t))[sl, sl]))
+    if schedule is not None:
+        schedule.check_edges(inc.net, inc.partition)
+        for (s, t), entry in schedule.sorted_items():
+            sl = inc.coord_slices[label[t]]
+            terms[label[t]].append((entry.amplitude, entry.frequency, entry.phase,
+                                    edge_influence(inc, (s, t))[sl, sl]))
     return tuple(SinusoidSum(*zip(*tk)) if tk else None for tk in terms)
 
 
@@ -440,11 +440,13 @@ def perturbed_initial_states(inc: IncidenceSet, n_samples: int, kick: float,
     """Random phase vectors whose intra-cluster coordinates have norm ``kick``.
 
     ``clusters`` restricts the kick to the tree coordinates of the listed
-    clusters (all clusters by default); an empty selection, or fewer than one
-    sample, raises ValueError.
+    clusters (all clusters by default); an empty selection, fewer than one
+    sample, or a kick that is negative or not finite raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"an ensemble needs at least one sample, got n_samples={n_samples}")
+    if not 0 <= kick < math.inf:
+        raise ValueError(f"the kick must be non-negative and finite, got {kick!r}")
     if clusters is not None and len(clusters) == 0:
         raise ValueError("perturbed clusters must name at least one cluster")
     n = inc.net.n
@@ -520,8 +522,10 @@ def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classifica
     first sample below it before the slope is fitted over the second half
     of what is left (at least two samples), so its reported slope measures
     the decay and not the round-off noise after it; such a run needs no
-    slope test, so the cut never changes the verdict.  An empty ensemble
-    shows nothing and raises ValueError.
+    slope test, so the cut never changes the verdict.  Every slope is fitted
+    over at least two samples, so a run of fewer than four records is fitted
+    over its last two; an empty ensemble, or a run of a single record, shows
+    nothing and raises ValueError.
     """
     if len(trajectories) == 0:
         raise ValueError("cannot classify an empty ensemble: no trajectories given")
@@ -530,10 +534,12 @@ def classify_partial_stability(trajectories: Sequence[Trajectory]) -> Classifica
     for traj in trajectories:
         norms = np.linalg.norm(traj.x, axis=1)
         norms = np.maximum(norms, 1e-300)
-        end, half = len(norms), len(norms) // 2
+        if len(norms) < 2:
+            raise ValueError("a run needs at least two records to fit a slope")
+        end = len(norms)
         if norms[-1] < classification_converged_floor:
             end = max(int(np.argmax(norms < classification_converged_floor)) + 1, 2)
-            half = min(end // 2, end - 2)
+        half = min(end // 2, end - 2)
         slope = _slope(traj.times[half:end], np.log(norms[half:end]))
         slopes.append(slope)
         initials.append(float(norms[0]))

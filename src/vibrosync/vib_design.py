@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import _trig
-from .graph_core import Edge, IncidenceSet, SignedGraph, permutation_to_qlt
+from .graph_core import Edge, IncidenceSet, permutation_to_qlt
 from .kuramoto_dynamics import (KuramotoNetwork, Linearization, VibrationEntry,
                                 VibrationSchedule, averaged_jacobians,
                                 edge_influence, linearize)
@@ -37,9 +37,8 @@ class NoRealizableEdges(NotRealizable):
 
 
 class VerificationFailed(RuntimeError):
-    def __init__(self, message: str, residual: float, design: "LinearDesign"):
+    def __init__(self, message: str, design: "LinearDesign"):
         super().__init__(message)
-        self.residual = residual
         self.design = design
 
 
@@ -47,13 +46,10 @@ class VerificationFailed(RuntimeError):
 class ModificationSpec:
     """Desired additive change of a state matrix.
 
-    ``delta`` must have zero diagonal and an acyclic off-diagonal pattern;
-    ``target`` names the cluster the change applies to (0 for plain linear
-    systems).
+    ``delta`` must have zero diagonal and an acyclic off-diagonal pattern.
     """
 
     delta: np.ndarray
-    target: int = 0
 
     def __post_init__(self):
         delta = np.asarray(self.delta, dtype=float)
@@ -74,8 +70,9 @@ class ModificationSpec:
                                                  residual_floor)
 
 
-def modifiable_graph(a: np.ndarray) -> SignedGraph:
-    """Which entries of a state matrix sinusoidal vibrations can shift.
+def modifiable_graph(a: np.ndarray) -> Dict[Edge, int]:
+    """Which entries of a state matrix sinusoidal vibrations can shift,
+    each mapped to the sign of its achievable shift.
 
     Entry (i, j) qualifies when its transpose entry — the carrier through
     which the averaged shift appears — is nonzero; the entry itself may be
@@ -85,12 +82,8 @@ def modifiable_graph(a: np.ndarray) -> SignedGraph:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    signs: Dict[Edge, int] = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(a[j, i]) > pattern_tolerance:
-                signs[(i, j)] = -int(np.sign(a[j, i]))
-    return SignedGraph(n=n, signs=signs)
+    return {(i, j): -int(np.sign(a[j, i])) for i in range(n) for j in range(n)
+            if i != j and abs(a[j, i]) > pattern_tolerance}
 
 
 def validate_modification(a: np.ndarray, spec: ModificationSpec) -> List[str]:
@@ -102,7 +95,7 @@ def validate_modification(a: np.ndarray, spec: ModificationSpec) -> List[str]:
     delta = spec.delta
     if delta.shape != a.shape:
         return [f"delta shape {delta.shape} does not match matrix shape {a.shape}"]
-    graph = modifiable_graph(a)
+    signs = modifiable_graph(a)
     violations: List[str] = []
     n = a.shape[0]
     for i in range(n):
@@ -110,13 +103,13 @@ def validate_modification(a: np.ndarray, spec: ModificationSpec) -> List[str]:
             d = delta[i, j]
             if i == j or abs(d) <= pattern_tolerance:
                 continue
-            if (i, j) not in graph.signs:
+            if (i, j) not in signs:
                 violations.append(
                     f"entry ({i},{j}) is not modifiable (zero reverse weight a[{j},{i}])"
                 )
-            elif int(np.sign(d)) != graph.signs[(i, j)]:
+            elif int(np.sign(d)) != signs[(i, j)]:
                 violations.append(
-                    f"entry ({i},{j}) can only be shifted in direction {graph.signs[(i, j)]:+d}"
+                    f"entry ({i},{j}) can only be shifted in direction {signs[(i, j)]:+d}"
                 )
     return violations
 
@@ -211,10 +204,6 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
             carrier = a_p[q, p]
             want = d_p[p, q]
             if abs(carrier) <= pattern_tolerance:
-                if abs(want) > pattern_tolerance:
-                    raise NotRealizable(
-                        f"no carrier for requested change at permuted slot ({p},{q})"
-                    )
                 continue
             if phi is None:
                 if placed:
@@ -270,7 +259,7 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
     if residual > tol:
         raise VerificationFailed(
             f"averaged matrix misses the target by {residual:.3e} (tolerance {tol:.3e})",
-            residual, design)
+            design)
     return design
 
 
@@ -278,31 +267,20 @@ def design_linear(a: np.ndarray, spec: ModificationSpec,
 # oscillator-network layer
 
 
-@dataclass(frozen=True)
-class InfluenceMap:
-    """How intra-cluster edge vibrations act on one cluster's coordinates.
-
-    ``combos[(p, q)]`` lists the slot's cancellation recipes: tuples of
-    (edge, coefficient) whose weighted reduced influences
-    (``edge_influence``) sum exactly to the elementary matrix at slot
-    (p, q).  A recipe is one edge, or one edge plus the partner that
-    cancels its diagonal entry; unpaired recipes come first, then paired
-    ones, each in edge order.  ``realizable`` is the signed graph of slots
-    that both have a recipe and a nonzero carrier in the reduced Jacobian.
-    """
-
-    combos: Dict[Tuple[int, int], Tuple[Tuple[Tuple[Edge, float], ...], ...]] = field(
-        compare=False)
-    realizable: SignedGraph
+# A slot's cancellation recipes: tuples of (edge, coefficient) whose weighted
+# reduced influences (``edge_influence``) sum exactly to the slot's
+# elementary matrix.
+Recipes = Tuple[Tuple[Tuple[Edge, float], ...], ...]
 
 
-def _cluster_recipes(mats: Dict[Edge, np.ndarray]
-                     ) -> Dict[Tuple[int, int], Tuple[Tuple[Tuple[Edge, float], ...], ...]]:
+def _cluster_recipes(mats: Dict[Edge, np.ndarray]) -> Dict[Tuple[int, int], Recipes]:
     """Cancellation recipes of one cluster's slots from its edges' reduced
-    influences, given in edge order (see ``InfluenceMap``).
+    influences, given in edge order.
 
-    Each influence is an integer rank-one matrix.  One whose only
-    off-diagonal entry is (p, q) has its support in rows and columns
+    A recipe is one edge, or one edge plus the partner that cancels its
+    diagonal entry; unpaired recipes come first, then paired ones, each in
+    edge order.  Each influence is an integer rank-one matrix.  One whose
+    only off-diagonal entry is (p, q) has its support in rows and columns
     {p, q}, so besides (p, q) it has at most one diagonal entry (d, d).
     Without one it realizes slot (p, q) alone with coefficient 1 / m[p, q];
     with one it is paired with the first edge whose only entry is (d, d).
@@ -332,25 +310,22 @@ def _cluster_recipes(mats: Dict[Edge, np.ndarray]
             for slot in sorted(alone.keys() | paired.keys())}
 
 
-def kuramoto_modifiable(lin: Linearization) -> Tuple[InfluenceMap, ...]:
-    """Cancellation recipes and realizable modification graphs, cluster by
-    cluster, in one pass over each cluster's edge influences.
+def kuramoto_modifiable(lin: Linearization) -> Tuple[Dict[Tuple[int, int], Recipes], ...]:
+    """Per cluster, each slot's cancellation recipes (``_cluster_recipes``),
+    in one pass over each cluster's edge influences.
 
-    Raises NoRealizableEdges when no cluster offers any realizable slot.
+    Raises NoRealizableEdges when no cluster has a slot (p, q) with a recipe
+    and a nonzero carrier J_k[q, p] in its reduced Jacobian.
     """
     inc = lin.inc
     label = inc.partition.node_to_cluster()
-    maps: List[InfluenceMap] = []
-    for k, (sl, jk) in enumerate(zip(inc.coord_slices, lin.J_blocks)):
-        combos = _cluster_recipes({e: edge_influence(inc, e)[sl, sl]
-                                   for e in inc.edges[: inc.m_intra] if label[e[0]] == k})
-        signs = {(p, q): -int(np.sign(jk[q, p])) for p, q in combos
-                 if abs(jk[q, p]) > pattern_tolerance}
-        maps.append(InfluenceMap(combos=combos,
-                                 realizable=SignedGraph(n=sl.stop - sl.start, signs=signs)))
-    if not any(m.realizable.signs for m in maps):
+    recipes = tuple(_cluster_recipes({e: edge_influence(inc, e)[sl, sl]
+                                      for e in inc.edges[: inc.m_intra] if label[e[0]] == k})
+                    for k, sl in enumerate(inc.coord_slices))
+    if not any(abs(jk[q, p]) > pattern_tolerance
+               for jk, combos in zip(lin.J_blocks, recipes) for p, q in combos):
         raise NoRealizableEdges("no cluster has a realizable modification slot")
-    return tuple(maps)
+    return recipes
 
 
 @dataclass(frozen=True)
@@ -358,7 +333,9 @@ class ClusterDesign:
     """A designed schedule with its per-cluster symbolic designs, target
     blocks, the averaged Jacobians and growth ``averaged_jacobians`` gives
     for it, and the linearization they were designed against.
-    ``residuals[k]`` is how far designed cluster k's average misses its target."""
+    ``designs[k]`` carries how far the realized average of cluster k misses
+    its target (``residual``) and whether that is within its spec's
+    tolerance (``verified``)."""
 
     lin: Linearization
     schedule: VibrationSchedule
@@ -366,12 +343,18 @@ class ClusterDesign:
     targets: Tuple[np.ndarray, ...]
     averaged: Tuple[np.ndarray, ...]
     growth: Optional[np.ndarray]
-    residuals: Dict[int, float] = field(compare=False)
-    all_verified: bool
+
+    @property
+    def residuals(self) -> Dict[int, float]:
+        return {k: d.residual for k, d in self.designs.items()}
+
+    @property
+    def all_verified(self) -> bool:
+        return all(d.verified for d in self.designs.values())
 
 
 def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
-                   specs: Dict[int, ModificationSpec] | Sequence[ModificationSpec],
+                   specs: Dict[int, ModificationSpec],
                    epsilon: float = 0.01) -> ClusterDesign:
     """Design edge vibrations shifting each cluster's reduced Jacobian.
 
@@ -381,21 +364,16 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
     incommensurable across clusters.  The closing verification averages the realized schedule
     once, so it also checks that the edge recipes realize the designed
     slots; a cluster whose average misses its target by more than its
-    spec's tolerance is still emitted, flagged through ``residuals`` and
-    ``all_verified`` (the achieved average is then reported rather than
-    silently assumed).  A spec keyed by anything but an existing cluster
-    equal to its ``target`` raises ValueError.
+    spec's tolerance is still emitted, its design flagged unverified (the
+    achieved average is then reported rather than silently assumed).  A
+    spec keyed by anything but an existing cluster raises ValueError.
     """
-    if not isinstance(specs, dict):
-        specs = {spec.target: spec for spec in specs}
-    for k, spec in specs.items():
+    for k in specs:
         if not 0 <= k < kn.partition.r:
             raise ValueError(f"spec for cluster {k}: the network has "
                              f"{kn.partition.r} clusters")
-        if spec.target != k:
-            raise ValueError(f"spec for cluster {k} targets cluster {spec.target}")
     lin = linearize(kn, inc)
-    maps = kuramoto_modifiable(lin)
+    recipes_by_cluster = kuramoto_modifiable(lin)
     freq_iter = _trig.squarefree_radicands()
 
     entries: Dict[Edge, VibrationEntry] = {}
@@ -411,9 +389,9 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
             raise NotRealizable(
                 f"cluster {k} delta has shape {spec.delta.shape}, expected {jk.shape}")
         # the change must live on slots this cluster can actually realize
-        imap = maps[k]
+        combos = recipes_by_cluster[k]
         for i, j in np.argwhere(np.abs(spec.delta) > pattern_tolerance):
-            if (int(i), int(j)) not in imap.combos:
+            if (int(i), int(j)) not in combos:
                 raise NotRealizable(
                     f"cluster {k}: no edge recipe can isolate slot ({i},{j})")
         design = design_linear(jk, spec, freq_iter=freq_iter, verify=False)
@@ -422,7 +400,7 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
 
         used_edges = set(entries)
         for slot in design.slots:
-            recipes = imap.combos.get((slot.row, slot.col))
+            recipes = combos.get((slot.row, slot.col))
             if not recipes:
                 raise NotRealizable(
                     f"cluster {k}: designed slot ({slot.row},{slot.col}) has no recipe")
@@ -442,9 +420,9 @@ def design_cluster(kn: KuramotoNetwork, inc: IncidenceSet,
 
     schedule = VibrationSchedule(entries=entries, epsilon=epsilon)
     averaged, growth = averaged_jacobians(lin, schedule)
-    residuals = {k: float(np.abs(averaged[k] - targets[k]).max()) for k in designs}
+    for k, design in designs.items():
+        residual = float(np.abs(averaged[k] - targets[k]).max())
+        designs[k] = dataclasses.replace(design, residual=residual,
+                                         verified=residual <= specs[k].tolerance)
     return ClusterDesign(lin=lin, schedule=schedule, designs=designs,
-                         targets=tuple(targets), averaged=averaged, growth=growth,
-                         residuals=residuals,
-                         all_verified=all(residuals[k] <= specs[k].tolerance
-                                          for k in designs))
+                         targets=tuple(targets), averaged=averaged, growth=growth)

@@ -367,6 +367,23 @@ def test_duplicate_edge_rejected(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((1, 3), "vibrated edge (1,3) does not exist in the network"),
+    ((0, 99), "vibrated edge (0,99) does not exist in the network"),
+    ((0, 4), "vibrated edge (0,4) crosses clusters"),
+], ids=["non_edge", "out_of_range", "crossing"])
+def test_bad_schedule_edge_exits_2(tmp_path, capsys, edge, message):
+    # every command that reads the schedule checks its edges the same way
+    data = flagship_data()
+    data["schedule"] = {"epsilon": 0.01, "entries": [
+        {"edge": list(edge), "amplitude": 1.0, "frequency": 1.0}]}
+    path = write_scenario(tmp_path, data)
+    for command in ("analyze", "simulate"):
+        code = cli.main([command, "--scenario", path, "--out", str(tmp_path / command)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"invalid network: {message}"]
+
+
 def test_cyclic_modification_exits_3(tmp_path):
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
@@ -395,6 +412,7 @@ def test_cyclic_modification_exits_3(tmp_path):
     {"schedule": {"epsilon": 0.05, "entries": 5}},
     {"simulation": {"perturb_clusters": []}},
     {"simulation": {"seed": -1}},
+    {"simulation": {"perturbation": -0.1}},
     {"simulation": {"seed": 3.9}},
     {"simulation": {"seed": True}},
     {"simulation": {"perturb_clusters": [0.7]}},
@@ -409,7 +427,7 @@ def test_cyclic_modification_exits_3(tmp_path):
 ], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
         "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object",
         "modifications_not_list", "entries_not_list", "empty_perturb_clusters",
-        "negative_seed", "fractional_seed", "boolean_seed",
+        "negative_seed", "negative_perturbation", "fractional_seed", "boolean_seed",
         "fractional_perturb_cluster", "fractional_edge_end", "huge_omega",
         "huge_weight", "huge_t_end", "huge_delta", "huge_amplitude"])
 def test_bad_scenario_values_exit_2(tmp_path, override):

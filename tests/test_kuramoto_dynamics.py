@@ -374,6 +374,11 @@ def test_perturbed_initial_states_structure(flip_inc):
     for n_samples in (0, -1):  # no ensemble at all
         with pytest.raises(ValueError, match="at least one sample"):
             vs.perturbed_initial_states(flip_inc, n_samples, 0.2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kick in (-0.2, np.nan, np.inf, -np.inf):  # no kick of that norm exists
+            with pytest.raises(ValueError, match="kick must be non-negative and finite"):
+                vs.perturbed_initial_states(flip_inc, 2, kick, seed=1)
 
 
 def test_classifier_on_synthetic_trajectories():
@@ -438,6 +443,36 @@ def test_classifier_run_starting_below_the_floor_fits_two_samples():
             result = vs.classify_partial_stability([synthetic_run(times, norms)])
         assert result.stable
         assert result.slopes[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_classifier_fits_short_runs_over_their_last_two_records():
+    # runs of two and three records are fitted through their last two, with
+    # no warning; a single record has no slope to fit
+    for count in (2, 3):
+        times = 0.5 * np.arange(count)
+        norms = 0.1 * np.exp(-0.4 * times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = vs.classify_partial_stability([synthetic_run(times, norms)])
+        assert result.slopes[0] == pytest.approx(-0.4, rel=1e-12)
+    single = Trajectory(times=np.zeros(1), theta=np.zeros((1, 3)), x=np.full((1, 2), 0.1),
+                        dt=0.1)
+    with pytest.raises(ValueError, match="at least two records"):
+        vs.classify_partial_stability([single])
+
+
+def test_classifier_on_the_shortest_flagship_runs(flip_kn, flip_inc):
+    # a horizon shorter than one step records two samples per run, which
+    # fit a finite slope; a zero horizon records one, which raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=2,
+                                                t_end=1e-4)
+        assert {len(run.times) for run in runs} == {2}
+        assert np.isfinite(vs.classify_partial_stability(runs).slopes).all()
+    runs = vs.sample_perturbed_trajectories(flip_kn, flip_inc, None, n_samples=2, t_end=0.0)
+    with pytest.raises(ValueError, match="at least two records"):
+        vs.classify_partial_stability(runs)
 
 
 @settings(max_examples=300, deadline=None, database=None)

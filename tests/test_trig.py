@@ -87,7 +87,7 @@ def test_transition_series_single_line_and_conjugated_mean():
     u, beta = 1.0, 1.0
     p = _trig.zeros_matrix(2)
     p[1][0] = sin_line(u, radicand=1)
-    phi = _trig.transition_series(p, max_depth=4)
+    phi = _trig.transition_series(p)
     # zero-mean primitive convention: phi[1][0] = -(u/beta) cos(beta t)
     t = 0.6
     assert phi[0][0](t) == pytest.approx(1.0)
@@ -118,14 +118,14 @@ def test_transition_series_raises_on_non_nilpotent():
     p[1][0] = sin_line(1.0, radicand=1)
     p[0][1] = sin_line(1.0, radicand=1)
     with pytest.raises(ValueError):
-        _trig.transition_series(p, max_depth=60)
+        _trig.transition_series(p)
 
 
 def test_inverse_of_unitriangular():
     p = _trig.zeros_matrix(3)
     p[1][0] = sin_line(0.8, radicand=2)
     p[2][1] = sin_line(1.3, radicand=3)
-    phi = _trig.transition_series(p, max_depth=6)
+    phi = _trig.transition_series(p)
     inv = _trig.inverse_of_unitriangular(phi)
     prod = _trig.mat_mul(inv, phi)
     ident = _trig.identity_matrix(3)

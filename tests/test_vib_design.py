@@ -37,20 +37,19 @@ def test_modifiable_graph_mirror_rule():
     a = np.array([[-1.0, 1.0, 0.0],
                   [0.0, -1.0, 2.0],
                   [0.0, 0.0, -1.0]])
-    g = vs.modifiable_graph(a)
-    assert g.signs == {(1, 0): -1, (2, 1): -1}
+    assert vs.modifiable_graph(a) == {(1, 0): -1, (2, 1): -1}
     assert a[1, 0] == 0.0  # modifiable despite being zero itself
 
     b = np.array([[-1.0, -1.0], [0.0, -1.0]])
-    assert vs.modifiable_graph(b).signs == {(1, 0): 1}
+    assert vs.modifiable_graph(b) == {(1, 0): 1}
 
 
 def test_modifiable_graph_flagship_block():
-    g = vs.modifiable_graph(J1)
+    signs = vs.modifiable_graph(J1)
     # every off-diagonal carrier of J1 is nonzero except J1[0,1]
-    assert (0, 1) in g.signs and g.signs[(0, 1)] == 1   # carrier -0.05
-    assert (2, 0) in g.signs and g.signs[(2, 0)] == -1  # carrier +0.10
-    assert (1, 0) not in g.signs                        # carrier J1[0,1] == 0
+    assert signs[(0, 1)] == 1   # carrier -0.05
+    assert signs[(2, 0)] == -1  # carrier +0.10
+    assert (1, 0) not in signs  # carrier J1[0,1] == 0
 
 
 def test_validate_modification():
@@ -134,11 +133,9 @@ def test_design_linear_infeasible_slot_reports_partial_design():
     # coefficient is negative, so it stays silent and verification misses
     with pytest.raises(vs.VerificationFailed) as info:
         vs.design_linear(J1, vs.ModificationSpec(delta=DELTA1))
-    fail = info.value
-    assert 0.08 < fail.residual < 0.12
-    d = fail.design
+    d = info.value.design
     assert not d.verified
-    assert d.residual == fail.residual
+    assert 0.08 < d.residual < 0.12
     assert len(d.slots) == 2
     by_slot = {(s.row, s.col): s for s in d.slots}
     assert set(by_slot) == {(0, 1), (2, 0)}
@@ -233,25 +230,28 @@ def test_edge_influence_flagship(flip_inc):
 
 
 def test_kuramoto_modifiable_flagship(flip_lin):
-    maps = vs.kuramoto_modifiable(flip_lin)
-    assert len(maps) == 2
-    m0 = maps[0]
-    assert sorted(m0.combos) == [(0, 1), (0, 2), (1, 0), (2, 0)]
-    assert dict(m0.realizable.signs) == {(0, 1): 1, (0, 2): -1, (2, 0): -1}
+    recipes = vs.kuramoto_modifiable(flip_lin)
+    assert len(recipes) == 2
+    m0 = recipes[0]
+    assert sorted(m0) == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    # the realizable slots: those with a recipe and a nonzero carrier
+    signs = vs.modifiable_graph(flip_lin.J_blocks[0])
+    assert {slot: signs[slot] for slot in m0 if slot in signs} == {
+        (0, 1): 1, (0, 2): -1, (2, 0): -1}
 
     def recipe_dict(recipe):
         return {e: c for e, c in recipe}
 
-    assert recipe_dict(m0.combos[(0, 1)][0]) == {(1, 0): 1.0, (2, 0): -1.0}
-    assert recipe_dict(m0.combos[(2, 0)][0]) == {(0, 3): 1.0, (2, 3): -1.0}
+    assert recipe_dict(m0[(0, 1)][0]) == {(1, 0): 1.0, (2, 0): -1.0}
+    assert recipe_dict(m0[(2, 0)][0]) == {(0, 3): 1.0, (2, 3): -1.0}
 
     # the complete second cluster realizes more slots
-    m1 = maps[1]
-    assert set(m1.realizable.signs) >= {(0, 1), (2, 0)}
+    m1 = recipes[1]
+    assert set(m1) & set(vs.modifiable_graph(flip_lin.J_blocks[1])) >= {(0, 1), (2, 0)}
     # every recipe reproduces its elementary matrix exactly
     sl = flip_lin.inc.coord_slices[1]
-    for (p, q), recipes in m1.combos.items():
-        for recipe in recipes:
+    for (p, q), slot_recipes in m1.items():
+        for recipe in slot_recipes:
             acc = sum(c * vs.edge_influence(flip_lin.inc, e)[sl, sl] for e, c in recipe)
             target = np.zeros_like(acc)
             target[p, q] = 1.0
@@ -363,10 +363,13 @@ def test_design_cluster_flagship_schedule(flip_design, flip_lin):
         assert entry.frequency == pytest.approx(freq, abs=1e-12)
         assert entry.phase == 0.0
 
-    # the infeasible third slot leaves the first cluster's design unverified
+    # the infeasible third slot leaves the first cluster's design unverified,
+    # and the design carries the realized residual
     assert not flip_design.all_verified
     assert set(flip_design.designs) == {0}
-    assert flip_design.residuals[0] == pytest.approx(0.1, abs=2e-3)
+    assert flip_design.designs[0].verified is False
+    assert flip_design.designs[0].residual == pytest.approx(0.1, abs=2e-3)
+    assert flip_design.residuals == {0: flip_design.designs[0].residual}
 
     # targets: first cluster shifted, second untouched
     assert np.abs(flip_design.targets[0] - (J1 + DELTA1)).max() < 1e-9
@@ -413,7 +416,7 @@ def test_design_cluster_verifies_the_realized_schedule(flip_kn, flip_inc, monkey
     delta[0, 1] = 0.05
     specs = {0: vs.ModificationSpec(delta=delta)}
     good = vs.design_cluster(flip_kn, flip_inc, specs)
-    assert good.all_verified
+    assert good.all_verified and good.designs[0].verified is True
     assert good.residuals[0] <= specs[0].tolerance
 
     cluster_recipes = vib_design._cluster_recipes
@@ -427,7 +430,7 @@ def test_design_cluster_verifies_the_realized_schedule(flip_kn, flip_inc, monkey
     bad = vs.design_cluster(flip_kn, flip_inc, specs)
     assert bad.designs[0].slots == good.designs[0].slots
     assert bad.schedule.entries != good.schedule.entries
-    assert not bad.all_verified
+    assert not bad.all_verified and bad.designs[0].verified is False
     assert bad.residuals[0] > 10 * specs[0].tolerance
 
 
@@ -447,19 +450,7 @@ def test_design_cluster_slot_without_recipe(flip_kn, flip_inc):
         vs.design_cluster(flip_kn, flip_inc, bad)
 
 
-def test_design_cluster_accepts_spec_sequence(flip_kn, flip_inc, flip_design):
-    # a sequence of specs with explicit targets is equivalent to the dict form
-    seq = [vs.ModificationSpec(delta=DELTA1, target=0)]
-    d = vs.design_cluster(flip_kn, flip_inc, seq, epsilon=0.01)
-    assert set(d.schedule.entries) == set(flip_design.schedule.entries)
-
-
-@pytest.mark.parametrize("specs, key", [
-    ({7: vs.ModificationSpec(delta=DELTA1)}, 7),
-    ({-1: vs.ModificationSpec(delta=DELTA1, target=-1)}, -1),
-    ([vs.ModificationSpec(delta=DELTA1, target=5)], 5),
-    ({1: vs.ModificationSpec(delta=DELTA1, target=0)}, 1),
-], ids=["key_out_of_range", "negative_key", "target_out_of_range", "key_not_target"])
-def test_design_cluster_rejects_spec_for_another_cluster(flip_kn, flip_inc, specs, key):
+@pytest.mark.parametrize("key", [7, -1], ids=["key_out_of_range", "negative_key"])
+def test_design_cluster_rejects_spec_for_another_cluster(flip_kn, flip_inc, key):
     with pytest.raises(ValueError, match=rf"^spec for cluster {key}\b"):
-        vs.design_cluster(flip_kn, flip_inc, specs)
+        vs.design_cluster(flip_kn, flip_inc, {key: vs.ModificationSpec(delta=DELTA1)})
