@@ -14,12 +14,16 @@ results do not depend on whether the host has FMA.
 An integration run is one kernel call (:func:`integrate`): its edge and
 pair tables, natural frequencies, base edge weights and the amplitude,
 frequency and phase of each vibrated edge are checked and handed to the C
-side with the records, whose first row holds the initial states.  The
-kernel evaluates each vibrated edge's carrier itself on the half-step grid,
-``base + sin(h (g/2) freq + phase) amp`` at half-step g, in the operation
-order of the numpy expression it replaced, and every other edge keeps its
-base weight.  It checks the state for finiteness after every step and
-returns the first step that is not finite.
+side with the records, whose first row holds the initial states.  At
+half-step g a vibrated edge weighs ``base + sin(h (g/2) freq + phase) amp``,
+in the operation order of the numpy expression the kernel replaced, and
+every other edge keeps its base weight.  Vibrated edges whose frequency and phase have
+the same bits share one carrier (a designed slot's two edges do: the
+flagship's 4 vibrated edges carry 2), and the kernel evaluates each carrier
+once per half-step on each thread, in a table of its sines that the thread
+fills for K = 512 steps at a time, 2K + 1 half-steps, so the table's size is
+bounded by K and not by the run's length.  The kernel checks the state for
+finiteness after every step and returns the first step that is not finite.
 
 The field takes one sine per coupled pair {s, t}, not one per directed
 edge: the reciprocal edges (s, t) and (t, s) share sin(x_t - x_s) up to
@@ -38,12 +42,17 @@ edge scatter and RK4 update loops over the block's samples and each edge
 weight and index is loaded once per block; the samples left over, fewer
 than W, run one at a time through the same inlined code at width 1.  Every
 call site has a constant width, so neither path pays for run-time loop
-bounds.  The kernel allocates the threads' scratch in one 64-byte-aligned
-block and pads each thread's slice to whole 64-byte lines, so the threads
-never write to a shared cache line.  A block stops at its first non-finite
-step.  The samples are independent and each runs the same arithmetic in
-the same order in any block and on any thread, so the results are
-bit-identical to one sample on one thread.
+bounds.  The thread runs its part a chunk of K steps at a time: it fills
+the chunk's carrier table, then takes every block and every sample left
+over through the chunk, each reading the table; their states stay in the
+thread's scratch between chunks.  The kernel allocates the threads'
+scratch in one 64-byte-aligned block and pads each thread's slice to whole
+64-byte lines, so the threads never write to a shared cache line.  A block
+stops at its first non-finite step; its state stays non-finite, so in each
+later chunk it stops again after one step, writing no record.  The samples
+are independent and each runs the same arithmetic in the same order in any
+block, chunk and thread, so the results are bit-identical to one sample on
+one thread.
 
 The same library steps the linear flows dPsi/dt = P(t) Psi of
 :mod:`vibrosync.linalg`, one kernel call per pass (:func:`linear_flow`).
@@ -117,6 +126,7 @@ _SOURCE = r"""
 #include <string.h>
 """ + f"""
 #define W 4  /* samples one thread advances in lockstep */
+#define K 512  /* steps of one carrier table */
 #define FIELD {_field_bytes}  /* bytes one "%.10g" value and its separator fit in */
 """ + r"""
 
@@ -153,25 +163,30 @@ field(int width, int n, int m, int npair, const int *restrict dst,
 }
 
 /* One integration run: n nodes, m edges in npair coupled pairs with base
-   weights base, and nv vibrated edges vcol; steps RK4 steps of size h from
-   the initial states recs[s, 0] of each sample s, the state after every
-   stride-th step and after the last going to recs (ns, n_rec, n) at record
-   index ceil(step / stride). */
+   weights base, and nv vibrated edges vcol, whose carriers are nc distinct
+   (freq, phase) pairs; steps RK4 steps of size h from the initial states
+   recs[s, 0] of each sample s, the state after every stride-th step and
+   after the last going to recs (ns, n_rec, n) at record index
+   ceil(step / stride).  Vibrated edge j reads carrier car[j], numbered in
+   order of first appearance, so carrier c is first read by the first j
+   with car[j] == c. */
 struct run {
-    int n, m, npair, nv;
-    const int *dst, *pair, *ends, *vcol;
+    int n, m, npair, nv, nc;
+    const int *dst, *pair, *ends, *vcol, *car;
     const double *omega, *base, *amp, *freq, *phase;
     double h;
     int64_t steps, stride, n_rec;
     double *recs;
 };
 
-/* Doubles of scratch one thread uses: block state, stage vector, k1-k4 and
-   pair sines, (6n + npair) W, then the current edge weights, m; rounded up
-   to whole 64-byte lines. */
-static int64_t slice_len(const struct run *r)
+/* Doubles of scratch one thread uses for a part of at most `most` samples:
+   the current edge weights, m; the carrier table, (2K + 1) nc; a block's
+   stage vector, k1-k4 and pair sines, (5n + npair) W; and the states of the
+   part's samples, n most; rounded up to whole 64-byte lines. */
+static int64_t slice_len(const struct run *r, int most)
 {
-    return ((int64_t)(6 * r->n + r->npair) * W + r->m + 7) / 8 * 8;
+    return (r->m + (int64_t)(2 * K + 1) * r->nc + (int64_t)(5 * r->n + r->npair) * W
+            + (int64_t)r->n * most + 7) / 8 * 8;
 }
 
 /* The samples [s0, s1) of a run, the scratch of the thread that runs them,
@@ -189,41 +204,60 @@ static int64_t first_step(int64_t a, int64_t b)
     return !a || (b && b < a) ? b : a;
 }
 
-/* The weights at half-step index g: each vibrated edge j gets its base
-   weight plus amp_j sin(h (g / 2) freq_j + phase_j), in this operation
-   order; every other edge keeps the base weight already in w. */
-static inline __attribute__((always_inline)) void
-set_weights(const struct run *r, int64_t g, double *w)
+/* Rows 0 .. 2k of the carrier table from half-step g0: row i holds, for
+   g = g0 + i, each carrier's sin(h (g / 2) freq + phase), in this
+   operation order. */
+static void fill_carriers(const struct run *r, int64_t g0, int64_t k, double *tab)
 {
-    double t = r->h * (0.5 * (double)g);
-    for (int j = 0; j < r->nv; j++)
-        w[r->vcol[j]] = r->base[r->vcol[j]] + sin(t * r->freq[j] + r->phase[j]) * r->amp[j];
+    for (int64_t i = 0; i <= 2 * k; i++) {
+        double t = r->h * (0.5 * (double)(g0 + i));
+        for (int j = 0, c = 0; j < r->nv; j++)
+            if (r->car[j] == c)
+                tab[i * r->nc + c++] = sin(t * r->freq[j] + r->phase[j]);
+    }
 }
 
-/* All steps of the `width` samples from s0, in lockstep.  Returns 0, or the
-   first step after which the block is not finite; the block stops there. */
+/* The weights at a row of the carrier table: each vibrated edge j gets its
+   base weight plus its carrier's sine times amp_j, in this operation order;
+   every other edge keeps the base weight already in w. */
+static inline __attribute__((always_inline)) void
+set_weights(const struct run *r, const double *row, double *w)
+{
+    for (int j = 0; j < r->nv; j++)
+        w[r->vcol[j]] = r->base[r->vcol[j]] + row[r->car[j]] * r->amp[j];
+}
+
+/* Steps c0 + 1 .. c0 + k of the `width` samples from s0, in lockstep, with
+   the chunk's carrier table in the thread's scratch; the block's state stays in the part's states between chunks, and the first
+   chunk, c0 = 0, loads it from recs.  Returns 0, or the first step after
+   which the block is not finite; the block stops there.  A stopped block
+   keeps its non-finite state, which x + (anything) leaves non-finite, so
+   in every later chunk it stops again after the first step, writing no
+   record. */
 static inline __attribute__((always_inline)) int64_t
-advance(int width, const struct part *p, int s0)
+advance(int width, const struct part *p, int s0, int64_t c0, int64_t k)
 {
     const struct run *r = p->r;
-    int n = r->n, m = r->m, npair = r->npair, nv = r->nv, nw = r->n * width;
+    int n = r->n, m = r->m, npair = r->npair, nv = r->nv, nc = r->nc, nw = r->n * width;
     const int *dst = r->dst, *pair = r->pair, *ends = r->ends;
     const double *omega = r->omega;
     double h = r->h;
-    double *x = p->scratch, *y = x + nw, *k1 = y + nw, *k2 = k1 + nw, *k3 = k2 + nw;
-    double *k4 = k3 + nw, *sp = k4 + nw, *w = sp + npair * width;
-    memcpy(w, r->base, (size_t)m * sizeof(double));
+    double *w = p->scratch, *tab = w + m, *y = tab + (2 * K + 1) * nc, *k1 = y + n * W;
+    double *k2 = k1 + n * W, *k3 = k2 + n * W, *k4 = k3 + n * W, *sp = k4 + n * W;
+    double *x = sp + npair * W + (int64_t)(s0 - p->s0) * n;
+    if (!c0)
+        for (int s = 0; s < width; s++)
+            for (int j = 0; j < n; j++)
+                x[j * width + s] = r->recs[(int64_t)(s0 + s) * r->n_rec * n + j];
     if (nv)
-        set_weights(r, 0, w);
-    for (int s = 0; s < width; s++)
-        for (int j = 0; j < n; j++)
-            x[j * width + s] = r->recs[(int64_t)(s0 + s) * r->n_rec * n + j];
-    for (int64_t step = 1; step <= r->steps; step++) {
+        set_weights(r, tab, w);
+    for (int64_t i = 1; i <= k; i++) {
+        int64_t step = c0 + i;
         field(width, n, m, npair, dst, pair, ends, omega, w, x, sp, k1);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + 0.5 * h * k1[j];
         if (nv)
-            set_weights(r, 2 * step - 1, w);
+            set_weights(r, tab + (2 * i - 1) * nc, w);
         field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k2);
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + 0.5 * h * k2[j];
@@ -231,7 +265,7 @@ advance(int width, const struct part *p, int s0)
         for (int j = 0; j < nw; j++)
             y[j] = x[j] + h * k3[j];
         if (nv)
-            set_weights(r, 2 * step, w);
+            set_weights(r, tab + 2 * i * nc, w);
         field(width, n, m, npair, dst, pair, ends, omega, w, y, sp, k4);
         for (int j = 0; j < nw; j++)
             x[j] = x[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
@@ -239,9 +273,9 @@ advance(int width, const struct part *p, int s0)
             if (!isfinite(x[j]))
                 return step;
         if (step % r->stride == 0 || step == r->steps) {
-            int64_t i = (step + r->stride - 1) / r->stride;
+            int64_t at = (step + r->stride - 1) / r->stride;
             for (int s = 0; s < width; s++) {
-                double *rec = r->recs + ((int64_t)(s0 + s) * r->n_rec + i) * n;
+                double *rec = r->recs + ((int64_t)(s0 + s) * r->n_rec + at) * n;
                 for (int j = 0; j < n; j++)
                     rec[j] = x[j * width + s];
             }
@@ -250,25 +284,35 @@ advance(int width, const struct part *p, int s0)
     return 0;
 }
 
-/* A part runs in blocks of W samples; the last samples, fewer than W, run
-   one at a time. */
+/* A part starts from the base weights and runs in chunks of K steps: the
+   thread fills the chunk's carrier table, then takes each of its blocks of
+   W samples, and one at a time the last samples, fewer than W, through the
+   chunk. */
 static void *run_part(void *arg)
 {
     struct part *p = arg;
-    int s = p->s0;
-    for (; s + W <= p->s1; s += W)
-        p->bad = first_step(p->bad, advance(W, p, s));
-    for (; s < p->s1; s++)
-        p->bad = first_step(p->bad, advance(1, p, s));
+    const struct run *r = p->r;
+    memcpy(p->scratch, r->base, (size_t)r->m * sizeof(double));
+    for (int64_t c0 = 0; c0 < r->steps; c0 += K) {
+        int64_t k = r->steps - c0 < K ? r->steps - c0 : K;
+        fill_carriers(r, 2 * c0, k, p->scratch + r->m);
+        int s = p->s0;
+        for (; s + W <= p->s1; s += W)
+            p->bad = first_step(p->bad, advance(W, p, s, c0, k));
+        for (; s < p->s1; s++)
+            p->bad = first_step(p->bad, advance(1, p, s, c0, k));
+    }
     return NULL;
 }
 
-/* Every RK4 step of one integration run (struct run).  The samples are
-   split into nthreads contiguous parts, each with its own slice of scratch
-   from one 64-byte-aligned allocation; the calling thread runs the first
-   part and one POSIX thread each of the others, and a part whose thread
-   does not start runs on the calling thread after its own.  Returns 0, the
-   first step after which some sample is not finite, or -1 when the scratch
+/* Every RK4 step of one integration run (struct run).  The vibrated edges'
+   carriers are numbered first: edges whose (freq, phase) have the same bits
+   share one, so equal carriers give equal sines.  The samples are split
+   into nthreads contiguous parts, each with its own slice of scratch from
+   one 64-byte-aligned allocation; the calling thread runs the first part
+   and one POSIX thread each of the others, and a part whose thread does not
+   start runs on the calling thread after its own.  Returns 0, the first
+   step after which some sample is not finite, or -1 when the scratch
    cannot be allocated. */
 int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const int *pair,
                   const int *ends, const double *omega, const double *base, const int *vcol,
@@ -277,12 +321,26 @@ int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const
 {
     if (nthreads < 1)  /* no samples */
         return 0;
-    struct run r = {n, m, npair, nv, dst, pair, ends, vcol, omega, base, amp, freq, phase,
-                    h, steps, stride, n_rec, recs};
-    int64_t len = slice_len(&r);
-    void *scratch;
-    if (posix_memalign(&scratch, 64, (size_t)(nthreads * len) * sizeof(double)))
+    int most = (int)(((int64_t)ns + nthreads - 1) / nthreads);
+    int *car = malloc((size_t)nv * sizeof(int) + 1);  /* not empty for nv = 0 */
+    if (!car)
         return -1;
+    int nc = 0;
+    for (int j = 0; j < nv; j++) {
+        int i = 0;
+        while (i < j && (memcmp(&freq[i], &freq[j], sizeof(double))
+                         || memcmp(&phase[i], &phase[j], sizeof(double))))
+            i++;
+        car[j] = i < j ? car[i] : nc++;
+    }
+    struct run r = {n, m, npair, nv, nc, dst, pair, ends, vcol, car, omega, base, amp, freq,
+                    phase, h, steps, stride, n_rec, recs};
+    int64_t len = slice_len(&r, most);
+    void *scratch;
+    if (posix_memalign(&scratch, 64, (size_t)(nthreads * len) * sizeof(double))) {
+        free(car);
+        return -1;
+    }
     struct part parts[nthreads];
     pthread_t tid[nthreads];
     int started[nthreads];
@@ -304,6 +362,7 @@ int64_t integrate(int ns, int n, int m, int npair, int nv, const int *dst, const
         bad = first_step(bad, parts[t].bad);
     }
     free(scratch);
+    free(car);
     return bad;
 }
 
@@ -915,7 +974,9 @@ def integrate(dst: np.ndarray, pair: np.ndarray, ends: np.ndarray, omega: np.nda
     whose sine is ``sin(x_b - x_a)``.  The edges ``vcol`` (distinct) are
     vibrated: at half-step ``g`` edge ``vcol[j]`` weighs
     ``base + sin(h * (0.5 * g) * freq[j] + phase[j]) * amp[j]``, evaluated
-    in that order.  The samples are split into ``thread_count(ns)``
+    in that order; edges whose ``freq`` and ``phase`` have the same bits
+    share that sine, which each thread evaluates once per half-step for all
+    its samples.  The samples are split into ``thread_count(ns)``
     contiguous parts, one per thread.
 
     Every array is checked before the call: dtype and C order (through

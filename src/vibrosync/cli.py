@@ -133,6 +133,8 @@ class Scenario:
         entries: Dict[Tuple[int, int], VibrationEntry] = {}
         for item in self.schedule["entries"]:
             s, t = (_require_int(v, "schedule entry edge end") for v in item["edge"])
+            if (s, t) in entries:
+                raise ScenarioError(f"duplicate edge ({s},{t})")
             entries[(s, t)] = VibrationEntry(
                 amplitude=float(item["amplitude"]),
                 frequency=float(item["frequency"]),

@@ -214,12 +214,14 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     The whole run is one call of the compiled kernel
     (:func:`._phase_kernel.integrate`), which steps the field
     ``omega_t - sum over edges (s, t) of w_e sin(theta_t - theta_s)`` for
-    every sample, evaluates the vibrated edges' carriers on the half-step
-    grid itself, and returns the first step whose state is not finite,
-    raised here as NonFiniteState.  The kernel takes one sine per coupled
-    pair (``_edge_pairs``): an edge running against its pair's first edge
-    gets its base weight and carrier amplitude negated, so reciprocal edges
-    share one sine.
+    every sample, evaluates the vibrated edges' distinct carriers on the
+    half-step grid itself, each once per half-step on each of its threads,
+    and returns the first step whose state is not finite, raised here as
+    NonFiniteState.  The kernel takes one sine per coupled pair
+    (``_edge_pairs``): an edge running against its pair's first edge gets
+    its base weight and carrier amplitude negated, so reciprocal edges
+    share one sine.  The two edges across which a slot's carrier is split
+    share that carrier's sine as well.
     """
     ns, n = th0.shape
     steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0

@@ -367,6 +367,20 @@ def test_duplicate_edge_rejected(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+def test_duplicate_schedule_edge_exits_2(tmp_path, capsys):
+    # a second entry for edge (1, 0) is refused, not silently kept over the first
+    data = flagship_data()
+    data["schedule"] = {"epsilon": 0.01, "entries": [
+        {"edge": [1, 0], "amplitude": a, "frequency": 1.0} for a in (5.0, 1.0)]}
+    path = write_scenario(tmp_path, data)
+    for command in ("analyze", "design", "simulate"):
+        code = cli.main([command, "--scenario", path, "--out", str(tmp_path / command)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario error: malformed schedule: duplicate edge (1,0)"]
+        assert not (tmp_path / command).exists()
+
+
 @pytest.mark.parametrize("edge, message", [
     ((1, 3), "vibrated edge (1,3) does not exist in the network"),
     ((0, 99), "vibrated edge (0,99) does not exist in the network"),

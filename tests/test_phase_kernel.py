@@ -1,6 +1,8 @@
 import ctypes
 import locale
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -258,6 +260,119 @@ def test_integrate_returns_the_first_non_finite_step(cpus, monkeypatch):
     assert np.all(np.isfinite(recs[5])) and recs[5, -1, 0] == pytest.approx(2e301)
     for s in (0, 2, 3):  # finite samples, recorded at least up to the break
         assert np.array_equal(recs[s, :5], recs[5, :5])
+
+
+CHUNK = int(re.search(r"#define K (\d+)", pk._SOURCE).group(1))  # steps of one carrier table
+
+
+def oracle(arrays, x, h, steps, stride):
+    """The records of one sample's run from ``x``, in pure Python in the
+    kernel's operation order: one ``math.sin`` (the C library's sine) per
+    pair; per node, ``omega`` minus the edge terms in edge order; at
+    half-step g each vibrated edge weighs ``base + sin(t * freq + phase) *
+    amp`` with ``t = h * (0.5 * g)``."""
+    dst, pair, ends, omega, base, vcol, amp, freq, phase = (
+        np.asarray(arrays[name]).tolist()
+        for name in ("dst", "pair", "ends", "omega", "base", "vcol", "amp", "freq", "phase"))
+    w = list(base)
+
+    def weigh(g):
+        t = h * (0.5 * g)
+        for j, e in enumerate(vcol):
+            w[e] = base[e] + math.sin(t * freq[j] + phase[j]) * amp[j]
+
+    def field(x):
+        sp = [math.sin(x[a] - x[b]) for a, b in ends]
+        dx = list(omega)
+        for e, t in enumerate(dst):
+            dx[t] -= w[e] * sp[pair[e]]
+        return dx
+
+    x = list(x)
+    recs = [x]
+    weigh(0)
+    for step in range(1, steps + 1):
+        k1 = field(x)
+        weigh(2 * step - 1)
+        k2 = field([a + 0.5 * h * b for a, b in zip(x, k1)])
+        k3 = field([a + 0.5 * h * b for a, b in zip(x, k2)])
+        weigh(2 * step)
+        k4 = field([a + h * b for a, b in zip(x, k3)])
+        x = [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if step % stride == 0 or step == steps:
+            recs.append(x)
+    return np.array(recs)
+
+
+def assert_kernel_matches_oracle(arrays, th0, h, steps, stride):
+    """The kernel's run of the samples ``th0`` (a finite one), on one CPU
+    and split across two, equals the oracle's bit for bit."""
+    want = [oracle(arrays, x, h, steps, stride) for x in th0]
+    cpus = pk._cpus
+    try:
+        for n_cpus in (1, 2):
+            pk._cpus = lambda: n_cpus
+            recs, bad = run(arrays, th0, steps, stride, h)
+            assert bad == 0 and all(map(np.array_equal, recs, want)), n_cpus
+    finally:
+        pk._cpus = cpus
+
+
+def random_network_run(rng):
+    """A random run in the layout of ``random_run``: 2-7 nodes, each pair of
+    them coupled one way, both ways (through one pair sine) or not at all,
+    base weights of either sign, and vibrated edges whose carriers come from
+    a pool of at most their number, so that some may share one; 1-10
+    samples and a step count at and around the carrier table's chunk.  The
+    arguments of ``assert_kernel_matches_oracle``."""
+    n = int(rng.integers(2, 8))
+    dst, pair, ends = [], [], []
+    for a in range(n):
+        for b in range(a):
+            targets = ([], [a], [b], [a, b])[int(rng.integers(0, 4))]
+            if targets:
+                ends.append((a, b))
+            for t in targets:
+                dst.append(t)
+                pair.append(len(ends) - 1)
+    m = len(dst)
+    nv = int(rng.integers(0, m + 1))
+    pool = int(rng.integers(1, nv + 1)) if nv else 0
+    freqs = rng.uniform(1.0, 40.0, pool)
+    phases = np.where(rng.random(pool) < 0.5, 0.0, rng.uniform(0.0, 6.0, pool))
+    carrier = rng.integers(0, max(pool, 1), nv)
+    arrays = dict(dst=np.array(dst, dtype=np.intc), pair=np.array(pair, dtype=np.intc),
+                  ends=np.array(ends, dtype=np.intc).reshape(-1, 2), omega=rng.normal(size=n),
+                  base=rng.normal(size=m), vcol=rng.permutation(m)[:nv].astype(np.intc),
+                  amp=rng.normal(size=nv) * 10.0, freq=freqs[carrier], phase=phases[carrier])
+    steps = int(rng.choice([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+                            rng.integers(2, 3 * CHUNK)]))
+    th0 = rng.normal(size=(int(rng.integers(1, 11)), n))
+    return arrays, th0, float(rng.uniform(0.005, 0.05)), steps, int(rng.integers(1, 5))
+
+
+@pytest.mark.parametrize("steps", [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("carriers", ["shared", "same_frequency", "distinct", "none"])
+def test_kernel_matches_the_pure_python_oracle(steps, carriers):
+    """Nine samples, two lockstep blocks and a sample left over on one CPU,
+    a block and a block plus one sample on two, across the ends of the
+    carrier table's chunks; two vibrated edges share a carrier, or only its
+    frequency, or all carriers differ, or no edge is vibrated."""
+    arrays, th0 = random_run(9, np.random.default_rng(steps))
+    if carriers != "distinct":  # edges 5 and 4
+        arrays["freq"][2] = arrays["freq"][0]
+    if carriers == "shared":
+        arrays["phase"][2] = arrays["phase"][0]
+    elif carriers == "none":
+        arrays.update({key: arrays[key][:0] for key in ("vcol", "amp", "freq", "phase")})
+    assert_kernel_matches_oracle(arrays, th0, 0.05, steps, 3)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_matches_the_oracle_on_random_networks(seed):
+    # CI runs the same check on 50 seeds
+    assert_kernel_matches_oracle(*random_network_run(np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
