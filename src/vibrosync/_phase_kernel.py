@@ -83,19 +83,19 @@ finite Psi reads a finite norm up to the float range.  A Psi or Psi^-1
 that is not all finite leaves its maximum unchanged, which ends its
 sampling without an error of its own.
 
-The same library writes CSV numbers (:func:`format_csv`) exactly as
-Python's ``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the
-exact path: its ten significant digits are the product of the 53-bit
-significand and 10^j, 0 <= j <= 22, in 128-bit integers, rounded half-even
-at the binary point, then laid out by the ``%g`` rules.  Every other value
-(zeros, subnormals, large values, infinities) goes through the C library's
-``snprintf("%.10g")``, except NaN, which is written ``nan`` whatever its
-sign, as Python writes it (glibc writes ``-nan``).  A compiler without
-128-bit integers (``__SIZEOF_INT128__``, missing on 32-bit targets) builds
-the library without the exact path, and every value goes through
-``snprintf``: the same bytes, about three times slower.  The formatter
-switches its thread to the C locale for the call, so a comma-decimal
-``LC_NUMERIC`` set by the program does not reach ``snprintf``.
+The same library writes CSV numbers (:func:`format_csv`) exactly as Python's
+``"%.10g" % v`` does.  A value with 1e-13 <= |v| < 1e10 takes the exact path:
+its ten significant digits are the product of the 53-bit significand and 10^j,
+0 <= j <= 22, in 128-bit integers, rounded half-even at the binary point, then
+laid out by the ``%g`` rules, with the decimal exponent taken from the binary
+one by a multiply and shift.  Every other value (zeros, subnormals, large
+values, infinities) goes through the C library's ``snprintf("%.10g")``, except
+NaN, which is written ``nan`` whatever its sign, as Python writes it (glibc
+writes ``-nan``).  A compiler without 128-bit integers (``__SIZEOF_INT128__``,
+missing on 32-bit targets) builds the library without the exact path, and
+every value goes through ``snprintf``: the same bytes, about three times
+slower.  The formatter switches its thread to the C locale for the call, so a
+comma-decimal ``LC_NUMERIC`` set by the program does not reach ``snprintf``.
 """
 
 from __future__ import annotations
@@ -602,8 +602,9 @@ static const u128 P10[23] = {
    x = f / 2^sh with f the 53-bit significand and 19 <= sh <= 97, and the
    ten significant digits of x 10^-k are the exact f 10^j / 2^sh, j = 9 - k,
    rounded half-even; f 10^j < 2^127 for j <= 22.  The decimal exponent k
-   starts at floor(log10 |x|) and moves by one while the mantissa falls
-   outside [10^9, 10^10), always within [-13, 9], which the range allows. */
+   starts at floor(e2 log10 2) = ((e2 78913 + 2^24) >> 18) - 64 for the binary
+   exponent e2 = 52 - sh, floor(log10 |x|) or one less; clamped to [-13, 9], as
+   the range allows, it moves by one while the mantissa is outside [10^9, 10^10). */
 static int fmt_exact(double x, char *s)
 {
     uint64_t bits;
@@ -611,7 +612,7 @@ static int fmt_exact(double x, char *s)
     uint64_t f = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
     int sh = 1075 - (int)(bits >> 52 & 0x7ff);
     u128 half = (u128)1 << (sh - 1);
-    int k = (int)floor(log10(fabs(x)));
+    int k = (((52 - sh) * 78913 + (1 << 24)) >> 18) - 64;  /* shifts no negative */
     k = k < -13 ? -13 : k > 9 ? 9 : k;
     u128 q;
     for (;;) {  /* move k until the mantissa has ten digits */

@@ -6,6 +6,7 @@ import math
 import importlib.resources as ir
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ def test_simulate_zero_horizon_single_row(tmp_path):
     assert cli.main(["simulate", "--scenario", path, "--out", str(out)]) == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 2  # header + the initial state
+
+
+def test_failed_write_or_rename_leaves_no_temporary_file(tiny_path, tmp_path, monkeypatch):
+    # a directory where the artifact goes: os.replace fails after the write
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        cli.main(["simulate", "--scenario", tiny_path, "--out", str(out)])
+    assert list(out.iterdir()) == [out / "trajectory.csv"]
+
+    # a full disk: the write fails after part of the text is on disk
+    def partial_write(self, text):
+        with open(self, "w") as fh:
+            fh.write(text[:100])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", partial_write)
+    full = tmp_path / "full"
+    with pytest.raises(OSError, match="No space left"):
+        cli.main(["simulate", "--scenario", tiny_path, "--out", str(full)])
+    assert list(full.iterdir()) == []
 
 
 def test_simulate_uncontrolled_flag(tmp_path):

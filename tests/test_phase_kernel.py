@@ -565,6 +565,21 @@ def test_format_csv_edge_cases():
         "12345678.12,0.5,-1e-05\n"
 
 
+# every power of two and of ten in the exact range [1e-13, 1e10), with both
+# neighbours: where the decimal exponent estimated from the binary one is one
+# too low, and where the formatter moves it
+EXPONENT_BOUNDARIES = [
+    v for x in [2.0 ** e for e in range(-43, 34)] + [float(f"1e{j}") for j in range(-13, 10)]
+    for v in neighbours(x)
+]
+
+
+def test_format_csv_at_powers_of_two_and_ten():
+    values = np.array(EXPONENT_BOUNDARIES)
+    a = np.concatenate([values, -values]).reshape(2, -1)
+    assert pk.format_csv(a) == per_value_bodies(a)
+
+
 def test_format_csv_shapes():
     assert pk.format_csv(np.zeros((0, 3))) == ("", "")
     assert pk.format_csv(np.array([[1.5], [-2.0]])) == ("1.5\n-2\n", "1.5,1.5\n-2,-2\n")
