@@ -9,15 +9,18 @@ against the scenario's ``references`` come from one table,
 ``_reference_checks``, which also names the references a scenario must hold.
 
 Exit codes: 0 success, 2 scenario/validation problem (including non-finite
-numbers, integers too large for a float, a non-positive epsilon or sync
+numbers, integers too large for a float, numbers written as strings or
+booleans, a second modification for one cluster, a modification delta that
+is not a rectangular array of numbers, a non-positive epsilon or sync
 tolerance, a negative seed, perturbation or reference tolerance, missing
 references or modifications that a command needs, a simulation dt too
-coarse for the fastest period, a vibrated edge missing from the network or
-crossing clusters, and cluster-synchronized states that are not invariant
-where a command needs them), 3 design not realizable (including a cyclic
-change pattern), 4 a verification or reproduction check failed (artifacts
-are still written), or an average did not settle within the longest
-averaging horizon (the command stops there).
+coarse for the fastest period in ``simulate`` or ``reproduce``, a vibrated
+edge missing from the network or crossing clusters, and
+cluster-synchronized states that are not invariant where a command needs
+them), 3 design not realizable (including a cyclic change pattern), 4 a
+verification or reproduction check failed (artifacts are still written), or
+an average did not settle within the longest averaging horizon (the
+command stops there).
 """
 
 from __future__ import annotations
@@ -73,11 +76,22 @@ def _require_list(value, where: str) -> list:
     return value
 
 
-def _require_finite(values: Sequence[float], where: str) -> None:
-    """Every value a number but not a bool, neither NaN nor beyond the floats."""
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               and abs(v) <= sys.float_info.max for v in values):
-        raise ScenarioError(f"{where} must be finite numbers")
+def _number(value, where: str) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool, a string,
+    NaN, an infinity or an integer too large for a float is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{where} must be a finite number")
+    return float(value)
+
+
+def _array(value, where: str) -> np.ndarray:
+    """``value`` as a float matrix if it is a non-empty rectangular list of
+    lists of finite numbers."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(row, list) and row and len(row) == len(value[0]) for row in value)):
+        raise ScenarioError(f"{where} must be a rectangular array")
+    return np.array([[_number(x, where) for x in row] for row in value])
 
 
 def _require_positive(value: float, where: str) -> None:
@@ -106,8 +120,8 @@ class Scenario:
     edges: Tuple[Tuple[int, int, float], ...]
     clusters: Tuple[Tuple[int, ...], ...]
     omega: Tuple[float, ...]
-    schedule: Optional[dict]
-    modifications: Tuple[dict, ...]
+    schedule: Optional[VibrationSchedule]
+    deltas: Dict[int, np.ndarray]  # the requested Jacobian change, by cluster
     theta0: Optional[Tuple[float, ...]]
     seed: int
     perturbation: float
@@ -127,33 +141,16 @@ class Scenario:
         tree = select_spanning_tree(kn.net, kn.partition)
         return build_incidence(kn.net, kn.partition, tree)
 
-    def vibration_schedule(self, epsilon: Optional[float] = None) -> Optional[VibrationSchedule]:
-        if self.schedule is None:
-            return None
-        entries: Dict[Tuple[int, int], VibrationEntry] = {}
-        for item in self.schedule["entries"]:
-            s, t = (_require_int(v, "schedule entry edge end") for v in item["edge"])
-            if (s, t) in entries:
-                raise ScenarioError(f"duplicate edge ({s},{t})")
-            entries[(s, t)] = VibrationEntry(
-                amplitude=float(item["amplitude"]),
-                frequency=float(item["frequency"]),
-                phase=float(item.get("phase", 0.0)),
-            )
-        eps = float(self.schedule["epsilon"]) if epsilon is None else epsilon
-        return VibrationSchedule(entries=entries, epsilon=eps)
-
     def modification_specs(self) -> Dict[int, ModificationSpec]:
-        if not self.modifications:
+        if not self.deltas:
             raise ScenarioError("scenario has no modifications to design for")
         specs: Dict[int, ModificationSpec] = {}
-        for item in self.modifications:
-            k = item["cluster"]
+        for k, delta in self.deltas.items():
             try:
-                specs[k] = ModificationSpec(delta=np.array(item["delta"], dtype=float))
+                specs[k] = ModificationSpec(delta=delta)
             except CycleDetected:
                 raise
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ScenarioError(f"modification for cluster {k}: {exc}") from exc
         return specs
 
@@ -178,16 +175,27 @@ def load_scenario(source: str) -> Scenario:
     return parse_scenario(data)
 
 
+def _parse_schedule(schedule) -> VibrationSchedule:
+    _require_keys(schedule, {"epsilon", "entries"}, {"epsilon", "entries"}, "schedule")
+    entries: Dict[Tuple[int, int], VibrationEntry] = {}
+    for item in _require_list(schedule["entries"], "schedule entries"):
+        _require_keys(item, {"edge", "amplitude", "frequency", "phase"},
+                      {"edge", "amplitude", "frequency"}, "schedule entry")
+        s, t = (_require_int(v, "schedule entry edge end") for v in item["edge"])
+        if (s, t) in entries:
+            raise ScenarioError(f"duplicate edge ({s},{t})")
+        entries[(s, t)] = VibrationEntry(*(_number(item.get(key, 0.0), f"schedule entry {key}")
+                                           for key in ("amplitude", "frequency", "phase")))
+    return VibrationSchedule(entries=entries,
+                             epsilon=_number(schedule["epsilon"], "schedule epsilon"))
+
+
 def parse_scenario(data: dict) -> Scenario:
     _require_keys(data, allowed={"name", "description", "n", "edges", "clusters",
                                  "omega", "schedule", "modifications", "simulation",
                                  "tolerances", "references"},
                   required={"name", "n", "edges", "clusters", "omega"},
                   where="scenario")
-    modifications = tuple(_require_list(data.get("modifications", []), "modifications"))
-    for item in modifications:
-        _require_keys(item, {"cluster", "delta"}, {"cluster", "delta"},
-                      "modification")
     sim = data.get("simulation", {})
     _require_keys(sim, {"theta0", "seed", "perturbation", "perturb_clusters",
                         "t_end", "dt", "epsilon"}, set(), "simulation")
@@ -197,78 +205,65 @@ def parse_scenario(data: dict) -> Scenario:
     try:
         n = _require_int(data["n"], "n")
         edges = tuple((_require_int(s, "edge end"), _require_int(t, "edge end"),
-                       float(w)) for s, t, w in data["edges"])
+                       _number(w, "edge weight")) for s, t, w in data["edges"])
         clusters = tuple(tuple(_require_int(i, "cluster member") for i in c)
                          for c in data["clusters"])
-        omega = tuple(float(x) for x in data["omega"])
-        mod_clusters = [_require_int(m["cluster"], "modification cluster") for m in modifications]
-        deltas = [np.array(item["delta"], dtype=float) for item in modifications]
+        omega = tuple(_number(x, "omega") for x in data["omega"])
+        deltas: Dict[int, np.ndarray] = {}
+        for item in _require_list(data.get("modifications", []), "modifications"):
+            _require_keys(item, {"cluster", "delta"}, {"cluster", "delta"}, "modification")
+            k = _require_int(item["cluster"], "modification cluster")
+            if k in deltas:
+                raise ScenarioError(f"cluster {k} has a second modification")
+            deltas[k] = _array(item["delta"], "modification delta")
         theta0 = sim.get("theta0")
         if theta0 is not None:
-            theta0 = tuple(float(x) for x in theta0)
+            theta0 = tuple(_number(x, "theta0") for x in theta0)
         perturb_clusters = sim.get("perturb_clusters")
         if perturb_clusters is not None:
             perturb_clusters = tuple(_require_int(k, "simulation perturb_clusters entry")
                                      for k in perturb_clusters)
         seed = _require_int(sim.get("seed", 0), "simulation seed")
-        perturbation = float(sim.get("perturbation", 0.1))
-        t_end = float(sim.get("t_end", 100.0))
-        dt = None if sim.get("dt") is None else float(sim["dt"])
-        epsilon = float(sim.get("epsilon", 0.01))
-        sync_tolerance = float(tolerances.get("sync", 0.01))
-    except (TypeError, ValueError, OverflowError) as exc:
+        perturbation = _number(sim.get("perturbation", 0.1), "simulation perturbation")
+        t_end = _number(sim.get("t_end", 100.0), "simulation t_end")
+        dt = None if sim.get("dt") is None else _number(sim["dt"], "simulation dt")
+        epsilon = _number(sim.get("epsilon", 0.01), "simulation epsilon")
+        sync_tolerance = _number(tolerances.get("sync", 0.01), "tolerances sync")
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario data: {exc}") from exc
     if len(omega) != n:
         raise ScenarioError(f"omega has {len(omega)} entries for {n} nodes")
-    _require_finite([w for _, _, w in edges], "edge weights")
-    _require_finite(omega, "omega")
-
-    schedule = data.get("schedule")
-    if schedule is not None:
-        _require_keys(schedule, {"epsilon", "entries"}, {"epsilon", "entries"},
-                      "schedule")
-        for item in _require_list(schedule["entries"], "schedule entries"):
-            _require_keys(item, {"edge", "amplitude", "frequency", "phase"},
-                          {"edge", "amplitude", "frequency"}, "schedule entry")
-
-    for k in mod_clusters + list(perturb_clusters or ()):
+    for k in list(deltas) + list(perturb_clusters or ()):
         if not 0 <= k < len(clusters):
             raise ScenarioError(f"cluster index {k} out of range for {len(clusters)} clusters")
     if perturb_clusters == ():
         raise ScenarioError("simulation perturb_clusters must name at least one cluster")
     _require_seed(seed, "simulation seed")
-    for delta in deltas:
-        _require_finite(delta.ravel(), "modification delta")
-    if theta0 is not None:
-        if len(theta0) != n:
-            raise ScenarioError("theta0 length does not match the node count")
-        _require_finite(theta0, "theta0")
+    if theta0 is not None and len(theta0) != n:
+        raise ScenarioError("theta0 length does not match the node count")
+    if perturbation < 0:
+        raise ScenarioError(f"simulation perturbation must be non-negative, got {perturbation!r}")
+    _require_positive(sync_tolerance, "tolerances sync")
+    if t_end < 0 or not (dt is None or dt > 0):
+        raise ScenarioError("simulation t_end must be nonnegative and dt positive and finite")
+    _require_positive(epsilon, "simulation epsilon")
+    try:
+        schedule = None if data.get("schedule") is None else _parse_schedule(data["schedule"])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed schedule: {exc}") from exc
 
     references = data.get("references", {})
     if not isinstance(references, dict):
         raise ScenarioError("references must be an object")
 
-    scenario = Scenario(
+    return Scenario(
         name=str(data["name"]),
         n=n, edges=edges, clusters=clusters, omega=omega,
-        schedule=schedule, modifications=modifications,
+        schedule=schedule, deltas=deltas,
         theta0=theta0, seed=seed, perturbation=perturbation,
         perturb_clusters=perturb_clusters, t_end=t_end, dt=dt, epsilon=epsilon,
         sync_tolerance=sync_tolerance, references=references,
     )
-    _require_finite([scenario.perturbation, scenario.t_end], "simulation settings")
-    if scenario.perturbation < 0:
-        raise ScenarioError(f"simulation perturbation must be non-negative, "
-                            f"got {scenario.perturbation!r}")
-    _require_positive(scenario.sync_tolerance, "tolerances sync")
-    if scenario.t_end < 0 or not (scenario.dt is None or 0 < scenario.dt < math.inf):
-        raise ScenarioError("simulation t_end must be nonnegative and dt positive and finite")
-    _require_positive(scenario.epsilon, "simulation epsilon")
-    try:
-        scenario.vibration_schedule()
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"malformed schedule: {exc}") from exc
-    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +379,18 @@ def cmd_analyze(scenario: Scenario, out: Path) -> int:
     except InvarianceViolated as exc:
         report = _analysis(scenario, kn, None, exc.violations)
     else:
-        schedule = scenario.vibration_schedule()
-        cert = certify(lin, schedule, *averaged_jacobians(lin, schedule), empirical=False)
+        cert = certify(lin, scenario.schedule, *averaged_jacobians(lin, scenario.schedule),
+                       empirical=False)
         report = _analysis(scenario, kn, cert)
     dump_json(out / "report.json", report)
     print(f"wrote {out / 'report.json'}")
     return 0
 
 
-def cmd_design(scenario: Scenario, out: Path, epsilon: Optional[float]) -> int:
+def cmd_design(scenario: Scenario, out: Path) -> int:
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn)
-    eps = scenario.epsilon if epsilon is None else epsilon
-    design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
+    design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=scenario.epsilon)
     gamma_bar = perturbation_bounds(design.lin, design.growth)
     dump_json(out / "schedule.json", _schedule_dict(design))
     dump_json(out / "certificate.json", _certificate_dict(design, gamma_bar))
@@ -409,32 +403,26 @@ def cmd_design(scenario: Scenario, out: Path, epsilon: Optional[float]) -> int:
     return 0
 
 
-def _initial_state(scenario: Scenario, inc: IncidenceSet,
-                   seed: Optional[int]) -> np.ndarray:
+def _initial_state(scenario: Scenario, inc: IncidenceSet) -> np.ndarray:
     if scenario.theta0 is not None:
-        return np.array(scenario.theta0, dtype=float)
-    use_seed = scenario.seed if seed is None else seed
-    return perturbed_initial_states(inc, 1, scenario.perturbation, use_seed,
+        return np.array(scenario.theta0)
+    return perturbed_initial_states(inc, 1, scenario.perturbation, scenario.seed,
                                     clusters=scenario.perturb_clusters)[0]
 
 
-def _scenario_schedule(scenario: Scenario, kn: KuramotoNetwork, inc: IncidenceSet,
-                       epsilon: Optional[float]) -> Optional[VibrationSchedule]:
-    eps = epsilon if epsilon is not None else scenario.epsilon
-    if scenario.schedule is not None:
-        return scenario.vibration_schedule(epsilon=epsilon)
-    if scenario.modifications:
-        design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
-        return design.schedule
-    return None
+def _scenario_schedule(scenario: Scenario, kn: KuramotoNetwork,
+                       inc: IncidenceSet) -> Optional[VibrationSchedule]:
+    if scenario.schedule is not None or not scenario.deltas:
+        return scenario.schedule
+    return design_cluster(kn, inc, scenario.modification_specs(),
+                          epsilon=scenario.epsilon).schedule
 
 
-def cmd_simulate(scenario: Scenario, out: Path, epsilon: Optional[float],
-                 seed: Optional[int], uncontrolled: bool) -> int:
+def cmd_simulate(scenario: Scenario, out: Path, uncontrolled: bool) -> int:
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn)
-    schedule = None if uncontrolled else _scenario_schedule(scenario, kn, inc, epsilon)
-    theta0 = _initial_state(scenario, inc, seed)
+    schedule = None if uncontrolled else _scenario_schedule(scenario, kn, inc)
+    theta0 = _initial_state(scenario, inc)
     traj = simulate(kn, schedule, theta0, scenario.t_end, dt=scenario.dt, inc=inc)
     csv, err_csv = trajectory_csv(traj, sync_error(traj.theta, kn.partition))
     atomic_write_text(out / "trajectory.csv", csv)
@@ -530,28 +518,21 @@ def _require_references(ref: dict, checks: Sequence) -> None:
         raise ScenarioError(f"references lack {', '.join(missing)}")
     for _, keys, _, compare in checks:
         for key in keys:
-            cells = ref[key] if compare is _matrix else [[ref[key]]]
-            if not (isinstance(cells, list) and cells and all(
-                    isinstance(row, list) and row and len(row) == len(cells[0])
-                    for row in cells)):
-                raise ScenarioError(f"reference {key} must be a rectangular array")
-            _require_finite([x for row in cells for x in row], f"reference {key}")
+            (_array if compare is _matrix else _number)(ref[key], f"reference {key}")
         if len(keys) == 2 and ref[keys[1]] < 0:
             raise ScenarioError(f"reference {keys[1]} must be non-negative, got {ref[keys[1]]!r}")
 
 
-def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
-                  seed: Optional[int]) -> int:
+def cmd_reproduce(scenario: Scenario, out: Path) -> int:
     checks = _reference_checks(scenario)
     _require_references(scenario.references, checks)
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn)
-    eps = scenario.epsilon if epsilon is None else epsilon
-    use_seed = scenario.seed if seed is None else seed
 
     # --- design: the one linearization every later stage works on ---------
     try:
-        design = design_cluster(kn, inc, scenario.modification_specs(), epsilon=eps)
+        design = design_cluster(kn, inc, scenario.modification_specs(),
+                                epsilon=scenario.epsilon)
     except InvarianceViolated as exc:
         dump_json(out / "analysis.json", _analysis(scenario, kn, None, exc.violations))
         print(f"wrote {out / 'analysis.json'}")
@@ -560,14 +541,14 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
 
     # --- analysis: the uncontrolled network -------------------------------
     baseline = certify(design.lin, None, design.lin.J_blocks,
-                       kick=scenario.perturbation, seed=use_seed)
+                       kick=scenario.perturbation, seed=scenario.seed)
     dump_json(out / "analysis.json",
               _analysis(scenario, kn, dataclasses.replace(baseline, empirical=None)))
     print(f"wrote {out / 'analysis.json'}")
 
     # --- the controlled certificate -------------------------------------
     report = certify(design.lin, design.schedule, design.averaged, design.growth,
-                     kick=scenario.perturbation, seed=use_seed)
+                     kick=scenario.perturbation, seed=scenario.seed)
     certificate = _certificate_dict(design, report.gamma_bar)
     dump_json(out / "schedule.json", _schedule_dict(design))
     dump_json(out / "certificate.json", certificate)
@@ -578,9 +559,9 @@ def cmd_reproduce(scenario: Scenario, out: Path, epsilon: Optional[float],
             for name, keys, value, compare in checks]
 
     # --- the documented perturbation run --------------------------------
-    theta0 = _initial_state(scenario, inc, seed)
-    controlled = simulate(kn, design.schedule, theta0, scenario.t_end, inc=inc)
-    uncontrolled = simulate(kn, None, theta0, scenario.t_end, inc=inc)
+    theta0 = _initial_state(scenario, inc)
+    controlled = simulate(kn, design.schedule, theta0, scenario.t_end, dt=scenario.dt, inc=inc)
+    uncontrolled = simulate(kn, None, theta0, scenario.t_end, dt=scenario.dt, inc=inc)
     err_c = sync_error(controlled.theta, kn.partition)
     err_u = sync_error(uncontrolled.theta, kn.partition)
     for name, traj, err in (("controlled", controlled, err_c),
@@ -676,20 +657,24 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "epsilon", None) is not None:
-            _require_positive(args.epsilon, "--epsilon")
-        if getattr(args, "seed", None) is not None:
-            _require_seed(args.seed, "--seed")
         scenario = load_scenario(args.scenario)
+        epsilon, seed = getattr(args, "epsilon", None), getattr(args, "seed", None)
+        if epsilon is not None:
+            _require_positive(epsilon, "--epsilon")
+            schedule = (None if scenario.schedule is None
+                        else dataclasses.replace(scenario.schedule, epsilon=epsilon))
+            scenario = dataclasses.replace(scenario, epsilon=epsilon, schedule=schedule)
+        if seed is not None:
+            _require_seed(seed, "--seed")
+            scenario = dataclasses.replace(scenario, seed=seed)
         if args.command == "analyze":
             return cmd_analyze(scenario, args.out)
         if args.command == "design":
-            return cmd_design(scenario, args.out, args.epsilon)
+            return cmd_design(scenario, args.out)
         if args.command == "simulate":
-            return cmd_simulate(scenario, args.out, args.epsilon, args.seed,
-                                args.uncontrolled)
+            return cmd_simulate(scenario, args.out, args.uncontrolled)
         if args.command == "reproduce":
-            return cmd_reproduce(scenario, args.out, args.epsilon, args.seed)
+            return cmd_reproduce(scenario, args.out)
         raise AssertionError(args.command)
     except (ScenarioError, StepTooCoarse) as exc:
         # the step floor follows the schedule's epsilon, which --epsilon can change

@@ -420,6 +420,22 @@ def test_bad_schedule_edge_exits_2(tmp_path, capsys, edge, message):
         assert capsys.readouterr().err.splitlines() == [f"invalid network: {message}"]
 
 
+def test_second_modification_for_a_cluster_exits_2(tmp_path, capsys):
+    # a zero change after the flagship's cluster-0 change is refused, in
+    # either order, not silently kept over the first
+    flagship = flagship_data()["modifications"][0]
+    zero = {"cluster": 0, "delta": [[0.0] * 3] * 3}
+    for modifications in ([flagship, zero], [zero, flagship]):
+        data = dict(flagship_data(), modifications=modifications)
+        path = write_scenario(tmp_path, data)
+        for command in ("analyze", "design", "simulate", "reproduce"):
+            out = tmp_path / command
+            assert cli.main([command, "--scenario", path, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "scenario error: malformed scenario data: cluster 0 has a second modification"]
+            assert not out.exists()
+
+
 def test_cyclic_modification_exits_3(tmp_path):
     data = json.loads(ir.files("vibrosync")
                       .joinpath("scenarios/cluster_flip.json").read_text())
@@ -460,12 +476,28 @@ def test_cyclic_modification_exits_3(tmp_path):
     {"modifications": [{"cluster": 0, "delta": [[0.0, 10**400], [0.0, 0.0]]}]},
     {"schedule": {"epsilon": 0.05, "entries": [
         {"edge": [0, 1], "amplitude": 10**400, "frequency": 1.0}]}},
+    # numbers written as JSON strings or booleans
+    {"edges": [[0, 1, "0.05"]] + TINY["edges"][1:]},
+    {"edges": [[0, 1, True]] + TINY["edges"][1:]},
+    {"omega": ["1.0", 1.0, 2.0, 2.0]},
+    {"omega": [True, 1.0, 2.0, 2.0]},
+    {"simulation": {"t_end": "4"}},
+    {"tolerances": {"sync": "0.01"}},
+    {"schedule": {"epsilon": 0.05, "entries": [
+        {"edge": [0, 1], "amplitude": "1", "frequency": 1.0}]}},
+    {"modifications": [{"cluster": 0, "delta": [[0.0, "0.05"], [0.0, 0.0]]}]},
+    # a delta that is not a rectangular list of lists
+    {"modifications": [{"cluster": 0, "delta": [0.0]}]},
+    {"modifications": [{"cluster": 0, "delta": [[0.0, 0.5], [0.0]]}]},
 ], ids=["zero_epsilon", "malformed_entry", "nan_weight", "zero_dt", "text_t_end",
         "text_theta0", "cluster_out_of_range", "nan_delta", "simulation_not_object",
         "modifications_not_list", "entries_not_list", "empty_perturb_clusters",
         "negative_seed", "negative_perturbation", "fractional_seed", "boolean_seed",
         "fractional_perturb_cluster", "fractional_edge_end", "huge_omega",
-        "huge_weight", "huge_t_end", "huge_delta", "huge_amplitude"])
+        "huge_weight", "huge_t_end", "huge_delta", "huge_amplitude", "text_weight",
+        "boolean_weight", "text_omega", "boolean_omega", "numeric_text_t_end",
+        "text_sync_tolerance", "text_amplitude", "text_delta", "flat_delta",
+        "ragged_delta"])
 def test_bad_scenario_values_exit_2(tmp_path, override):
     path = write_scenario(tmp_path, dict(TINY, **override))
     with pytest.raises(cli.ScenarioError):
@@ -516,6 +548,43 @@ def test_too_coarse_simulation_dt_exits_2(tmp_path, capsys, dt, args):
     assert err.startswith(f"scenario error: dt={dt:g} gives fewer than 20 steps per period")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_uses_the_simulation_dt(tmp_path, capsys):
+    # the documented runs take the scenario's step: too coarse for the
+    # designed carriers, known only once the design is done
+    data = flagship_data()
+    data["simulation"].update(dt=0.1, t_end=2.0)
+    out = tmp_path / "out"
+    assert cli.main(["reproduce", "--scenario", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: dt=0.1 gives fewer than 20 steps per period 0.0444288")
+    assert "Traceback" not in err
+    assert not (out / "controlled.csv").exists() and not (out / "summary.txt").exists()
+
+
+def test_epsilon_and_seed_overrides_equal_the_scenario_values(tmp_path):
+    # --epsilon sets the explicit schedule's epsilon, --seed the simulation
+    # seed: each writes the bytes of the scenario that holds the value
+    scheduled = dict(TINY, schedule={"epsilon": 0.05, "entries": [
+        {"edge": [0, 1], "amplitude": 0.5, "frequency": 1.0}]})
+    kicked = dict(TINY, simulation={"seed": 5, "perturbation": 0.1, "t_end": 1.0})
+    for data, args, edit in (
+            (scheduled, ["--epsilon", "0.02"], lambda d: d["schedule"].update(epsilon=0.02)),
+            (kicked, ["--seed", "6"], lambda d: d["simulation"].update(seed=6))):
+        path = write_scenario(tmp_path, data)
+        plain, overridden = tmp_path / "plain", tmp_path / "overridden"
+        assert cli.main(["simulate", "--scenario", path, "--out", str(plain)]) == 0
+        assert cli.main(["simulate", "--scenario", path, *args, "--out", str(overridden)]) == 0
+        assert (plain / "err.csv").read_bytes() != (overridden / "err.csv").read_bytes()
+        data = json.loads(json.dumps(data))
+        edit(data)
+        edited = tmp_path / "edited"
+        assert cli.main(["simulate", "--scenario", write_scenario(tmp_path, data),
+                         "--out", str(edited)]) == 0
+        for name in ("trajectory.csv", "err.csv", "plot.gp"):
+            assert (overridden / name).read_bytes() == (edited / name).read_bytes(), name
 
 
 def test_parser_is_built_once_and_reused(tiny_path, tmp_path):
@@ -584,9 +653,8 @@ def test_flagship_simulate_csv_matches_per_value_formatting(flagship_reproduce, 
     scenario = cli.parse_scenario(data)
     kn = scenario.kuramoto()
     inc = scenario.incidence(kn)
-    theta0 = cli._initial_state(scenario, inc, None)
-    traj = kuramoto_dynamics.simulate(kn, scenario.vibration_schedule(), theta0, 4.0,
-                                      inc=inc)
+    theta0 = cli._initial_state(scenario, inc)
+    traj = kuramoto_dynamics.simulate(kn, scenario.schedule, theta0, 4.0, inc=inc)
     csv, err_csv = cli.trajectory_csv(traj, sync_error(traj.theta, kn.partition))
     assert (csv, err_csv) == per_value_csv(traj, kn.partition)
     assert len(traj.times) > 1000
