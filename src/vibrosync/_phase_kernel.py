@@ -890,7 +890,7 @@ def _bound_pattern(pattern: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([pattern, pattern[:, ::-1]]))
 
 
-def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.ndarray, p,
+def linear_flow(p, t0: float, h: float, steps: int, psi: np.ndarray,
                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
                 sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
                 growth_steps: int = 0) -> None:
@@ -898,13 +898,11 @@ def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.nd
     ``h``, ``psi`` (n, n) advanced in place in one kernel call, as the
     module docstring describes.
 
-    P is zero outside ``pattern`` (nz, 2), ``intc``, the (row, col) entries
-    where it may be nonzero in row-major order; a dense P is the full
-    pattern.  ``p`` gives those entries as the carriers ``(amps, freqs,
-    phases, mats)`` of a sum of sinusoids, amps, freqs and phases (E,),
-    E >= 1, and mats (E, nz): at half-step g the sum over e of
-    ``amps[e] * sin(t * freqs[e] + phases[e])`` times ``mats[e]``, with
-    ``t = t0 + h * (0.5 * g)``.
+    P is the ``linalg.SinusoidSum`` ``p`` of order n = ``p.mats.shape[1]``,
+    bound to its ``pattern`` (nz, 2), ``intc``, the (row, col) entries where
+    it may be nonzero in row-major order: at half-step g the kernel sums over
+    e ``amps[e] * sin(t * freqs[e] + phases[e])`` times ``_pattern_mats[e]``
+    (E, nz), the term matrices on the pattern, with ``t = t0 + h * (0.5 * g)``.
 
     Given ``j`` (n, n), ``weights`` (steps, 2) and ``sums`` (2, 2, n, n),
     the kernel adds ``w0 Psi, w1 Psi`` to ``sums[0]`` and ``w0 M, w1 M``,
@@ -914,14 +912,17 @@ def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.nd
     of the inverse flow, started at I, after each of the first
     ``growth_steps`` steps.
 
-    Shapes and the pattern are checked before the call (``ValueError``);
-    dtype, C order and the writeability of ``psi``, ``sums`` and ``growth``
-    by ctypes (``ctypes.ArgumentError``).  A failed allocation of the
-    kernel's scratch raises ``MemoryError``."""
-    n = len(psi) if np.ndim(psi) == 2 else 0
-    pattern = _bound_pattern(pattern, n)
+    Shapes against n and the pattern are checked before the call
+    (``ValueError``); dtype, C order and the writeability of ``psi``,
+    ``sums`` and ``growth`` by ctypes (``ctypes.ArgumentError``).  A failed
+    allocation of the kernel's scratch raises ``MemoryError``."""
+    n = p.mats.shape[1]
+    if np.shape(psi) != (n, n):
+        size = " x ".join(map(str, np.shape(psi)))
+        raise ValueError(f"P is {n} x {n}, but Psi and J are {size}")
+    pattern = _bound_pattern(p.pattern, n)
     nz = len(pattern) // 2
-    amps, freqs, phases, mats = p
+    amps, freqs, phases, mats = p.amps, p.freqs, p.phases, p._pattern_mats
     nterm = len(amps) if np.ndim(amps) == 1 else 0
     shapes = ({np.shape(amps), np.shape(freqs), np.shape(phases)} == {(nterm,)}
               and nterm >= 1 and np.shape(mats) == (nterm, nz))
@@ -930,7 +931,7 @@ def linear_flow(t0: float, h: float, steps: int, psi: np.ndarray, pattern: np.nd
                    and np.shape(sums) == (2, 2, n, n))
     if growth is not None:
         shapes &= np.shape(growth) == (2,)
-    if not shapes or np.shape(psi) != (n, n) or steps < 0:
+    if not shapes or steps < 0:
         raise ValueError("inconsistent linear-flow array shapes")
     bad = load().linear_flow(n, nz, pattern, steps, t0, h, nterm, amps, freqs, phases, mats, psi,
                              j, weights, sums, 0 if growth is None else growth_steps, growth)

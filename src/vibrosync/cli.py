@@ -14,13 +14,13 @@ booleans, a second modification for one cluster, a modification delta that
 is not a rectangular array of numbers, a non-positive epsilon or sync
 tolerance, a negative seed, perturbation or reference tolerance, missing
 references or modifications that a command needs, a simulation dt too
-coarse for the fastest period in ``simulate`` or ``reproduce``, a vibrated
-edge missing from the network or crossing clusters, and
-cluster-synchronized states that are not invariant where a command needs
-them), 3 design not realizable (including a cyclic change pattern), 4 a
-verification or reproduction check failed (artifacts are still written), or
-an average did not settle within the longest averaging horizon (the
-command stops there).
+coarse for the fastest period in ``simulate`` or ``reproduce``, a run
+needing more RK4 steps than the kernel can count, a vibrated edge missing
+from the network or crossing clusters, and cluster-synchronized states that
+are not invariant where a command needs them), 3 design not realizable
+(including a cyclic change pattern), 4 a verification or reproduction check
+failed (artifacts are still written), or an average did not settle within
+the longest averaging horizon (the command stops there).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .kuramoto_dynamics import (InvarianceViolated, KuramotoNetwork, Trajectory,
                                 averaged_jacobians, linearize,
                                 perturbation_bounds, perturbed_initial_states,
                                 simulate, sync_error)
-from .linalg import HorizonTooShort, StepTooCoarse
+from .linalg import HorizonTooShort, StepTooCoarse, TooManySteps
 from .stability_cert import StabilityReport, certify, comparison
 from .vib_design import (ClusterDesign, ModificationSpec, NotRealizable,
                          design_cluster)
@@ -676,8 +676,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(scenario, args.out)
         raise AssertionError(args.command)
-    except (ScenarioError, StepTooCoarse) as exc:
-        # the step floor follows the schedule's epsilon, which --epsilon can change
+    except (ScenarioError, StepTooCoarse, TooManySteps) as exc:
+        # the step floor and count follow the schedule's epsilon, which
+        # --epsilon can change
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (NotRealizable, CycleDetected) as exc:

@@ -48,6 +48,14 @@ class CycleDetected(GraphError):
         self.cycle = cycle
 
 
+def _node_index(value, what: str) -> int:
+    """``value``, a node index or count, as an int: a Python or numpy
+    integer, not a bool (GraphError otherwise)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DirectedNetwork:
     """A weighted digraph without self-loops.
@@ -61,10 +69,12 @@ class DirectedNetwork:
     weights: Dict[Edge, float] = field(compare=False)
 
     def __post_init__(self):
-        if self.n <= 0:
+        if _node_index(self.n, "the node count") <= 0:
             raise GraphError("network needs at least one node")
         seen = set()
         for s, t in self.edges:
+            _node_index(s, "a node index")
+            _node_index(t, "a node index")
             if s == t:
                 raise GraphError(f"self-loop ({s},{t}) not allowed")
             if not (0 <= s < self.n and 0 <= t < self.n):
@@ -83,7 +93,7 @@ class DirectedNetwork:
     def from_edges(n: int, weighted_edges: Iterable[Tuple[int, int, float]]) -> "DirectedNetwork":
         weights: Dict[Edge, float] = {}
         for s, t, w in weighted_edges:
-            e = (int(s), int(t))
+            e = (_node_index(s, "a node index"), _node_index(t, "a node index"))
             if e in weights:
                 raise GraphError(f"duplicate edge {e}")
             weights[e] = float(w)

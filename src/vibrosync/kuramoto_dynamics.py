@@ -12,7 +12,7 @@ import numpy as np
 from . import _phase_kernel
 from .graph_core import (ClusterPartition, DirectedNetwork, GraphError,
                          IncidenceSet, check_invariance, Edge)
-from .linalg import SinusoidSum, _resolve_step, conjugated_average
+from .linalg import SinusoidSum, _resolve_step, _step_count, conjugated_average
 
 # RK4 steps per fastest period of the phase network: the coarsest count whose
 # classifier slopes, final ratios and end-of-run sync errors on the flagship's
@@ -224,7 +224,7 @@ def _integrate_batch(inc: IncidenceSet, omega: np.ndarray,
     share that carrier's sine as well.
     """
     ns, n = th0.shape
-    steps = max(1, int(np.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
+    steps = _step_count(t_end, dt)
     h = t_end / steps if steps else 0.0
     # every stride-th state and the last: at most max_recorded_samples
     stride = max(1, -(-steps // (max_recorded_samples - 1)))

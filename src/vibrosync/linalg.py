@@ -24,6 +24,10 @@ steps_per_period = 40
 horizon_periods = 20
 horizon_doublings = 3
 horizon_rel_tolerance = 1e-3
+# the most RK4 steps one run may take: the kernels count steps, half-steps
+# (two per step, and a window pass takes twice a window's steps) and record
+# strides in int64_t, and numpy takes the record times from int64 products
+max_steps = 2 ** 60
 
 
 class NotHurwitz(ValueError):
@@ -35,6 +39,10 @@ class StepTooCoarse(ValueError):
 
 
 class HorizonTooShort(ValueError):
+    pass
+
+
+class TooManySteps(ValueError):
     pass
 
 
@@ -146,30 +154,6 @@ def _periods(p: SinusoidSum) -> Tuple[float, float]:
     return 2.0 * math.pi / p.freqs.min(), 2.0 * math.pi / p.freqs.max()
 
 
-def _linear_flow(p: SinusoidSum, t0: float, h: float, steps: int, psi: np.ndarray,
-                 j: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None,
-                 sums: Optional[np.ndarray] = None, growth: Optional[np.ndarray] = None,
-                 growth_steps: int = 0) -> None:
-    """Fixed-step RK4 for dPsi/dt = P(t) Psi from Psi(t0) = psi, advanced in
-    place by the compiled stepper (``_phase_kernel.linear_flow``) in one
-    call.  The stepper is bound to P's structural pattern, the entries where
-    a term matrix is nonzero, which it evaluates itself from the carriers on
-    the half-step grid.  Given ``j``, ``weights`` (steps, 2) and ``sums``
-    (2, 2, n, n) it also adds both window-weighted sums of Psi and of
-    Psi^-1 J Psi, and given ``growth`` (2,) it steps the inverse flow
-    alongside over the first ``growth_steps`` steps and raises ``growth`` to
-    the Frobenius norms of Psi and of Psi^-1, as
-    ``_phase_kernel.linear_flow`` describes.  A Psi (and so a J) of
-    another size than P raises ValueError.
-    """
-    n = p.mats.shape[1]
-    if np.shape(psi) != (n, n):
-        raise ValueError(f"P is {n} x {n}, but Psi and J are {len(psi)} x {len(psi)}")
-    _phase_kernel.linear_flow(t0, h, steps, psi, p.pattern,
-                              (p.amps, p.freqs, p.phases, p._pattern_mats), j, weights, sums,
-                              growth, growth_steps)
-
-
 def _resolve_step(t_span: float, dt: Optional[float], min_period: float,
                   oversampling: int) -> float:
     """The RK4 step of a flow over ``t_span`` whose fastest period is
@@ -194,6 +178,17 @@ def _resolve_step(t_span: float, dt: Optional[float], min_period: float,
     return dt
 
 
+def _step_count(span: float, dt: float) -> int:
+    """The RK4 steps of at most ``dt`` (> 0) over ``span`` (>= 0): none for
+    a zero span, else at least one.  A count above ``max_steps`` raises
+    TooManySteps, which names it."""
+    ratio = span / dt
+    if not ratio - 1e-12 <= max_steps:
+        raise TooManySteps(f"a span of {span:g} at dt={dt:g} needs {ratio:.3g} RK4 steps, "
+                           f"more than the {max_steps} a run may take")
+    return max(1, int(np.ceil(ratio - 1e-12))) if span > 0 else 0
+
+
 def state_transition(p: SinusoidSum, t0: float, t1: float,
                      dt: Optional[float] = None) -> np.ndarray:
     """Transition matrix of dv/dt = P(t) v from t0 to t1 (fixed-step RK4),
@@ -203,8 +198,8 @@ def state_transition(p: SinusoidSum, t0: float, t1: float,
     phi = np.eye(p.mats.shape[1])
     if t1 == t0:
         return phi
-    steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    _linear_flow(p, t0, (t1 - t0) / steps, steps, phi)
+    steps = _step_count(t1 - t0, dt)
+    _phase_kernel.linear_flow(p, t0, (t1 - t0) / steps, steps, phi)
     return phi
 
 
@@ -247,8 +242,8 @@ def conjugated_average(j: np.ndarray, p: SinusoidSum,
     31, 2018).  One RK4 pass over [0, 2T] gives the estimates for W = T and
     W = 2T; a drift between them above ``rel_tol`` (relative), or a window
     without weight, raises HorizonTooShort.  The pass is one call of the
-    compiled stepper of ``_linear_flow``, which solves Phi^-1 J Phi after
-    every step by LU with partial pivoting and adds both weighted sums; a
+    compiled stepper ``_phase_kernel.linear_flow``, which solves Phi^-1 J Phi
+    after every step by LU with partial pivoting and adds both weighted sums; a
     Phi singular to working precision (the error names the time), or one
     that overflows (non-finite sums), raises ``numpy.linalg.LinAlgError`` at
     once.  The step defaults to ``default_oversampling`` steps per fastest
@@ -287,13 +282,14 @@ def _windowed_average(j: np.ndarray, p: SinusoidSum, T: float,
     dt = _resolve_step(T, dt, min_period, default_oversampling)
 
     n = j.shape[0]
-    steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    steps = _step_count(T, dt)
     weights = _window_weights(steps)
     if weights is None:
         raise HorizonTooShort(f"horizon {T:g} leaves an averaging window without weight")
 
     sums = np.zeros((2, 2, n, n))
-    _linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, weights, sums, growth, steps)
+    _phase_kernel.linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j, weights, sums, growth,
+                              steps)
     if not np.isfinite(sums).all():
         raise np.linalg.LinAlgError(f"the flow overflowed on [0, {2 * T:g}]")
     mean_psi, mean_m = sums

@@ -70,6 +70,18 @@ class SweepPoint:
     worst_final_ratio: float
 
 
+def _plain(value):
+    """``value`` as JSON data: a dataclass as the dict of its fields, an
+    array or a tuple as a list, each item converted in turn."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Everything the certification pipeline produced for one scenario."""
@@ -86,7 +98,6 @@ class StabilityReport:
     certified: bool
     empirical: Optional[Classification] = None
     sweep: Optional[Tuple[SweepPoint, ...]] = None
-    sweep_monotone: Optional[bool] = None
     sweep_deviations: Tuple[str, ...] = ()
 
     @property
@@ -101,51 +112,32 @@ class StabilityReport:
             return "uncertified"
         return "stable_uncertified" if self.empirical.stable else "not_stabilized"
 
-    def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
+    @property
+    def sweep_monotone(self) -> Optional[bool]:
+        return None if self.sweep is None else not self.sweep_deviations
 
-        emp = None
-        if self.empirical is not None:
-            emp = {
-                "stable": self.empirical.stable,
-                "slopes": list(self.empirical.slopes),
-                "initial_norms": list(self.empirical.initial_norms),
-                "final_norms": list(self.empirical.final_norms),
-            }
-        sweep = None
-        if self.sweep is not None:
-            sweep = [dataclasses.asdict(pt) for pt in self.sweep]
-        return {
-            "n": self.n,
-            "clusters": [list(c) for c in self.clusters],
-            "tree_edges": [list(e) for e in self.tree_edges],
-            "epsilon": self.epsilon,
-            "j_blocks": [arr(b) for b in self.j_blocks],
-            "averaged_blocks": [arr(b) for b in self.averaged_blocks],
-            "hurwitz_flags": list(self.hurwitz_flags),
-            "r_values": list(self.r_values),
-            "gamma_bar": arr(self.gamma_bar),
-            "s_matrix": arr(self.s_matrix),
-            "s_is_m_matrix": self.certified,
-            "certified": self.certified,
-            "label": self.label,
-            "empirical": emp,
-            "sweep": sweep,
-            "sweep_monotone": self.sweep_monotone,
-            "sweep_deviations": list(self.sweep_deviations),
-        }
+    def to_dict(self) -> dict:
+        """Every field as JSON data, and the derived ``hurwitz_flags``,
+        ``s_is_m_matrix`` (the certificate), ``label`` and ``sweep_monotone``."""
+        return {**_plain(self), "hurwitz_flags": list(self.hurwitz_flags),
+                "s_is_m_matrix": self.certified, "label": self.label,
+                "sweep_monotone": self.sweep_monotone}
+
+
+def _ensemble(lin: Linearization, schedule: Optional[VibrationSchedule], n_samples: int,
+              kick: float, seed: int, t_end: float) -> Classification:
+    """The classifier's verdict on ``n_samples`` runs of ``lin``'s network
+    under ``schedule`` over ``t_end``, each from a seeded kick of norm ``kick``."""
+    return classify_partial_stability(sample_perturbed_trajectories(
+        lin.kn, lin.inc, schedule, n_samples=n_samples, kick=kick, seed=seed, t_end=t_end))
 
 
 def _sweep(lin: Linearization, schedule: VibrationSchedule,
-           seed: int, kick: float) -> Tuple[Tuple[SweepPoint, ...], bool, Tuple[str, ...]]:
+           seed: int, kick: float) -> Tuple[Tuple[SweepPoint, ...], Tuple[str, ...]]:
     points: List[SweepPoint] = []
     for eps in default_sweep_epsilons:
-        sched_eps = dataclasses.replace(schedule, epsilon=eps)
-        trajs = sample_perturbed_trajectories(lin.kn, lin.inc, sched_eps,
-                                              n_samples=sweep_samples, kick=kick,
-                                              seed=seed, t_end=sweep_horizon)
-        cls = classify_partial_stability(trajs)
+        cls = _ensemble(lin, dataclasses.replace(schedule, epsilon=eps), sweep_samples, kick,
+                        seed, sweep_horizon)
         ratios = [f / max(i, 1e-300) for i, f in
                   zip(cls.initial_norms, cls.final_norms)]
         points.append(SweepPoint(epsilon=eps, stable=cls.stable,
@@ -162,7 +154,7 @@ def _sweep(lin: Linearization, schedule: VibrationSchedule,
             deviations.append(
                 f"stability lost when refining eps={prev.epsilon:g} -> {cur.epsilon:g}"
             )
-    return tuple(points), not deviations, tuple(deviations)
+    return tuple(points), tuple(deviations)
 
 
 def certify(lin: Linearization, schedule: Optional[VibrationSchedule],
@@ -186,16 +178,12 @@ def certify(lin: Linearization, schedule: Optional[VibrationSchedule],
     gamma = perturbation_bounds(lin, growth)
     r_values, s_matrix, certified = comparison(averaged, gamma)
 
-    classification: Optional[Classification] = None
-    sweep_points, sweep_monotone, sweep_dev = None, None, ()
+    classification, sweep_points, sweep_dev = None, None, ()
     if empirical:
-        horizon = classification_horizon(averaged)
-        trajs = sample_perturbed_trajectories(lin.kn, lin.inc, schedule,
-                                              n_samples=certify_samples,
-                                              kick=kick, seed=seed, t_end=horizon)
-        classification = classify_partial_stability(trajs)
+        classification = _ensemble(lin, schedule, certify_samples, kick, seed,
+                                   classification_horizon(averaged))
         if schedule is not None and schedule.entries:
-            sweep_points, sweep_monotone, sweep_dev = _sweep(lin, schedule, seed, kick)
+            sweep_points, sweep_dev = _sweep(lin, schedule, seed, kick)
 
     return StabilityReport(
         n=lin.kn.net.n,
@@ -210,6 +198,5 @@ def certify(lin: Linearization, schedule: Optional[VibrationSchedule],
         certified=certified,
         empirical=classification,
         sweep=sweep_points,
-        sweep_monotone=sweep_monotone,
         sweep_deviations=sweep_dev,
     )

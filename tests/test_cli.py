@@ -4,6 +4,7 @@ layout, determinism of outputs, and exit-code conventions."""
 import json
 import math
 import importlib.resources as ir
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -39,13 +40,13 @@ def tiny_path(tmp_path_factory):
 
 
 def count_stage_calls(monkeypatch) -> Counter:
-    """Count the calls of the pipeline stages, of the linear-flow passes
-    (``_linear_flow``), of the linear-flow kernel (``linear_flow``) and of
-    the phase-network kernel from every vibrosync module that binds them."""
+    """Count the calls of the pipeline stages, of the linear-flow kernel
+    (``linear_flow``, one call per pass) and of the phase-network kernel
+    from every vibrosync module that binds them."""
     counts: Counter = Counter()
     stages = (kuramoto_dynamics.linearize, graph_core.check_invariance,
               stability_cert.certify, kuramoto_dynamics.perturbation_bounds,
-              linalg.conjugated_average, linalg._linear_flow, _phase_kernel.linear_flow,
+              linalg.conjugated_average, _phase_kernel.linear_flow,
               _phase_kernel.integrate)
     modules = [module for name, module in sys.modules.items()
                if name == "vibrosync" or name.startswith("vibrosync.")]
@@ -308,7 +309,7 @@ def test_analyze_and_design_linearize_once(tmp_path, monkeypatch):
     # linear-flow pass, one kernel call, also samples the growth
     # perturbation_bounds reads
     assert counts == {"linearize": 1, "check_invariance": 1, "perturbation_bounds": 1,
-                      "conjugated_average": 1, "_linear_flow": 1, "linear_flow": 1}
+                      "conjugated_average": 1, "linear_flow": 1}
 
 
 def test_analyze_of_a_vibrated_network_makes_one_flow_pass_per_vibrated_cluster(
@@ -326,8 +327,7 @@ def test_analyze_of_a_vibrated_network_makes_one_flow_pass_per_vibrated_cluster(
     counts = count_stage_calls(monkeypatch)
     assert cli.main(["analyze", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 1,
-                      "perturbation_bounds": 1, "conjugated_average": 1, "_linear_flow": 1,
-                      "linear_flow": 1}
+                      "perturbation_bounds": 1, "conjugated_average": 1, "linear_flow": 1}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert np.array(report["gamma_bar"]) == pytest.approx(np.array(
         [[212.27502602715205, 19.920235881902403], [59.72533224074949, 4.7250000000000005]]),
@@ -550,6 +550,29 @@ def test_too_coarse_simulation_dt_exits_2(tmp_path, capsys, dt, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("simulation, weight, args", [
+    ({"t_end": 1e300}, None, []),
+    ({"dt": 1e-300}, None, ["--uncontrolled"]),
+    ({}, None, ["--epsilon", "1e-300"]),
+    ({"t_end": 4.0}, 1e20, ["--uncontrolled"]),
+], ids=["huge_t_end", "tiny_dt", "tiny_epsilon", "huge_weight"])
+def test_more_rk4_steps_than_the_kernel_counts_exit_2(tmp_path, capsys, simulation, weight,
+                                                      args):
+    # each run's step count would wrap the kernel's int64_t counter: an
+    # OverflowError (exit 1), or a wrapped count and record times (exit 0)
+    data = flagship_data()
+    data["simulation"].update(simulation)
+    if weight is not None:
+        data["edges"][0][2] = weight
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["simulate", "--scenario", path, *args,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"scenario error: a span of \S+ at dt=\S+ needs \S+ RK4 steps, more than "
+                    r"the 1152921504606846976 a run may take$", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_reproduce_uses_the_simulation_dt(tmp_path, capsys):
     # the documented runs take the scenario's step: too coarse for the
     # designed carriers, known only once the design is done
@@ -734,8 +757,8 @@ def test_reproduce_flagship(flagship_reproduce):
     # certificates' ensembles, the sweep's three and the two documented
     # trajectories
     assert counts == {"linearize": 1, "check_invariance": 1, "certify": 2,
-                      "perturbation_bounds": 2, "conjugated_average": 1, "_linear_flow": 1,
-                      "linear_flow": 1, "integrate": 7}
+                      "perturbation_bounds": 2, "conjugated_average": 1, "linear_flow": 1,
+                      "integrate": 7}
     for name in ("analysis.json", "schedule.json", "certificate.json",
                  "controlled.csv", "err_controlled.csv", "uncontrolled.csv",
                  "err_uncontrolled.csv", "plot.gp", "report.json",

@@ -30,6 +30,26 @@ def test_network_validation():
         vs.DirectedNetwork.from_edges(2, [(0, 5, 1.0)])  # out of range
 
 
+@pytest.mark.parametrize("n, edge", [
+    (3, (0.7, 1)), (3, (0, 1.0)), (3, (True, 2)), (3, (0, False)), (3, ("0", 1)),
+    (2.5, (0, 1)), (2.0, (0, 1)), (True, (0, 1)), (np.float64(3.0), (0, 1)),
+], ids=["fractional_source", "float_target", "boolean_source", "boolean_target",
+        "text_source", "fractional_count", "float_count", "boolean_count", "numpy_float_count"])
+def test_node_indices_and_counts_must_be_integers(n, edge):
+    # int() would truncate 0.7 to node 0 and True to node 1
+    with pytest.raises(GraphError, match="must be an integer"):
+        vs.DirectedNetwork.from_edges(n, [(*edge, 1.0), (1, 0, 1.0)])
+    with pytest.raises(GraphError, match="must be an integer"):
+        vs.DirectedNetwork(n, ((0, 1), (1, 0), edge), {})
+
+
+def test_numpy_integer_nodes_are_plain_ints():
+    net = vs.DirectedNetwork.from_edges(np.int64(3), [(np.int32(0), np.int64(1), 1.0),
+                                                      (np.intc(1), 2, 0.5)])
+    assert net.edges == ((0, 1), (1, 2))
+    assert all(type(v) is int for e in net.edges for v in e)
+
+
 def test_weight_matrix_round_trip():
     net, _ = two_cluster_net()
     w = net.weight_matrix()

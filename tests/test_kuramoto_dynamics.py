@@ -11,10 +11,10 @@ from hypothesis import given, note, settings, strategies as st
 import vibrosync as vs
 from vibrosync import _phase_kernel as pk
 from vibrosync import kuramoto_dynamics as kd
-from vibrosync import linalg, stability_cert
+from vibrosync import stability_cert
 from vibrosync.kuramoto_dynamics import (InvarianceViolated, NonFiniteState,
                                          Trajectory, classification_horizon)
-from vibrosync.linalg import StepTooCoarse, default_oversampling
+from vibrosync.linalg import StepTooCoarse, TooManySteps, default_oversampling
 
 from conftest import incidence, random_clustered_network
 
@@ -188,13 +188,13 @@ def test_phase_step_meets_the_refinement_tolerance(flip_kn, flip_inc, flip_desig
 def test_linear_flows_keep_48_steps_per_period(flip_lin, flip_design, monkeypatch):
     p = kd.cluster_vibration_matrices(flip_lin.inc, flip_design.schedule)[0]
     min_period = 2.0 * math.pi / p.freqs.max()
-    real, per_period = linalg._linear_flow, []
+    real, per_period = pk.linear_flow, []
 
     def recording(p_, t0, h, steps, *args, **kwargs):
         per_period.append(round(min_period / h))
         return real(p_, t0, h, steps, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_linear_flow", recording)
+    monkeypatch.setattr(pk, "linear_flow", recording)
     vs.state_transition(p, 0.0, 10.0)
     # one pass averages the vibrated cluster and samples its growth
     vs.averaged_jacobians(flip_lin, flip_design.schedule)
@@ -220,6 +220,19 @@ def test_explicit_step_floor(flip_kn, flip_inc, flip_design, flow, floor):
     run(period / floor)
     with pytest.raises(StepTooCoarse, match=f"fewer than {floor} steps"):
         run(period / floor * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e300, None), (4.0, 1e-300)], ids=["long", "fine"])
+def test_run_of_more_steps_than_the_kernel_counts_is_rejected(t_end, dt, monkeypatch):
+    # the step count would wrap the kernel's int64_t counter, or the record
+    # times' int64 products: rejected before the kernel is loaded
+    def no_kernel():
+        raise AssertionError("the kernel was loaded")
+
+    kn = two_node_kn()
+    monkeypatch.setattr(pk, "load", no_kernel)
+    with pytest.raises(TooManySteps, match="RK4 steps, more than"):
+        vs.simulate(kn, None, np.array([0.0, 0.1]), t_end, inc=incidence(kn), dt=dt)
 
 
 def test_long_run_is_decimated():

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import vibrosync as vs
 from vibrosync import kuramoto_dynamics, linalg
-from vibrosync.linalg import HorizonTooShort, NotHurwitz, SinusoidSum, StepTooCoarse
+from vibrosync.linalg import (HorizonTooShort, NotHurwitz, SinusoidSum, StepTooCoarse,
+                             TooManySteps)
 
 from test_acceptance import _random_design_case
 
@@ -217,11 +219,38 @@ def test_bad_step_is_rejected(name, kwargs):
             vs.state_transition(t0=0.0, t1=1.0, **kwargs)
 
 
-def test_flow_of_another_size_than_p_is_rejected(monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("the kernel was called")
+def test_step_count_covers_the_span_within_what_a_run_may_take():
+    count = linalg._step_count
+    assert count(0.0, 0.1) == 0
+    assert count(1e-9, 0.1) == 1
+    assert count(1.0, 0.25) == 4 and count(1.0, 0.3) == 4
+    assert count(1.0, 1.0 / 3.0) == 3  # a ratio of 3.0000000000000004
+    assert count(float(linalg.max_steps), 1.0) == linalg.max_steps == 2 ** 60
+    for span, dt, steps in ((2.0 ** 61, 1.0, "2.31e+18"), (4.0, 2.6e-21, "1.54e+21"),
+                            (1e300, 1e-300, "inf")):
+        with pytest.raises(TooManySteps, match=rf"needs {re.escape(steps)} RK4 steps, "
+                                               rf"more than the {2 ** 60} a run may take$"):
+            count(span, dt)
 
-    monkeypatch.setattr(linalg._phase_kernel, "linear_flow", no_kernel)
+
+@pytest.mark.parametrize("call", [
+    lambda: vs.state_transition(slot_vibration(), 0.0, 1e300),
+    lambda: vs.conjugated_average(np.eye(2), slot_vibration(), T=1e300),
+], ids=["transition", "average"])
+def test_flow_of_more_steps_than_a_run_may_take_is_rejected(call, monkeypatch):
+    def no_kernel():
+        raise AssertionError("the kernel was loaded")
+
+    monkeypatch.setattr(linalg._phase_kernel, "load", no_kernel)
+    with pytest.raises(TooManySteps, match="RK4 steps, more than"):
+        call()
+
+
+def test_flow_of_another_size_than_p_is_rejected(monkeypatch):
+    def no_kernel():
+        raise AssertionError("the kernel was loaded")
+
+    monkeypatch.setattr(linalg._phase_kernel, "load", no_kernel)
     for j in (np.eye(3), np.eye(1)):
         size = f"{len(j)} x {len(j)}"
         with pytest.raises(ValueError, match=f"^P is 2 x 2, but Psi and J are {size}$"):
@@ -480,8 +509,8 @@ def flow_results(p, j, T, dt, t0=0.3):
     except np.linalg.LinAlgError as exc:
         out.append(str(exc))
     sums, growth = np.zeros((2, 2, n, n)), np.ones(2)
-    linalg._linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j,
-                        np.full((2 * steps, 2), 0.5), sums, growth, steps)
+    linalg._phase_kernel.linear_flow(p, 0.0, T / steps, 2 * steps, np.eye(n), j,
+                                     np.full((2 * steps, 2), 0.5), sums, growth, steps)
     return out + [sums, growth]
 
 
@@ -578,8 +607,8 @@ def test_singular_flow_raises_linalg_error():
     # first step's Psi, and a flow without J steps through it
     p = SinusoidSum([0.0], [0.1], [0.0], [np.eye(2)])
     with pytest.raises(np.linalg.LinAlgError, match="singular to working precision at t = 1$"):
-        linalg._linear_flow(p, 0.0, 1.0, 4, np.diag([0.0, 1.0]), np.eye(2), np.ones((4, 2)),
-                            np.zeros((2, 2, 2, 2)))
+        linalg._phase_kernel.linear_flow(p, 0.0, 1.0, 4, np.diag([0.0, 1.0]), np.eye(2),
+                                         np.ones((4, 2)), np.zeros((2, 2, 2, 2)))
     psi = np.diag([0.0, 1.0])
-    linalg._linear_flow(p, 0.0, 1.0, 4, psi)
+    linalg._phase_kernel.linear_flow(p, 0.0, 1.0, 4, psi)
     assert np.array_equal(psi, np.diag([0.0, 1.0]))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vibrosync import _phase_kernel as pk
+from vibrosync.linalg import SinusoidSum
 
 
 @pytest.fixture
@@ -404,14 +405,22 @@ def carriers(terms=2, nz=4, amp=1.0):
     return (np.full(terms, amp), np.ones(terms), np.zeros(terms), np.ones((terms, nz)))
 
 
-def run_flow(n=2, steps=8, **changes):
-    """One linear_flow call of ``steps`` steps on n x n matrices with a full
-    pattern, P = 0 as one carrier of amplitude zero, the weights of every
-    step and a growth window of 4 steps; ``changes`` replace its arguments."""
-    args = dict(t0=0.0, h=0.1, steps=steps, psi=np.eye(n), pattern=full_pattern(n),
-                p=carriers(1, n * n, 0.0), j=-np.eye(n), weights=np.ones((steps, 2)),
-                sums=np.zeros((2, 2, n, n)), growth=np.ones(2), growth_steps=4)
-    return pk.linear_flow(**{**args, **changes})
+def run_flow(n=2, steps=8, pattern=None, p=None, **changes):
+    """One linear_flow call of ``steps`` steps on n x n matrices with the
+    weights of every step and a growth window of 4 steps; ``changes``
+    replace its arguments.  P is a SinusoidSum of order n whose ``pattern``
+    (a full one by default) and carriers ``p`` (by default P = 0, one
+    carrier of amplitude zero), ``(amps, freqs, phases, mats)`` with mats on
+    the pattern's entries, are overwritten as given, unchecked: what the
+    kernel reads."""
+    sinusoids = SinusoidSum([0.0], [1.0], [0.0], np.ones((1, n, n)))
+    sinusoids.pattern = full_pattern(n) if pattern is None else pattern
+    (sinusoids.amps, sinusoids.freqs, sinusoids.phases,
+     sinusoids._pattern_mats) = carriers(1, n * n, 0.0) if p is None else p
+    args = dict(t0=0.0, h=0.1, steps=steps, psi=np.eye(n), j=-np.eye(n),
+                weights=np.ones((steps, 2)), sums=np.zeros((2, 2, n, n)), growth=np.ones(2),
+                growth_steps=4)
+    return pk.linear_flow(sinusoids, **{**args, **changes})
 
 
 def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
@@ -434,8 +443,7 @@ def test_flow_rejects_inconsistent_arrays_before_the_call(monkeypatch):
                         dict(p=(amps[:1], freqs, phases, mats)),
                         dict(p=(amps, freqs, phases[:, None], mats)),
                         dict(p=(amps[:0], freqs[:0], phases[:0], mats[:0])),  # no term
-                        dict(p=(amps, freqs, phases, np.ones((2, 2, 2)))),  # full matrices
-                        dict(p=(amps, freqs, phases))):
+                        dict(p=(amps, freqs, phases, np.ones((2, 2, 2))))):  # full matrices
             with pytest.raises(ValueError):
                 run_flow(**changes)
     # dtype, C order and writeability: ctypes checks them at the call

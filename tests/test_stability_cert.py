@@ -126,9 +126,19 @@ def test_certify_flagship_baseline(flip_lin):
 # report serialization
 
 
+# every field of a StabilityReport and the four keys to_dict derives: a new
+# key in report.json must be an intended change
+REPORT_KEYS = {"n", "clusters", "tree_edges", "epsilon", "j_blocks", "averaged_blocks",
+               "r_values", "gamma_bar", "s_matrix", "certified", "empirical", "sweep",
+               "sweep_deviations", "hurwitz_flags", "s_is_m_matrix", "label", "sweep_monotone"}
+
+
 def test_report_round_trip(flip_report):
     # the JSON of to_dict carries every array exactly
     data = json.loads(json.dumps(flip_report.to_dict()))
+    assert set(data) == REPORT_KEYS
+    assert data["empirical"] is None and data["sweep"] is None
+    assert data["sweep_monotone"] is None and data["sweep_deviations"] == []
     assert data["n"] == 8
     assert data["clusters"] == [[0, 1, 2, 3], [4, 5, 6, 7]]
     assert data["tree_edges"] == [list(e) for e in flip_report.tree_edges]
@@ -142,40 +152,44 @@ def test_report_round_trip(flip_report):
 
 
 def test_report_round_trip_with_empirical_and_sweep():
-    rep = vs.StabilityReport(
-        n=4,
-        clusters=((0, 1), (2, 3)),
-        tree_edges=((0, 1), (2, 3), (0, 2)),
-        epsilon=0.05,
-        j_blocks=(np.array([[-1.0]]), np.array([[-2.0]])),
-        averaged_blocks=(np.array([[-1.5]]), np.array([[-2.0]])),
-        r_values=(3.0, None),
-        gamma_bar=np.array([[0.1, 0.2], [0.3, 0.4]]),
-        s_matrix=None,
-        certified=False,
-        empirical=vs.Classification(stable=False, slopes=(0.1, -0.2),
-                                    initial_norms=(0.1, 0.1),
-                                    final_norms=(0.5, 0.01)),
-        sweep=(vs.SweepPoint(epsilon=0.1, stable=False, worst_slope=0.1,
-                             worst_final_ratio=5.0),
-               vs.SweepPoint(epsilon=0.01, stable=True, worst_slope=-0.5,
-                             worst_final_ratio=0.01)),
-        sweep_monotone=True,
-        sweep_deviations=(),
-    )
-    data = json.loads(json.dumps(rep.to_dict()))
-    assert data["r_values"] == [3.0, None]
-    assert data["hurwitz_flags"] == [True, False]
-    assert data["s_matrix"] is None
-    assert data["empirical"] == {"stable": False, "slopes": [0.1, -0.2],
-                                 "initial_norms": [0.1, 0.1],
-                                 "final_norms": [0.5, 0.01]}
-    assert data["sweep"] == [
-        {"epsilon": 0.1, "stable": False, "worst_slope": 0.1, "worst_final_ratio": 5.0},
-        {"epsilon": 0.01, "stable": True, "worst_slope": -0.5, "worst_final_ratio": 0.01}]
-    assert data["sweep_monotone"] is True
-    assert data["sweep_deviations"] == []
-    assert data["label"] == "not_stabilized"
+    points = (vs.SweepPoint(epsilon=0.1, stable=False, worst_slope=0.1, worst_final_ratio=5.0),
+              vs.SweepPoint(epsilon=0.01, stable=True, worst_slope=-0.5,
+                            worst_final_ratio=0.01))
+    # sweep_monotone is derived: None without a sweep, else no deviation
+    for sweep, deviations, monotone in ((None, (), None), (points, (), True),
+                                        (points, ("stability lost",), False)):
+        rep = vs.StabilityReport(
+            n=4,
+            clusters=((0, 1), (2, 3)),
+            tree_edges=((0, 1), (2, 3), (0, 2)),
+            epsilon=0.05,
+            j_blocks=(np.array([[-1.0]]), np.array([[-2.0]])),
+            averaged_blocks=(np.array([[-1.5]]), np.array([[-2.0]])),
+            r_values=(3.0, None),
+            gamma_bar=np.array([[0.1, 0.2], [0.3, 0.4]]),
+            s_matrix=None,
+            certified=False,
+            empirical=vs.Classification(stable=False, slopes=(0.1, -0.2),
+                                        initial_norms=(0.1, 0.1),
+                                        final_norms=(0.5, 0.01)),
+            sweep=sweep,
+            sweep_deviations=deviations,
+        )
+        assert rep.sweep_monotone is monotone
+        data = json.loads(json.dumps(rep.to_dict()))
+        assert set(data) == REPORT_KEYS
+        assert data["r_values"] == [3.0, None]
+        assert data["hurwitz_flags"] == [True, False]
+        assert data["s_matrix"] is None
+        assert data["empirical"] == {"stable": False, "slopes": [0.1, -0.2],
+                                     "initial_norms": [0.1, 0.1],
+                                     "final_norms": [0.5, 0.01]}
+        assert data["sweep"] == (None if sweep is None else [
+            {"epsilon": 0.1, "stable": False, "worst_slope": 0.1, "worst_final_ratio": 5.0},
+            {"epsilon": 0.01, "stable": True, "worst_slope": -0.5, "worst_final_ratio": 0.01}])
+        assert data["sweep_monotone"] is monotone
+        assert data["sweep_deviations"] == list(deviations)
+        assert data["label"] == "not_stabilized"
 
 
 # ---------------------------------------------------------------------------
